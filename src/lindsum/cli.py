@@ -266,9 +266,9 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         print(report.to_json())
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check_id", "status", "value", "bound"])
+        writer.writerow(["check_id", "status", "value", "bound", "detail"])
         for r in report.results:
-            writer.writerow([r.check_id, r.status, _fmt(r.value), _fmt(r.bound)])
+            writer.writerow([r.check_id, r.status, _fmt(r.value), _fmt(r.bound), r.detail])
     else:
         for line in report.to_lines():
             print(line)

@@ -17,7 +17,10 @@ Every member is the two-component mixture
     p * Exp(theta) + (1 - p) * Erlang(k+1, theta),
     p = alpha*theta^k / (alpha*theta^k + k!),
 
-which is what the exact sampler and the survival function use.
+which is what the survival function and the composition sampler
+DistSpec.sample use.  The sum sampler validation.sample_sum counts the Erlang
+branches of n such draws, Binomial(n, 1 - p), and draws the sum as one gamma
+variate.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TypeAlias
 
 import numpy as np
-from scipy import integrate as _quadpack
 
 __all__ = [
     "LogWeightedTerm",
@@ -172,6 +171,10 @@ def integrate(
         a, b = 0.0, 1.0
     else:
         target, a, b = f, lower, upper
+
+    # scipy costs more to import than the rest of the package together, and
+    # only the quadrature oracles need it
+    from scipy import integrate as _quadpack
 
     out = _quadpack.quad(
         target, a, b,

@@ -177,6 +177,26 @@ class SumSpec:
         """Exact Erlang-mixture representation of the sum."""
         return self._mixture
 
+    @cached_property
+    def _pdf_series(self) -> tuple[float, np.ndarray, np.ndarray]:
+        # x-independent parts of the density series: n ln c, the log
+        # coefficient of each term, and each term's power of x
+        d, n = self.dist, self.n
+        k = d.member.degree
+        ln_theta = math.log(d.theta)
+        ln_alpha = 0.0 if d.member.alpha_kind is AlphaKind.UNIT else ln_theta
+        ln_kfact = ln_factorial(k)
+        ln_c = (k + 1) * ln_theta - math.log(d.alpha * d.theta**k + math.factorial(k))
+        const = np.array([
+            ln_binomial(n, r)
+            + (n - r) * ln_alpha
+            + r * ln_kfact
+            - ln_factorial(n + k * r - 1)
+            for r in range(n + 1)
+        ])
+        powers = np.arange(n + 1, dtype=float) * k + (n - 1)
+        return n * ln_c, const, powers
+
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Closed-form density of the sum.
 
@@ -191,26 +211,13 @@ class SumSpec:
             out[flat == 0.0] = self.dist.pdf(0.0)
         pos = flat > 0.0
         if np.any(pos):
-            d, n = self.dist, self.n
-            k = d.member.degree
-            ln_theta = math.log(d.theta)
-            ln_alpha = 0.0 if d.member.alpha_kind is AlphaKind.UNIT else ln_theta
-            ln_kfact = ln_factorial(k)
-            ln_c = (k + 1) * ln_theta - math.log(d.alpha * d.theta**k + math.factorial(k))
+            n_ln_c, const, powers = self._pdf_series
             xp = flat[pos]
             ln_x = np.log(xp)
-            const = np.array([
-                ln_binomial(n, r)
-                + (n - r) * ln_alpha
-                + r * ln_kfact
-                - ln_factorial(n + k * r - 1)
-                for r in range(n + 1)
-            ])
-            powers = np.arange(n + 1, dtype=float) * k + (n - 1)
             terms = const[:, None] + powers[:, None] * ln_x[None, :]
             peak = terms.max(axis=0)
             log_series = peak + np.log(np.exp(terms - peak).sum(axis=0))
-            out[pos] = np.exp(n * ln_c - d.theta * xp + log_series)
+            out[pos] = np.exp(n_ln_c - self.dist.theta * xp + log_series)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:

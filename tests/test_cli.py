@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindsum
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, RANI, SHANKER, DistSpec
 from lindsum.reliability import lindley_mttf
@@ -285,6 +292,18 @@ class TestVerifyCommand:
         assert code == 1
         assert out.splitlines()[0].startswith("ERROR")
 
+    def test_csv_carries_error_detail(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--only", "normalization/lindley", "--quad-tol", "1e-15",
+             "--format", "csv"],
+        )
+        assert code == 1
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert list(record) == ["check_id", "status", "value", "bound", "detail"]
+        assert record["status"] == "error"
+        assert record["detail"] != ""
+
     def test_unmatched_only_exits_2(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["verify", "--only", "nonsense"])
         assert "--only" in err
@@ -296,3 +315,45 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         run_cli_expecting_usage_error(capsys, ["frobnicate"])
+
+
+class TestImportCost:
+    """scipy is loaded only by the quadrature oracles, never at import."""
+
+    @staticmethod
+    def _run(code):
+        env = dict(os.environ)
+        src = str(Path(lindsum.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            f"{code}\n"
+            "import sys\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_leaves_scipy_unloaded(self):
+        assert self._run("import lindsum") == "False"
+
+    def test_mttf_runs_without_scipy(self):
+        code = (
+            "import contextlib, io\n"
+            "from lindsum.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['mttf', '--theta', '0.1,0.5,1,3', '--dist', 'akash']) == 0"
+        )
+        assert self._run(code) == "False"
+
+    def test_moments_verify_loads_scipy(self):
+        code = (
+            "import contextlib, io\n"
+            "from lindsum.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['moments', '--dist', 'ramawadh', '--theta', '1', '--n', '5',"
+            " '--verify']) == 0"
+        )
+        assert self._run(code) == "True"

@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import lindsum.validation
 from lindsum.family import LINDLEY, MEMBERS, RAM_AWADH, SHANKER, DistSpec
 from lindsum.sums import SumSpec
 from lindsum.validation import (
@@ -108,6 +110,22 @@ class TestSampleSum:
         draws = sample_sum(SumSpec(DistSpec(SHANKER, 2.0), 2), np.random.default_rng(3), 1000)
         assert np.all(draws >= 0.0)
 
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_matches_composition_oracle(self, member, n, theta):
+        # the per-summand composition sampler, summed row by row, is an
+        # independent route to the same distribution.  Each case gets its own
+        # streams, so the 28 cases are independent tests; at p > 1e-4 a correct
+        # sampler fails one of them with probability about 0.3%.
+        count = 50_000
+        spec = SumSpec(DistSpec(member, theta), n)
+        case = np.random.SeedSequence([MEMBERS.index(member), n, round(10 * theta)])
+        oracle_rng, sum_rng = (np.random.default_rng(s) for s in case.spawn(2))
+        oracle = spec.dist.sample(oracle_rng, (count, n)).sum(axis=1)
+        draws = sample_sum(spec, sum_rng, count)
+        assert ks_2samp(draws, oracle).pvalue > 1e-4
+
 
 class TestVerifyAll:
     def test_fast_slice_passes(self):
@@ -161,6 +179,43 @@ class TestVerifyAll:
         assert not report.all_passed
         assert result.detail != ""
 
+    def test_monte_carlo_sample_drawn_once_per_call(self, monkeypatch):
+        calls = []
+        real = lindsum.validation.sample_sum
+
+        def counting(spec, rng, size=None):
+            calls.append((spec.dist.member.name, spec.n))
+            return real(spec, rng, size)
+
+        monkeypatch.setattr(lindsum.validation, "sample_sum", counting)
+        config = VerifyConfig(
+            members=("lindley",), only=("ks", "mc-moments"), sample_count=20_000
+        )
+        first = verify_all(config)
+        # one draw per n in {2, 5} and seed, shared by the ks and mc-moments checks
+        assert len(calls) == 2 * len(DEFAULT_SEEDS)
+        assert sorted(set(calls)) == [("Lindley", 2), ("Lindley", 5)]
+        assert [r.check_id for r in first.results] == [
+            "ks/lindley/n2",
+            "mc-moments/lindley/n2",
+            "ks/lindley/n5",
+            "mc-moments/lindley/n5",
+        ]
+        assert first.all_passed
+        # nothing carries over between calls: the second one draws again
+        second = verify_all(config)
+        assert len(calls) == 4 * len(DEFAULT_SEEDS)
+        assert second == first
+
+    @pytest.mark.parametrize("only", ["ks/lindley/n2", "mc-moments/lindley/n2"])
+    def test_monte_carlo_checks_run_alone(self, only):
+        report = verify_all(
+            VerifyConfig(members=("lindley",), only=(only,), sample_count=20_000, seeds=(7,))
+        )
+        (result,) = report.results
+        assert result.check_id == only
+        assert result.status == "pass" and 0.0 < result.value <= result.bound
+
     def test_default_seeds_are_fixed(self):
         assert DEFAULT_SEEDS == (7, 19, 37)
 
@@ -176,8 +231,17 @@ class TestVerifyAll:
         records = json.loads(report.to_json())
         assert [r["check_id"] for r in records] == ["reductions/pdf", "reductions/weights"]
         for record in records:
-            assert set(record) == {"check_id", "status", "value", "bound"}
+            assert set(record) == {"check_id", "status", "value", "bound", "detail"}
             assert record["status"] == "pass"
+
+    def test_json_error_record_carries_detail(self):
+        report = verify_all(
+            VerifyConfig(only=("normalization/lindley",), quad_tol=1e-15)
+        )
+        (record,) = json.loads(report.to_json())
+        assert record["status"] == "error"
+        assert record["detail"] != ""
+        assert record["detail"] == report.results[0].detail
 
     def test_json_uses_null_for_non_finite(self):
         report = verify_all(
