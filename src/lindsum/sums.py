@@ -178,9 +178,12 @@ class SumSpec:
         return self._mixture
 
     @cached_property
-    def _pdf_series(self) -> tuple[float, np.ndarray, np.ndarray]:
+    def _pdf_series(
+        self,
+    ) -> tuple[float, np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
         # x-independent parts of the density series: n ln c, the log
-        # coefficient of each term, and each term's power of x
+        # coefficient of each term, each term's power of x, and the
+        # (coefficient, power) pairs as Python floats for the scalar path
         d, n = self.dist, self.n
         k = d.member.degree
         ln_theta = math.log(d.theta)
@@ -195,7 +198,7 @@ class SumSpec:
             for r in range(n + 1)
         ])
         powers = np.arange(n + 1, dtype=float) * k + (n - 1)
-        return n * ln_c, const, powers
+        return n * ln_c, const, powers, tuple(zip(const.tolist(), powers.tolist()))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Closed-form density of the sum.
@@ -203,7 +206,14 @@ class SumSpec:
         Zero for x < 0 always and for x = 0 once n >= 2; at n = 1 the series
         collapses to the single-variable density, including its positive value
         at the origin.
+
+        A Python int or float (np.float64 included) with 0 < x < inf takes a
+        scalar path that sums the same series with the math module; it agrees
+        with the array path to about 1e-13 relative.  Every other input,
+        0-d arrays included, goes through the array path.
         """
+        if isinstance(x, (int, float)) and 0.0 < x < math.inf:
+            return self._pdf_scalar(float(x))
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr)
         out = np.zeros_like(flat)
@@ -211,7 +221,7 @@ class SumSpec:
             out[flat == 0.0] = self.dist.pdf(0.0)
         pos = flat > 0.0
         if np.any(pos):
-            n_ln_c, const, powers = self._pdf_series
+            n_ln_c, const, powers, _ = self._pdf_series
             xp = flat[pos]
             ln_x = np.log(xp)
             terms = const[:, None] + powers[:, None] * ln_x[None, :]
@@ -219,6 +229,18 @@ class SumSpec:
             log_series = peak + np.log(np.exp(terms - peak).sum(axis=0))
             out[pos] = np.exp(n_ln_c - self.dist.theta * xp + log_series)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _pdf_scalar(self, x: float) -> float:
+        # the array path's log-sum-exp for one point 0 < x < inf
+        n_ln_c, _, _, pairs = self._pdf_series
+        ln_x = math.log(x)
+        terms = [c + p * ln_x for c, p in pairs]
+        peak = max(terms)
+        log_series = peak + math.log(sum(math.exp(t - peak) for t in terms))
+        try:
+            return math.exp(n_ln_c - self.dist.theta * x + log_series)
+        except OverflowError:  # np.exp overflows to inf without raising
+            return math.inf
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(S_n > t); 1 for t < 0."""

@@ -45,6 +45,10 @@ KS_99_COEFFICIENT = 1.63
 # Documented fixed seeds for the reproducible Monte Carlo checks.
 DEFAULT_SEEDS = (7, 19, 37)
 
+# Sorted points per cdf call in ks_statistic: small enough that the cdf's
+# temporaries (one array per Erlang shape swept) stay in cache.
+_KS_BLOCK = 16384
+
 _THETAS = (0.5, 1.0, 2.0)
 _SUM_NS = (1, 2, 3, 5, 10)
 _ORACLE_NS = (2, 3)
@@ -79,15 +83,23 @@ def ks_statistic(
 
     The distance is max over order statistics x_(i) of
     max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N); the default threshold is the
-    99% Kolmogorov band 1.63/sqrt(N).  cdf must accept an ndarray.
+    99% Kolmogorov band 1.63/sqrt(N).  cdf must be elementwise: it is called
+    on consecutive slices of the sorted sample, each of at most _KS_BLOCK
+    points, and must return one value per point.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     count = x.size
     if count == 0:
         raise ValueError("samples must be nonempty")
-    f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, count + 1, dtype=float)
-    distance = float(max((i / count - f).max(), (f - (i - 1.0) / count).max()))
+    # one-sided maxima; np.maximum keeps a NaN from the cdf, as one max would
+    above = below = -np.inf
+    for start in range(0, count, _KS_BLOCK):
+        block = x[start:start + _KS_BLOCK]
+        f = np.asarray(cdf(block), dtype=float)
+        i = np.arange(start + 1, start + block.size + 1, dtype=float)
+        above = np.maximum(above, (i / count - f).max())
+        below = np.maximum(below, (f - (i - 1.0) / count).max())
+    distance = float(max(above, below))
     if threshold is None:
         threshold = KS_99_COEFFICIENT / math.sqrt(count)
     return KsReport(count, distance, float(threshold), distance <= threshold)
@@ -371,7 +383,7 @@ def _check_mc_moments(
 def _check_stability(quad_tol: float) -> tuple[float, float]:
     spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
     grid = np.linspace(0.0, 500.0, 1001)[1:]
-    densities = np.array([spec.pdf(float(x)) for x in grid])
+    densities = np.asarray(spec.pdf(grid), dtype=float)
     tails = np.asarray(spec.survival(grid), dtype=float)
     if not (np.all(np.isfinite(densities)) and np.all(np.isfinite(tails))):
         raise ArithmeticError("non-finite density or survival value in the deep-sum regime")

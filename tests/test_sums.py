@@ -136,6 +136,44 @@ class TestDensityAgainstHandExpansion:
         np.testing.assert_allclose(single.pdf(0.0), DistSpec(LINDLEY, 2.0).pdf(0.0), rtol=1e-15)
 
 
+class TestScalarDensityPath:
+    """Python int/float and np.float64 arguments in (0, inf) take a math-module
+    path; it must agree with the array path, which handles everything else."""
+
+    def test_matches_array_path(self):
+        for member in MEMBERS:
+            for theta in (0.1, 0.5, 1.0, 2.0, 3.0):
+                for n in (1, 2, 3, 5, 10, 50):
+                    dist = DistSpec(member, theta)
+                    spec = SumSpec(dist, n)
+                    # n E[X], not spec.mean(): some n = 50 mixtures still fail
+                    # to build (weights that underflow)
+                    for x in np.linspace(0.0, 6.0 * n * dist.moment(1), 60)[1:].tolist():
+                        scalar = spec.pdf(x)
+                        assert type(scalar) is float
+                        np.testing.assert_allclose(
+                            scalar, spec.pdf(np.array([x]))[0], rtol=1e-12, atol=0.0
+                        ), (member.name, theta, n, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_edge_arguments_take_array_path(self, n, x):
+        spec = SumSpec(DistSpec(RANI, 1.5), n)
+        with np.errstate(invalid="ignore"):  # the array path's inf - inf at +inf
+            expected = spec.pdf(np.array([x]))[0]
+            for arg in (x, np.float64(x), np.array(x)):
+                got = spec.pdf(arg)
+                assert type(got) is float
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_positive_argument_types(self):
+        spec = SumSpec(DistSpec(PRANAV, 0.5), 3)
+        assert spec.pdf(np.float64(2.0)) == spec.pdf(2.0)
+        assert spec.pdf(2) == spec.pdf(2.0)
+        # a 0-d array is an array: it takes the array path, bit for bit
+        assert spec.pdf(np.array(2.0)) == spec.pdf(np.array([2.0]))[0]
+
+
 class TestMixtureRepresentation:
     def test_frozen_weights_single_lindley(self):
         mixture = SumSpec(DistSpec(LINDLEY, 1.0), 1).mixture()

@@ -24,6 +24,18 @@ from lindsum.validation import (
 )
 
 
+_KS_BLOCK = lindsum.validation._KS_BLOCK
+
+
+def _one_pass_ks_distance(samples, cdf):
+    # reference: the whole sorted sample through the cdf in one call
+    x = np.sort(np.asarray(samples, dtype=float))
+    count = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, count + 1, dtype=float)
+    return float(max((i / count - f).max(), (f - (i - 1.0) / count).max()))
+
+
 class TestKsStatistic:
     def test_thresholds_and_fields(self):
         rng = np.random.default_rng(5)
@@ -61,6 +73,28 @@ class TestKsStatistic:
         a = ks_statistic([3.0, 0.1, 1.0], cdf)
         b = ks_statistic([0.1, 1.0, 3.0], cdf)
         assert a == b
+
+    @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "sorted"])
+    @pytest.mark.parametrize(
+        "count",
+        [1, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 3 * _KS_BLOCK + 7],
+        ids=["1", "B-1", "B", "B+1", "3B+7"],
+    )
+    def test_blocked_distance_equals_one_pass(self, count, presorted):
+        spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
+        samples = sample_sum(spec, np.random.default_rng(count), count)
+        if presorted:
+            samples = np.sort(samples)
+        sizes = []
+
+        def cdf(x):
+            sizes.append(x.size)
+            return spec.cdf(x)
+
+        report = ks_statistic(samples, cdf)
+        assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
+        assert max(sizes) <= _KS_BLOCK
+        assert sum(sizes) == count
 
 
 class TestConvolutionOracle:
