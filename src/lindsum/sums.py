@@ -237,10 +237,7 @@ class SumSpec:
         terms = [c + p * ln_x for c, p in pairs]
         peak = max(terms)
         log_series = peak + math.log(sum(math.exp(t - peak) for t in terms))
-        try:
-            return math.exp(n_ln_c - self.dist.theta * x + log_series)
-        except OverflowError:  # np.exp overflows to inf without raising
-            return math.inf
+        return math.exp(n_ln_c - self.dist.theta * x + log_series)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(S_n > t); 1 for t < 0."""

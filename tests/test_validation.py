@@ -241,6 +241,21 @@ class TestVerifyAll:
         assert len(calls) == 4 * len(DEFAULT_SEEDS)
         assert second == first
 
+    def test_monte_carlo_cases_are_distinct_distributions(self):
+        # at theta = 1 Shanker equals Lindley and Ishita equals Akash, and
+        # their Monte Carlo checks would repeat each other digit for digit
+        report = verify_all(
+            VerifyConfig(
+                members=("lindley", "shanker", "akash", "ishita"),
+                only=("ks",),
+                sample_count=20_000,
+                seeds=(7,),
+            )
+        )
+        values = [r.value for r in report.results]
+        assert len(values) == 8 and len(set(values)) == 8
+        assert report.all_passed
+
     @pytest.mark.parametrize("only", ["ks/lindley/n2", "mc-moments/lindley/n2"])
     def test_monte_carlo_checks_run_alone(self, only):
         report = verify_all(
