@@ -17,10 +17,12 @@ Every member is the two-component mixture
     p * Exp(theta) + (1 - p) * Erlang(k+1, theta),
     p = alpha*theta^k / (alpha*theta^k + k!),
 
-which is what the survival function and the composition sampler
-DistSpec.sample use.  The sum sampler validation.sample_sum counts the Erlang
-branches of n such draws, Binomial(n, 1 - p), and draws the sum as one gamma
-variate.
+so DistSpec.survival and DistSpec.moment read that two-component
+numerics.ErlangMixture.  The density keeps the polynomial form above, and the
+composition sampler DistSpec.sample draws the two branches directly; both stay
+independent of the mixture code they help check.  The sum sampler
+validation.sample_sum counts the Erlang branches of n such draws,
+Binomial(n, 1 - p), and draws the sum as one gamma variate.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import erlang_tail, ln_factorial, logsumexp
+from .numerics import ErlangMixture
 
 __all__ = [
     "AKASH",
@@ -122,12 +125,17 @@ class DistSpec:
         head = self.alpha * self.theta**k
         return head / (head + math.factorial(k))
 
+    @cached_property
+    def _mixture(self) -> ErlangMixture:
+        p = self.mixture_weight
+        return ErlangMixture(self.theta, (p, 1.0 - p), (1, self.member.degree + 1))
+
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x; zero for x < 0."""
+        """Density at x; zero for x < 0 and at +inf, NaN at NaN."""
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr)
-        out = np.zeros_like(flat)
-        pos = flat >= 0.0
+        out = np.where(np.isnan(flat), math.nan, 0.0)
+        pos = (flat >= 0.0) & (flat < math.inf)
         xp = flat[pos]
         out[pos] = (
             self.norm_const
@@ -138,37 +146,15 @@ class DistSpec:
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X > x), evaluated through the exponential/Erlang mixture."""
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.ones_like(flat)
-        # x <= 0 is exactly 1; the mixture arithmetic at x = 0 gives p + (1-p),
-        # which need not round to 1
-        pos = flat > 0.0
-        xp = flat[pos]
-        p = self.mixture_weight
-        out[pos] = p * np.exp(-self.theta * xp) + (1.0 - p) * erlang_tail(
-            self.member.degree + 1, self.theta, xp
-        )
-        result = np.clip(out, 0.0, 1.0)
-        return float(result[0]) if arr.ndim == 0 else result.reshape(arr.shape)
+        return self._mixture.survival(x)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X <= x), the exact complement of survival."""
         return 1.0 - self.survival(x)
 
     def moment(self, m: int) -> float:
-        """Raw moment E[X^m] = c * (alpha*m!/theta^{m+1} + (m+k)!/theta^{m+k+1})."""
-        if m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {m}")
-        k = self.member.degree
-        ln_theta = math.log(self.theta)
-        ln_c = (k + 1) * ln_theta - math.log(self.alpha * self.theta**k + math.factorial(k))
-        ln_alpha = 0.0 if self.member.alpha_kind is AlphaKind.UNIT else ln_theta
-        terms = [
-            ln_alpha + ln_factorial(m) - (m + 1) * ln_theta,
-            ln_factorial(m + k) - (m + k + 1) * ln_theta,
-        ]
-        return math.exp(ln_c + logsumexp(terms))
+        """Raw moment E[X^m] = p * m!/theta^m + (1-p) * (m+k)!/(k! theta^m)."""
+        return self._mixture.moment(m)
 
     def sample(
         self,

@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .family import DistSpec
-from .numerics import erlang_tail, ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, erlang_tail, ln_binomial, ln_factorial, logsumexp
 from .sums import SumSpec
 
 __all__ = [
@@ -83,8 +83,6 @@ def lindley_mttf(theta: float, n: int) -> float:
 def exponential_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail."""
     _check_theta_n(theta, n)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     return erlang_tail(n, theta, float(t))
 
 
@@ -138,12 +136,8 @@ class ExponentialStandby:
         return f"exponential theta={self.theta:g} n={self.n}"
 
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.ones_like(flat)
-        pos = flat >= 0.0
-        out[pos] = erlang_tail(self.n, self.theta, flat[pos])
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0."""
+        return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
 
     def mttf(self) -> float:
         return exponential_mttf(self.theta, self.n)

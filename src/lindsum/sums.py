@@ -12,12 +12,11 @@ equivalently the finite Erlang mixture
     w_r = c^n C(n,r) alpha^{n-r} (k!)^r theta^{-(n+kr)},
 
 whose weights are exactly the binomial expansion of (p + (1-p))^n over how
-many of the n components took the Erlang branch of the mixture.  The mixture
-gives survival, cdf, and moments without any new approximation; the series
-form of the moments is kept alongside as an independent cross-check.
-
-All coefficient assembly happens in log space so that large n, large k, and
-large x never overflow intermediates.
+many of the n components took the Erlang branch of the mixture.  SumSpec
+builds those weights in log space and hands density, survival, cdf, and
+moments to numerics.ErlangMixture (re-exported here); a weight that underflows
+to 0 drops its component.  The series form of the moments, moment_series, is
+kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -29,114 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .family import AlphaKind, DistSpec
-from .numerics import ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
 
 __all__ = ["ErlangMixture", "SumSpec"]
-
-_WEIGHT_SUM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ErlangMixture:
-    """Finite mixture of Erlang(shape, rate) components with a shared rate.
-
-    Weights are positive and sum to 1 (within 1e-10); shapes are strictly
-    increasing positive integers.
-    """
-
-    rate: float
-    weights: tuple[float, ...]
-    shapes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if len(self.weights) != len(self.shapes) or not self.weights:
-            raise ValueError("weights and shapes must be nonempty and of equal length")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
-        if abs(math.fsum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1")
-        if any(s < 1 for s in self.shapes):
-            raise ValueError("shapes must be positive integers")
-        if any(b <= a for a, b in zip(self.shapes, self.shapes[1:])):
-            raise ValueError("shapes must be strictly increasing")
-
-    @property
-    def components(self) -> tuple[tuple[float, int], ...]:
-        """(weight, shape) pairs in increasing shape order."""
-        return tuple(zip(self.weights, self.shapes))
-
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Mixture density; zero for x < 0."""
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.zeros_like(flat)
-        if self.shapes[0] == 1:
-            # only a shape-1 component puts mass density at the origin
-            out[flat == 0.0] = self.weights[0] * self.rate
-        pos = flat > 0.0
-        if np.any(pos):
-            ln_theta = math.log(self.rate)
-            xp = flat[pos]
-            ln_x = np.log(xp)
-            const = np.array([
-                math.log(w) + s * ln_theta - ln_factorial(s - 1)
-                for w, s in zip(self.weights, self.shapes)
-            ])
-            powers = np.asarray(self.shapes, dtype=float) - 1.0
-            terms = const[:, None] + powers[:, None] * ln_x[None, :]
-            peak = terms.max(axis=0)
-            log_mix = peak + np.log(np.exp(terms - peak).sum(axis=0))
-            out[pos] = np.exp(log_mix - self.rate * xp)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-    def survival(self, t: float | np.ndarray) -> float | np.ndarray:
-        """P(mixture > t): weighted Erlang tails in one pass over the shared
-        Poisson series, so the work is a single sweep to the largest shape."""
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.ones_like(flat)
-        # t <= 0 is exactly 1 by definition; evaluating the weighted series at
-        # t = 0 would instead return the float sum of the weights (1 +/- ulp)
-        pos = flat > 0.0
-        x = self.rate * flat[pos]
-        term = np.exp(-x)
-        partial = term.copy()
-        tail = np.zeros_like(x)
-        index = 0
-        for j in range(1, self.shapes[-1] + 1):
-            # partial currently holds sum_{i<j} Poisson(i; x) = Erlang(j) tail
-            while index < len(self.shapes) and self.shapes[index] == j:
-                tail += self.weights[index] * partial
-                index += 1
-            if j <= self.shapes[-1] - 1:
-                term = term * x / j
-                partial = partial + term
-        out[pos] = tail
-        result = np.clip(out, 0.0, 1.0)
-        return float(result[0]) if arr.ndim == 0 else result.reshape(arr.shape)
-
-    def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
-        """P(mixture <= t), the exact complement of survival."""
-        return 1.0 - self.survival(t)
-
-    def moment(self, m: int) -> float:
-        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m)."""
-        if m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {m}")
-        terms = [
-            math.log(w) + ln_factorial(s + m - 1) - ln_factorial(s - 1)
-            for w, s in zip(self.weights, self.shapes)
-        ]
-        return math.exp(logsumexp(terms) - m * math.log(self.rate))
-
-    def mean(self) -> float:
-        return self.moment(1)
-
-    def variance(self) -> float:
-        mu = self.moment(1)
-        return self.moment(2) - mu * mu
 
 
 @dataclass(frozen=True)
@@ -177,67 +71,14 @@ class SumSpec:
         """Exact Erlang-mixture representation of the sum."""
         return self._mixture
 
-    @cached_property
-    def _pdf_series(
-        self,
-    ) -> tuple[float, np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
-        # x-independent parts of the density series: n ln c, the log
-        # coefficient of each term, each term's power of x, and the
-        # (coefficient, power) pairs as Python floats for the scalar path
-        d, n = self.dist, self.n
-        k = d.member.degree
-        ln_theta = math.log(d.theta)
-        ln_alpha = 0.0 if d.member.alpha_kind is AlphaKind.UNIT else ln_theta
-        ln_kfact = ln_factorial(k)
-        ln_c = (k + 1) * ln_theta - math.log(d.alpha * d.theta**k + math.factorial(k))
-        const = np.array([
-            ln_binomial(n, r)
-            + (n - r) * ln_alpha
-            + r * ln_kfact
-            - ln_factorial(n + k * r - 1)
-            for r in range(n + 1)
-        ])
-        powers = np.arange(n + 1, dtype=float) * k + (n - 1)
-        return n * ln_c, const, powers, tuple(zip(const.tolist(), powers.tolist()))
-
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Closed-form density of the sum.
+        """Closed-form density of the sum, through its Erlang mixture.
 
         Zero for x < 0 always and for x = 0 once n >= 2; at n = 1 the series
         collapses to the single-variable density, including its positive value
         at the origin.
-
-        A Python int or float (np.float64 included) with 0 < x < inf takes a
-        scalar path that sums the same series with the math module; it agrees
-        with the array path to about 1e-13 relative.  Every other input,
-        0-d arrays included, goes through the array path.
         """
-        if isinstance(x, (int, float)) and 0.0 < x < math.inf:
-            return self._pdf_scalar(float(x))
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.zeros_like(flat)
-        if self.n == 1:
-            out[flat == 0.0] = self.dist.pdf(0.0)
-        pos = flat > 0.0
-        if np.any(pos):
-            n_ln_c, const, powers, _ = self._pdf_series
-            xp = flat[pos]
-            ln_x = np.log(xp)
-            terms = const[:, None] + powers[:, None] * ln_x[None, :]
-            peak = terms.max(axis=0)
-            log_series = peak + np.log(np.exp(terms - peak).sum(axis=0))
-            out[pos] = np.exp(n_ln_c - self.dist.theta * xp + log_series)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-    def _pdf_scalar(self, x: float) -> float:
-        # the array path's log-sum-exp for one point 0 < x < inf
-        n_ln_c, _, _, pairs = self._pdf_series
-        ln_x = math.log(x)
-        terms = [c + p * ln_x for c, p in pairs]
-        peak = max(terms)
-        log_series = peak + math.log(sum(math.exp(t - peak) for t in terms))
-        return math.exp(n_ln_c - self.dist.theta * x + log_series)
+        return self._mixture.pdf(x)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(S_n > t); 1 for t < 0."""

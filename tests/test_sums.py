@@ -9,7 +9,9 @@ code with the implementation.
 from __future__ import annotations
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from lindsum.family import (
     SHANKER,
     DistSpec,
 )
-from lindsum.numerics import integrate
+from lindsum.numerics import erlang_tail, integrate
+from lindsum.reliability import ExponentialStandby
 from lindsum.sums import ErlangMixture, SumSpec
 
 # Hand-expanded convolution brackets: pdf = c^n * exp(-theta x) * bracket(theta, x).
@@ -62,6 +65,12 @@ class TestErlangMixtureValidation:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             ErlangMixture(0.0, (1.0,), (1,))
+
+    def test_rejects_negative_and_nan_weights(self):
+        with pytest.raises(ValueError):
+            ErlangMixture(1.0, (-0.5, 1.5), (1, 2))
+        with pytest.raises(ValueError):
+            ErlangMixture(1.0, (math.nan, 1.0), (1, 2))
 
     def test_components_pairs(self):
         mixture = ErlangMixture(2.0, (0.25, 0.75), (1, 3))
@@ -144,11 +153,8 @@ class TestScalarDensityPath:
         for member in MEMBERS:
             for theta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 for n in (1, 2, 3, 5, 10, 50):
-                    dist = DistSpec(member, theta)
-                    spec = SumSpec(dist, n)
-                    # n E[X], not spec.mean(): some n = 50 mixtures still fail
-                    # to build (weights that underflow)
-                    for x in np.linspace(0.0, 6.0 * n * dist.moment(1), 60)[1:].tolist():
+                    spec = SumSpec(DistSpec(member, theta), n)
+                    for x in np.linspace(0.0, 6.0 * spec.mean(), 60)[1:].tolist():
                         scalar = spec.pdf(x)
                         assert type(scalar) is float
                         np.testing.assert_allclose(
@@ -159,12 +165,11 @@ class TestScalarDensityPath:
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_edge_arguments_take_array_path(self, n, x):
         spec = SumSpec(DistSpec(RANI, 1.5), n)
-        with np.errstate(invalid="ignore"):  # the array path's inf - inf at +inf
-            expected = spec.pdf(np.array([x]))[0]
-            for arg in (x, np.float64(x), np.array(x)):
-                got = spec.pdf(arg)
-                assert type(got) is float
-                assert got == expected or (math.isnan(got) and math.isnan(expected))
+        expected = spec.pdf(np.array([x]))[0]
+        for arg in (x, np.float64(x), np.array(x)):
+            got = spec.pdf(arg)
+            assert type(got) is float
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
 
     def test_positive_argument_types(self):
         spec = SumSpec(DistSpec(PRANAV, 0.5), 3)
@@ -301,3 +306,96 @@ class TestLargeN:
         xs = np.linspace(200.0, 400.0, 2001)
         peak = float(xs[int(np.argmax(spec.pdf(xs)))])
         assert abs(peak - spec.mean()) <= 10.0
+
+
+class TestZeroWeightComponents:
+    """A component whose weight is 0 contributes nothing: the mixture must
+    agree with the one built without it, and not fail to build."""
+
+    def test_matches_mixture_without_the_component(self):
+        padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
+        single = ErlangMixture(1.5, (1.0,), (5,))
+        xs = np.array([-1.0, 0.0, 0.3, 2.0, 7.5, 40.0])
+        np.testing.assert_array_equal(padded.pdf(xs), single.pdf(xs))
+        np.testing.assert_array_equal(padded.survival(xs), single.survival(xs))
+        assert padded.pdf(2.0) == single.pdf(2.0)
+        for m in range(5):
+            assert padded.moment(m) == single.moment(m)
+
+    def test_lindley_with_vanishing_erlang_branch(self):
+        # at theta = 1e17, p = theta/(theta+1) rounds to 1 and 1 - p to 0, so
+        # the survival is the exponential branch alone
+        dist = DistSpec(LINDLEY, 1e17)
+        p = dist.mixture_weight
+        assert 1.0 - p == 0.0
+        for x in (1e-18, 1e-17, 3e-17, 2e-16):
+            np.testing.assert_allclose(dist.survival(x), p * math.exp(-1e17 * x), rtol=1e-15)
+        np.testing.assert_allclose(dist.moment(1), p / 1e17, rtol=1e-13)
+
+
+def _series_oracle(dist: DistSpec, n: int, x: float) -> tuple[float, float, float]:
+    """Mean, survival at x and density at x of the n-fold sum, from the paper's
+    series evaluated term by term in mpmath at 50 digits:
+
+        f_n(x) = c^n sum_r C(n,r) alpha^{n-r} (k!)^r x^{n+kr-1}/(n+kr-1)! e^{-theta x}.
+
+    Each term integrates in closed form: its tail beyond x is theta^{-s} Q(s,
+    theta x) and its first moment s/theta^{s+1}, with s = n + kr and Q the
+    regularized upper incomplete gamma function."""
+    k = dist.member.degree
+    with mpmath.workdps(50):
+        theta, alpha, xm = mpmath.mpf(dist.theta), mpmath.mpf(dist.alpha), mpmath.mpf(x)
+        c = theta ** (k + 1) / (alpha * theta**k + mpmath.factorial(k))
+        mean = tail = density = mpmath.mpf(0)
+        for r in range(n + 1):
+            s = n + k * r
+            coef = c**n * mpmath.binomial(n, r) * alpha ** (n - r) * mpmath.factorial(k) ** r
+            mean += coef * s / theta ** (s + 1)
+            tail += coef / theta**s * mpmath.gammainc(s, theta * xm, regularized=True)
+            density += coef * xm ** (s - 1) / mpmath.factorial(s - 1) * mpmath.exp(-theta * xm)
+        return float(mean), float(tail), float(density)
+
+
+class TestUnderflowedWeightSum:
+    """RamAwadh at theta = 0.1 with n = 50: the r = 0 mixture weight p^50
+    (p ~ 8.3e-9) underflows to 0, which once made the mixture fail to build."""
+
+    def test_against_mpmath_series(self):
+        dist = DistSpec(RAM_AWADH, 0.1)
+        spec = SumSpec(dist, 50)
+        assert spec.mixture().weights[0] == 0.0
+        mean = _series_oracle(dist, 50, 1.0)[0]
+        np.testing.assert_allclose(spec.mean(), mean, rtol=1e-12)
+        sd = math.sqrt(spec.variance())
+        for x in (mean - 2.0 * sd, mean, mean + 2.0 * sd):
+            _, tail, density = _series_oracle(dist, 50, x)
+            np.testing.assert_allclose(spec.survival(x), tail, rtol=1e-12)
+            np.testing.assert_allclose(spec.cdf(x), 1.0 - tail, rtol=1e-12)
+            # the log density is a sum of terms near theta * x = 300 in size,
+            # so a few hundred ulp of relative error is inherent
+            np.testing.assert_allclose(spec.pdf(x), density, rtol=2e-12)
+            np.testing.assert_allclose(spec.pdf(np.array([x]))[0], density, rtol=2e-12)
+
+
+class TestNonFiniteArguments:
+    """Density and tails are 0 at +inf and NaN at NaN, on every route, with no
+    floating-point warning."""
+
+    def test_infinity_and_nan(self):
+        dist = DistSpec(RANI, 1.5)
+        spec = SumSpec(dist, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (math.inf, np.float64(math.inf), np.array(math.inf)):
+                assert spec.pdf(arg) == 0.0
+                assert spec.survival(arg) == 0.0
+                assert spec.cdf(arg) == 1.0
+                assert dist.pdf(arg) == 0.0
+                assert dist.survival(arg) == 0.0
+                assert erlang_tail(3, 1.0, arg) == 0.0
+                assert ExponentialStandby(1.0, 3).reliability(arg) == 0.0
+            for route in (spec.pdf, spec.survival, spec.cdf, dist.pdf, dist.survival):
+                assert math.isnan(route(math.nan))
+            values = spec.survival(np.array([-math.inf, 0.0, 1.0, math.inf, math.nan]))
+        assert values[0] == 1.0 and values[1] == 1.0 and values[3] == 0.0
+        assert 0.0 < values[2] < 1.0 and math.isnan(values[4])
