@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .family import MEMBERS, DistSpec, member_by_name
+from .family import DistSpec, check_n, check_theta, member_by_name
 from .numerics import integrate
 from .reliability import (
     ExponentialStandby,
@@ -75,28 +75,38 @@ def _emit_table(
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def _positive_float(parser: argparse.ArgumentParser, flag: str, raw: float) -> float:
-    if not (math.isfinite(raw) and raw > 0):
-        parser.error(f"{flag} must be a positive finite number, got {raw}")
-    return float(raw)
+def _arg_type(parse, check, expected: str):
+    """An argparse type that parses, then checks; a failure exits 2 naming the flag."""
 
-
-def _parse_member(parser: argparse.ArgumentParser, name: str):
-    try:
-        return member_by_name(name)
-    except ValueError as exc:
-        parser.error(f"--dist: {exc}")
-
-
-def _parse_theta_list(parser: argparse.ArgumentParser, raw: str) -> list[float]:
-    values = []
-    for piece in raw.split(","):
+    def convert(raw: str):
         try:
-            value = float(piece)
-        except ValueError:
-            parser.error(f"--theta: {piece!r} is not a number")
-        values.append(_positive_float(parser, "--theta", value))
-    return values
+            return check(parse(raw))
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}") from None
+
+    return convert
+
+
+def _at_least(low: float):
+    def check(value):
+        if math.isfinite(value) and value >= low:
+            return value
+        raise ValueError(value)
+
+    return check
+
+
+def _comma_list(item):
+    return lambda raw: [item(piece) for piece in raw.split(",")]
+
+
+_POSITIVE = _arg_type(float, check_theta, "a positive finite number")
+_COUNT = _arg_type(int, check_n, "an integer >= 1")
+_MEMBER = _arg_type(str, member_by_name, "a family member name")
+_FINITE = _arg_type(float, _at_least(-math.inf), "a finite number")
+_NONNEGATIVE = _arg_type(float, _at_least(0.0), "a finite number >= 0")
+_DECIMALS = _arg_type(int, _at_least(0), "an integer >= 0")
+_POINTS = _arg_type(int, _at_least(2), "an integer >= 2")
 
 
 def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
@@ -111,25 +121,15 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
         parser.error(f"environment variable {SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _grid(parser: argparse.ArgumentParser, lo: float, hi: float, points: int) -> np.ndarray:
-    if not hi > lo:
-        parser.error(f"grid upper bound must exceed lower bound, got [{lo}, {hi}]")
-    if points < 2:
-        parser.error(f"--points must be at least 2, got {points}")
-    return np.linspace(lo, hi, points)
-
-
 def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    member = _parse_member(parser, args.dist)
-    theta = _positive_float(parser, "--theta", args.theta)
-    if args.n < 1:
-        parser.error(f"--n must be at least 1, got {args.n}")
-    spec = SumSpec(DistSpec(member, theta), args.n)
+    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
     if args.x is not None:
         grid = np.array([args.x], dtype=float)
     else:
         hi = args.x_max if args.x_max is not None else 5.0 * spec.mean()
-        grid = _grid(parser, args.x_min, hi, args.points)
+        if not hi > args.x_min:
+            parser.error(f"grid upper bound must exceed lower bound, got [{args.x_min}, {hi}]")
+        grid = np.linspace(args.x_min, hi, args.points)
     rows = [
         [float(x), spec.pdf(float(x)), float(spec.cdf(float(x))), float(spec.survival(float(x)))]
         for x in grid
@@ -139,13 +139,7 @@ def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    member = _parse_member(parser, args.dist)
-    theta = _positive_float(parser, "--theta", args.theta)
-    if args.n < 1:
-        parser.error(f"--n must be at least 1, got {args.n}")
-    if args.m_max < 1:
-        parser.error(f"--m-max must be at least 1, got {args.m_max}")
-    spec = SumSpec(DistSpec(member, theta), args.n)
+    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
 
     labels = [f"moment[{m}]" for m in range(1, args.m_max + 1)]
     values = [spec.moment(m) for m in range(1, args.m_max + 1)]
@@ -187,22 +181,16 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    member = _parse_member(parser, args.dist)
-    theta = _positive_float(parser, "--theta", args.theta)
-    if args.n < 1:
-        parser.error(f"--n must be at least 1, got {args.n}")
-    model = StandbyModel(DistSpec(member, theta), args.n)
+    model = StandbyModel(DistSpec(args.dist, args.theta), args.n)
     if args.t is not None:
-        if args.t < 0:
-            parser.error(f"--t must be nonnegative, got {args.t}")
         grid = np.array([args.t], dtype=float)
     else:
-        grid = _grid(parser, 0.0, args.t_max, args.points)
+        grid = np.linspace(0.0, args.t_max, args.points)
     values = np.asarray(model.reliability(grid), dtype=float)
-    columns = ["t", f"R_{member.name.lower()}"]
+    columns = ["t", f"R_{args.dist.name.lower()}"]
     table = [grid, values]
     if args.compare_exponential:
-        comparator = ExponentialStandby(theta, args.n)
+        comparator = ExponentialStandby(args.theta, args.n)
         table.append(np.asarray(comparator.reliability(grid), dtype=float))
         columns.append("R_exponential")
     rows = [[float(col[i]) for col in table] for i in range(len(grid))]
@@ -211,32 +199,20 @@ def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    thetas = _parse_theta_list(parser, args.theta)
-    if args.n < 1:
-        parser.error(f"--n must be at least 1, got {args.n}")
-    extra_members = []
-    if args.dist:
-        extra_members = [_parse_member(parser, name) for name in args.dist.split(",")]
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
-    columns += [f"mttf_{m.name.lower()}" for m in extra_members]
+    columns += [f"mttf_{m.name.lower()}" for m in args.dist]
     rows = []
-    for theta in thetas:
+    for theta in args.theta:
         row = [theta, lindley_mttf(theta, args.n), exponential_mttf(theta, args.n)]
-        row += [StandbyModel(DistSpec(m, theta), args.n).mttf() for m in extra_members]
+        row += [StandbyModel(DistSpec(m, theta), args.n).mttf() for m in args.dist]
         rows.append(row)
     _emit_table(columns, rows, args.format, decimals=args.decimals)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    member = _parse_member(parser, args.dist)
-    theta = _positive_float(parser, "--theta", args.theta)
-    if args.n < 1:
-        parser.error(f"--n must be at least 1, got {args.n}")
-    if args.count < 1:
-        parser.error(f"--count must be at least 1, got {args.count}")
     seed = _resolve_seed(parser, args.seed)
-    spec = SumSpec(DistSpec(member, theta), args.n)
+    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
     rng = np.random.default_rng(seed)
     draws = sample_sum(spec, rng, args.count)
     sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws))
@@ -244,14 +220,7 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.samples < 1:
-        parser.error(f"--samples must be at least 1, got {args.samples}")
-    if not args.quad_tol > 0:
-        parser.error(f"--quad-tol must be positive, got {args.quad_tol}")
-    members = tuple(args.member.split(",")) if args.member else None
-    if members:
-        for name in members:
-            _parse_member(parser, name)
+    members = tuple(m.name for m in args.member) if args.member else None
     only = tuple(args.only.split(",")) if args.only else None
     config = VerifyConfig(
         members=members,
@@ -303,21 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     pdf = subparsers.add_parser("pdf", help="density, cdf, and survival of an n-fold sum")
-    pdf.add_argument("--dist", required=True, help="family member name (case-insensitive)")
-    pdf.add_argument("--theta", type=float, required=True, help="rate parameter, > 0")
-    pdf.add_argument("--n", type=int, default=1, help="number of summands (default 1)")
-    pdf.add_argument("--x", type=float, default=None, help="single evaluation point")
-    pdf.add_argument("--x-min", type=float, default=0.0, help="grid start (default 0)")
-    pdf.add_argument("--x-max", type=float, default=None, help="grid end (default 5*mean)")
-    pdf.add_argument("--points", type=int, default=101, help="grid size (default 101)")
+    pdf.add_argument(
+        "--dist", type=_MEMBER, required=True, help="family member name (case-insensitive)"
+    )
+    pdf.add_argument("--theta", type=_POSITIVE, required=True, help="rate parameter, > 0")
+    pdf.add_argument("--n", type=_COUNT, default=1, help="number of summands (default 1)")
+    pdf.add_argument("--x", type=_FINITE, default=None, help="single evaluation point")
+    pdf.add_argument("--x-min", type=_FINITE, default=0.0, help="grid start (default 0)")
+    pdf.add_argument("--x-max", type=_FINITE, default=None, help="grid end (default 5*mean)")
+    pdf.add_argument("--points", type=_POINTS, default=101, help="grid size (default 101)")
     _add_format(pdf)
     pdf.set_defaults(func=cmd_pdf)
 
     moments = subparsers.add_parser("moments", help="raw moments of an n-fold sum")
-    moments.add_argument("--dist", required=True)
-    moments.add_argument("--theta", type=float, required=True)
-    moments.add_argument("--n", type=int, default=1)
-    moments.add_argument("--m-max", type=int, default=4, help="highest moment (default 4)")
+    moments.add_argument("--dist", type=_MEMBER, required=True)
+    moments.add_argument("--theta", type=_POSITIVE, required=True)
+    moments.add_argument("--n", type=_COUNT, default=1)
+    moments.add_argument("--m-max", type=_COUNT, default=4, help="highest moment (default 4)")
     moments.add_argument(
         "--central",
         action="store_true",
@@ -334,12 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     reliability = subparsers.add_parser(
         "reliability", help="cold-standby reliability curve or point value"
     )
-    reliability.add_argument("--dist", default="lindley", help="family member (default lindley)")
-    reliability.add_argument("--theta", type=float, required=True)
-    reliability.add_argument("--n", type=int, default=5, help="number of units (default 5)")
-    reliability.add_argument("--t", type=float, default=None, help="single time point")
-    reliability.add_argument("--t-max", type=float, default=100.0, help="grid end (default 100)")
-    reliability.add_argument("--points", type=int, default=101, help="grid size (default 101)")
+    reliability.add_argument(
+        "--dist", type=_MEMBER, default="lindley", help="family member (default lindley)"
+    )
+    reliability.add_argument("--theta", type=_POSITIVE, required=True)
+    reliability.add_argument("--n", type=_COUNT, default=5, help="number of units (default 5)")
+    reliability.add_argument("--t", type=_NONNEGATIVE, default=None, help="single time point")
+    reliability.add_argument(
+        "--t-max", type=_POSITIVE, default=100.0, help="grid end (default 100)"
+    )
+    reliability.add_argument("--points", type=_POINTS, default=101, help="grid size (default 101)")
     reliability.add_argument(
         "--compare-exponential",
         action="store_true",
@@ -350,15 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     mttf = subparsers.add_parser("mttf", help="MTTF comparison table")
     mttf.add_argument(
-        "--theta", required=True, help="comma-separated list of rates, e.g. 0.1,0.5,1,3"
+        "--theta",
+        type=_comma_list(_POSITIVE),
+        required=True,
+        help="comma-separated list of rates, e.g. 0.1,0.5,1,3",
     )
-    mttf.add_argument("--n", type=int, default=5, help="number of units (default 5)")
+    mttf.add_argument("--n", type=_COUNT, default=5, help="number of units (default 5)")
     mttf.add_argument(
-        "--dist", default=None, help="comma-separated member names for extra MTTF columns"
+        "--dist",
+        type=_comma_list(_MEMBER),
+        default=(),
+        help="comma-separated member names for extra MTTF columns",
     )
     mttf.add_argument(
         "--decimals",
-        type=int,
+        type=_DECIMALS,
         default=None,
         help="fixed-decimal rendering for csv/plain output (e.g. 2)",
     )
@@ -366,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     mttf.set_defaults(func=cmd_mttf)
 
     sample = subparsers.add_parser("sample", help="reproducible draws of n-fold sums")
-    sample.add_argument("--dist", required=True)
-    sample.add_argument("--theta", type=float, required=True)
-    sample.add_argument("--n", type=int, default=1, help="summands per draw (default 1)")
-    sample.add_argument("--count", type=int, required=True, help="number of draws")
+    sample.add_argument("--dist", type=_MEMBER, required=True)
+    sample.add_argument("--theta", type=_POSITIVE, required=True)
+    sample.add_argument("--n", type=_COUNT, default=1, help="summands per draw (default 1)")
+    sample.add_argument("--count", type=_COUNT, required=True, help="number of draws")
     sample.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
     sample.set_defaults(func=cmd_sample)
 
@@ -379,13 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check-id prefixes, e.g. mttf-reference,reductions"
     )
     verify.add_argument(
-        "--member", default=None, help="comma-separated member names to restrict member checks"
+        "--member",
+        type=_comma_list(_MEMBER),
+        default=None,
+        help="comma-separated member names to restrict member checks",
     )
     verify.add_argument(
-        "--samples", type=int, default=1_000_000, help="Monte Carlo sample count (default 1e6)"
+        "--samples", type=_COUNT, default=1_000_000, help="Monte Carlo sample count (default 1e6)"
     )
     verify.add_argument(
-        "--quad-tol", type=float, default=1e-10, help="quadrature tolerance (default 1e-10)"
+        "--quad-tol", type=_POSITIVE, default=1e-10, help="quadrature tolerance (default 1e-10)"
     )
     _add_format(verify, default="plain")
     verify.set_defaults(func=cmd_verify)

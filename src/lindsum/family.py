@@ -17,24 +17,25 @@ Every member is the two-component mixture
     p * Exp(theta) + (1 - p) * Erlang(k+1, theta),
     p = alpha*theta^k / (alpha*theta^k + k!),
 
-so DistSpec.survival and DistSpec.moment read that two-component
-numerics.ErlangMixture.  The density keeps the polynomial form above, and the
-composition sampler DistSpec.sample draws the two branches directly; both stay
-independent of the mixture code they help check.  The sum sampler
-validation.sample_sum counts the Erlang branches of n such draws,
-Binomial(n, 1 - p), and draws the sum as one gamma variate.
+and the sum of n draws puts weight C(n,r) p^(n-r) (1-p)^r on Erlang(n+k*r, theta).
+DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), so
+both are finite for every finite theta, and sum_mixture builds every such
+numerics.ErlangMixture from them.  The density, with its own norm_const, and the
+composition sampler stay independent of the mixture code they help check.
+check_theta and check_n are the one check of each parameter.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import ErlangMixture
+from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
 
 __all__ = [
     "AKASH",
@@ -48,6 +49,8 @@ __all__ = [
     "RAM_AWADH",
     "RANI",
     "SHANKER",
+    "check_n",
+    "check_theta",
     "member_by_name",
 ]
 
@@ -92,6 +95,23 @@ def member_by_name(name: str) -> FamilyMember:
     return member
 
 
+def check_theta(theta: float) -> float:
+    """theta as a float if it is a positive finite real (not a bool); else ValueError."""
+    real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
+    if not (real and math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be a positive finite number, got {theta!r}")
+    return float(theta)
+
+
+def check_n(n: int) -> int:
+    """n as an int: TypeError unless an integer (numpy ones too; not a bool), ValueError below 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """A family member frozen at a particular rate theta > 0."""
@@ -100,35 +120,49 @@ class DistSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        theta = self.theta
-        if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0):
-            raise ValueError(f"theta must be a positive finite number, got {theta!r}")
-        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "theta", check_theta(self.theta))
 
     @property
     def alpha(self) -> float:
         """Constant term of the density polynomial (1 or theta)."""
-        if self.member.alpha_kind is AlphaKind.UNIT:
-            return 1.0
-        return self.theta
+        return 1.0 if self.member.alpha_kind is AlphaKind.UNIT else self.theta
 
     @property
     def norm_const(self) -> float:
-        """Normalizing constant theta^{k+1} / (alpha*theta^k + k!)."""
+        """Normalizing constant theta^{k+1} / (alpha*theta^k + k!), finite at every
+        finite theta; independent of ln_weights, as the density is their oracle."""
+        k, theta = self.member.degree, self.theta
+        if theta <= 1.0:
+            return theta ** (k + 1) / (self.alpha * theta**k + math.factorial(k))
+        return theta / (self.alpha + math.factorial(k) * theta**-k)
+
+    @cached_property
+    def ln_weights(self) -> tuple[float, float]:
+        """(ln p, ln(1-p)) from the log-odds x = ln(alpha*theta^k/k!) as
+        (-ln(1 + e^-x), -ln(1 + e^x)): finite for every finite theta."""
         k = self.member.degree
-        return self.theta ** (k + 1) / (self.alpha * self.theta**k + math.factorial(k))
+        x = math.log(self.alpha) + k * math.log(self.theta) - ln_factorial(k)
+        shared = math.log1p(math.exp(-abs(x)))  # ln(1 + e^y) = max(y, 0) + shared, y = +-x
+        return -max(-x, 0.0) - shared, -max(x, 0.0) - shared
 
     @property
     def mixture_weight(self) -> float:
-        """Exponential-component weight alpha*theta^k / (alpha*theta^k + k!)."""
-        k = self.member.degree
-        head = self.alpha * self.theta**k
-        return head / (head + math.factorial(k))
+        """Exponential-component weight p = alpha*theta^k / (alpha*theta^k + k!)."""
+        return math.exp(self.ln_weights[0])
+
+    def sum_mixture(self, n: int) -> ErlangMixture:
+        """Erlang mixture of the sum of n IID draws: weight C(n,r) p^{n-r} (1-p)^r
+        on Erlang(n + k*r, theta), built in log space."""
+        n, k = check_n(n), self.member.degree
+        ln_p, ln_q = self.ln_weights
+        log_w = [ln_binomial(n, r) + (n - r) * ln_p + r * ln_q for r in range(n + 1)]
+        total = logsumexp(log_w)
+        weights = tuple(math.exp(v - total) for v in log_w)
+        return ErlangMixture(self.theta, weights, tuple(n + k * r for r in range(n + 1)))
 
     @cached_property
     def _mixture(self) -> ErlangMixture:
-        p = self.mixture_weight
-        return ErlangMixture(self.theta, (p, 1.0 - p), (1, self.member.degree + 1))
+        return self.sum_mixture(1)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density at x; zero for x < 0 and at +inf, NaN at NaN."""

@@ -58,10 +58,6 @@ def ln_binomial(n: int, r: int) -> float:
 
 def erlang_tail(shape: int, rate: float, t: float | np.ndarray) -> float | np.ndarray:
     """Survival of Erlang(shape, rate) at scalar or array t >= 0: a one-component ErlangMixture."""
-    if shape < 1:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
     if np.any(np.asarray(t, dtype=float) < 0):
         raise ValueError("t must be nonnegative")
     return ErlangMixture(rate, (1.0,), (shape,)).survival(t)

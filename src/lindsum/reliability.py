@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
-from .family import DistSpec
+from .family import DistSpec, check_n, check_theta
 from .numerics import ErlangMixture, erlang_tail, ln_binomial, ln_factorial, logsumexp
 from .sums import SumSpec
 
@@ -44,19 +44,12 @@ __all__ = [
 _CURVE_SLACK = 1e-12
 
 
-def _check_theta_n(theta: float, n: int) -> None:
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be a positive finite number, got {theta!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
 def lindley_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Lindley components, by the double series.
 
     Evaluated term by term in log space and clamped to [0, 1]; requires t >= 0.
     """
-    _check_theta_n(theta, n)
+    theta, n = check_theta(theta), check_n(n)
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -76,19 +69,19 @@ def lindley_reliability(theta: float, n: int, t: float) -> float:
 
 def lindley_mttf(theta: float, n: int) -> float:
     """Closed-form MTTF n(2+theta)/(theta(1+theta)) for Lindley components."""
-    _check_theta_n(theta, n)
+    theta, n = check_theta(theta), check_n(n)
     return n * (2.0 + theta) / (theta * (1.0 + theta))
 
 
 def exponential_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail."""
-    _check_theta_n(theta, n)
+    theta, n = check_theta(theta), check_n(n)
     return erlang_tail(n, theta, float(t))
 
 
 def exponential_mttf(theta: float, n: int) -> float:
     """MTTF n/theta for exponential components."""
-    _check_theta_n(theta, n)
+    theta, n = check_theta(theta), check_n(n)
     return n / theta
 
 
@@ -100,8 +93,7 @@ class StandbyModel:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", check_n(self.n))
 
     @cached_property
     def _sum(self) -> SumSpec:
@@ -129,7 +121,8 @@ class ExponentialStandby:
     n: int
 
     def __post_init__(self) -> None:
-        _check_theta_n(self.theta, self.n)
+        object.__setattr__(self, "theta", check_theta(self.theta))
+        object.__setattr__(self, "n", check_n(self.n))
 
     @property
     def label(self) -> str:
@@ -143,9 +136,6 @@ class ExponentialStandby:
         return exponential_mttf(self.theta, self.n)
 
 
-StandbyLike = Union[StandbyModel, ExponentialStandby]
-
-
 class MttfRow(NamedTuple):
     """MTTF of Lindley and exponential cold-standby systems at one rate."""
 
@@ -157,7 +147,7 @@ class MttfRow(NamedTuple):
 def mttf_table(theta_values, n: int) -> list[MttfRow]:
     """Lindley-vs-exponential MTTF comparison rows, one per rate value."""
     return [
-        MttfRow(float(th), lindley_mttf(float(th), n), exponential_mttf(float(th), n))
+        MttfRow(check_theta(th), lindley_mttf(th, n), exponential_mttf(th, n))
         for th in theta_values
     ]
 

@@ -9,14 +9,13 @@ the closed form
 equivalently the finite Erlang mixture
 
     S_n ~ sum_{r=0}^{n} w_r * Erlang(n + k*r, theta),
-    w_r = c^n C(n,r) alpha^{n-r} (k!)^r theta^{-(n+kr)},
+    w_r = c^n C(n,r) alpha^{n-r} (k!)^r theta^{-(n+kr)} = C(n,r) p^{n-r} (1-p)^r,
 
-whose weights are exactly the binomial expansion of (p + (1-p))^n over how
-many of the n components took the Erlang branch of the mixture.  SumSpec
-builds those weights in log space and hands density, survival, cdf, and
-moments to numerics.ErlangMixture (re-exported here); a weight that underflows
-to 0 drops its component.  The series form of the moments, moment_series, is
-kept alongside as an independent cross-check.
+the binomial expansion of (p + (1-p))^n over how many of the n components took
+the Erlang branch.  SumSpec takes that numerics.ErlangMixture (re-exported
+here) from DistSpec.sum_mixture, built from the member's log-space pair
+(ln p, ln(1-p)), and hands it density, survival, cdf, and moments.  The series
+form of the moments, moment_series, is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .family import AlphaKind, DistSpec
+from .family import DistSpec, check_n
 from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
 
 __all__ = ["ErlangMixture", "SumSpec"]
@@ -41,31 +40,11 @@ class SumSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"n must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_n(self.n))
 
     @cached_property
     def _mixture(self) -> ErlangMixture:
-        d, n = self.dist, self.n
-        k = d.member.degree
-        ln_theta = math.log(d.theta)
-        ln_alpha = 0.0 if d.member.alpha_kind is AlphaKind.UNIT else ln_theta
-        ln_kfact = ln_factorial(k)
-        ln_c = (k + 1) * ln_theta - math.log(d.alpha * d.theta**k + math.factorial(k))
-        log_w = [
-            n * ln_c
-            + ln_binomial(n, r)
-            + (n - r) * ln_alpha
-            + r * ln_kfact
-            - (n + k * r) * ln_theta
-            for r in range(n + 1)
-        ]
-        total = logsumexp(log_w)
-        weights = tuple(math.exp(v - total) for v in log_w)
-        shapes = tuple(n + k * r for r in range(n + 1))
-        return ErlangMixture(d.theta, weights, shapes)
+        return self.dist.sum_mixture(self.n)
 
     def mixture(self) -> ErlangMixture:
         """Exact Erlang-mixture representation of the sum."""
@@ -97,25 +76,22 @@ class SumSpec:
 
             m!/theta^m * p^n * sum_r C(n,r) C(n+m+kr-1, n+kr-1) rho^r,
 
-        with p the exponential mixture weight and rho = k!/(alpha*theta^k).
+        with p the exponential mixture weight and rho = (1-p)/p = k!/(alpha*theta^k).
         Kept separate from moment() as a cross-check of the same quantity.
         """
         if m < 0:
             raise ValueError(f"m must be a nonnegative integer, got {m}")
         d, n = self.dist, self.n
         k = d.member.degree
-        ln_theta = math.log(d.theta)
-        ln_alpha = 0.0 if d.member.alpha_kind is AlphaKind.UNIT else ln_theta
-        ln_rho = ln_factorial(k) - ln_alpha - k * ln_theta
+        ln_p, ln_q = d.ln_weights
+        ln_rho = ln_q - ln_p
         terms = [
             ln_binomial(n, r)
             + ln_binomial(n + m + k * r - 1, n + k * r - 1)
             + r * ln_rho
             for r in range(n + 1)
         ]
-        return math.exp(
-            ln_factorial(m) - m * ln_theta + n * math.log(d.mixture_weight) + logsumexp(terms)
-        )
+        return math.exp(ln_factorial(m) - m * math.log(d.theta) + n * ln_p + logsumexp(terms))
 
     def mean(self) -> float:
         """E[S_n] = n * E[X]."""

@@ -309,6 +309,23 @@ class TestVerifyCommand:
         assert "--only" in err
 
 
+class TestArgumentDomains:
+    """Each flag's domain is checked while parsing: a value outside it is a usage
+    error that names the flag, never a NaN row or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["reliability", "--theta", "1", "--t", "nan"], "--t"),
+            (["reliability", "--theta", "1", "--t-max", "inf"], "--t-max"),
+            (["mttf", "--theta", "1", "--decimals", "-3"], "--decimals"),
+        ],
+    )
+    def test_out_of_domain_value_exits_2(self, capsys, argv, flag):
+        err = run_cli_expecting_usage_error(capsys, argv)
+        assert f"argument {flag}:" in err
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_2(self, capsys):
         run_cli_expecting_usage_error(capsys, [])

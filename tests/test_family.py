@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,3 +254,44 @@ class TestSampler:
             draws = spec.sample(np.random.default_rng(7), count)
             report = ks_statistic(draws, spec.cdf)
             assert report.passed, (member.name, report.ks_distance, report.threshold)
+
+
+def _mp_reference(dist: DistSpec) -> dict[str, float]:
+    """p, c, survival at 1/theta and the mean of one member, from the closed
+    forms in mpmath at 50 digits."""
+    k = dist.member.degree
+    with mpmath.workdps(50):
+        theta, alpha = mpmath.mpf(dist.theta), mpmath.mpf(dist.alpha)
+        head, kfact = alpha * theta**k, mpmath.factorial(k)
+        p = head / (head + kfact)
+        # at x = 1/theta: Exp tail e^-1, Erlang(k+1) tail e^-1 * sum_{j<=k} 1/j!
+        erlang_tail = mpmath.e**-1 * mpmath.fsum(1 / mpmath.factorial(j) for j in range(k + 1))
+        return {
+            "p": float(p),
+            "c": float(theta ** (k + 1) / (head + kfact)),
+            "survival": float(p * mpmath.e**-1 + (1 - p) * erlang_tail),
+            "mean": float((p + (1 - p) * (k + 1)) / theta),
+        }
+
+
+class TestExtremeTheta:
+    """The weights come from log-odds and norm_const from an overflow-free
+    ratio, so both stay finite and right where alpha*theta^k overflows."""
+
+    @pytest.mark.parametrize(
+        "member,theta",
+        [(RAM_AWADH, 2.6e51), (RAM_AWADH, 1e60), (RAM_AWADH, 1e200), (LINDLEY, 1e300)],
+    )
+    def test_against_mpmath(self, member, theta):
+        dist = DistSpec(member, theta)
+        ref = _mp_reference(dist)
+        got = {
+            "p": dist.mixture_weight,
+            "c": dist.norm_const,
+            "survival": dist.survival(1.0 / theta),
+            "mean": dist.moment(1),
+        }
+        for name, value in got.items():
+            assert math.isfinite(value), name
+            # the mean is exp(-ln theta), whose log carries |ln theta| * eps
+            np.testing.assert_allclose(value, ref[name], rtol=1e-12, err_msg=name)

@@ -1,0 +1,93 @@
+"""Every public constructor and function that takes theta or n checks it the
+same way: theta is a positive finite real, n an integer >= 1 (numpy integers
+included), and a bool is neither."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from lindsum.family import LINDLEY, RANI, DistSpec, check_n, check_theta
+from lindsum.reliability import (
+    ExponentialStandby,
+    StandbyModel,
+    exponential_mttf,
+    exponential_reliability,
+    lindley_mttf,
+    lindley_reliability,
+    mttf_table,
+)
+from lindsum.sums import SumSpec
+
+DIST = DistSpec(RANI, 1.5)
+
+# each entry point called with theta (default 1.0) and n (default 3)
+THETA_ROUTES = {
+    "DistSpec": lambda theta: DistSpec(LINDLEY, theta),
+    "ExponentialStandby": lambda theta: ExponentialStandby(theta, 3),
+    "lindley_reliability": lambda theta: lindley_reliability(theta, 3, 1.0),
+    "lindley_mttf": lambda theta: lindley_mttf(theta, 3),
+    "exponential_reliability": lambda theta: exponential_reliability(theta, 3, 1.0),
+    "exponential_mttf": lambda theta: exponential_mttf(theta, 3),
+    "mttf_table": lambda theta: mttf_table([theta], 3),
+}
+N_ROUTES = {
+    "SumSpec": lambda n: SumSpec(DIST, n),
+    "sum_mixture": lambda n: DIST.sum_mixture(n),
+    "StandbyModel": lambda n: StandbyModel(DIST, n),
+    "ExponentialStandby": lambda n: ExponentialStandby(1.0, n),
+    "lindley_reliability": lambda n: lindley_reliability(1.0, n, 1.0),
+    "lindley_mttf": lambda n: lindley_mttf(1.0, n),
+    "exponential_reliability": lambda n: exponential_reliability(1.0, n, 1.0),
+    "exponential_mttf": lambda n: exponential_mttf(1.0, n),
+    "mttf_table": lambda n: mttf_table([1.0], n),
+}
+
+
+@pytest.mark.parametrize("route", sorted(THETA_ROUTES))
+@pytest.mark.parametrize("theta", [True, False, 0.0, -1.0, math.nan, math.inf, "1", None])
+def test_theta_rejected(route, theta):
+    with pytest.raises(ValueError, match="theta"):
+        THETA_ROUTES[route](theta)
+
+
+@pytest.mark.parametrize("route", sorted(THETA_ROUTES))
+@pytest.mark.parametrize("theta", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)])
+def test_theta_accepted(route, theta):
+    assert THETA_ROUTES[route](theta) == THETA_ROUTES[route](2.0)
+
+
+@pytest.mark.parametrize("route", sorted(N_ROUTES))
+@pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "2", None])
+def test_non_integer_n_is_a_type_error(route, n):
+    with pytest.raises(TypeError, match="n must be an integer"):
+        N_ROUTES[route](n)
+
+
+@pytest.mark.parametrize("route", sorted(N_ROUTES))
+@pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+def test_n_below_one_is_a_value_error(route, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        N_ROUTES[route](n)
+
+
+@pytest.mark.parametrize("route", sorted(N_ROUTES))
+@pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_n_accepted(route, n):
+    assert N_ROUTES[route](n) == N_ROUTES[route](3)
+
+
+def test_stored_parameters_are_python_numbers():
+    assert type(DistSpec(LINDLEY, np.int64(2)).theta) is float
+    assert type(SumSpec(DIST, np.int64(3)).n) is int
+    assert type(StandbyModel(DIST, np.int64(3)).n) is int
+    standby = ExponentialStandby(np.float32(0.5), np.int64(3))
+    assert type(standby.theta) is float and type(standby.n) is int
+    assert standby.label == "exponential theta=0.5 n=3"
+
+
+def test_checks_return_the_coerced_value():
+    assert check_theta(np.int64(4)) == 4.0 and type(check_theta(np.int64(4))) is float
+    assert check_n(np.int64(4)) == 4 and type(check_n(np.int64(4))) is int

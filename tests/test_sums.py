@@ -288,6 +288,15 @@ class TestMoments:
             SumSpec(DistSpec(LINDLEY, 1.0), 2).moment(-1)
 
 
+class TestMomentSeriesSmallP:
+    def test_matches_mean_where_p_underflows(self):
+        # p = theta^6/(theta^6 + 120) underflows to 0 at theta = 1e-60
+        spec = SumSpec(DistSpec(RAM_AWADH, 1e-60), 3)
+        assert spec.dist.mixture_weight == 0.0
+        np.testing.assert_allclose(spec.moment_series(1), spec.mean(), rtol=1e-12)
+        np.testing.assert_allclose(spec.mean(), 18e60, rtol=1e-12)
+
+
 class TestLargeN:
     def test_ram_awadh_fifty_terms_stable(self):
         spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
@@ -322,15 +331,25 @@ class TestZeroWeightComponents:
         for m in range(5):
             assert padded.moment(m) == single.moment(m)
 
-    def test_lindley_with_vanishing_erlang_branch(self):
-        # at theta = 1e17, p = theta/(theta+1) rounds to 1 and 1 - p to 0, so
-        # the survival is the exponential branch alone
-        dist = DistSpec(LINDLEY, 1e17)
-        p = dist.mixture_weight
-        assert 1.0 - p == 0.0
+    @pytest.mark.parametrize("theta", [1e-200, 0.1, 1.0, 1e17, 1e200])
+    def test_member_and_single_sum_share_weights(self, theta):
+        for member in MEMBERS:
+            dist = DistSpec(member, theta)
+            # _mixture is the mixture that DistSpec.survival and moment read
+            assert dist._mixture.weights == SumSpec(dist, 1).mixture().weights
+
+    def test_lindley_keeps_its_small_erlang_branch(self):
+        # at theta = 1e17 the Erlang weight 1 - p = 1/(theta + 1) is about 1e-17,
+        # below the rounding of p itself; it must still be there
+        theta = 1e17
+        dist = DistSpec(LINDLEY, theta)
+        q = 1.0 / (theta + 1.0)
+        p = theta * q
+        np.testing.assert_allclose(SumSpec(dist, 1).mixture().weights[1], q, rtol=1e-14)
         for x in (1e-18, 1e-17, 3e-17, 2e-16):
-            np.testing.assert_allclose(dist.survival(x), p * math.exp(-1e17 * x), rtol=1e-15)
-        np.testing.assert_allclose(dist.moment(1), p / 1e17, rtol=1e-13)
+            expected = (p + q * (1.0 + theta * x)) * math.exp(-theta * x)
+            np.testing.assert_allclose(dist.survival(x), expected, rtol=1e-15)
+        np.testing.assert_allclose(dist.moment(1), (p + 2.0 * q) / theta, rtol=1e-13)
 
 
 def _series_oracle(dist: DistSpec, n: int, x: float) -> tuple[float, float, float]:
