@@ -19,14 +19,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .family import DistSpec, check_n, check_theta, member_by_name
+from .family import DistSpec, check_count, check_positive, member_by_name
 from .numerics import integrate
-from .reliability import (
-    ExponentialStandby,
-    StandbyModel,
-    exponential_mttf,
-    lindley_mttf,
-)
+from .reliability import ExponentialStandby, StandbyModel, mttf_table
 from .sums import SumSpec
 from .validation import VerifyConfig, sample_sum, verify_all
 
@@ -96,17 +91,19 @@ def _at_least(low: float):
     return check
 
 
+def _count(low: int):
+    return _arg_type(int, lambda v: check_count(v, "value", low), f"an integer >= {low}")
+
+
 def _comma_list(item):
     return lambda raw: [item(piece) for piece in raw.split(",")]
 
 
-_POSITIVE = _arg_type(float, check_theta, "a positive finite number")
-_COUNT = _arg_type(int, check_n, "an integer >= 1")
+_POSITIVE = _arg_type(float, lambda v: check_positive(v, "value"), "a positive finite number")
 _MEMBER = _arg_type(str, member_by_name, "a family member name")
 _FINITE = _arg_type(float, _at_least(-math.inf), "a finite number")
 _NONNEGATIVE = _arg_type(float, _at_least(0.0), "a finite number >= 0")
-_DECIMALS = _arg_type(int, _at_least(0), "an integer >= 0")
-_POINTS = _arg_type(int, _at_least(2), "an integer >= 2")
+_COUNT, _DECIMALS, _POINTS = _count(1), _count(0), _count(2)
 
 
 def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
@@ -201,11 +198,10 @@ def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
     columns += [f"mttf_{m.name.lower()}" for m in args.dist]
-    rows = []
-    for theta in args.theta:
-        row = [theta, lindley_mttf(theta, args.n), exponential_mttf(theta, args.n)]
-        row += [StandbyModel(DistSpec(m, theta), args.n).mttf() for m in args.dist]
-        rows.append(row)
+    rows = [
+        [*row, *(StandbyModel(DistSpec(m, row.theta), args.n).mttf() for m in args.dist)]
+        for row in mttf_table(args.theta, args.n)
+    ]
     _emit_table(columns, rows, args.format, decimals=args.decimals)
     return 0
 
@@ -235,9 +231,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         print(report.to_json())
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check_id", "status", "value", "bound", "detail"])
+        writer.writerow(["check_id", "status", "value", "bound", "detail", "elapsed_s"])
         for r in report.results:
-            writer.writerow([r.check_id, r.status, _fmt(r.value), _fmt(r.bound), r.detail])
+            writer.writerow(
+                [r.check_id, r.status, _fmt(r.value), _fmt(r.bound), r.detail, _fmt(r.elapsed_s)]
+            )
     else:
         for line in report.to_lines():
             print(line)

@@ -22,7 +22,9 @@ DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), s
 both are finite for every finite theta, and sum_mixture builds every such
 numerics.ErlangMixture from them.  The density, with its own norm_const, and the
 composition sampler stay independent of the mixture code they help check.
-check_theta and check_n are the one check of each parameter.
+check_positive and check_count are the one check of each kind of parameter (a
+positive finite real, a count with a lower bound); check_theta and check_n
+apply them to theta and n.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
 
 __all__ = [
     "AKASH",
@@ -49,7 +51,9 @@ __all__ = [
     "RAM_AWADH",
     "RANI",
     "SHANKER",
+    "check_count",
     "check_n",
+    "check_positive",
     "check_theta",
     "member_by_name",
 ]
@@ -95,21 +99,32 @@ def member_by_name(name: str) -> FamilyMember:
     return member
 
 
+def check_positive(value: float, name: str) -> float:
+    """value as a float if it is a positive finite real (not a bool); else ValueError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def check_count(value: int, name: str, low: int) -> int:
+    """value as an int: TypeError unless an integer (numpy ones too; not a bool),
+    ValueError below low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def check_theta(theta: float) -> float:
-    """theta as a float if it is a positive finite real (not a bool); else ValueError."""
-    real = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
-    if not (real and math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be a positive finite number, got {theta!r}")
-    return float(theta)
+    """theta as a float if it is a positive finite real; else ValueError."""
+    return check_positive(theta, "theta")
 
 
 def check_n(n: int) -> int:
-    """n as an int: TypeError unless an integer (numpy ones too; not a bool), ValueError below 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(n)
+    """n as an int if it is an integer >= 1; else TypeError or ValueError."""
+    return check_count(n, "n", 1)
 
 
 @dataclass(frozen=True)
@@ -166,8 +181,9 @@ class DistSpec:
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density at x; zero for x < 0 and at +inf, NaN at NaN."""
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
+        return _pointwise(self._pdf_array, x)
+
+    def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
         out = np.where(np.isnan(flat), math.nan, 0.0)
         pos = (flat >= 0.0) & (flat < math.inf)
         xp = flat[pos]
@@ -176,7 +192,7 @@ class DistSpec:
             * (self.alpha + xp ** self.member.degree)
             * np.exp(-self.theta * xp)
         )
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return out
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X > x), evaluated through the exponential/Erlang mixture."""
@@ -184,7 +200,7 @@ class DistSpec:
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X <= x), the exact complement of survival."""
-        return 1.0 - self.survival(x)
+        return self._mixture.cdf(x)
 
     def moment(self, m: int) -> float:
         """Raw moment E[X^m] = p * m!/theta^m + (1-p) * (m+k)!/(k! theta^m)."""

@@ -6,8 +6,8 @@ that individually overflow double precision long before their combination
 does.  The helpers here keep those combinations finite.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
-n-fold sum, and exponential standby system (erlang_tail) is a finite Erlang
-mixture with one shared rate, and takes its density, tails, and moments here.
+n-fold sum, and exponential standby system is a finite Erlang mixture with one
+shared rate, and takes its density, tails, and moments here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "ErlangMixture",
     "QuadratureError",
     "QuadratureResult",
-    "erlang_tail",
     "integrate",
     "ln_binomial",
     "ln_factorial",
@@ -56,11 +55,14 @@ def ln_binomial(n: int, r: int) -> float:
     return ln_factorial(n) - ln_factorial(r) - ln_factorial(n - r)
 
 
-def erlang_tail(shape: int, rate: float, t: float | np.ndarray) -> float | np.ndarray:
-    """Survival of Erlang(shape, rate) at scalar or array t >= 0: a one-component ErlangMixture."""
-    if np.any(np.asarray(t, dtype=float) < 0):
-        raise ValueError("t must be nonnegative")
-    return ErlangMixture(rate, (1.0,), (shape,)).survival(t)
+def _pointwise(
+    fn: Callable[[np.ndarray], np.ndarray], x: float | np.ndarray
+) -> float | np.ndarray:
+    """fn applied to x as a flat float array: a Python float for 0-d input,
+    an array of x's shape otherwise."""
+    arr = np.asarray(x, dtype=float)
+    out = fn(arr.reshape(-1))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def logsumexp(log_terms: Sequence[float]) -> float:
@@ -137,8 +139,9 @@ class ErlangMixture:
             peak = max(terms)
             log_mix = peak + math.log(sum(math.exp(t - peak) for t in terms))
             return math.exp(log_mix - self.rate * x)
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
+        return _pointwise(self._pdf_array, x)
+
+    def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
         out = np.where(np.isnan(flat), math.nan, 0.0)
         if self.shapes[0] == 1:
             out[flat == 0.0] = self.weights[0] * self.rate
@@ -151,7 +154,7 @@ class ErlangMixture:
             terms -= peak
             log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
             out[pos] = np.exp(log_mix - self.rate * xp)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return out
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf, NaN at NaN.
@@ -159,8 +162,9 @@ class ErlangMixture:
         The weighted Erlang tails come from one sweep of the shared Poisson
         series e^{-rate t} (rate t)^j / j! up to the largest shape.
         """
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
+        return _pointwise(self._survival_array, t)
+
+    def _survival_array(self, flat: np.ndarray) -> np.ndarray:
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
         # the weights, 1 +/- ulp), 0 at +inf, NaN at NaN
         out = np.heaviside(-flat, 1.0)
@@ -179,8 +183,7 @@ class ErlangMixture:
             reached = s
         out[pos] = tail
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
-        result = np.minimum(out, 1.0)
-        return float(result[0]) if arr.ndim == 0 else result.reshape(arr.shape)
+        return np.minimum(out, 1.0)
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture <= t), the exact complement of survival."""

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .family import DistSpec, check_n, check_theta
-from .numerics import ErlangMixture, erlang_tail, ln_binomial, ln_factorial, logsumexp
+from .family import DistSpec, check_count, check_n, check_positive, check_theta
+from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
 from .sums import SumSpec
 
 __all__ = [
@@ -74,9 +74,13 @@ def lindley_mttf(theta: float, n: int) -> float:
 
 
 def exponential_reliability(theta: float, n: int, t: float) -> float:
-    """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail."""
-    theta, n = check_theta(theta), check_n(n)
-    return erlang_tail(n, theta, float(t))
+    """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail
+    of ExponentialStandby; requires t >= 0."""
+    system = ExponentialStandby(theta, n)
+    t = float(t)
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return system.reliability(t)
 
 
 def exponential_mttf(theta: float, n: int) -> float:
@@ -129,7 +133,8 @@ class ExponentialStandby:
         return f"exponential theta={self.theta:g} n={self.n}"
 
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
-        """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0."""
+        """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
+        The one place that builds the Erlang(n) mixture."""
         return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
 
     def mttf(self) -> float:
@@ -177,11 +182,7 @@ class ReliabilityCurve:
 
 def reliability_curve(models, t_max: float, points: int) -> list[ReliabilityCurve]:
     """Evaluate each model's reliability on a uniform grid over [0, t_max]."""
-    if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be a positive finite number, got {t_max!r}")
-    if not (isinstance(points, int) and points >= 2):
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    grid = np.linspace(0.0, float(t_max), points)
+    grid = np.linspace(0.0, check_positive(t_max, "t_max"), check_count(points, "points", 2))
     curves = []
     for model in models:
         values = np.asarray(model.reliability(grid), dtype=float)

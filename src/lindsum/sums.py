@@ -65,7 +65,7 @@ class SumSpec:
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(S_n <= t); 0 for t < 0."""
-        return 1.0 - self.survival(t)
+        return self._mixture.cdf(t)
 
     def moment(self, m: int) -> float:
         """Raw moment E[S_n^m], from the Erlang-mixture representation."""

@@ -7,8 +7,8 @@ simulation with a Kolmogorov-Smirnov distance for whole distributions.  The
 two routes are never collapsed; a disagreement fails the check rather than
 being patched over.
 
-verify_all() runs the registry and reports one record per check with the
-measured value and its bound.  Quadrature non-convergence is reported as an
+verify_all() runs the registry, the one list of checks, and reports one
+record per check with the measured value, its bound, and the check's wall time.  Quadrature non-convergence is reported as an
 "error" status instead of being silently swallowed.
 """
 
@@ -16,14 +16,23 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .family import LINDLEY, MEMBERS, RAM_AWADH, DistSpec, member_by_name
+from .family import LINDLEY, MEMBERS, RAM_AWADH, DistSpec, FamilyMember, check_count, member_by_name
 from .numerics import QuadratureError, integrate
-from .reliability import exponential_reliability, lindley_mttf, lindley_reliability
+from .reliability import (
+    ExponentialStandby,
+    StandbyModel,
+    exponential_mttf,
+    exponential_reliability,
+    lindley_mttf,
+    lindley_reliability,
+)
 from .sums import SumSpec
 
 __all__ = [
@@ -57,10 +66,11 @@ _STANDBY_N = 5
 _GRID_POINTS = 101
 _T_MAX = 100.0
 
-# Two-decimal reference MTTFs at theta = 0.1, 0.5, 1, 3 with n = 5 units.
+# Closed-form MTTF and its two-decimal reference values at theta = 0.1, 0.5,
+# 1, 3 with n = 5 units.
 _MTTF_REFERENCE = {
-    "lindley": (95.45, 16.67, 7.5, 2.08),
-    "exponential": (50.0, 10.0, 5.0, 1.67),
+    "lindley": (lindley_mttf, (95.45, 16.67, 7.5, 2.08)),
+    "exponential": (exponential_mttf, (50.0, 10.0, 5.0, 1.67)),
 }
 
 
@@ -151,8 +161,7 @@ def sample_sum(
     """
     if size is None:
         return float(sample_sum(spec, rng, size=1)[0])
-    if not (isinstance(size, int) and size >= 1):
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    size = check_count(size, "size", 1)
     d = spec.dist
     erlang_count = rng.binomial(spec.n, 1.0 - d.mixture_weight, size)
     return rng.standard_gamma(spec.n + d.member.degree * erlang_count) / d.theta
@@ -171,13 +180,15 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verification record: the measured value against its bound."""
+    """One verification record: the measured value against its bound, and the
+    wall time the check took (not compared, so reruns compare equal)."""
 
     check_id: str
     status: str  # "pass", "fail", or "error"
     value: float
     bound: float
     detail: str = ""
+    elapsed_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,7 @@ class VerificationReport:
             suffix = f"  ({r.detail})" if r.detail else ""
             lines.append(
                 f"{r.status.upper():5s} {r.check_id:28s} "
-                f"value={r.value:.6g} bound={r.bound:.6g}{suffix}"
+                f"value={r.value:.6g} bound={r.bound:.6g} elapsed={r.elapsed_s:.3g}s{suffix}"
             )
         return lines
 
@@ -208,6 +219,7 @@ class VerificationReport:
                 "value": r.value if math.isfinite(r.value) else None,
                 "bound": r.bound if math.isfinite(r.bound) else None,
                 "detail": r.detail,
+                "elapsed_s": r.elapsed_s,
             }
             for r in self.results
         ]
@@ -219,31 +231,31 @@ def _sum_scale(spec: SumSpec) -> float:
     return max(1.0, spec.mean())
 
 
-def _check_mttf_reference() -> list[tuple[str, Callable[[], tuple[float, float]]]]:
-    def run(model: str) -> Callable[[], tuple[float, float]]:
-        def check() -> tuple[float, float]:
-            worst = 0.0
-            for theta, expected in zip(_STANDBY_THETAS, _MTTF_REFERENCE[model]):
-                if model == "lindley":
-                    got = lindley_mttf(theta, _STANDBY_N)
-                else:
-                    got = _STANDBY_N / theta
-                worst = max(worst, abs(got - expected))
-            return worst, 0.005
-        return check
+def _relative_error(value: float, reference: float) -> float:
+    return abs(value - reference) / abs(reference)
 
-    return [(f"mttf-reference/{m}", run(m)) for m in ("lindley", "exponential")]
+
+def _check_mttf_reference(model: str) -> tuple[float, float]:
+    mttf, expected = _MTTF_REFERENCE[model]
+    worst = max(abs(mttf(theta, _STANDBY_N) - e) for theta, e in zip(_STANDBY_THETAS, expected))
+    return worst, 0.005
+
+
+def _double_series(theta: float, grid: np.ndarray) -> np.ndarray:
+    return np.array([lindley_reliability(theta, _STANDBY_N, float(t)) for t in grid])
 
 
 def _check_dominance() -> tuple[float, float]:
+    """Worst gap R_exponential - R_lindley on the grid, by the closed forms and
+    by the StandbyModel/ExponentialStandby route of the CLI and reliability_curve."""
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
     worst = -math.inf
     for theta in _STANDBY_THETAS:
-        for t in grid:
-            gap = exponential_reliability(theta, _STANDBY_N, float(t)) - lindley_reliability(
-                theta, _STANDBY_N, float(t)
-            )
-            worst = max(worst, gap)
+        erlang = np.array([exponential_reliability(theta, _STANDBY_N, float(t)) for t in grid])
+        lindley = StandbyModel(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid)
+        exponential = ExponentialStandby(theta, _STANDBY_N).reliability(grid)
+        gaps = (erlang - _double_series(theta, grid), exponential - lindley)
+        worst = max(worst, *(float(np.max(gap)) for gap in gaps))
     return worst, 0.0
 
 
@@ -251,10 +263,8 @@ def _check_dual_tail() -> tuple[float, float]:
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
     worst = 0.0
     for theta in _STANDBY_THETAS:
-        spec = SumSpec(DistSpec(LINDLEY, theta), _STANDBY_N)
-        mixture_tail = np.asarray(spec.survival(grid), dtype=float)
-        for t, reference in zip(grid, mixture_tail):
-            worst = max(worst, abs(lindley_reliability(theta, _STANDBY_N, float(t)) - reference))
+        mixture_tail = SumSpec(DistSpec(LINDLEY, theta), _STANDBY_N).survival(grid)
+        worst = max(worst, float(np.max(np.abs(_double_series(theta, grid) - mixture_tail))))
     return worst, 1e-10
 
 
@@ -274,68 +284,67 @@ def _check_dual_mttf(quad_tol: float) -> tuple[float, float]:
     return worst, 1e-6
 
 
-def _check_convolution(member_name: str) -> tuple[float, float]:
-    member = member_by_name(member_name)
-    worst = 0.0
-    for theta in _THETAS:
-        for n in _ORACLE_NS:
-            spec = SumSpec(DistSpec(member, theta), n)
-            grid = np.linspace(0.0, 5.0 * spec.mean(), 12)[1:-1]
-            for x in grid:
-                oracle = convolution_oracle_pdf(spec, float(x))
-                closed = spec.pdf(float(x))
-                worst = max(worst, abs(closed - oracle) / abs(oracle))
-    return worst, 1e-6
+def _worst_over_specs(
+    members: Sequence[FamilyMember],
+    ns: Sequence[int],
+    measure: Callable[[SumSpec], float],
+    bound: float,
+) -> tuple[float, float]:
+    """Worst measure(spec) over the sums of every member, theta in _THETAS and n in ns."""
+    return max(
+        measure(SumSpec(DistSpec(member, theta), n))
+        for member in members
+        for theta in _THETAS
+        for n in ns
+    ), bound
 
 
-def _check_normalization(member_name: str, quad_tol: float) -> tuple[float, float]:
-    member = member_by_name(member_name)
-    worst = 0.0
-    for theta in _THETAS:
-        for n in _SUM_NS:
-            spec = SumSpec(DistSpec(member, theta), n)
-            mass = integrate(
-                spec.pdf, 0.0, math.inf, quad_tol, scale=_sum_scale(spec)
-            ).value
-            worst = max(worst, abs(mass - 1.0))
-    return worst, 1e-8
+def _convolution_error(spec: SumSpec) -> float:
+    grid = np.linspace(0.0, 5.0 * spec.mean(), 12)[1:-1]
+    return max(
+        _relative_error(spec.pdf(float(x)), convolution_oracle_pdf(spec, float(x))) for x in grid
+    )
 
 
-def _check_moments(member_name: str, quad_tol: float) -> tuple[float, float]:
-    member = member_by_name(member_name)
-    worst = 0.0
-    for theta in _THETAS:
-        for n in _SUM_NS:
-            spec = SumSpec(DistSpec(member, theta), n)
-            scale = _sum_scale(spec)
-            for m in range(1, 5):
-                closed = spec.moment(m)
-                numeric = integrate(
-                    lambda x: x**m * spec.pdf(x),
-                    0.0,
-                    math.inf,
-                    max(quad_tol, 1e-11),
-                    scale=scale,
-                ).value
-                worst = max(worst, abs(closed - numeric) / closed)
-    return worst, 1e-6
+def _mass_error(spec: SumSpec, quad_tol: float) -> float:
+    return abs(integrate(spec.pdf, 0.0, math.inf, quad_tol, scale=_sum_scale(spec)).value - 1.0)
 
 
-def _check_moment_forms(member_name: str) -> tuple[float, float]:
-    member = member_by_name(member_name)
-    worst = 0.0
-    for theta in _THETAS:
-        for n in range(1, 6):
-            spec = SumSpec(DistSpec(member, theta), n)
-            for m in range(4):
-                mixture_form = spec.moment(m)
-                series_form = spec.moment_series(m)
-                worst = max(worst, abs(series_form - mixture_form) / mixture_form)
-    return worst, 1e-10
+def _moment_error(spec: SumSpec, quad_tol: float) -> float:
+    tol, scale = max(quad_tol, 1e-11), _sum_scale(spec)
+    return max(
+        _relative_error(
+            integrate(lambda x: x**m * spec.pdf(x), 0.0, math.inf, tol, scale=scale).value,
+            spec.moment(m),
+        )
+        for m in range(1, 5)
+    )
 
 
-# (member name, n) -> worst KS distance and worst moment |z| over the seeds
-_MonteCarloMemo = dict[tuple[str, int], tuple[float, float]]
+def _moment_form_error(spec: SumSpec) -> float:
+    return max(_relative_error(spec.moment_series(m), spec.moment(m)) for m in range(4))
+
+
+def _single_term_error(spec: SumSpec) -> float:
+    """n = 1 against the member density: scalar calls on [0, 10/theta], then
+    one vector call on [0, 20/theta]."""
+    dist = spec.dist
+    scalar = max(
+        _relative_error(spec.pdf(float(x)), float(dist.pdf(float(x))))
+        for x in np.linspace(0.0, 10.0 / dist.theta, 21)
+    )
+    grid = np.linspace(0.0, 20.0 / dist.theta, 101)
+    direct = dist.pdf(grid)
+    return max(scalar, float(np.max(np.abs(spec.pdf(grid) - direct) / direct)))
+
+
+def _weight_sum_error(spec: SumSpec) -> float:
+    return abs(math.fsum(spec.mixture().weights) - 1.0)
+
+
+# (member name, n) -> {"ks": (worst KS distance, band), "mc-moments": (worst
+# moment |z|, bound)} over the seeds
+_MonteCarloMemo = dict[tuple[str, int], dict[str, tuple[float, float]]]
 
 # Rate of the Monte Carlo cases.  At theta = 1, Shanker and Ishita (alpha =
 # theta) coincide with Lindley and Akash (alpha = 1) and would repeat their draws.
@@ -343,45 +352,34 @@ _MC_THETA = 2.0
 
 
 def _monte_carlo(
-    member_name: str, n: int, cfg: VerifyConfig, memo: _MonteCarloMemo
+    member: FamilyMember, n: int, cfg: VerifyConfig, memo: _MonteCarloMemo, kind: str
 ) -> tuple[float, float]:
-    """Worst KS distance and worst first/second-moment |z| over the seeds.
+    """The "ks" or "mc-moments" record of (member, n): the worst KS distance, or
+    the worst first/second-moment |z|, over the seeds, with its bound.
 
     Each seed's sample is drawn once and serves both statistics.  memo belongs
-    to one verify_all call and holds only the two floats per (member, n), so
+    to one verify_all call and holds only the two records per (member, n), so
     the ks/* and mc-moments/* checks share a draw without keeping it alive.
     """
-    key = (member_name, n)
-    if key in memo:
-        return memo[key]
-    spec = SumSpec(DistSpec(member_by_name(member_name), _MC_THETA), n)
-    exact = {m: spec.moment(m) for m in range(1, 5)}
-    worst_ks = worst_z = 0.0
-    for seed in cfg.seeds:
-        rng = np.random.default_rng(seed)
-        samples = sample_sum(spec, rng, cfg.sample_count)
-        for m in (1, 2):
-            powered = samples if m == 1 else samples * samples
-            se = math.sqrt((exact[2 * m] - exact[m] ** 2) / cfg.sample_count)
-            z = abs(float(powered.mean()) - exact[m]) / se
-            worst_z = max(worst_z, z)
-        worst_ks = max(worst_ks, ks_statistic(samples, spec.cdf).ks_distance)
-    memo[key] = (worst_ks, worst_z)
-    return memo[key]
-
-
-def _check_ks(
-    member_name: str, n: int, cfg: VerifyConfig, memo: _MonteCarloMemo
-) -> tuple[float, float]:
-    worst_ks, _ = _monte_carlo(member_name, n, cfg, memo)
-    return worst_ks, KS_99_COEFFICIENT / math.sqrt(cfg.sample_count)
-
-
-def _check_mc_moments(
-    member_name: str, n: int, cfg: VerifyConfig, memo: _MonteCarloMemo
-) -> tuple[float, float]:
-    _, worst_z = _monte_carlo(member_name, n, cfg, memo)
-    return worst_z, 4.0
+    key = (member.name, n)
+    if key not in memo:
+        spec = SumSpec(DistSpec(member, _MC_THETA), n)
+        exact = {m: spec.moment(m) for m in range(1, 5)}
+        worst_ks = worst_z = 0.0
+        for seed in cfg.seeds:
+            rng = np.random.default_rng(seed)
+            samples = sample_sum(spec, rng, cfg.sample_count)
+            for m in (1, 2):
+                powered = samples if m == 1 else samples * samples
+                se = math.sqrt((exact[2 * m] - exact[m] ** 2) / cfg.sample_count)
+                z = abs(float(powered.mean()) - exact[m]) / se
+                worst_z = max(worst_z, z)
+            worst_ks = max(worst_ks, ks_statistic(samples, spec.cdf).ks_distance)
+        memo[key] = {
+            "ks": (worst_ks, KS_99_COEFFICIENT / math.sqrt(cfg.sample_count)),
+            "mc-moments": (worst_z, 4.0),
+        }
+    return memo[key][kind]
 
 
 def _check_stability(quad_tol: float) -> tuple[float, float]:
@@ -393,66 +391,51 @@ def _check_stability(quad_tol: float) -> tuple[float, float]:
         raise ArithmeticError("non-finite density or survival value in the deep-sum regime")
     if np.any(densities < 0.0):
         raise ArithmeticError("negative density value in the deep-sum regime")
-    mass = integrate(spec.pdf, 0.0, math.inf, quad_tol, scale=_sum_scale(spec)).value
-    return abs(mass - 1.0), 1e-6
-
-
-def _check_reduction_pdf() -> tuple[float, float]:
-    worst = 0.0
-    for member in MEMBERS:
-        for theta in _THETAS:
-            dist = DistSpec(member, theta)
-            spec = SumSpec(dist, 1)
-            for x in np.linspace(0.0, 10.0 / theta, 21):
-                direct = float(dist.pdf(float(x)))
-                series = spec.pdf(float(x))
-                worst = max(worst, abs(series - direct) / direct)
-    return worst, 1e-12
-
-
-def _check_reduction_weights() -> tuple[float, float]:
-    worst = 0.0
-    for member in MEMBERS:
-        for theta in _THETAS:
-            for n in range(1, 21):
-                mixture = SumSpec(DistSpec(member, theta), n).mixture()
-                worst = max(worst, abs(math.fsum(mixture.weights) - 1.0))
-    return worst, 1e-10
+    return _mass_error(spec, quad_tol), 1e-6
 
 
 def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[float, float]]]]:
     if cfg.members is None:
-        members = [m.name for m in MEMBERS]
+        members = MEMBERS
     else:
-        members = [member_by_name(name).name for name in cfg.members]
+        members = tuple(member_by_name(name) for name in cfg.members)
 
+    # (id prefix, n values, worst error of one sum, bound) of each per-member check
+    per_member = (
+        ("convolution", _ORACLE_NS, _convolution_error, 1e-6),
+        ("normalization", _SUM_NS, lambda spec: _mass_error(spec, cfg.quad_tol), 1e-8),
+        ("moments", _SUM_NS, lambda spec: _moment_error(spec, cfg.quad_tol), 1e-6),
+        ("moment-forms", range(1, 6), _moment_form_error, 1e-10),
+    )
     # shared by the ks/* and mc-moments/* checks of this registry only
     monte_carlo: _MonteCarloMemo = {}
-    registry: list[tuple[str, Callable[[], tuple[float, float]]]] = []
-    registry.extend(_check_mttf_reference())
+    registry: list[tuple[str, Callable[[], tuple[float, float]]]] = [
+        (f"mttf-reference/{model}", partial(_check_mttf_reference, model))
+        for model in _MTTF_REFERENCE
+    ]
     registry.append(("dominance", _check_dominance))
     registry.append(("lindley-dual/tail", _check_dual_tail))
     registry.append(("lindley-dual/mttf", lambda: _check_dual_mttf(cfg.quad_tol)))
-    for name in members:
-        lower = name.lower()
-        registry.append((f"convolution/{lower}", lambda n=name: _check_convolution(n)))
-        registry.append(
-            (f"normalization/{lower}", lambda n=name: _check_normalization(n, cfg.quad_tol))
-        )
-        registry.append((f"moments/{lower}", lambda n=name: _check_moments(n, cfg.quad_tol)))
-        registry.append((f"moment-forms/{lower}", lambda n=name: _check_moment_forms(n)))
+    for member in members:
+        lower = member.name.lower()
+        for prefix, ns, measure, bound in per_member:
+            registry.append(
+                (f"{prefix}/{lower}", partial(_worst_over_specs, (member,), ns, measure, bound))
+            )
         for units in (2, 5):
-            registry.append(
-                (f"ks/{lower}/n{units}",
-                 lambda n=name, u=units: _check_ks(n, u, cfg, monte_carlo))
-            )
-            registry.append(
-                (f"mc-moments/{lower}/n{units}",
-                 lambda n=name, u=units: _check_mc_moments(n, u, cfg, monte_carlo))
-            )
+            for kind in ("ks", "mc-moments"):
+                registry.append(
+                    (f"{kind}/{lower}/n{units}",
+                     partial(_monte_carlo, member, units, cfg, monte_carlo, kind))
+                )
     registry.append(("stability", lambda: _check_stability(cfg.quad_tol)))
-    registry.append(("reductions/pdf", _check_reduction_pdf))
-    registry.append(("reductions/weights", _check_reduction_weights))
+    registry.append(
+        ("reductions/pdf", partial(_worst_over_specs, MEMBERS, (1,), _single_term_error, 1e-12))
+    )
+    registry.append(
+        ("reductions/weights",
+         partial(_worst_over_specs, MEMBERS, range(1, 21), _weight_sum_error, 1e-10))
+    )
 
     if cfg.only is not None:
         wanted = tuple(cfg.only)
@@ -474,16 +457,15 @@ def verify_all(config: VerifyConfig | None = None) -> VerificationReport:
     cfg = config or VerifyConfig()
     results = []
     for check_id, fn in _build_registry(cfg):
+        start = time.perf_counter()
+        detail = ""
         try:
             value, bound = fn()
+            status = "pass" if value <= bound else "fail"
         except QuadratureError as exc:
-            results.append(
-                CheckResult(check_id, "error", exc.best.value, math.nan, str(exc))
-            )
-            continue
+            status, value, bound, detail = "error", exc.best.value, math.nan, str(exc)
         except ArithmeticError as exc:
-            results.append(CheckResult(check_id, "error", math.nan, math.nan, str(exc)))
-            continue
-        status = "pass" if value <= bound else "fail"
-        results.append(CheckResult(check_id, status, value, bound))
+            status, value, bound, detail = "error", math.nan, math.nan, str(exc)
+        elapsed = time.perf_counter() - start
+        results.append(CheckResult(check_id, status, value, bound, detail, elapsed))
     return VerificationReport(tuple(results))

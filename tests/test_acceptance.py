@@ -1,266 +1,108 @@
-"""Acceptance gate: every release criterion, one test and one PASS/FAIL line
-each, at the exact tolerances the package promises.
+"""Acceptance gate: a view over one verify_all run at the default settings
+(1e6 samples per Monte Carlo case, DEFAULT_SEEDS).
 
-Each test exercises the public surface the way a user would (CLI or library),
-measures the worst deviation against the promised bound, prints a single
-summary line, and enforces a wall-clock budget.
+validation._build_registry is the one list of checks.  The gate pins its ids,
+so a check dropped from the registry fails here, requires every record to
+pass within its bound, and caps the summed elapsed_s of each group of checks.
+Each group prints one PASS/FAIL line.
 """
 
 from __future__ import annotations
 
-import math
-import time
+import pytest
 
-import numpy as np
+from lindsum.family import MEMBERS
+from lindsum.validation import verify_all
 
-from lindsum.cli import main
-from lindsum.family import LINDLEY, MEMBERS, RAM_AWADH, DistSpec
-from lindsum.numerics import integrate
-from lindsum.reliability import (
-    ExponentialStandby,
-    StandbyModel,
-    exponential_reliability,
-    lindley_mttf,
-    lindley_reliability,
-    reliability_curve,
+PER_MEMBER_IDS = (
+    "convolution/{}",
+    "normalization/{}",
+    "moments/{}",
+    "moment-forms/{}",
+    "ks/{}/n2",
+    "mc-moments/{}/n2",
+    "ks/{}/n5",
+    "mc-moments/{}/n5",
 )
-from lindsum.sums import SumSpec
-from lindsum.validation import (
-    DEFAULT_SEEDS,
-    convolution_oracle_pdf,
-    ks_statistic,
-    sample_sum,
-)
+CHECK_IDS = [
+    "mttf-reference/lindley",
+    "mttf-reference/exponential",
+    "dominance",
+    "lindley-dual/tail",
+    "lindley-dual/mttf",
+    *(check.format(m.name.lower()) for m in MEMBERS for check in PER_MEMBER_IDS),
+    "stability",
+    "reductions/pdf",
+    "reductions/weights",
+]
 
-MTTF_THETAS = (0.1, 0.5, 1.0, 3.0)
-MTTF_LINDLEY = (95.45, 16.67, 7.5, 2.08)
-MTTF_EXPONENTIAL = (50.0, 10.0, 5.0, 1.67)
-SUM_THETAS = (0.5, 1.0, 2.0)
-SUM_NS = (1, 2, 3, 5, 10)
+# gate line -> (check-id prefixes, wall-clock cap in seconds or None)
+GROUPS = {
+    "mttf-reference-table": (("mttf-reference/",), 1.0),
+    "reliability-dominance": (("dominance",), 1.0),
+    "lindley-dual-routes": (("lindley-dual/",), 10.0),
+    "convolution-oracle": (("convolution/",), 300.0),
+    "normalization-and-moments": (("normalization/", "moments/", "moment-forms/"), 120.0),
+    "monte-carlo": (("ks/", "mc-moments/"), 120.0),
+    "large-sum-stability": (("stability",), 30.0),
+    "reductions": (("reductions/",), None),
+}
 
 
-def _report(capsys, name: str, passed: bool, detail: str) -> None:
+@pytest.fixture(scope="module")
+def report():
+    return verify_all()
+
+
+def _gate(report, capsys, group: str) -> None:
+    prefixes, cap = GROUPS[group]
+    records = [r for r in report.results if r.check_id.startswith(prefixes)]
+    elapsed = sum(r.elapsed_s for r in records)
+    failed = [
+        f"{r.check_id} {r.status} value={r.value:.3g} bound={r.bound:.3g} {r.detail}".rstrip()
+        for r in records
+        if not (r.status == "pass" and r.value <= r.bound)
+    ]
+    within_cap = cap is None or elapsed < cap
+    passed = bool(records) and not failed and within_cap
+    detail = f"{len(records)} checks, {elapsed:.2f}s" + ("" if cap is None else f" (cap {cap:g}s)")
+    if failed:
+        detail += "; " + "; ".join(failed)
     # bypass pytest's capture so the gate line lands in the real output
     with capsys.disabled():
-        print(f"\n{'PASS' if passed else 'FAIL'} {name}: {detail}", flush=True)
-    assert passed, f"{name}: {detail}"
+        print(f"\n{'PASS' if passed else 'FAIL'} {group}: {detail}", flush=True)
+    assert passed, f"{group}: {detail}"
 
 
 class TestAcceptance:
-    def test_mttf_reference_table(self, capsys):
-        """CLI MTTF table reproduces the reference values to +/-0.005 in <1s."""
-        start = time.perf_counter()
-        code = main(["mttf", "--theta", "0.1,0.5,1,3", "--n", "5"])
-        out = capsys.readouterr().out
-        elapsed = time.perf_counter() - start
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        worst = 0.0
-        for row, lind_ref, exp_ref in zip(rows, MTTF_LINDLEY, MTTF_EXPONENTIAL):
-            worst = max(worst, abs(float(row[1]) - lind_ref), abs(float(row[2]) - exp_ref))
-        passed = code == 0 and len(rows) == 4 and worst <= 0.005 and elapsed < 1.0
-        _report(
-            capsys,
-            "mttf-reference-table",
-            passed,
-            f"worst |diff|={worst:.2e} (bound 5e-3), {elapsed:.2f}s (cap 1s)",
+    def test_registry_ids(self, report):
+        """The registry runs exactly the pinned checks, in order."""
+        assert [r.check_id for r in report.results] == CHECK_IDS
+        assert all(
+            sum(r.check_id.startswith(prefixes) for prefixes, _ in GROUPS.values()) == 1
+            for r in report.results
         )
 
-    def test_reliability_dominance(self, capsys):
-        """Lindley standby reliability never drops below the exponential one."""
-        start = time.perf_counter()
-        worst_gap = -math.inf
-        for theta in MTTF_THETAS:
-            lindley_curve, exponential_curve = reliability_curve(
-                [StandbyModel(DistSpec(LINDLEY, theta), 5), ExponentialStandby(theta, 5)],
-                100.0,
-                101,
-            )
-            gap = max(
-                e - l for l, e in zip(lindley_curve.values, exponential_curve.values)
-            )
-            worst_gap = max(worst_gap, gap)
-        elapsed = time.perf_counter() - start
-        passed = worst_gap <= 0.0 and elapsed < 1.0
-        _report(
-            capsys,
-            "reliability-dominance",
-            passed,
-            f"max(R_exp - R_lindley)={worst_gap:.2e} (bound 0), {elapsed:.2f}s (cap 1s)",
-        )
+    def test_mttf_reference_table(self, report, capsys):
+        _gate(report, capsys, "mttf-reference-table")
 
-    def test_lindley_dual_routes(self, capsys):
-        """Double-series reliability vs mixture tail to 1e-10; MTTF vs its
-        integral to 1e-6 relative."""
-        start = time.perf_counter()
-        grid = np.linspace(0.0, 100.0, 101)
-        worst_tail = 0.0
-        worst_mttf = 0.0
-        for theta in MTTF_THETAS:
-            for n in (1, 2, 3, 4, 5):
-                spec = SumSpec(DistSpec(LINDLEY, theta), n)
-                for t in grid:
-                    diff = abs(
-                        lindley_reliability(theta, n, float(t)) - float(spec.survival(float(t)))
-                    )
-                    worst_tail = max(worst_tail, diff)
-                mttf = lindley_mttf(theta, n)
-                numeric = integrate(
-                    lambda t: lindley_reliability(theta, n, t),
-                    0.0,
-                    math.inf,
-                    1e-8,
-                    scale=mttf,
-                ).value
-                worst_mttf = max(worst_mttf, abs(mttf - numeric) / mttf)
-        elapsed = time.perf_counter() - start
-        passed = worst_tail <= 1e-10 and worst_mttf <= 1e-6 and elapsed < 10.0
-        _report(
-            capsys,
-            "lindley-dual-routes",
-            passed,
-            f"tail diff={worst_tail:.2e} (bound 1e-10), "
-            f"mttf rel err={worst_mttf:.2e} (bound 1e-6), {elapsed:.1f}s (cap 10s)",
-        )
+    def test_reliability_dominance(self, report, capsys):
+        _gate(report, capsys, "reliability-dominance")
 
-    def test_convolution_oracle_agreement(self, capsys):
-        """Closed-form sum densities match direct numerical convolution to 1e-6
-        relative for every member, n in {2,3}, theta in {0.5,1,2}."""
-        start = time.perf_counter()
-        worst = 0.0
-        for member in MEMBERS:
-            for theta in SUM_THETAS:
-                for n in (2, 3):
-                    spec = SumSpec(DistSpec(member, theta), n)
-                    xs = np.linspace(0.0, 5.0 * spec.mean(), 12)[1:-1]
-                    for x in xs:
-                        oracle = convolution_oracle_pdf(spec, float(x))
-                        closed = spec.pdf(float(x))
-                        worst = max(worst, abs(closed - oracle) / abs(oracle))
-        elapsed = time.perf_counter() - start
-        passed = worst <= 1e-6 and elapsed < 300.0
-        _report(
-            capsys,
-            "convolution-oracle",
-            passed,
-            f"worst rel err={worst:.2e} (bound 1e-6), {elapsed:.1f}s (cap 300s)",
-        )
+    def test_lindley_dual_routes(self, report, capsys):
+        _gate(report, capsys, "lindley-dual-routes")
 
-    def test_normalization_and_moment_quadrature(self, capsys):
-        """Every sum density integrates to 1 within 1e-8 and its first four
-        moments match quadrature to 1e-6 relative."""
-        start = time.perf_counter()
-        worst_mass = 0.0
-        worst_moment = 0.0
-        for member in MEMBERS:
-            for theta in SUM_THETAS:
-                for n in SUM_NS:
-                    spec = SumSpec(DistSpec(member, theta), n)
-                    mean = spec.mean()
-                    mass = integrate(
-                        lambda x: float(spec.pdf(x)), 0.0, math.inf, 1e-10, scale=mean
-                    ).value
-                    worst_mass = max(worst_mass, abs(mass - 1.0))
-                    for m in range(1, 5):
-                        numeric = integrate(
-                            lambda x: x**m * float(spec.pdf(x)),
-                            0.0,
-                            math.inf,
-                            1e-10,
-                            scale=mean * (m + 1),
-                        ).value
-                        exact = spec.moment(m)
-                        worst_moment = max(worst_moment, abs(exact - numeric) / exact)
-        elapsed = time.perf_counter() - start
-        passed = worst_mass <= 1e-8 and worst_moment <= 1e-6 and elapsed < 120.0
-        _report(
-            capsys,
-            "normalization-and-moments",
-            passed,
-            f"mass err={worst_mass:.2e} (bound 1e-8), "
-            f"moment rel err={worst_moment:.2e} (bound 1e-6), {elapsed:.1f}s (cap 120s)",
-        )
+    def test_convolution_oracle_agreement(self, report, capsys):
+        _gate(report, capsys, "convolution-oracle")
 
-    def test_monte_carlo_distribution(self, capsys):
-        """A million simulated sums per case stay inside the 99% KS band and
-        within four standard errors on the first two moments, for every member,
-        n in {2,5}, and each published seed."""
-        start = time.perf_counter()
-        count = 1_000_000
-        worst_ks = 0.0
-        worst_z = 0.0
-        for member in MEMBERS:
-            for n in (2, 5):
-                spec = SumSpec(DistSpec(member, 1.0), n)
-                for seed in DEFAULT_SEEDS:
-                    draws = sample_sum(spec, np.random.default_rng(seed), count)
-                    report = ks_statistic(draws, spec.cdf)
-                    worst_ks = max(worst_ks, report.ks_distance)
-                    assert report.threshold == 1.63e-3
-                    for m in (1, 2):
-                        se = math.sqrt(
-                            (spec.moment(2 * m) - spec.moment(m) ** 2) / count
-                        )
-                        z = abs(float(np.mean(draws**m)) - spec.moment(m)) / se
-                        worst_z = max(worst_z, z)
-        elapsed = time.perf_counter() - start
-        passed = worst_ks <= 1.63e-3 and worst_z <= 4.0 and elapsed < 120.0
-        _report(
-            capsys,
-            "monte-carlo",
-            passed,
-            f"worst KS={worst_ks:.2e} (band 1.63e-3), worst |z|={worst_z:.2f} "
-            f"(bound 4), seeds {DEFAULT_SEEDS}, {elapsed:.1f}s (cap 120s)",
-        )
+    def test_normalization_and_moment_quadrature(self, report, capsys):
+        _gate(report, capsys, "normalization-and-moments")
 
-    def test_large_sum_stability(self, capsys):
-        """The 50-fold sum of the heaviest member stays finite and normalized."""
-        start = time.perf_counter()
-        spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
-        xs = np.linspace(1.0, 500.0, 500)
-        density = spec.pdf(xs)
-        tail = spec.survival(xs)
-        finite = bool(
-            np.all(np.isfinite(density))
-            and np.all(density >= 0.0)
-            and np.all(np.isfinite(tail))
-        )
-        mass = integrate(
-            lambda x: float(spec.pdf(x)), 0.0, math.inf, 1e-9, scale=spec.mean()
-        ).value
-        elapsed = time.perf_counter() - start
-        passed = finite and abs(mass - 1.0) <= 1e-6 and elapsed < 30.0
-        _report(
-            capsys,
-            "large-sum-stability",
-            passed,
-            f"finite={finite}, |mass-1|={abs(mass - 1.0):.2e} (bound 1e-6), "
-            f"{elapsed:.1f}s (cap 30s)",
-        )
+    def test_monte_carlo_distribution(self, report, capsys):
+        _gate(report, capsys, "monte-carlo")
 
-    def test_single_term_and_weight_reductions(self, capsys):
-        """n=1 collapses to the base density to 1e-12 relative; mixture weights
-        sum to 1 within 1e-10 for every member and n up to 20."""
-        start = time.perf_counter()
-        worst_pdf = 0.0
-        worst_weights = 0.0
-        for member in MEMBERS:
-            for theta in SUM_THETAS:
-                dist = DistSpec(member, theta)
-                spec = SumSpec(dist, 1)
-                xs = np.linspace(0.0, 20.0 / theta, 101)
-                base = np.asarray(dist.pdf(xs))
-                series = np.asarray(spec.pdf(xs))
-                scale = np.where(base > 0.0, base, 1.0)
-                worst_pdf = max(worst_pdf, float(np.max(np.abs(series - base) / scale)))
-                for n in range(1, 21):
-                    weights = SumSpec(dist, n).mixture().weights
-                    worst_weights = max(worst_weights, abs(math.fsum(weights) - 1.0))
-        elapsed = time.perf_counter() - start
-        passed = worst_pdf <= 1e-12 and worst_weights <= 1e-10
-        _report(
-            capsys,
-            "reductions",
-            passed,
-            f"pdf rel err={worst_pdf:.2e} (bound 1e-12), "
-            f"weight sum err={worst_weights:.2e} (bound 1e-10), {elapsed:.1f}s",
-        )
+    def test_large_sum_stability(self, report, capsys):
+        _gate(report, capsys, "large-sum-stability")
+
+    def test_single_term_and_weight_reductions(self, report, capsys):
+        _gate(report, capsys, "reductions")

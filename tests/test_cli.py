@@ -300,9 +300,10 @@ class TestVerifyCommand:
         )
         assert code == 1
         (record,) = csv.DictReader(io.StringIO(out))
-        assert list(record) == ["check_id", "status", "value", "bound", "detail"]
+        assert list(record) == ["check_id", "status", "value", "bound", "detail", "elapsed_s"]
         assert record["status"] == "error"
         assert record["detail"] != ""
+        assert float(record["elapsed_s"]) > 0.0
 
     def test_unmatched_only_exits_2(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["verify", "--only", "nonsense"])

@@ -1,4 +1,6 @@
-"""Tests for the log-space primitives and the adaptive quadrature wrapper."""
+"""Tests for the log-space primitives, the Erlang(n) tail (through its one
+route, ExponentialStandby, and exponential_reliability, which calls it), and
+the adaptive quadrature wrapper."""
 
 from __future__ import annotations
 
@@ -11,12 +13,12 @@ from scipy.special import gammaincc
 
 from lindsum.numerics import (
     QuadratureError,
-    erlang_tail,
     integrate,
     ln_binomial,
     ln_factorial,
     logsumexp,
 )
+from lindsum.reliability import ExponentialStandby, exponential_reliability
 
 
 class TestLnFactorial:
@@ -63,16 +65,16 @@ class TestLnBinomial:
 
 class TestErlangTail:
     def test_at_zero(self):
-        assert erlang_tail(1, 2.0, 0.0) == 1.0
-        assert erlang_tail(7, 0.3, 0.0) == 1.0
+        assert exponential_reliability(2.0, 1, 0.0) == 1.0
+        assert exponential_reliability(0.3, 7, 0.0) == 1.0
 
     def test_single_stage_is_exponential(self):
-        np.testing.assert_allclose(erlang_tail(1, 2.0, 1.0), math.exp(-2.0), rtol=1e-14)
+        np.testing.assert_allclose(exponential_reliability(2.0, 1, 1.0), math.exp(-2.0), rtol=1e-14)
 
     def test_truncated_series_value(self):
         # direct evaluation of e^{-2} * (1 + 2 + 2^2/2)
         np.testing.assert_allclose(
-            erlang_tail(3, 1.0, 2.0), math.exp(-2.0) * 5.0, rtol=1e-14
+            exponential_reliability(1.0, 3, 2.0), math.exp(-2.0) * 5.0, rtol=1e-14
         )
 
     def test_matches_incomplete_gamma(self):
@@ -80,7 +82,7 @@ class TestErlangTail:
             for rate in (0.3, 1.0, 4.0):
                 for t in (0.1, 1.0, 10.0, 100.0):
                     np.testing.assert_allclose(
-                        erlang_tail(shape, rate, t),
+                        exponential_reliability(rate, shape, t),
                         gammaincc(shape, rate * t),
                         rtol=1e-12,
                         atol=1e-300,
@@ -100,27 +102,29 @@ class TestErlangTail:
 
             for t in (0.5, 3.0, 20.0):
                 mass = integrate(density, 0.0, t, 1e-12).value
-                np.testing.assert_allclose(erlang_tail(shape, rate, t), 1.0 - mass, atol=1e-10)
+                np.testing.assert_allclose(
+                    exponential_reliability(rate, shape, t), 1.0 - mass, atol=1e-10
+                )
 
     def test_vectorized_matches_scalar(self):
         ts = np.array([0.0, 0.5, 2.0, 40.0])
-        vec = erlang_tail(4, 0.7, ts)
+        vec = ExponentialStandby(0.7, 4).reliability(ts)
         assert isinstance(vec, np.ndarray)
         for t, v in zip(ts, vec):
-            assert v == erlang_tail(4, 0.7, float(t))
+            assert v == exponential_reliability(0.7, 4, float(t))
 
     def test_bounded_for_extreme_arguments(self):
-        value = erlang_tail(300, 1.0, 500.0)
+        value = exponential_reliability(1.0, 300, 500.0)
         assert 0.0 <= value <= 1.0
-        assert erlang_tail(2, 1.0, 1e6) == 0.0
+        assert exponential_reliability(1.0, 2, 1e6) == 0.0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            erlang_tail(0, 1.0, 1.0)
+            exponential_reliability(1.0, 0, 1.0)
         with pytest.raises(ValueError):
-            erlang_tail(2, 0.0, 1.0)
+            exponential_reliability(0.0, 2, 1.0)
         with pytest.raises(ValueError):
-            erlang_tail(2, 1.0, -0.5)
+            exponential_reliability(1.0, 2, -0.5)
 
     @given(
         shape=st.integers(min_value=1, max_value=40),
@@ -129,10 +133,10 @@ class TestErlangTail:
         dt=st.floats(min_value=0.0, max_value=50.0),
     )
     def test_monotone_in_time_and_shape(self, shape, rate, t, dt):
-        here = erlang_tail(shape, rate, t)
+        here = exponential_reliability(rate, shape, t)
         assert 0.0 <= here <= 1.0
-        assert erlang_tail(shape, rate, t + dt) <= here + 1e-12
-        assert erlang_tail(shape + 1, rate, t) >= here - 1e-12
+        assert exponential_reliability(rate, shape, t + dt) <= here + 1e-12
+        assert exponential_reliability(rate, shape + 1, t) >= here - 1e-12
 
 
 class TestLogSumTerms:

@@ -1,6 +1,7 @@
 """Every public constructor and function that takes theta or n checks it the
 same way: theta is a positive finite real, n an integer >= 1 (numpy integers
-included), and a bool is neither."""
+included), and a bool is neither.  Sizes, point counts and time spans share
+the same two checks (check_count, check_positive)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from lindsum.family import LINDLEY, RANI, DistSpec, check_n, check_theta
+from lindsum.family import (
+    LINDLEY,
+    RANI,
+    DistSpec,
+    check_count,
+    check_n,
+    check_positive,
+    check_theta,
+)
 from lindsum.reliability import (
     ExponentialStandby,
     StandbyModel,
@@ -18,8 +27,10 @@ from lindsum.reliability import (
     lindley_mttf,
     lindley_reliability,
     mttf_table,
+    reliability_curve,
 )
 from lindsum.sums import SumSpec
+from lindsum.validation import sample_sum
 
 DIST = DistSpec(RANI, 1.5)
 
@@ -91,3 +102,39 @@ def test_stored_parameters_are_python_numbers():
 def test_checks_return_the_coerced_value():
     assert check_theta(np.int64(4)) == 4.0 and type(check_theta(np.int64(4))) is float
     assert check_n(np.int64(4)) == 4 and type(check_n(np.int64(4))) is int
+
+
+# the shared checks behind the size, point-count and time-span arguments
+COUNT_ROUTES = {
+    "sample_sum size": (lambda v: sample_sum(SumSpec(DIST, 2), np.random.default_rng(1), v), 1),
+    "reliability_curve points": (lambda v: reliability_curve([], 10.0, v), 2),
+    "check_count": (lambda v: check_count(v, "decimals", 0), 0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COUNT_ROUTES))
+@pytest.mark.parametrize("value", [True, False, 2.0, "3"])
+def test_non_integer_count_is_a_type_error(route, value):
+    call, _ = COUNT_ROUTES[route]
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("route", sorted(COUNT_ROUTES))
+def test_count_below_its_bound_is_a_value_error(route):
+    call, low = COUNT_ROUTES[route]
+    with pytest.raises(ValueError, match=f">= {low}"):
+        call(low - 1)
+    call(np.int64(low + 1))
+
+
+@pytest.mark.parametrize("t_max", [True, False, 0.0, -1.0, math.nan, math.inf, "1"])
+def test_curve_span_is_a_positive_finite_real(t_max):
+    with pytest.raises(ValueError, match="t_max must be a positive finite number"):
+        reliability_curve([ExponentialStandby(1.0, 2)], t_max, 3)
+
+
+def test_positive_check_names_its_argument():
+    with pytest.raises(ValueError, match="t_max must be a positive finite number"):
+        check_positive(True, "t_max")
+    assert check_positive(np.float32(0.5), "t_max") == 0.5

@@ -26,8 +26,8 @@ from lindsum.family import (
     SHANKER,
     DistSpec,
 )
-from lindsum.numerics import erlang_tail, integrate
-from lindsum.reliability import ExponentialStandby
+from lindsum.numerics import integrate
+from lindsum.reliability import ExponentialStandby, exponential_reliability
 from lindsum.sums import ErlangMixture, SumSpec
 
 # Hand-expanded convolution brackets: pdf = c^n * exp(-theta x) * bracket(theta, x).
@@ -411,7 +411,7 @@ class TestNonFiniteArguments:
                 assert spec.cdf(arg) == 1.0
                 assert dist.pdf(arg) == 0.0
                 assert dist.survival(arg) == 0.0
-                assert erlang_tail(3, 1.0, arg) == 0.0
+                assert exponential_reliability(1.0, 3, arg) == 0.0
                 assert ExponentialStandby(1.0, 3).reliability(arg) == 0.0
             for route in (spec.pdf, spec.survival, spec.cdf, dist.pdf, dist.survival):
                 assert math.isnan(route(math.nan))

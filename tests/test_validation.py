@@ -280,8 +280,9 @@ class TestVerifyAll:
         records = json.loads(report.to_json())
         assert [r["check_id"] for r in records] == ["reductions/pdf", "reductions/weights"]
         for record in records:
-            assert set(record) == {"check_id", "status", "value", "bound", "detail"}
+            assert set(record) == {"check_id", "status", "value", "bound", "detail", "elapsed_s"}
             assert record["status"] == "pass"
+            assert record["elapsed_s"] >= 0.0
 
     def test_json_error_record_carries_detail(self):
         report = verify_all(
