@@ -55,8 +55,9 @@ def lindley_reliability(theta: float, n: int, t: float) -> float:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return 1.0
-    ln_base = math.log(theta * theta / (1.0 + theta))
-    ln_ratio = math.log(theta / (1.0 + theta))
+    # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
+    ln_base = 2.0 * math.log(theta) - math.log1p(theta)
+    ln_ratio = math.log(theta) - math.log1p(theta)
     ln_t = math.log(t)
     terms = []
     for i in range(n):
@@ -70,7 +71,8 @@ def lindley_reliability(theta: float, n: int, t: float) -> float:
 def lindley_mttf(theta: float, n: int) -> float:
     """Closed-form MTTF n(2+theta)/(theta(1+theta)) for Lindley components."""
     theta, n = check_theta(theta), check_n(n)
-    return n * (2.0 + theta) / (theta * (1.0 + theta))
+    # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154
+    return n * (2.0 + theta) / theta / (1.0 + theta)
 
 
 def exponential_reliability(theta: float, n: int, t: float) -> float:
