@@ -136,7 +136,7 @@ class ExponentialStandby:
 
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
         """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
-        The one place that builds the Erlang(n) mixture."""
+        The package's one route to that tail; exponential_reliability calls it."""
         return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
 
     def mttf(self) -> float:

@@ -36,6 +36,23 @@ CHECK_IDS = [
     "reductions/weights",
 ]
 
+# check-id prefix -> the bound the package promises
+BOUNDS = {
+    "mttf-reference/": 0.005,
+    "dominance": 0.0,
+    "lindley-dual/tail": 1e-10,
+    "lindley-dual/mttf": 1e-6,
+    "convolution/": 1e-6,
+    "normalization/": 1e-8,
+    "moments/": 1e-6,
+    "moment-forms/": 1e-10,
+    "ks/": 1.63e-3,
+    "mc-moments/": 4.0,
+    "stability": 1e-6,
+    "reductions/pdf": 1e-12,
+    "reductions/weights": 1e-10,
+}
+
 # gate line -> (check-id prefixes, wall-clock cap in seconds or None)
 GROUPS = {
     "mttf-reference-table": (("mttf-reference/",), 1.0),
@@ -82,6 +99,12 @@ class TestAcceptance:
             sum(r.check_id.startswith(prefixes) for prefixes, _ in GROUPS.values()) == 1
             for r in report.results
         )
+
+    def test_registry_bounds(self, report):
+        """No bound of the registry is looser, or tighter, than promised."""
+        for r in report.results:
+            (bound,) = [b for prefix, b in BOUNDS.items() if r.check_id.startswith(prefix)]
+            assert r.bound == bound, r.check_id
 
     def test_mttf_reference_table(self, report, capsys):
         _gate(report, capsys, "mttf-reference-table")
