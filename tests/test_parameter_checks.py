@@ -16,7 +16,6 @@ from lindsum.family import (
     DistSpec,
     check_count,
     check_n,
-    check_positive,
     check_theta,
 )
 from lindsum.reliability import (
@@ -132,9 +131,3 @@ def test_count_below_its_bound_is_a_value_error(route):
 def test_curve_span_is_a_positive_finite_real(t_max):
     with pytest.raises(ValueError, match="t_max must be a positive finite number"):
         reliability_curve([ExponentialStandby(1.0, 2)], t_max, 3)
-
-
-def test_positive_check_names_its_argument():
-    with pytest.raises(ValueError, match="t_max must be a positive finite number"):
-        check_positive(True, "t_max")
-    assert check_positive(np.float32(0.5), "t_max") == 0.5
