@@ -213,9 +213,13 @@ class DistSpec:
     ) -> float | np.ndarray:
         """Exact draws by composition: Exp(theta) with probability p, else the
         sum of k+1 independent Exp(theta) variates.  Identical seeds give
-        identical output."""
+        identical output.  size is a count >= 1 or a tuple of them."""
         if size is None:
             return float(self.sample(rng, size=1)[0])
+        if isinstance(size, tuple):
+            size = tuple(check_count(dim, "size", 1) for dim in size)
+        else:
+            size = check_count(size, "size", 1)
         scale = 1.0 / self.theta
         u = rng.random(size)
         out = rng.exponential(scale, size)

@@ -48,13 +48,15 @@ def lindley_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Lindley components, by the double series.
 
     Evaluated term by term in log space and clamped to [0, 1]; requires t >= 0.
+    1 at t = 0, 0 at +inf, NaN at NaN.
     """
     theta, n = check_theta(theta), check_n(n)
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0
+    if not 0.0 < t < math.inf:
+        # the series below would give min(1.0, nan) = 1.0 at NaN and at +inf
+        return math.nan if math.isnan(t) else float(t == 0.0)
     # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
     ln_base = 2.0 * math.log(theta) - math.log1p(theta)
     ln_ratio = math.log(theta) - math.log1p(theta)

@@ -58,6 +58,11 @@ DEFAULT_SEEDS = (7, 19, 37)
 # temporaries (one array per Erlang shape swept) stay in cache.
 _KS_BLOCK = 16384
 
+# Sorted points per run in ks_statistic's pruning, and the slack that covers
+# the cdf's rounding when a run is bounded by its endpoints.
+_KS_RUN = 128
+_KS_SLACK = 1e-12
+
 _THETAS = (0.5, 1.0, 2.0)
 _SUM_NS = (1, 2, 3, 5, 10)
 _ORACLE_NS = (2, 3)
@@ -92,27 +97,104 @@ def ks_statistic(
     """Two-sided KS distance of a sample against a cdf, with a pass threshold.
 
     The distance is max over order statistics x_(i) of
-    max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N); the default threshold is the
-    99% Kolmogorov band 1.63/sqrt(N).  cdf must be elementwise: it is called
-    on consecutive slices of the sorted sample, each of at most _KS_BLOCK
-    points, and must return one value per point.
+    max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N), exactly; the default threshold
+    is the 99% Kolmogorov band 1.63/sqrt(N).
+
+    The cdf is evaluated only where the distance can be attained.  A
+    nondecreasing F bounds every deviation in a run of sorted points lo..hi
+    by its endpoints: i/N - F(x_i) <= (hi+1)/N - F(x_lo) and
+    F(x_i) - (i-1)/N <= F(x_hi) - lo/N.  So F is taken at the ends of every
+    run of _KS_RUN points, then at the interiors of the runs whose bound
+    (plus _KS_SLACK) beats the best deviation found so far, largest bound
+    first, until none is left.  Each point is evaluated at most once.
+
+    cdf must be elementwise: it is called on sorted points, at most
+    _KS_BLOCK per call, and must return one value per point.  A NaN value,
+    or one below the evaluated value before it by more than _KS_SLACK,
+    raises ArithmeticError.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     count = x.size
     if count == 0:
         raise ValueError("samples must be nonempty")
-    # one-sided maxima; np.maximum keeps a NaN from the cdf, as one max would
-    above = below = -np.inf
-    for start in range(0, count, _KS_BLOCK):
-        block = x[start:start + _KS_BLOCK]
-        f = np.asarray(cdf(block), dtype=float)
-        i = np.arange(start + 1, start + block.size + 1, dtype=float)
-        above = np.maximum(above, (i / count - f).max())
-        below = np.maximum(below, (f - (i - 1.0) / count).max())
-    distance = float(max(above, below))
+    lo = np.arange(0, count, _KS_RUN)
+    hi = np.minimum(lo + _KS_RUN, count) - 1
+    ends = np.unique(np.concatenate((lo, hi)))
+    f_ends = _cdf_at(cdf, x, ends)
+    _check_nondecreasing(x, ends, f_ends)
+    best = _ks_deviation(ends, f_ends, count)
+    f_lo, f_hi = f_ends[np.searchsorted(ends, lo)], f_ends[np.searchsorted(ends, hi)]
+    bound = np.maximum((hi + 1.0) / count - f_lo, f_hi - lo / count)
+    # runs with an interior, largest bound first
+    order = np.flatnonzero(hi - lo > 1)
+    order = order[np.argsort(-bound[order], kind="stable")]
+    runs_per_call = _KS_BLOCK // (_KS_RUN - 2)
+    done = 0
+    while done < order.size:
+        # the runs that can still beat best are a prefix of order[done:]
+        open_runs = np.count_nonzero(bound[order[done:]] + _KS_SLACK > best)
+        runs = order[done:done + min(runs_per_call, open_runs)]
+        if runs.size == 0:
+            break
+        done += runs.size
+        # every point of these runs, run after run, with the endpoints known
+        lengths = hi[runs] - lo[runs] + 1
+        first = np.cumsum(lengths) - lengths
+        last = first + lengths - 1
+        index = np.repeat(lo[runs] - first, lengths) + np.arange(last[-1] + 1)
+        inner = np.ones(index.size, dtype=bool)
+        inner[first] = inner[last] = False
+        f = np.empty(index.size)
+        f[first], f[last] = f_lo[runs], f_hi[runs]
+        f[inner] = _cdf_at(cdf, x, index[inner])
+        within_run = np.ones(index.size - 1, dtype=bool)
+        within_run[last[:-1]] = False
+        _check_nondecreasing(x, index, f, within_run)
+        best = max(best, _ks_deviation(index, f, count))
+    distance = float(best)
     if threshold is None:
         threshold = KS_99_COEFFICIENT / math.sqrt(count)
     return KsReport(count, distance, float(threshold), distance <= threshold)
+
+
+def _cdf_at(
+    cdf: Callable[[np.ndarray], np.ndarray], x: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """cdf at the sorted points x[index], at most _KS_BLOCK per call;
+    ArithmeticError at a NaN value."""
+    f = np.empty(index.size)
+    for start in range(0, index.size, _KS_BLOCK):
+        part = index[start:start + _KS_BLOCK]
+        f[start:start + part.size] = cdf(x[part])
+    nan = np.flatnonzero(np.isnan(f))
+    if nan.size:
+        k = index[nan[0]]
+        raise ArithmeticError(f"cdf is NaN at sorted point {k} (x = {float(x[k])!r})")
+    return f
+
+
+def _check_nondecreasing(
+    x: np.ndarray, index: np.ndarray, f: np.ndarray, steps: np.ndarray | None = None
+) -> None:
+    """ArithmeticError if f falls by more than _KS_SLACK from one point to the
+    next, over every step or only those marked in steps."""
+    falls = np.diff(f) < -_KS_SLACK
+    if steps is not None:
+        falls &= steps
+    if falls.any():
+        j = int(np.argmax(falls))
+        k = index[j + 1]
+        raise ArithmeticError(
+            f"cdf decreases from {float(f[j])!r} to {float(f[j + 1])!r} "
+            f"at sorted point {k} (x = {float(x[k])!r})"
+        )
+
+
+def _ks_deviation(index: np.ndarray, f: np.ndarray, count: int) -> float:
+    """Largest one-sided KS deviation at the sorted points with these 0-based
+    indices and cdf values."""
+    i = index + 1.0
+    return max((i / count - f).max(), (f - (i - 1.0) / count).max())
 
 
 def convolution_oracle_pdf(spec: SumSpec, x: float, tol: float = 1e-9) -> float:
@@ -163,8 +245,14 @@ def sample_sum(
         return float(sample_sum(spec, rng, size=1)[0])
     size = check_count(size, "size", 1)
     d = spec.dist
-    erlang_count = rng.binomial(spec.n, 1.0 - d.mixture_weight, size)
-    return rng.standard_gamma(spec.n + d.member.degree * erlang_count) / d.theta
+    # one array holds the shapes n + k*R, then the draws: no temporaries of
+    # the sample's size (the stream is unchanged)
+    draws = rng.binomial(spec.n, 1.0 - d.mixture_weight, size).astype(float)
+    draws *= d.member.degree
+    draws += spec.n
+    rng.standard_gamma(draws, out=draws)
+    draws /= d.theta
+    return draws
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ def test_checks_return_the_coerced_value():
 # the shared checks behind the size, point-count and time-span arguments
 COUNT_ROUTES = {
     "sample_sum size": (lambda v: sample_sum(SumSpec(DIST, 2), np.random.default_rng(1), v), 1),
+    "DistSpec.sample size": (lambda v: DIST.sample(np.random.default_rng(1), v), 1),
+    "DistSpec.sample size entry": (lambda v: DIST.sample(np.random.default_rng(1), (2, v)), 1),
     "reliability_curve points": (lambda v: reliability_curve([], 10.0, v), 2),
     "check_count": (lambda v: check_count(v, "decimals", 0), 0),
 }

@@ -74,6 +74,21 @@ class TestLindleyReliability:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "reliability",
+    [
+        lambda t: lindley_reliability(1.0, 3, t),
+        lambda t: exponential_reliability(1.0, 3, t),
+        lambda t: StandbyModel(DistSpec(LINDLEY, 1.0), 3).reliability(t),
+    ],
+    ids=["lindley_reliability", "exponential_reliability", "StandbyModel"],
+)
+def test_nan_and_infinite_times(reliability):
+    # every route: NaN at NaN (min(1.0, nan) would say 1.0) and 0 at +inf
+    assert math.isnan(reliability(math.nan))
+    assert reliability(math.inf) == 0.0
+
+
 class TestLindleyMttf:
     def test_exact_rationals(self):
         np.testing.assert_allclose(lindley_mttf(1.0, 1), 1.5, rtol=0)

@@ -25,6 +25,7 @@ from lindsum.validation import (
 
 
 _KS_BLOCK = lindsum.validation._KS_BLOCK
+_KS_RUN = lindsum.validation._KS_RUN
 
 
 def _one_pass_ks_distance(samples, cdf):
@@ -34,6 +35,23 @@ def _one_pass_ks_distance(samples, cdf):
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, count + 1, dtype=float)
     return float(max((i / count - f).max(), (f - (i - 1.0) / count).max()))
+
+
+def _binomial_gamma_reference(spec, rng, size):
+    # reference: the sampler's stream as one expression with its temporaries
+    d = spec.dist
+    erlang_count = rng.binomial(spec.n, 1.0 - d.mixture_weight, size)
+    return rng.standard_gamma(spec.n + d.member.degree * erlang_count) / d.theta
+
+
+def _uniform_cdf(x):
+    return np.clip(x, 0.0, 1.0)
+
+
+def _grid_sample(count=10 * _KS_RUN):
+    # sorted midpoints of [0, 1]: every run's bound beats the best deviation,
+    # so the cdf is evaluated at every point
+    return (np.arange(count) + 0.5) / count
 
 
 class TestKsStatistic:
@@ -77,8 +95,9 @@ class TestKsStatistic:
     @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "sorted"])
     @pytest.mark.parametrize(
         "count",
-        [1, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 3 * _KS_BLOCK + 7],
-        ids=["1", "B-1", "B", "B+1", "3B+7"],
+        [1, 2, _KS_RUN - 1, _KS_RUN, _KS_RUN + 1,
+         _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 3 * _KS_BLOCK + 7],
+        ids=["1", "2", "R-1", "R", "R+1", "B-1", "B", "B+1", "3B+7"],
     )
     def test_blocked_distance_equals_one_pass(self, count, presorted):
         spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
@@ -94,7 +113,70 @@ class TestKsStatistic:
         report = ks_statistic(samples, cdf)
         assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
         assert max(sizes) <= _KS_BLOCK
-        assert sum(sizes) == count
+        assert sum(sizes) <= count
+
+    def test_each_point_evaluated_at_most_once(self):
+        spec = SumSpec(DistSpec(LINDLEY, 2.0), 2)
+        samples = sample_sum(spec, np.random.default_rng(3), 3 * _KS_BLOCK + 7)
+        seen = []
+        ks_statistic(samples, lambda x: seen.append(x.copy()) or spec.cdf(x))
+        seen = np.concatenate(seen)
+        assert np.unique(seen).size == seen.size
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.zeros(50), np.ones(300), np.repeat([0.25, 0.5, 0.75], 200),
+         np.random.default_rng(2).integers(0, 10, 5000) / 10.0],
+        ids=["zeros", "ones", "three-values", "tenths"],
+    )
+    def test_ties_match_one_pass(self, samples):
+        report = ks_statistic(samples, _uniform_cdf)
+        assert report.ks_distance == _one_pass_ks_distance(samples, _uniform_cdf)
+
+    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
+    def test_verify_sample_needs_few_cdf_points(self, seed):
+        # the sample of the ks/ramawadh/n5 check: the exact distance from
+        # under 15% of the points
+        spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
+        samples = sample_sum(spec, np.random.default_rng(seed), 1_000_000)
+        sizes = []
+
+        def cdf(x):
+            sizes.append(x.size)
+            return spec.cdf(x)
+
+        report = ks_statistic(samples, cdf)
+        assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
+        assert max(sizes) <= _KS_BLOCK
+        assert sum(sizes) < 0.15 * samples.size
+
+    def test_decreasing_cdf_raises(self):
+        # run ends are evaluated first: 0, then 127
+        with pytest.raises(ArithmeticError, match="decreases .* sorted point 127 "):
+            ks_statistic(_grid_sample(), lambda x: 1.0 - x)
+
+    def test_decrease_inside_a_run_raises(self):
+        x = _grid_sample()
+        with pytest.raises(ArithmeticError, match="decreases .* sorted point 200 "):
+            ks_statistic(x, lambda t: np.where(t == x[200], t - 0.01, t))
+
+    def test_rounding_size_decrease_allowed(self):
+        x = _grid_sample()
+
+        def cdf(t):
+            return np.where(t == x[200], x[199] - 1e-13, t)
+
+        assert ks_statistic(x, cdf).ks_distance == _one_pass_ks_distance(x, cdf)
+
+    @pytest.mark.parametrize("where", [0, 200, 10 * _KS_RUN - 1])
+    def test_nan_cdf_raises(self, where):
+        x = _grid_sample()
+        with pytest.raises(ArithmeticError, match=f"NaN at sorted point {where} "):
+            ks_statistic(x, lambda t: np.where(t == x[where], math.nan, t))
+
+    def test_nan_sample_raises(self):
+        with pytest.raises(ArithmeticError, match="NaN at sorted point 1 "):
+            ks_statistic([math.nan, 0.5], _uniform_cdf)
 
 
 class TestConvolutionOracle:
@@ -143,6 +225,15 @@ class TestSampleSum:
     def test_nonnegative(self):
         draws = sample_sum(SumSpec(DistSpec(SHANKER, 2.0), 2), np.random.default_rng(3), 1000)
         assert np.all(draws >= 0.0)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_stream_matches_reference(self, member, n, theta):
+        spec = SumSpec(DistSpec(member, theta), n)
+        draws = sample_sum(spec, np.random.default_rng(n), 1000)
+        reference = _binomial_gamma_reference(spec, np.random.default_rng(n), 1000)
+        np.testing.assert_array_equal(draws, reference)
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 3])
@@ -201,6 +292,17 @@ class TestVerifyAll:
         )
         assert len(report.results) == 2
         assert report.all_passed
+
+    def test_nan_cdf_reports_error(self, monkeypatch):
+        # a cdf breakdown in the KS pass is an error record, not a NaN "fail"
+        monkeypatch.setattr(SumSpec, "cdf", lambda self, x: np.full(np.shape(x), math.nan))
+        report = verify_all(
+            VerifyConfig(members=("lindley",), only=("ks/lindley/n2",),
+                         sample_count=20_000, seeds=(7,))
+        )
+        (result,) = report.results
+        assert result.status == "error"
+        assert "cdf is NaN at sorted point 0" in result.detail
 
     def test_unconverged_quadrature_reports_error(self):
         # a tolerance below what adaptive quadrature can certify must surface
