@@ -230,12 +230,12 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check_id", "status", "value", "bound", "detail", "elapsed_s"])
-        for r in report.results:
-            writer.writerow(
-                [r.check_id, r.status, _fmt(r.value), _fmt(r.bound), r.detail, _fmt(r.elapsed_s)]
-            )
+        columns = ["check_id", "status", "value", "bound", "detail", "elapsed_s"]
+        rows = [
+            [r.check_id, r.status, r.value, r.bound, r.detail, r.elapsed_s]
+            for r in report.results
+        ]
+        _emit_table(columns, rows, "csv")
     else:
         for line in report.to_lines():
             print(line)

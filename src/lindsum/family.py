@@ -22,22 +22,23 @@ DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), s
 both are finite for every finite theta, and sum_mixture builds every such
 numerics.ErlangMixture from them.  The density, with its own norm_const, and the
 composition sampler stay independent of the mixture code they help check.
-check_positive and check_count are the one check of each kind of parameter (a
-positive finite real, a count with a lower bound); check_theta and check_n
-apply them to theta and n.
+check_positive and check_count (from numerics, re-exported here) are the one
+check of each kind of parameter (a positive finite real, a count with a lower
+bound); check_theta and check_n apply them to theta and n.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
+from .numerics import (
+    ErlangMixture, _pointwise, check_count, check_positive, ln_binomial, ln_factorial, logsumexp,
+)
 
 __all__ = [
     "AKASH",
@@ -97,24 +98,6 @@ def member_by_name(name: str) -> FamilyMember:
         known = ", ".join(m.name for m in MEMBERS)
         raise ValueError(f"unknown family member {name!r}; expected one of: {known}")
     return member
-
-
-def check_positive(value: float, name: str) -> float:
-    """value as a float if it is a positive finite real (not a bool); else ValueError."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def check_count(value: int, name: str, low: int) -> int:
-    """value as an int: TypeError unless an integer (numpy ones too; not a bool),
-    ValueError below low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return int(value)
 
 
 def check_theta(theta: float) -> float:

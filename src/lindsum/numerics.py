@@ -7,12 +7,15 @@ does.  The helpers here keep those combinations finite.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
-shared rate, and takes its density, tails, and moments here.
+shared rate, and takes its density, tails, and moments here.  The parameter
+checks check_positive and check_count live here too, so that ErlangMixture can
+use them (family, which re-exports them, imports this module).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +26,8 @@ __all__ = [
     "ErlangMixture",
     "QuadratureError",
     "QuadratureResult",
+    "check_count",
+    "check_positive",
     "integrate",
     "ln_binomial",
     "ln_factorial",
@@ -35,6 +40,24 @@ _LN_FACTORIALS = tuple(math.log(math.factorial(n)) for n in range(_EXACT_LIMIT +
 
 # QUADPACK refuses pure-relative requests below 50 * machine epsilon.
 _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
+
+
+def check_positive(value: float, name: str) -> float:
+    """value as a float if it is a positive finite real (not a bool); else ValueError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def check_count(value: int, name: str, low: int) -> int:
+    """value as an int: TypeError unless an integer (numpy ones too; not a bool),
+    ValueError below low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def ln_factorial(n: int) -> float:
@@ -191,8 +214,7 @@ class ErlangMixture:
 
     def moment(self, m: int) -> float:
         """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m)."""
-        if m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {m}")
+        m = check_count(m, "m", 0)
         terms = [
             math.log(w) + ln_factorial(s + m - 1) - ln_factorial(s - 1)
             for w, s in self.components
@@ -256,8 +278,8 @@ def integrate(
         raise ValueError(f"scale must be positive, got {scale}")
     if not math.isfinite(lower):
         raise ValueError("lower bound must be finite")
-    if upper < lower:
-        raise ValueError(f"upper bound {upper} is below lower bound {lower}")
+    if not upper >= lower:
+        raise ValueError(f"upper bound {upper} is NaN or below lower bound {lower}")
     if upper == lower:
         return QuadratureResult(0.0, 0.0, 0)
 

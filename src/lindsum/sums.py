@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .family import DistSpec, check_n
-from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, check_count, ln_binomial, ln_factorial, logsumexp
 
 __all__ = ["ErlangMixture", "SumSpec"]
 
@@ -79,8 +79,7 @@ class SumSpec:
         with p the exponential mixture weight and rho = (1-p)/p = k!/(alpha*theta^k).
         Kept separate from moment() as a cross-check of the same quantity.
         """
-        if m < 0:
-            raise ValueError(f"m must be a nonnegative integer, got {m}")
+        m = check_count(m, "m", 0)
         d, n = self.dist, self.n
         k = d.member.degree
         ln_p, ln_q = d.ln_weights

@@ -225,3 +225,5 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda x: x, -math.inf, 0.0)
+        with pytest.raises(ValueError, match="upper bound nan"):
+            integrate(lambda x: x, 0.0, math.nan)

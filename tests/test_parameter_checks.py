@@ -1,7 +1,7 @@
 """Every public constructor and function that takes theta or n checks it the
 same way: theta is a positive finite real, n an integer >= 1 (numpy integers
-included), and a bool is neither.  Sizes, point counts and time spans share
-the same two checks (check_count, check_positive)."""
+included), and a bool is neither.  Sizes, point counts, moment orders and time
+spans share the same two checks (check_count, check_positive)."""
 
 from __future__ import annotations
 
@@ -103,13 +103,15 @@ def test_checks_return_the_coerced_value():
     assert check_n(np.int64(4)) == 4 and type(check_n(np.int64(4))) is int
 
 
-# the shared checks behind the size, point-count and time-span arguments
+# the shared checks behind the size, point-count, moment-order and time-span arguments
 COUNT_ROUTES = {
     "sample_sum size": (lambda v: sample_sum(SumSpec(DIST, 2), np.random.default_rng(1), v), 1),
     "DistSpec.sample size": (lambda v: DIST.sample(np.random.default_rng(1), v), 1),
     "DistSpec.sample size entry": (lambda v: DIST.sample(np.random.default_rng(1), (2, v)), 1),
     "reliability_curve points": (lambda v: reliability_curve([], 10.0, v), 2),
     "check_count": (lambda v: check_count(v, "decimals", 0), 0),
+    "ErlangMixture.moment order": (lambda v: DIST.sum_mixture(2).moment(v), 0),
+    "SumSpec.moment_series order": (lambda v: SumSpec(DIST, 2).moment_series(v), 0),
 }
 
 
