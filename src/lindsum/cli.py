@@ -128,8 +128,8 @@ def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error(f"grid upper bound must exceed lower bound, got [{args.x_min}, {hi}]")
         grid = np.linspace(args.x_min, hi, args.points)
     rows = [
-        [float(x), spec.pdf(float(x)), float(spec.cdf(float(x))), float(spec.survival(float(x)))]
-        for x in grid
+        [float(x), spec.pdf(float(x)), float(cdf), float(survival)]
+        for x, cdf, survival in zip(grid, spec.cdf(grid), spec.survival(grid))
     ]
     _emit_table(["x", "pdf", "cdf", "survival"], rows, args.format)
     return 0

@@ -200,6 +200,8 @@ class DistSpec:
         if size is None:
             return float(self.sample(rng, size=1)[0])
         if isinstance(size, tuple):
+            if not size:
+                raise ValueError("size must be a nonempty tuple of counts, got ()")
             size = tuple(check_count(dim, "size", 1) for dim in size)
         else:
             size = check_count(size, "size", 1)

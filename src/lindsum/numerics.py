@@ -14,8 +14,11 @@ use them (family, which re-exports them, imports this module).
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
+import operator
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,8 +41,48 @@ __all__ = [
 _EXACT_LIMIT = 20
 _LN_FACTORIALS = tuple(math.log(math.factorial(n)) for n in range(_EXACT_LIMIT + 1))
 
-# QUADPACK refuses pure-relative requests below 50 * machine epsilon.
+# ln of the largest finite double: the moments past it raise OverflowError.
+_LN_DOUBLE_MAX = math.log(sys.float_info.max)
+
+# QUADPACK refuses pure-relative requests below 50 * machine epsilon, and
+# floors each rule's error estimate at that fraction of the integral of |f|.
 _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
+
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21), as rows of
+# (node x >= 0, Kronrod weight, Kronrod minus Gauss weight), outermost first.
+# The 10-point Gauss rule uses the 2nd, 4th, ..., 10th nodes; elsewhere its
+# weight is 0.  Mirrored below into aligned tuples over all 21 nodes.
+_GK21_HALF = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192,
+     0.011694638867371874278064396062192),
+    (0.973906528517171720077964012084452, 0.0325581623079647274788189724593899,
+     -0.0341131820007234101147498374339421),
+    (0.930157491355708226001207180059508, 0.0547558965743519960313813002445802,
+     0.0547558965743519960313813002445802),
+    (0.865063366688984510732096688423493, 0.0750396748109199527670431409161897,
+     -0.0744116743396606403787331987415073),
+    (0.780817726586416897063717578345043, 0.093125454583697605535065465083366,
+     0.093125454583697605535065465083366),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     -0.109699203713684402096324343902358),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074,
+     0.123491976262065851077958109831074),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     -0.134557501998523029163172919797762),
+    (0.294392862701460198131126603103865, 0.142775938577060080797094273138717,
+     0.142775938577060080797094273138717),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     -0.147785119813414378799051478679270),
+    (0.0, 0.149445554002916905664936468389821, 0.149445554002916905664936468389821),
+)
+# Narrower pieces, relative to their position, are not bisected: the outer
+# nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
+_NARROWEST = 1e3 * math.ulp(1.0)
+
+_NODES, _KRONROD, _KRONROD_MINUS_GAUSS = zip(*_GK21_HALF)
+_GK21_NODES = tuple(-x for x in _NODES[:-1]) + _NODES[::-1]
+_GK21_KRONROD = _KRONROD[:-1] + _KRONROD[::-1]
+_GK21_KRONROD_MINUS_GAUSS = _KRONROD_MINUS_GAUSS[:-1] + _KRONROD_MINUS_GAUSS[::-1]
 
 
 def check_positive(value: float, name: str) -> float:
@@ -220,7 +263,12 @@ class ErlangMixture:
             for w, s in self.components
             if w > 0.0
         ]
-        return math.exp(logsumexp(terms) - m * math.log(self.rate))
+        log_moment = logsumexp(terms) - m * math.log(self.rate)
+        if log_moment > _LN_DOUBLE_MAX:
+            raise OverflowError(
+                f"moment of order m={m} is about e^{log_moment:.6g}, beyond double range"
+            )
+        return math.exp(log_moment)
 
     def mean(self) -> float:
         return self.moment(1)
@@ -263,14 +311,17 @@ def integrate(
 ) -> QuadratureResult:
     """Adaptive quadrature of f over [lower, upper], upper may be +inf.
 
-    Uses interval bisection with an embedded high/low-order Gauss-Kronrod
-    pair, a subdivision budget of `limit` intervals, and a tolerance measured
-    against max(1, |integral|).  Infinite upper limits are mapped to [0, 1)
-    through x = lower + scale*u/(1-u); pass `scale` near the width of the
-    integrand's support so the initial rule sees the mass.  Raises
-    QuadratureError carrying the best estimate when the tolerance is not met
-    within the budget (tolerances much below 1e-13 are generally unattainable
-    in double precision).
+    Global adaptive 21-point Gauss-Kronrod quadrature (QUADPACK's qk21 rule
+    and error estimate, without qags' extrapolation): the interval with the
+    largest error estimate is bisected until the summed estimate is at most
+    max(tol, 50 eps) * |integral|, with at most `limit` intervals.  Infinite
+    upper limits are mapped to [0, 1) through x = lower + scale*u/(1-u);
+    pass `scale` near the width of the integrand's support so the initial
+    rule sees the mass.  Raises QuadratureError carrying the best estimate
+    when the budget runs out, or the worst interval is too narrow to bisect,
+    with the error estimate, measured against max(1, |integral|), above tol,
+    or when the value or the estimate is not finite (tolerances much below
+    1e-13 are generally unattainable in double precision).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -280,6 +331,7 @@ def integrate(
         raise ValueError("lower bound must be finite")
     if not upper >= lower:
         raise ValueError(f"upper bound {upper} is NaN or below lower bound {lower}")
+    limit = check_count(limit, "limit", 1)
     if upper == lower:
         return QuadratureResult(0.0, 0.0, 0)
 
@@ -292,23 +344,55 @@ def integrate(
     else:
         target, a, b = f, lower, upper
 
-    # scipy costs more to import than the rest of the package together, and
-    # only the quadrature oracles need it
-    from scipy import integrate as _quadpack
+    # a heap of (-error, left, right, value) pieces; bisect the worst until the
+    # running sums meet the tolerance (a NaN sum stops the loop, and raises below)
+    epsrel = max(tol, _EPSREL_FLOOR)
+    value, error = _gk21(target, a, b)
+    pieces = [(-error, a, b, value)]
+    narrow = False
+    while error > epsrel * abs(value) and len(pieces) < limit:
+        worst, left, right, piece = pieces[0]
+        narrow = right - left < _NARROWEST * max(abs(left), abs(right))
+        if narrow:
+            break
+        heapq.heappop(pieces)
+        mid = 0.5 * (left + right)
+        value_left, error_left = _gk21(target, left, mid)
+        value_right, error_right = _gk21(target, mid, right)
+        heapq.heappush(pieces, (-error_left, left, mid, value_left))
+        heapq.heappush(pieces, (-error_right, mid, right, value_right))
+        value += value_left + value_right - piece
+        error += error_left + error_right + worst
 
-    out = _quadpack.quad(
-        target, a, b,
-        epsabs=0.0,
-        epsrel=max(tol, _EPSREL_FLOOR),
-        limit=limit,
-        full_output=1,
-    )
-    value, abserr, info = float(out[0]), float(out[1]), out[2]
-    scaled_err = abserr / max(1.0, abs(value))
-    result = QuadratureResult(value, scaled_err, int(info["neval"]))
-    if len(out) > 3 or scaled_err > tol:
-        reason = str(out[3]).splitlines()[0] if len(out) > 3 else (
-            f"error estimate {scaled_err:.3g} exceeds tolerance {tol:.3g}"
+    value = math.fsum(p[3] for p in pieces)
+    scaled_err = math.fsum(-p[0] for p in pieces) / max(1.0, abs(value))
+    result = QuadratureResult(value, scaled_err, 21 * (2 * len(pieces) - 1))
+    if not (math.isfinite(value) and math.isfinite(scaled_err)):
+        raise QuadratureError(
+            f"quadrature did not converge: value {value!r} or error estimate "
+            f"{scaled_err!r} is not finite", result
         )
-        raise QuadratureError(f"quadrature did not converge: {reason}", result)
+    if scaled_err > tol:
+        raise QuadratureError(
+            f"quadrature did not converge: error estimate {scaled_err:.3g} exceeds "
+            f"tolerance {tol:.3g} with {len(pieces)} of at most {limit} intervals"
+            + ("; the worst interval is too narrow to bisect" if narrow else ""),
+            result,
+        )
     return result
+
+
+def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """QUADPACK's qk21 on [a, b]: the 21-point Kronrod value and its error
+    estimate, resasc * min(1, (200 |K21 - G10| / resasc)^1.5), floored at
+    50 eps * resabs (resabs the rule applied to |f|, resasc to |f - mean|)."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = [f(centre + half * x) for x in _GK21_NODES]
+    kronrod = sum(map(operator.mul, _GK21_KRONROD, values))
+    mean = 0.5 * kronrod
+    resabs = sum(map(operator.mul, _GK21_KRONROD, map(abs, values))) * half
+    resasc = sum(map(operator.mul, _GK21_KRONROD, [abs(v - mean) for v in values])) * half
+    error = abs(sum(map(operator.mul, _GK21_KRONROD_MINUS_GAUSS, values)) * half)
+    if resasc != 0.0 and error != 0.0:
+        error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
+    return kronrod * half, max(error, _EPSREL_FLOOR * resabs)

@@ -121,7 +121,9 @@ def ks_statistic(
         raise ValueError("samples must be nonempty")
     lo = np.arange(0, count, _KS_RUN)
     hi = np.minimum(lo + _KS_RUN, count) - 1
-    ends = np.unique(np.concatenate((lo, hi)))
+    # lo and hi interleaved, less the repeat of a one-point last run
+    ends = np.column_stack((lo, hi)).reshape(-1)
+    ends = ends[np.r_[True, ends[1:] != ends[:-1]]]
     f_ends = _cdf_at(cdf, x, ends)
     _check_nondecreasing(x, ends, f_ends)
     best = _ks_deviation(ends, f_ends, count)

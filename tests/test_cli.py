@@ -336,7 +336,8 @@ class TestTopLevel:
 
 
 class TestImportCost:
-    """scipy is loaded only by the quadrature oracles, never at import."""
+    """No route loads scipy: not the import, not mttf, and not the quadrature
+    behind moments --verify."""
 
     @staticmethod
     def _run(code):
@@ -366,7 +367,7 @@ class TestImportCost:
         )
         assert self._run(code) == "False"
 
-    def test_moments_verify_loads_scipy(self):
+    def test_moments_verify_runs_without_scipy(self):
         code = (
             "import contextlib, io\n"
             "from lindsum.cli import main\n"
@@ -374,4 +375,4 @@ class TestImportCost:
             "    assert main(['moments', '--dist', 'ramawadh', '--theta', '1', '--n', '5',"
             " '--verify']) == 0"
         )
-        assert self._run(code) == "True"
+        assert self._run(code) == "False"

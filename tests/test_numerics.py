@@ -1,17 +1,22 @@
 """Tests for the log-space primitives, the Erlang(n) tail (through its one
-route, ExponentialStandby, and exponential_reliability, which calls it), and
-the adaptive quadrature wrapper."""
+route, ExponentialStandby, and exponential_reliability, which calls it), the
+Erlang-mixture moments, and the adaptive Gauss-Kronrod quadrature."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaincc
 
+from lindsum.family import AKASH, LINDLEY, DistSpec
 from lindsum.numerics import (
+    _GK21_KRONROD,
+    _GK21_KRONROD_MINUS_GAUSS,
+    _GK21_NODES,
     QuadratureError,
     integrate,
     ln_binomial,
@@ -216,7 +221,19 @@ class TestIntegrate:
         assert math.isfinite(best.value)
         assert best.evaluations > 0
 
+    def test_nan_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="not finite") as excinfo:
+            integrate(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
+        assert excinfo.value.best.evaluations > 0
+
+    def test_divergent_tail_raises(self):
+        # the error piles up at u -> 1 until the worst piece cannot be bisected
+        with pytest.raises(QuadratureError, match="too narrow to bisect"):
+            integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
+
     def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, 0.0, 1.0, limit=0)
         with pytest.raises(ValueError):
             integrate(lambda x: x, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
@@ -227,3 +244,76 @@ class TestIntegrate:
             integrate(lambda x: x, -math.inf, 0.0)
         with pytest.raises(ValueError, match="upper bound nan"):
             integrate(lambda x: x, 0.0, math.nan)
+
+
+class TestGaussKronrodRule:
+    def test_gauss_nodes_and_weights_match_leggauss(self):
+        gauss = [
+            (x, k - d)
+            for x, k, d in zip(_GK21_NODES, _GK21_KRONROD, _GK21_KRONROD_MINUS_GAUSS)
+            if k != d
+        ]
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose([x for x, _ in gauss], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([w for _, w in gauss], weights, rtol=0, atol=1e-15)
+
+    def test_kronrod_rule_exact_through_degree_31(self):
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            value = math.fsum(w * x**d for w, x in zip(_GK21_KRONROD, _GK21_NODES))
+            assert abs(value - exact) <= 1e-14, d
+
+
+class TestIntegrateAgainstMpmath:
+    """integrate against mpmath.quad at 30 digits, to 1e-12 relative."""
+
+    def test_gamma_integrals(self):
+        with mpmath.workdps(30):
+            for k in range(11):
+                for theta in (0.5, 1.0, 2.0):
+                    result = integrate(
+                        lambda x: x**k * math.exp(-theta * x),
+                        0.0,
+                        math.inf,
+                        1e-13,
+                        scale=(k + 1) / theta,
+                    )
+                    reference = mpmath.quad(
+                        lambda x: x**k * mpmath.exp(-theta * x), [0, mpmath.inf]
+                    )
+                    np.testing.assert_allclose(result.value, float(reference), rtol=1e-12)
+
+    def test_remote_gaussian_bump(self):
+        center, width = 300.0, 5.0
+
+        def bump(x: float) -> float:
+            z = (x - center) / width
+            return math.exp(-0.5 * z * z) / (width * math.sqrt(2.0 * math.pi))
+
+        with mpmath.workdps(30):
+            reference = mpmath.quad(
+                lambda x: mpmath.npdf(x, center, width),
+                [0, center - 10 * width, center, center + 10 * width, mpmath.inf],
+            )
+        result = integrate(bump, 0.0, math.inf, 1e-13, scale=center)
+        np.testing.assert_allclose(result.value, float(reference), rtol=1e-12)
+
+    def test_two_fold_convolution(self):
+        # f * f at x for the Akash density theta^3 / (theta^2 + 2) (1 + u^2) e^{-theta u}
+        theta, x = 0.7, 6.5
+        dist = DistSpec(AKASH, theta)
+
+        def akash(u):
+            return theta**3 / (theta**2 + 2) * (1 + u * u) * mpmath.exp(-theta * u)
+
+        with mpmath.workdps(30):
+            reference = mpmath.quad(lambda u: akash(u) * akash(x - u), [0, x])
+        result = integrate(lambda u: dist.pdf(u) * dist.pdf(x - u), 0.0, x, 1e-13)
+        np.testing.assert_allclose(result.value, float(reference), rtol=1e-12)
+
+
+def test_mixture_moment_beyond_double_range_names_the_order():
+    mixture = DistSpec(LINDLEY, 1.0).sum_mixture(2)
+    assert math.isfinite(mixture.moment(150))
+    with pytest.raises(OverflowError, match="m=200.*beyond double range"):
+        mixture.moment(200)

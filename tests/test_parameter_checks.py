@@ -131,6 +131,11 @@ def test_count_below_its_bound_is_a_value_error(route):
     call(np.int64(low + 1))
 
 
+def test_empty_size_tuple_is_a_value_error():
+    with pytest.raises(ValueError, match="nonempty tuple"):
+        DIST.sample(np.random.default_rng(1), ())
+
+
 @pytest.mark.parametrize("t_max", [True, False, 0.0, -1.0, math.nan, math.inf, "1"])
 def test_curve_span_is_a_positive_finite_real(t_max):
     with pytest.raises(ValueError, match="t_max must be a positive finite number"):
