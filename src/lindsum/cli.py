@@ -2,9 +2,10 @@
 reproducible sampling, and the self-verification suite.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 when
-a verification fails, 2 on usage errors.  CSV output uses a header row, comma
-delimiter, '.' decimal separator, LF line endings, and 17 significant digits,
-so values round-trip exactly through float parsing.
+a verification fails, 2 on usage errors and on results outside double range.
+CSV output uses a header row, comma delimiter, '.' decimal separator, LF line
+endings, and 17 significant digits, so values round-trip exactly through float
+parsing; JSON writes non-finite values as null.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ def _emit_table(
     fmt: str,
     decimals: int | None = None,
 ) -> None:
-    """Write a table of str or float cells as csv, json, or aligned plain text."""
+    """Write a table of str or float cells as csv, json (non-finite floats as
+    null), or aligned plain text."""
     if fmt == "json":
         records = [
-            {col: (cell if isinstance(cell, str) else float(cell)) for col, cell in zip(columns, row)}
+            {
+                col: cell if isinstance(cell, str) else float(cell) if math.isfinite(cell) else None
+                for col, cell in zip(columns, row)
+            }
             for row in rows
         ]
         print(json.dumps(records, indent=2))
@@ -218,27 +223,19 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     members = tuple(m.name for m in args.member) if args.member else None
     only = tuple(args.only.split(",")) if args.only else None
-    config = VerifyConfig(
-        members=members,
-        only=only,
-        quad_tol=args.quad_tol,
-        sample_count=args.samples,
-    )
-    report = verify_all(config)
+    report = verify_all(VerifyConfig(members=members, only=only, sample_count=args.samples))
     if not report.results:
         parser.error(f"--only {args.only!r} matched no checks")
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
+    if args.format == "plain":
+        for line in report.to_lines():
+            print(line)
+    else:
         columns = ["check_id", "status", "value", "bound", "detail", "elapsed_s"]
         rows = [
             [r.check_id, r.status, r.value, r.bound, r.detail, r.elapsed_s]
             for r in report.results
         ]
-        _emit_table(columns, rows, "csv")
-    else:
-        for line in report.to_lines():
-            print(line)
+        _emit_table(columns, rows, args.format)
     if not report.all_passed:
         failed = sum(1 for r in report.results if r.status != "pass")
         print(f"{failed} of {len(report.results)} checks did not pass", file=sys.stderr)
@@ -366,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--samples", type=_COUNT, default=1_000_000, help="Monte Carlo sample count (default 1e6)"
     )
-    verify.add_argument(
-        "--quad-tol", type=_POSITIVE, default=1e-10, help="quadrature tolerance (default 1e-10)"
-    )
     _add_format(verify, default="plain")
     verify.set_defaults(func=cmd_verify)
 
@@ -378,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ArithmeticError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,8 +41,10 @@ __all__ = [
 _EXACT_LIMIT = 20
 _LN_FACTORIALS = tuple(math.log(math.factorial(n)) for n in range(_EXACT_LIMIT + 1))
 
-# ln of the largest finite double: the moments past it raise OverflowError.
+# ln of the largest finite and of the smallest normal double: the moments past
+# them raise OverflowError and ArithmeticError.
 _LN_DOUBLE_MAX = math.log(sys.float_info.max)
+_LN_DOUBLE_MIN = math.log(sys.float_info.min)
 
 # QUADPACK refuses pure-relative requests below 50 * machine epsilon, and
 # floors each rule's error estimate at that fraction of the integral of |f|.
@@ -267,6 +269,10 @@ class ErlangMixture:
         if log_moment > _LN_DOUBLE_MAX:
             raise OverflowError(
                 f"moment of order m={m} is about e^{log_moment:.6g}, beyond double range"
+            )
+        if log_moment < _LN_DOUBLE_MIN:
+            raise ArithmeticError(
+                f"moment of order m={m} is about e^{log_moment:.6g}, below double range"
             )
         return math.exp(log_moment)
 

@@ -74,7 +74,7 @@ def lindley_mttf(theta: float, n: int) -> float:
     """Closed-form MTTF n(2+theta)/(theta(1+theta)) for Lindley components."""
     theta, n = check_theta(theta), check_n(n)
     # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154
-    return n * (2.0 + theta) / theta / (1.0 + theta)
+    return _finite_mttf(n * (2.0 + theta) / theta / (1.0 + theta), theta, n)
 
 
 def exponential_reliability(theta: float, n: int, t: float) -> float:
@@ -90,7 +90,13 @@ def exponential_reliability(theta: float, n: int, t: float) -> float:
 def exponential_mttf(theta: float, n: int) -> float:
     """MTTF n/theta for exponential components."""
     theta, n = check_theta(theta), check_n(n)
-    return n / theta
+    return _finite_mttf(n / theta, theta, n)
+
+
+def _finite_mttf(mttf: float, theta: float, n: int) -> float:
+    if mttf == math.inf:
+        raise OverflowError(f"MTTF at theta={theta!r}, n={n} is beyond double range")
+    return mttf
 
 
 @dataclass(frozen=True)

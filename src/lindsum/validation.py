@@ -15,7 +15,6 @@ being silently swallowed.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable, Sequence
@@ -53,10 +52,6 @@ KS_99_COEFFICIENT = 1.63
 
 # Documented fixed seeds for the reproducible Monte Carlo checks.
 DEFAULT_SEEDS = (7, 19, 37)
-
-# Sorted points per cdf call in ks_statistic: small enough that the cdf's
-# temporaries (one array per Erlang shape swept) stay in cache.
-_KS_BLOCK = 16384
 
 # Sorted points per run in ks_statistic's pruning, and the slack that covers
 # the cdf's rounding when a run is bounded by its endpoints.
@@ -110,10 +105,10 @@ def ks_statistic(
     and each point is evaluated at most once.  samples of any shape are
     taken flattened.
 
-    cdf must be elementwise: it is called on sorted points, at most
-    _KS_BLOCK per call, and must return one value per point.  A NaN value,
-    or one below the evaluated value before it by more than _KS_SLACK,
-    raises ArithmeticError.
+    cdf must be elementwise: it is called twice, on sorted points (the run
+    ends, then the opened interiors, possibly none), and must return one value
+    per point.  A NaN value, or one below the evaluated value before it by
+    more than _KS_SLACK, raises ArithmeticError.
     """
     x = np.sort(np.asarray(samples, dtype=float), axis=None)
     count = x.size
@@ -148,12 +143,8 @@ def ks_statistic(
 def _cdf_at(
     cdf: Callable[[np.ndarray], np.ndarray], x: np.ndarray, index: np.ndarray
 ) -> np.ndarray:
-    """cdf at the sorted points x[index], at most _KS_BLOCK per call;
-    ArithmeticError at a NaN value."""
-    f = np.empty(index.size)
-    for start in range(0, index.size, _KS_BLOCK):
-        part = index[start:start + _KS_BLOCK]
-        f[start:start + part.size] = cdf(x[part])
+    """cdf at the sorted points x[index] in one call; ArithmeticError at a NaN value."""
+    f = np.asarray(cdf(x[index]), dtype=float)
     nan = np.flatnonzero(np.isnan(f))
     if nan.size:
         k = index[nan[0]]
@@ -244,8 +235,13 @@ class VerifyConfig:
 
     members: tuple[str, ...] | None = None
     only: tuple[str, ...] | None = None
-    quad_tol: float = 1e-10
     sample_count: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        for name in ("members", "only"):
+            if isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a sequence of strings, not a bare str")
+        object.__setattr__(self, "sample_count", check_count(self.sample_count, "sample_count", 1))
 
 
 @dataclass(frozen=True)
@@ -280,20 +276,6 @@ class VerificationReport:
                 f"value={r.value:.6g} bound={r.bound:.6g} elapsed={r.elapsed_s:.3g}s{suffix}"
             )
         return lines
-
-    def to_json(self) -> str:
-        records = [
-            {
-                "check_id": r.check_id,
-                "status": r.status,
-                "value": r.value if math.isfinite(r.value) else None,
-                "bound": r.bound if math.isfinite(r.bound) else None,
-                "detail": r.detail,
-                "elapsed_s": r.elapsed_s,
-            }
-            for r in self.results
-        ]
-        return json.dumps(records, indent=2)
 
 
 def _sum_scale(spec: SumSpec) -> float:
@@ -337,17 +319,13 @@ def _check_dual_tail() -> tuple[float, float]:
     return worst, 1e-10
 
 
-def _check_dual_mttf(quad_tol: float) -> tuple[float, float]:
+def _check_dual_mttf() -> tuple[float, float]:
     worst = 0.0
     for theta in _STANDBY_THETAS:
         for n in range(1, 6):
             closed = lindley_mttf(theta, n)
             numeric = integrate(
-                lambda t: lindley_reliability(theta, n, t),
-                0.0,
-                math.inf,
-                max(quad_tol, 1e-12),
-                scale=closed,
+                lambda t: lindley_reliability(theta, n, t), 0.0, math.inf, scale=closed
             ).value
             worst = max(worst, abs(numeric - closed) / closed)
     return worst, 1e-6
@@ -375,15 +353,15 @@ def _convolution_error(spec: SumSpec) -> float:
     )
 
 
-def _mass_error(spec: SumSpec, quad_tol: float) -> float:
-    return abs(integrate(spec.pdf, 0.0, math.inf, quad_tol, scale=_sum_scale(spec)).value - 1.0)
+def _mass_error(spec: SumSpec) -> float:
+    return abs(integrate(spec.pdf, 0.0, math.inf, scale=_sum_scale(spec)).value - 1.0)
 
 
-def _moment_error(spec: SumSpec, quad_tol: float) -> float:
-    tol, scale = max(quad_tol, 1e-11), _sum_scale(spec)
+def _moment_error(spec: SumSpec) -> float:
+    scale = _sum_scale(spec)
     return max(
         _relative_error(
-            integrate(lambda x: x**m * spec.pdf(x), 0.0, math.inf, tol, scale=scale).value,
+            integrate(lambda x: x**m * spec.pdf(x), 0.0, math.inf, scale=scale).value,
             spec.moment(m),
         )
         for m in range(1, 5)
@@ -434,7 +412,7 @@ def _monte_carlo(
     if key not in memo:
         spec = SumSpec(DistSpec(member, _MC_THETA), n)
         exact = {m: spec.moment(m) for m in range(1, 5)}
-        worst_ks = worst_z = 0.0
+        worst_ks = worst_z = band = 0.0
         for seed in DEFAULT_SEEDS:
             rng = np.random.default_rng(seed)
             samples = sample_sum(spec, rng, cfg.sample_count)
@@ -443,15 +421,16 @@ def _monte_carlo(
                 se = math.sqrt((exact[2 * m] - exact[m] ** 2) / cfg.sample_count)
                 z = abs(float(powered.mean()) - exact[m]) / se
                 worst_z = max(worst_z, z)
-            worst_ks = max(worst_ks, ks_statistic(samples, spec.cdf).ks_distance)
+            ks = ks_statistic(samples, spec.cdf)
+            worst_ks, band = max(worst_ks, ks.ks_distance), ks.threshold
         memo[key] = {
-            "ks": (worst_ks, KS_99_COEFFICIENT / math.sqrt(cfg.sample_count)),
+            "ks": (worst_ks, band),
             "mc-moments": (worst_z, 4.0),
         }
     return memo[key][kind]
 
 
-def _check_stability(quad_tol: float) -> tuple[float, float]:
+def _check_stability() -> tuple[float, float]:
     spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
     grid = np.linspace(0.0, 500.0, 1001)[1:]
     densities = np.asarray(spec.pdf(grid), dtype=float)
@@ -460,7 +439,7 @@ def _check_stability(quad_tol: float) -> tuple[float, float]:
         raise ArithmeticError("non-finite density or survival value in the deep-sum regime")
     if np.any(densities < 0.0):
         raise ArithmeticError("negative density value in the deep-sum regime")
-    return _mass_error(spec, quad_tol), 1e-6
+    return _mass_error(spec), 1e-6
 
 
 def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[float, float]]]]:
@@ -472,8 +451,8 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
     # (id prefix, n values, worst error of one sum, bound) of each per-member check
     per_member = (
         ("convolution", _ORACLE_NS, _convolution_error, 1e-6),
-        ("normalization", _SUM_NS, lambda spec: _mass_error(spec, cfg.quad_tol), 1e-8),
-        ("moments", _SUM_NS, lambda spec: _moment_error(spec, cfg.quad_tol), 1e-6),
+        ("normalization", _SUM_NS, _mass_error, 1e-8),
+        ("moments", _SUM_NS, _moment_error, 1e-6),
         ("moment-forms", range(1, 6), _moment_form_error, 1e-10),
     )
     # shared by the ks/* and mc-moments/* checks of this registry only
@@ -484,7 +463,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
     ]
     registry.append(("dominance", _check_dominance))
     registry.append(("lindley-dual/tail", _check_dual_tail))
-    registry.append(("lindley-dual/mttf", lambda: _check_dual_mttf(cfg.quad_tol)))
+    registry.append(("lindley-dual/mttf", _check_dual_mttf))
     for member in members:
         lower = member.name.lower()
         for prefix, ns, measure, bound in per_member:
@@ -497,7 +476,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
                     (f"{kind}/{lower}/n{units}",
                      partial(_monte_carlo, member, units, cfg, monte_carlo, kind))
                 )
-    registry.append(("stability", lambda: _check_stability(cfg.quad_tol)))
+    registry.append(("stability", _check_stability))
     registry.append(
         ("reductions/pdf", partial(_worst_over_specs, MEMBERS, (1,), _single_term_error, 1e-12))
     )

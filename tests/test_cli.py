@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -284,19 +285,14 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == 1 and "moment-forms/ishita" in lines[0]
 
-    def test_unconverged_oracle_exits_1(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["verify", "--only", "normalization/lindley", "--quad-tol", "1e-15"],
-        )
+    def test_unconverged_oracle_exits_1(self, capsys, unconverged_quadrature):
+        code, out, _ = run_cli(capsys, ["verify", "--only", "normalization/lindley"])
         assert code == 1
         assert out.splitlines()[0].startswith("ERROR")
 
-    def test_csv_carries_error_detail(self, capsys):
+    def test_csv_carries_error_detail(self, capsys, unconverged_quadrature):
         code, out, _ = run_cli(
-            capsys,
-            ["verify", "--only", "normalization/lindley", "--quad-tol", "1e-15",
-             "--format", "csv"],
+            capsys, ["verify", "--only", "normalization/lindley", "--format", "csv"]
         )
         assert code == 1
         (record,) = csv.DictReader(io.StringIO(out))
@@ -333,6 +329,23 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         run_cli_expecting_usage_error(capsys, ["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mttf", "--theta", "1e-308", "--dist", "lindley"], "beyond double range"),
+            (["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "200"],
+             "m=169 .* beyond double range"),
+            (["moments", "--dist", "lindley", "--theta", "1e200", "--n", "3", "--verify"],
+             "m=2 .* below double range"),
+        ],
+        ids=["mttf-overflow", "moment-overflow", "moment-underflow"],
+    )
+    def test_result_outside_double_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert re.search(f"^lindsum {argv[0]}: error: .*{message}", err)
 
 
 class TestImportCost:

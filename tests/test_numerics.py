@@ -317,3 +317,11 @@ def test_mixture_moment_beyond_double_range_names_the_order():
     assert math.isfinite(mixture.moment(150))
     with pytest.raises(OverflowError, match="m=200.*beyond double range"):
         mixture.moment(200)
+
+
+def test_mixture_moment_below_double_range_names_the_order():
+    # the third moment of a 3-fold sum at theta = 1e150 is about 1e-448
+    mixture = DistSpec(LINDLEY, 1e150).sum_mixture(3)
+    assert mixture.moment(2) > 0.0
+    with pytest.raises(ArithmeticError, match="m=3.*below double range"):
+        mixture.moment(3)

@@ -29,7 +29,7 @@ from lindsum.reliability import (
     reliability_curve,
 )
 from lindsum.sums import SumSpec
-from lindsum.validation import sample_sum
+from lindsum.validation import VerifyConfig, sample_sum
 
 DIST = DistSpec(RANI, 1.5)
 
@@ -112,6 +112,7 @@ COUNT_ROUTES = {
     "check_count": (lambda v: check_count(v, "decimals", 0), 0),
     "ErlangMixture.moment order": (lambda v: DIST.sum_mixture(2).moment(v), 0),
     "SumSpec.moment_series order": (lambda v: SumSpec(DIST, 2).moment_series(v), 0),
+    "VerifyConfig sample_count": (lambda v: VerifyConfig(sample_count=v), 1),
 }
 
 
@@ -129,6 +130,14 @@ def test_count_below_its_bound_is_a_value_error(route):
     with pytest.raises(ValueError, match=f">= {low}"):
         call(low - 1)
     call(np.int64(low + 1))
+
+
+@pytest.mark.parametrize("field", ["members", "only"])
+def test_verify_config_bare_str_is_a_type_error(field):
+    # a bare "ks" would be taken as the prefixes "k" and "s"
+    with pytest.raises(TypeError, match=f"{field} must be a sequence of strings"):
+        VerifyConfig(**{field: "ks"})
+    assert getattr(VerifyConfig(**{field: ("ks",)}), field) == ("ks",)
 
 
 def test_empty_size_tuple_is_a_value_error():

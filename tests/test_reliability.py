@@ -162,6 +162,31 @@ class TestLindleyClosedFormsAcrossTheta:
         np.testing.assert_allclose(lindley_reliability(1e200, 5, 1e-200), 0.99634, rtol=1e-5)
         np.testing.assert_allclose(lindley_mttf(1e200, 5), 5e-200, rtol=1e-14)
 
+    def test_mttf_routes_agree_near_the_top_of_double_range(self):
+        # about 1e301 at theta = 1e-300; as theta -> 0 the Lindley MTTF tends to
+        # twice the exponential one
+        theta = 1e-300
+        routes = (
+            lindley_mttf(theta, 5),
+            StandbyModel(DistSpec(LINDLEY, theta), 5).mttf(),
+            2.0 * exponential_mttf(theta, 5),
+        )
+        assert all(math.isfinite(mttf) for mttf in routes)
+        np.testing.assert_allclose(routes[1:], routes[0], rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "mttf",
+        [
+            lambda theta: lindley_mttf(theta, 5),
+            lambda theta: exponential_mttf(theta, 5),
+            lambda theta: StandbyModel(DistSpec(LINDLEY, theta), 5).mttf(),
+        ],
+        ids=["lindley_mttf", "exponential_mttf", "StandbyModel"],
+    )
+    def test_mttf_beyond_double_range_raises(self, mttf):
+        with pytest.raises(OverflowError, match="beyond double range"):
+            mttf(1e-308)
+
 
 class TestExponentialStandbyFunctions:
     def test_single_unit_is_pure_exponential(self):

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import lindsum.validation
+from lindsum.cli import main
 from lindsum.family import LINDLEY, MEMBERS, RAM_AWADH, SHANKER, DistSpec
 from lindsum.sums import SumSpec
 from lindsum.validation import (
@@ -24,7 +25,6 @@ from lindsum.validation import (
 )
 
 
-_KS_BLOCK = lindsum.validation._KS_BLOCK
 _KS_RUN = lindsum.validation._KS_RUN
 
 
@@ -93,10 +93,10 @@ class TestKsStatistic:
         assert a == b
 
     @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "sorted"])
+    # B = 16384 = 2**14: sizes around a power of two and three times it
     @pytest.mark.parametrize(
         "count",
-        [1, 2, _KS_RUN - 1, _KS_RUN, _KS_RUN + 1,
-         _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 3 * _KS_BLOCK + 7],
+        [1, 2, _KS_RUN - 1, _KS_RUN, _KS_RUN + 1, 16383, 16384, 16385, 49159],
         ids=["1", "2", "R-1", "R", "R+1", "B-1", "B", "B+1", "3B+7"],
     )
     def test_blocked_distance_equals_one_pass(self, count, presorted):
@@ -112,7 +112,7 @@ class TestKsStatistic:
 
         report = ks_statistic(samples, cdf)
         assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
-        assert max(sizes) <= _KS_BLOCK
+        assert len(sizes) <= 2
         assert sum(sizes) <= count
 
     def test_sample_of_any_shape_is_flattened(self):
@@ -122,7 +122,7 @@ class TestKsStatistic:
 
     def test_each_point_evaluated_at_most_once(self):
         spec = SumSpec(DistSpec(LINDLEY, 2.0), 2)
-        samples = sample_sum(spec, np.random.default_rng(3), 3 * _KS_BLOCK + 7)
+        samples = sample_sum(spec, np.random.default_rng(3), 49159)
         seen = []
         ks_statistic(samples, lambda x: seen.append(x.copy()) or spec.cdf(x))
         seen = np.concatenate(seen)
@@ -152,7 +152,7 @@ class TestKsStatistic:
 
         report = ks_statistic(samples, cdf)
         assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
-        assert max(sizes) <= _KS_BLOCK
+        assert len(sizes) <= 2
         assert sum(sizes) < 0.15 * samples.size
 
     def test_decreasing_cdf_raises(self):
@@ -307,12 +307,10 @@ class TestVerifyAll:
         assert result.status == "error"
         assert "cdf is NaN at sorted point 0" in result.detail
 
-    def test_unconverged_quadrature_reports_error(self):
-        # a tolerance below what adaptive quadrature can certify must surface
-        # as an explicit error record, never as a silent pass
-        report = verify_all(
-            VerifyConfig(only=("normalization/lindley",), quad_tol=1e-15)
-        )
+    def test_unconverged_quadrature_reports_error(self, unconverged_quadrature):
+        # quadrature that cannot meet its tolerance must surface as an
+        # explicit error record, never as a silent pass
+        report = verify_all(VerifyConfig(only=("normalization/lindley",)))
         (result,) = report.results
         assert result.status == "error"
         assert not report.all_passed
@@ -379,29 +377,26 @@ class TestVerifyAll:
         assert lines[0].startswith("PASS ") and "mttf-reference/lindley" in lines[0]
         assert "value=" in lines[0] and "bound=" in lines[0]
 
-    def test_to_json_round_trip(self):
-        report = verify_all(VerifyConfig(only=("reductions",)))
-        records = json.loads(report.to_json())
+    def test_json_round_trip(self, capsys):
+        assert main(["verify", "--only", "reductions", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
         assert [r["check_id"] for r in records] == ["reductions/pdf", "reductions/weights"]
         for record in records:
             assert set(record) == {"check_id", "status", "value", "bound", "detail", "elapsed_s"}
             assert record["status"] == "pass"
             assert record["elapsed_s"] >= 0.0
 
-    def test_json_error_record_carries_detail(self):
-        report = verify_all(
-            VerifyConfig(only=("normalization/lindley",), quad_tol=1e-15)
-        )
-        (record,) = json.loads(report.to_json())
+    def test_json_error_record_carries_detail(self, capsys, unconverged_quadrature):
+        report = verify_all(VerifyConfig(only=("normalization/lindley",)))
+        assert main(["verify", "--only", "normalization/lindley", "--format", "json"]) == 1
+        (record,) = json.loads(capsys.readouterr().out)
         assert record["status"] == "error"
         assert record["detail"] != ""
         assert record["detail"] == report.results[0].detail
 
-    def test_json_uses_null_for_non_finite(self):
-        report = verify_all(
-            VerifyConfig(only=("normalization/lindley",), quad_tol=1e-15)
-        )
-        (record,) = json.loads(report.to_json())
+    def test_json_uses_null_for_non_finite(self, capsys, unconverged_quadrature):
+        assert main(["verify", "--only", "normalization/lindley", "--format", "json"]) == 1
+        (record,) = json.loads(capsys.readouterr().out)
         assert record["status"] == "error"
         assert record["bound"] is None
 
