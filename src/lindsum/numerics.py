@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21), as rows of
 # (node x >= 0, Kronrod weight, Kronrod minus Gauss weight), outermost first.
 # The 10-point Gauss rule uses the 2nd, 4th, ..., 10th nodes; elsewhere its
-# weight is 0.  Mirrored below into aligned tuples over all 21 nodes.
+# weight is 0.  Mirrored below into aligned arrays over all 21 nodes.
 _GK21_HALF = (
     (0.995657163025808080735527280689003, 0.011694638867371874278064396062192,
      0.011694638867371874278064396062192),
@@ -81,10 +80,10 @@ _GK21_HALF = (
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
 _NARROWEST = 1e3 * math.ulp(1.0)
 
-_NODES, _KRONROD, _KRONROD_MINUS_GAUSS = zip(*_GK21_HALF)
-_GK21_NODES = tuple(-x for x in _NODES[:-1]) + _NODES[::-1]
-_GK21_KRONROD = _KRONROD[:-1] + _KRONROD[::-1]
-_GK21_KRONROD_MINUS_GAUSS = _KRONROD_MINUS_GAUSS[:-1] + _KRONROD_MINUS_GAUSS[::-1]
+_NODES, _KRONROD, _KRONROD_MINUS_GAUSS = (np.array(column) for column in zip(*_GK21_HALF))
+_GK21_NODES = np.concatenate((-_NODES[:-1], _NODES[::-1]))
+_GK21_KRONROD = np.concatenate((_KRONROD[:-1], _KRONROD[::-1]))
+_GK21_KRONROD_MINUS_GAUSS = np.concatenate((_KRONROD_MINUS_GAUSS[:-1], _KRONROD_MINUS_GAUSS[::-1]))
 
 
 def check_positive(value: float, name: str) -> float:
@@ -210,9 +209,21 @@ class ErlangMixture:
         return _pointwise(self._pdf_array, x)
 
     def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
-        out = np.where(np.isnan(flat), math.nan, 0.0)
+        out = np.exp(self._log_pdf_array(flat))
         if self.shapes[0] == 1:
+            # w * rate itself: exp(ln w + ln rate) can differ from it in the last bit
             out[flat == 0.0] = self.weights[0] * self.rate
+        return out
+
+    def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Natural log of the density, finite where the density underflows:
+        -inf where it is zero, NaN at NaN."""
+        return _pointwise(self._log_pdf_array, x)
+
+    def _log_pdf_array(self, flat: np.ndarray) -> np.ndarray:
+        out = np.where(np.isnan(flat), math.nan, -math.inf)
+        if self.shapes[0] == 1 and self.weights[0] > 0.0:
+            out[flat == 0.0] = math.log(self.weights[0]) + math.log(self.rate)
         pos = (flat > 0.0) & (flat < math.inf)
         if np.any(pos):
             const, powers, _ = self._log_density_terms
@@ -221,7 +232,7 @@ class ErlangMixture:
             peak = terms.max(axis=0)
             terms -= peak
             log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-            out[pos] = np.exp(log_mix - self.rate * xp)
+            out[pos] = log_mix - self.rate * xp
         return out
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
@@ -307,7 +318,7 @@ class QuadratureError(RuntimeError):
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lower: float,
     upper: float,
     tol: float = 1e-10,
@@ -328,6 +339,9 @@ def integrate(
     with the error estimate, measured against max(1, |integral|), above tol,
     or when the value or the estimate is not finite (tolerances much below
     1e-13 are generally unattainable in double precision).
+
+    f is vectorised: it is called once per rule, on the rule's 21 nodes as a
+    float array, and must return one value per node (ValueError otherwise).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -341,14 +355,23 @@ def integrate(
     if upper == lower:
         return QuadratureResult(0.0, 0.0, 0)
 
+    def checked(x: np.ndarray) -> np.ndarray:
+        out = np.asarray(f(x), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError(
+                f"integrand must return one value per node: called on {x.size} nodes, "
+                f"it returned shape {out.shape}"
+            )
+        return out
+
     if math.isinf(upper):
-        def target(u: float, _f=f, _a=lower, _s=scale) -> float:
+        def target(u: np.ndarray, _a=lower, _s=scale) -> np.ndarray:
             w = 1.0 - u
-            return _f(_a + _s * u / w) * _s / (w * w)
+            return checked(_a + _s * u / w) * _s / (w * w)
 
         a, b = 0.0, 1.0
     else:
-        target, a, b = f, lower, upper
+        target, a, b = checked, lower, upper
 
     # a heap of (-error, left, right, value) pieces; bisect the worst until the
     # running sums meet the tolerance (a NaN sum stops the loop, and raises below)
@@ -388,17 +411,17 @@ def integrate(
     return result
 
 
-def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _gk21(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """QUADPACK's qk21 on [a, b]: the 21-point Kronrod value and its error
     estimate, resasc * min(1, (200 |K21 - G10| / resasc)^1.5), floored at
     50 eps * resabs (resabs the rule applied to |f|, resasc to |f - mean|)."""
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = [f(centre + half * x) for x in _GK21_NODES]
-    kronrod = sum(map(operator.mul, _GK21_KRONROD, values))
+    values = f(centre + half * _GK21_NODES)
+    kronrod = float(_GK21_KRONROD.dot(values))
     mean = 0.5 * kronrod
-    resabs = sum(map(operator.mul, _GK21_KRONROD, map(abs, values))) * half
-    resasc = sum(map(operator.mul, _GK21_KRONROD, [abs(v - mean) for v in values])) * half
-    error = abs(sum(map(operator.mul, _GK21_KRONROD_MINUS_GAUSS, values)) * half)
+    resabs = float(_GK21_KRONROD.dot(np.abs(values))) * half
+    resasc = float(_GK21_KRONROD.dot(np.abs(values - mean))) * half
+    error = abs(float(_GK21_KRONROD_MINUS_GAUSS.dot(values)) * half)
     if resasc != 0.0 and error != 0.0:
         error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
     return kronrod * half, max(error, _EPSREL_FLOOR * resabs)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
-from .numerics import ErlangMixture, ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
 from .sums import SumSpec
 
 __all__ = [
@@ -44,30 +44,43 @@ __all__ = [
 _CURVE_SLACK = 1e-12
 
 
-def lindley_reliability(theta: float, n: int, t: float) -> float:
+def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | np.ndarray:
     """Cold-standby reliability with Lindley components, by the double series.
 
-    Evaluated term by term in log space and clamped to [0, 1]; requires t >= 0.
-    1 at t = 0, 0 at +inf, NaN at NaN.
+    t is a float or an array (a float out for a float in, an array of t's shape
+    otherwise); requires t >= 0.  The terms are summed in log space, those
+    with equal powers of t first, and the result clamped to [0, 1].  1 at
+    t = 0, 0 at +inf, NaN at NaN.
     """
     theta, n = check_theta(theta), check_n(n)
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if not 0.0 < t < math.inf:
-        # the series below would give min(1.0, nan) = 1.0 at NaN and at +inf
-        return math.nan if math.isnan(t) else float(t == 0.0)
-    # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
-    ln_base = 2.0 * math.log(theta) - math.log1p(theta)
-    ln_ratio = math.log(theta) - math.log1p(theta)
-    ln_t = math.log(t)
-    terms = []
-    for i in range(n):
-        for j in range(i + 1):
-            common = i * ln_base + ln_binomial(i, j)
-            terms.append(common + (i + j) * ln_t - ln_factorial(i + j))
-            terms.append(common + ln_ratio + (i + j + 1) * ln_t - ln_factorial(i + j + 1))
-    return min(1.0, math.exp(-theta * t + logsumexp(terms)))
+    return _pointwise(partial(_lindley_reliability_array, theta, n), t)
+
+
+def _lindley_reliability_array(theta: float, n: int, t: np.ndarray) -> np.ndarray:
+    if np.any(t < 0):
+        raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
+    # exactly 1 at t = 0 and 0 at +inf (the series would give NaN at +inf), NaN at NaN
+    out = np.where(np.isnan(t), math.nan, (t == 0.0).astype(float))
+    pos = (t > 0.0) & (t < math.inf)
+    if np.any(pos):
+        # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
+        ln_base = 2.0 * math.log(theta) - math.log1p(theta)
+        ln_ratio = math.log(theta) - math.log1p(theta)
+        # the x-free log coefficient of each term, grouped by the power of t it multiplies
+        by_power: list[list[float]] = [[] for _ in range(2 * n)]
+        for i in range(n):
+            for j in range(i + 1):
+                common = i * ln_base + ln_binomial(i, j)
+                by_power[i + j].append(common - ln_factorial(i + j))
+                by_power[i + j + 1].append(common + ln_ratio - ln_factorial(i + j + 1))
+        const = np.array([logsumexp(group) for group in by_power])
+        tp = t[pos]
+        terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(tp)
+        peak = terms.max(axis=0)
+        terms -= peak
+        log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+        out[pos] = np.minimum(1.0, np.exp(log_sum - theta * tp))
+    return out
 
 
 def lindley_mttf(theta: float, n: int) -> float:

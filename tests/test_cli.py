@@ -129,6 +129,18 @@ class TestMomentsCommand:
             if parts[0].startswith("moment["):
                 assert float(parts[3]) <= 1e-6
 
+    def test_verify_reaches_moments_whose_power_overflows(self, capsys):
+        # x^150 alone overflows past x ~ 113; moment[150] ~ 4.34e264 is finite
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--dist", "lindley", "--theta", "1", "--n", "1", "--m-max", "150",
+             "--verify"],
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 150
+        assert max(float(row["rel_error"]) for row in rows) <= 1e-12
+
 
 class TestReliabilityCommand:
     def test_single_time_with_comparison(self, capsys):
@@ -346,6 +358,16 @@ class TestTopLevel:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert re.search(f"^lindsum {argv[0]}: error: .*{message}", err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unconverged_quadrature_exits_2(self, capsys):
+        # moment[168] ~ 5.35e307 is finite, but the rule's sums overflow
+        argv = ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "168",
+                "--verify"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert re.search("^lindsum moments: error: quadrature did not converge", err)
 
 
 class TestImportCost:

@@ -68,6 +68,19 @@ class TestLindleyReliability:
                     mixture = float(spec.survival(float(t)))
                     assert abs(series - mixture) <= 1e-10, (theta, n, t)
 
+    def test_array_matches_pointwise(self):
+        t = np.array([[0.0, 0.5, 3.0], [20.0, math.inf, math.nan]])
+        values = lindley_reliability(0.5, 4, t)
+        assert values.shape == t.shape
+        pointwise = [lindley_reliability(0.5, 4, float(v)) for v in t.ravel()]
+        assert all(type(v) is float for v in pointwise)
+        np.testing.assert_allclose(values.ravel(), pointwise, rtol=1e-14)
+        assert values[0, 0] == 1.0 and values[1, 1] == 0.0
+
+    def test_negative_time_in_array_rejected(self):
+        with pytest.raises(ValueError, match="-0.1"):
+            lindley_reliability(1.0, 2, np.array([1.0, -0.1]))
+
     def test_bounded_and_monotone(self):
         values = [lindley_reliability(0.5, 4, t) for t in np.linspace(0.0, 60.0, 200)]
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -211,7 +224,7 @@ class TestExponentialStandbyFunctions:
     def test_mttf_equals_integral_of_reliability(self):
         for theta, n in [(0.5, 3), (2.0, 5)]:
             numeric = integrate(
-                lambda t: exponential_reliability(theta, n, t),
+                np.vectorize(lambda t: exponential_reliability(theta, n, t)),
                 0.0,
                 math.inf,
                 1e-8,

@@ -179,6 +179,31 @@ class TestScalarDensityPath:
         assert spec.pdf(np.array(2.0)) == spec.pdf(np.array([2.0]))[0]
 
 
+class TestLogDensity:
+    def test_log_of_the_array_path(self):
+        for n in (1, 2, 5):
+            mixture = SumSpec(DistSpec(RANI, 1.5), n).mixture()
+            x = np.linspace(0.0, 30.0, 61)[1:]
+            np.testing.assert_allclose(
+                mixture.log_pdf(x), np.log(mixture.pdf(x)), rtol=0.0, atol=1e-14
+            )
+
+    def test_finite_where_the_density_underflows(self):
+        # Lindley theta = 1: pdf(x) = (1 + x) e^{-x} / 2
+        mixture = SumSpec(DistSpec(LINDLEY, 1.0), 1).mixture()
+        assert mixture.pdf(1000.0) == 0.0
+        np.testing.assert_allclose(
+            mixture.log_pdf(1000.0), math.log1p(1000.0) - 1000.0 - math.log(2.0), rtol=1e-14
+        )
+
+    def test_edge_arguments(self):
+        mixture = SumSpec(DistSpec(LINDLEY, 1.0), 1).mixture()
+        got = mixture.log_pdf(np.array([-1.0, 0.0, math.inf, math.nan]))
+        assert got[0] == -math.inf and got[2] == -math.inf and math.isnan(got[3])
+        np.testing.assert_allclose(got[1], math.log(0.5), rtol=1e-15)
+        assert SumSpec(DistSpec(LINDLEY, 1.0), 2).mixture().log_pdf(0.0) == -math.inf
+
+
 class TestMixtureRepresentation:
     def test_frozen_weights_single_lindley(self):
         mixture = SumSpec(DistSpec(LINDLEY, 1.0), 1).mixture()
@@ -223,7 +248,7 @@ class TestTailFunctions:
         for member, n in [(LINDLEY, 2), (AKASH, 3), (RAM_AWADH, 2)]:
             spec = SumSpec(DistSpec(member, 1.0), n)
             for x in (1.0, spec.mean(), 3.0 * spec.mean()):
-                mass = integrate(lambda u: float(spec.pdf(u)), 0.0, float(x), 1e-12).value
+                mass = integrate(spec.pdf, 0.0, float(x), 1e-12).value
                 np.testing.assert_allclose(spec.survival(x), 1.0 - mass, atol=1e-10)
 
     def test_complementarity_and_monotonicity(self):
@@ -275,7 +300,7 @@ class TestMoments:
         spec = SumSpec(DistSpec(ISHITA, 1.0), 4)
         for m in range(1, 5):
             numeric = integrate(
-                lambda x: x**m * float(spec.pdf(x)),
+                lambda x: x**m * spec.pdf(x),
                 0.0,
                 math.inf,
                 1e-11,
@@ -306,7 +331,7 @@ class TestLargeN:
         assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
         assert np.all(np.isfinite(tail))
         mass = integrate(
-            lambda x: float(spec.pdf(x)), 0.0, math.inf, 1e-9, scale=spec.mean()
+            spec.pdf, 0.0, math.inf, 1e-9, scale=spec.mean()
         ).value
         np.testing.assert_allclose(mass, 1.0, atol=1e-6)
 
