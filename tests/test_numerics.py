@@ -249,9 +249,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("upper", [1.0, math.inf])
     def test_scalar_integrand_rejected(self, upper):
-        with pytest.raises(ValueError, match="one value per node.*shape \\(\\)"):
+        with pytest.raises(ValueError, match=r"one value per node.*shape \(\)"):
             integrate(lambda x: 1.0, 0.0, upper)
-        with pytest.raises(ValueError, match="one value per node.*shape \\(1,\\)"):
+        with pytest.raises(ValueError, match=r"one value per node.*shape \(1,\)"):
             integrate(lambda x: np.ones(1), 0.0, upper)
 
     def test_one_call_per_rule(self):
