@@ -132,6 +132,13 @@ def _pointwise(
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _math_scalar(x: object) -> bool:
+    """True for a Python int or float (np.float64 included) with 0 < x < inf:
+    such arguments take the math-module paths of ErlangMixture.pdf and
+    survival; every other input, 0-d arrays included, takes the array path."""
+    return isinstance(x, (int, float)) and 0.0 < x < math.inf
+
+
 def logsumexp(log_terms: Sequence[float]) -> float:
     """Log of a sum of positive terms given by their logs, via max-shifting.
 
@@ -196,11 +203,10 @@ class ErlangMixture:
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density: zero for x < 0 and at +inf, NaN at NaN.
 
-        A Python int or float (np.float64 included) with 0 < x < inf takes a
-        math-module path that agrees with the array path to about 1e-13
-        relative; every other input, 0-d arrays included, takes the array path.
+        A scalar in (0, inf) (see _math_scalar) takes a math-module path that
+        agrees with the array path to about 1e-13 relative.
         """
-        if isinstance(x, (int, float)) and 0.0 < x < math.inf:
+        if _math_scalar(x):
             ln_x = math.log(x)
             terms = [c + p * ln_x for c, p in self._log_density_terms[2]]
             peak = max(terms)
@@ -226,9 +232,11 @@ class ErlangMixture:
             out[flat == 0.0] = math.log(self.weights[0]) + math.log(self.rate)
         pos = (flat > 0.0) & (flat < math.inf)
         if np.any(pos):
+            # one (components x points) buffer, updated in place
             const, powers, _ = self._log_density_terms
             xp = flat[pos]
-            terms = const[:, None] + powers[:, None] * np.log(xp)
+            terms = np.multiply.outer(powers, np.log(xp))
+            terms += const[:, None]
             peak = terms.max(axis=0)
             terms -= peak
             log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
@@ -239,8 +247,22 @@ class ErlangMixture:
         """P(mixture > t): 1 for t <= 0, 0 at +inf, NaN at NaN.
 
         The weighted Erlang tails come from one sweep of the shared Poisson
-        series e^{-rate t} (rate t)^j / j! up to the largest shape.
+        series e^{-rate t} (rate t)^j / j! up to the largest shape.  A scalar
+        in (0, inf) (see _math_scalar) runs the sweep on Python floats, which
+        agrees with the array path to about 1e-14 relative.
         """
+        if _math_scalar(t):
+            x = self.rate * t
+            term = partial = math.exp(-x)
+            tail = 0.0
+            reached = 1
+            for w, s in self.components:
+                for j in range(reached, s):
+                    term = term * x / j
+                    partial += term
+                tail += w * partial
+                reached = s
+            return min(tail, 1.0)
         return _pointwise(self._survival_array, t)
 
     def _survival_array(self, flat: np.ndarray) -> np.ndarray:
@@ -249,16 +271,18 @@ class ErlangMixture:
         out = np.heaviside(-flat, 1.0)
         pos = (flat > 0.0) & (flat < math.inf)
         x = self.rate * flat[pos]
-        term = partial = np.exp(-x)
+        term = np.exp(-x)
+        partial = term.copy()
         tail = np.zeros_like(x)
+        scratch = np.empty_like(x)
         reached = 1
         for w, s in self.components:
-            # advance partial = sum_{i<j} Poisson(i; x), the Erlang(j) tail, to j = s;
-            # out of place, which is faster than in place on one-point arrays
+            # advance partial = sum_{i<j} Poisson(i; x), the Erlang(j) tail, to j = s
             for j in range(reached, s):
-                term = term * x / j
-                partial = partial + term
-            tail += w * partial
+                term *= x
+                term /= j
+                partial += term
+            tail += np.multiply(partial, w, out=scratch)
             reached = s
         out[pos] = tail
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
