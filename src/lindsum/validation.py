@@ -209,16 +209,22 @@ def convolution_oracle_pdf(spec: SumSpec, x: float, tol: float = 1e-9) -> float:
 def quadrature_moment(spec: SumSpec, m: int) -> float:
     """Raw moment E[S^m] by quadrature of x^m pdf(x) over [0, inf).
 
-    The integrand is taken as exp(m ln x + ln pdf(x)), so it stays finite
-    wherever the product is, though x^m alone may overflow.  Raises
-    QuadratureError when the quadrature cannot meet its tolerance, also when
-    the rule's sums overflow (numpy's overflow warnings are silenced).
+    The integrand is taken as exp(m ln x + ln pdf(x) - m ln c), with c the
+    mean-based scale hint of the quadrature (not the closed-form moment under
+    test), and the integral is multiplied back by c^m in two halves.  So the
+    rule's sums stay finite wherever the moment is, though x^m alone may
+    overflow.  Raises QuadratureError when the quadrature cannot meet its
+    tolerance (numpy's overflow and invalid warnings are silenced).
     """
     log_pdf = spec.mixture().log_pdf
+    c = _sum_scale(spec)
+    shift = m * math.log(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate(
-            lambda x: np.exp(m * np.log(x) + log_pdf(x)), 0.0, math.inf, scale=_sum_scale(spec)
+        scaled = integrate(
+            lambda x: np.exp(m * np.log(x) + log_pdf(x) - shift), 0.0, math.inf, scale=c
         ).value
+    half = c ** (0.5 * m)
+    return scaled * half * half
 
 
 def sample_sum(

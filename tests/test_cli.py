@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import lindsum
+from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, RANI, SHANKER, DistSpec
+from lindsum.numerics import QuadratureError, QuadratureResult
 from lindsum.reliability import lindley_mttf
 from lindsum.sums import SumSpec
 
@@ -139,6 +141,20 @@ class TestMomentsCommand:
         assert code == 0 and err == ""
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 150
+        assert max(float(row["rel_error"]) for row in rows) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_reaches_the_last_finite_moment(self, capsys):
+        # moment[168] ~ 5.35e307 is finite and moment[169] is not; unscaled,
+        # the rule's sums for x^168 pdf(x) overflowed
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "168",
+             "--verify"],
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 168
         assert max(float(row["rel_error"]) for row in rows) <= 1e-12
 
 
@@ -360,10 +376,15 @@ class TestTopLevel:
         assert re.search(f"^lindsum {argv[0]}: error: .*{message}", err)
 
     @pytest.mark.filterwarnings("error")
-    def test_unconverged_quadrature_exits_2(self, capsys):
-        # moment[168] ~ 5.35e307 is finite, but the rule's sums overflow
-        argv = ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "168",
-                "--verify"]
+    def test_unconverged_quadrature_exits_2(self, capsys, monkeypatch):
+        def unconverged(spec, m):
+            raise QuadratureError(
+                "quadrature did not converge: value inf is not finite",
+                QuadratureResult(math.inf, math.inf, 21),
+            )
+
+        monkeypatch.setattr(cli, "quadrature_moment", unconverged)
+        argv = ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--verify"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1

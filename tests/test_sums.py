@@ -9,6 +9,7 @@ code with the implementation.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -177,6 +178,66 @@ class TestScalarDensityPath:
         assert spec.pdf(2) == spec.pdf(2.0)
         # a 0-d array is an array: it takes the array path, bit for bit
         assert spec.pdf(np.array(2.0)) == spec.pdf(np.array([2.0]))[0]
+
+
+class TestScalarSurvivalPath:
+    """Python int/float and np.float64 arguments in (0, inf) run the Poisson
+    sweep of survival on Python floats; it must agree with the array path,
+    which handles everything else."""
+
+    def test_matches_array_path(self):
+        for member in MEMBERS:
+            for theta in (0.1, 0.5, 1.0, 2.0, 3.0):
+                for n in (1, 2, 5, 10, 50, 200):
+                    spec = SumSpec(DistSpec(member, theta), n)
+                    for t in np.linspace(0.0, 4.0 * spec.mean(), 7)[1:].tolist():
+                        scalar = spec.survival(t)
+                        assert type(scalar) is float
+                        np.testing.assert_allclose(
+                            scalar, spec.survival(np.array([t]))[0], rtol=1e-12, atol=0.0
+                        ), (member.name, theta, n, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_edge_arguments_take_array_path(self, n, t):
+        spec = SumSpec(DistSpec(RANI, 1.5), n)
+        expected = spec.survival(np.array([t]))[0]
+        for arg in (t, np.float64(t), np.array(t)):
+            got = spec.survival(arg)
+            assert type(got) is float
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_positive_argument_types(self):
+        spec = SumSpec(DistSpec(PRANAV, 0.5), 3)
+        assert spec.survival(np.float64(2.0)) == spec.survival(2.0)
+        assert spec.survival(2) == spec.survival(2.0)
+        # a 0-d array is an array: it takes the array path, bit for bit
+        assert spec.survival(np.array(2.0)) == spec.survival(np.array([2.0]))[0]
+
+    def test_cdf_is_the_complement(self):
+        spec = SumSpec(DistSpec(AKASH, 2.0), 5)
+        for t in (0.0, 1e-3, 0.5, spec.mean(), 40.0, math.inf):
+            assert spec.cdf(t) == 1.0 - spec.survival(t)
+
+
+class TestKernelMemory:
+    """pdf and log_pdf build their log-sum-exp in one (components x points)
+    buffer; a second temporary of that size would double the traced peak."""
+
+    def test_one_buffer_per_call(self):
+        mixture = SumSpec(DistSpec(RAM_AWADH, 0.5), 50).mixture()
+        x = np.linspace(0.0, 3.0 * mixture.mean(), 10_000)
+        mixture.pdf(x)  # builds the cached x-free terms
+        components = len(mixture._log_density_terms[0])
+        buffer_bytes = components * x.size * 8
+        for route in (mixture.pdf, mixture.log_pdf):
+            tracemalloc.start()
+            try:
+                route(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * buffer_bytes, (route.__name__, peak / buffer_bytes)
 
 
 class TestLogDensity:
