@@ -228,7 +228,7 @@ class TestKernelMemory:
         mixture = SumSpec(DistSpec(RAM_AWADH, 0.5), 50).mixture()
         x = np.linspace(0.0, 3.0 * mixture.mean(), 10_000)
         mixture.pdf(x)  # builds the cached x-free terms
-        components = len(mixture._log_density_terms[0])
+        components = sum(w > 0.0 for w in mixture.weights)
         buffer_bytes = components * x.size * 8
         for route in (mixture.pdf, mixture.log_pdf):
             tracemalloc.start()
