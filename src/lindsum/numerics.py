@@ -139,6 +139,14 @@ def _math_scalar(x: object) -> bool:
     return isinstance(x, (int, float)) and 0.0 < x < math.inf
 
 
+def _finite_below(rate: float) -> float:
+    """The bound below which rate * t is finite for every float t (t < max/rate
+    exactly); at and past it, where rate * t overflows or nearly does, the
+    density and the survival of ErlangMixture are 0.  For rate <= 1 every
+    finite t qualifies, and max/rate would itself overflow."""
+    return sys.float_info.max / rate if rate > 1.0 else math.inf
+
+
 def logsumexp(log_terms: Sequence[float]) -> float:
     """Log of a sum of positive terms given by their logs, via max-shifting.
 
@@ -230,7 +238,7 @@ class ErlangMixture:
         out = np.where(np.isnan(flat), math.nan, -math.inf)
         if self.shapes[0] == 1 and self.weights[0] > 0.0:
             out[flat == 0.0] = math.log(self.weights[0]) + math.log(self.rate)
-        pos = (flat > 0.0) & (flat < math.inf)
+        pos = (flat > 0.0) & (flat < _finite_below(self.rate))
         if np.any(pos):
             # one (components x points) buffer, updated in place
             const, powers, _ = self._log_density_terms
@@ -243,47 +251,59 @@ class ErlangMixture:
             out[pos] = log_mix - self.rate * xp
         return out
 
+    @cached_property
+    def _sweep_plan(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
+        # one row per positive-weight component: its weight and the reciprocals
+        # 1/j of the Poisson steps from the previous such shape up to its own
+        plan = []
+        reached = 1
+        for w, s in zip(self.weights, self.shapes):
+            if w > 0.0:
+                plan.append((w, tuple([1.0 / j for j in range(reached, s)])))
+                reached = s
+        return tuple(plan)
+
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
-        """P(mixture > t): 1 for t <= 0, 0 at +inf, NaN at NaN.
+        """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
+        NaN at NaN.
 
         The weighted Erlang tails come from one sweep of the shared Poisson
-        series e^{-rate t} (rate t)^j / j! up to the largest shape.  A scalar
-        in (0, inf) (see _math_scalar) runs the sweep on Python floats, which
-        agrees with the array path to about 1e-14 relative.
+        series e^{-rate t} (rate t)^j / j! up to the largest shape, along the
+        cached _sweep_plan.  A scalar in (0, inf) (see _math_scalar) runs the
+        sweep on Python floats, which agrees with the array path to about
+        1e-14 relative.
         """
-        if _math_scalar(t):
+        if _math_scalar(t) and t < _finite_below(self.rate):
             x = self.rate * t
             term = partial = math.exp(-x)
             tail = 0.0
-            reached = 1
-            for w, s in self.components:
-                for j in range(reached, s):
-                    term = term * x / j
+            for w, steps in self._sweep_plan:
+                for r in steps:
+                    term *= x
+                    term *= r
                     partial += term
                 tail += w * partial
-                reached = s
             return min(tail, 1.0)
         return _pointwise(self._survival_array, t)
 
     def _survival_array(self, flat: np.ndarray) -> np.ndarray:
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
-        # the weights, 1 +/- ulp), 0 at +inf, NaN at NaN
+        # the weights, 1 +/- ulp), 0 at +inf and where rate * t overflows, NaN at NaN
         out = np.heaviside(-flat, 1.0)
-        pos = (flat > 0.0) & (flat < math.inf)
+        pos = (flat > 0.0) & (flat < _finite_below(self.rate))
         x = self.rate * flat[pos]
         term = np.exp(-x)
         partial = term.copy()
         tail = np.zeros_like(x)
         scratch = np.empty_like(x)
-        reached = 1
-        for w, s in self.components:
-            # advance partial = sum_{i<j} Poisson(i; x), the Erlang(j) tail, to j = s
-            for j in range(reached, s):
+        for w, steps in self._sweep_plan:
+            # advance partial = sum_{i<j} Poisson(i; x), the Erlang(j) tail, to
+            # this component's shape
+            for r in steps:
                 term *= x
-                term /= j
+                term *= r
                 partial += term
             tail += np.multiply(partial, w, out=scratch)
-            reached = s
         out[pos] = tail
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
         return np.minimum(out, 1.0)

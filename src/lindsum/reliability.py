@@ -155,10 +155,14 @@ class ExponentialStandby:
     def label(self) -> str:
         return f"exponential theta={self.theta:g} n={self.n}"
 
+    @cached_property
+    def _mixture(self) -> ErlangMixture:
+        return ErlangMixture(self.theta, (1.0,), (self.n,))
+
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
         """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
         The package's one route to that tail; exponential_reliability calls it."""
-        return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
+        return self._mixture.survival(t)
 
     def mttf(self) -> float:
         return exponential_mttf(self.theta, self.n)

@@ -9,6 +9,7 @@ code with the implementation.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -504,3 +505,89 @@ class TestNonFiniteArguments:
             values = spec.survival(np.array([-math.inf, 0.0, 1.0, math.inf, math.nan]))
         assert values[0] == 1.0 and values[1] == 1.0 and values[3] == 0.0
         assert 0.0 < values[2] < 1.0 and math.isnan(values[4])
+
+
+class TestOverflowingArgument:
+    """At a finite t where rate * t overflows (or nearly does) the tails are
+    exactly 0 and 1 and the density 0, on the scalar and the array path, with
+    no floating-point warning."""
+
+    @pytest.mark.parametrize("theta, t", [(2.0, 1e308), (0.5, sys.float_info.max)])
+    def test_scalar_and_arrays(self, theta, t):
+        spec = SumSpec(DistSpec(LINDLEY, theta), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec.survival(t) == 0.0 and type(spec.survival(t)) is float
+            assert spec.cdf(t) == 1.0
+            assert spec.pdf(t) == 0.0
+            for route, edge in ((spec.survival, 0.0), (spec.cdf, 1.0), (spec.pdf, 0.0)):
+                np.testing.assert_array_equal(route(np.array([t])), [edge])
+                np.testing.assert_array_equal(route(np.array([t, 1.0])), [edge, route(1.0)])
+
+
+def _mixture_tail_oracle(dist: DistSpec, n: int, t: float) -> float:
+    """Survival of the n-fold sum at t in mpmath at 40 digits, as the binomial
+    mixture of regularized upper incomplete gamma functions
+
+        sum_r C(n,r) p^(n-r) (1-p)^r Q(n + k r, theta t),
+
+    with p = alpha theta^k / (alpha theta^k + k!) computed from theta, alpha
+    and k (not from DistSpec.ln_weights)."""
+    k = dist.member.degree
+    with mpmath.workdps(40):
+        theta = mpmath.mpf(dist.theta)
+        odds = mpmath.mpf(dist.alpha) * theta**k
+        p = odds / (odds + mpmath.factorial(k))
+        x = theta * mpmath.mpf(t)
+        return float(mpmath.fsum(
+            mpmath.binomial(n, r) * p ** (n - r) * (1 - p) ** r
+            * mpmath.gammainc(n + k * r, x, mpmath.inf, regularized=True)
+            for r in range(n + 1)
+        ))
+
+
+class TestSweepAccuracy:
+    """The Poisson sweep of survival, on the scalar and the array path, against
+    the mpmath tail at the grid workload's specs, where rate * t <= 700 (below
+    the underflow of the sweep's start) and the tail is at least 1e-300."""
+
+    MEAN_MULTIPLES = {1: (0.05, 0.4, 1.0, 2.5, 6.0), 5: (0.2, 0.6, 1.0, 2.0, 4.0),
+                      50: (0.8, 1.0, 1.3)}
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_against_mpmath(self, member):
+        checked = 0
+        for theta in (0.5, 2.0):
+            for n, multiples in self.MEAN_MULTIPLES.items():
+                dist = DistSpec(member, theta)
+                spec = SumSpec(dist, n)
+                ts = [m * spec.mean() for m in multiples]
+                ts = [t for t in ts if theta * t <= 700.0]
+                array = spec.survival(np.array(ts))
+                for t, from_array in zip(ts, array):
+                    truth = _mixture_tail_oracle(dist, n, t)
+                    if truth < 1e-300:
+                        continue
+                    for got in (spec.survival(t), from_array):
+                        assert abs(got - truth) <= 1e-13 * truth, (theta, n, t, got, truth)
+                    checked += 1
+        assert checked == 26  # every point is inside the domain above
+
+    def test_plan_skips_zero_weights(self):
+        # RamAwadh theta = 1, n = 200: 29 of the 201 weights underflow to 0
+        dist = DistSpec(RAM_AWADH, 1.0)
+        spec = SumSpec(dist, 200)
+        mixture = spec.mixture()
+        plan = mixture._sweep_plan
+        assert sum(w == 0.0 for w in mixture.weights) == 29
+        assert len(plan) == 172 and all(w > 0.0 for w, _ in plan)
+        assert [w for w, _ in plan] == [w for w in mixture.weights if w > 0.0]
+        # the rows' steps, end to end, are the reciprocals 1/j up to the last shape
+        steps = [r for _, row in plan for r in row]
+        assert steps == [1.0 / j for j in range(1, mixture.shapes[-1])]
+        # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
+        truth = _mixture_tail_oracle(dist, 200, 690.0)
+        for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
+            assert abs(got - truth) <= 1e-13 * truth, (got, truth)
+        padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
+        assert padded._sweep_plan == ErlangMixture(1.5, (1.0,), (5,))._sweep_plan
