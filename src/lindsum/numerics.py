@@ -141,9 +141,9 @@ def _math_scalar(x: object) -> bool:
 
 def _finite_below(rate: float) -> float:
     """The bound below which rate * t is finite for every float t (t < max/rate
-    exactly); at and past it, where rate * t overflows or nearly does, the
-    density and the survival of ErlangMixture are 0.  For rate <= 1 every
-    finite t qualifies, and max/rate would itself overflow."""
+    exactly).  At and past it rate * t overflows, or nearly does, and the
+    densities and survival functions with that rate are 0 there.  For
+    rate <= 1 every finite t qualifies, and max/rate would itself overflow."""
     return sys.float_info.max / rate if rate > 1.0 else math.inf
 
 
@@ -209,12 +209,13 @@ class ErlangMixture:
         return const, powers, pairs
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Mixture density: zero for x < 0 and at +inf, NaN at NaN.
+        """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
+        NaN at NaN.
 
         A scalar in (0, inf) (see _math_scalar) takes a math-module path that
         agrees with the array path to about 1e-13 relative.
         """
-        if _math_scalar(x):
+        if _math_scalar(x) and x < _finite_below(self.rate):
             ln_x = math.log(x)
             terms = [c + p * ln_x for c, p in self._log_density_terms[2]]
             peak = max(terms)
@@ -274,7 +275,7 @@ class ErlangMixture:
         1e-14 relative.
         """
         if _math_scalar(t) and t < _finite_below(self.rate):
-            x = self.rate * t
+            x = self.rate * float(t)  # np.float64 too: the sweep runs on Python floats
             term = partial = math.exp(-x)
             tail = 0.0
             for w, steps in self._sweep_plan:

@@ -25,7 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
-from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
+from .numerics import (
+    ErlangMixture, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp,
+)
 from .sums import SumSpec
 
 __all__ = [
@@ -50,7 +52,7 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t is a float or an array (a float out for a float in, an array of t's shape
     otherwise); requires t >= 0.  The terms are summed in log space, those
     with equal powers of t first, and the result clamped to [0, 1].  1 at
-    t = 0, 0 at +inf, NaN at NaN.
+    t = 0, 0 at +inf and where theta * t overflows, NaN at NaN.
     """
     theta, n = check_theta(theta), check_n(n)
     return _pointwise(partial(_lindley_reliability_array, theta, n), t)
@@ -59,9 +61,10 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
 def _lindley_reliability_array(theta: float, n: int, t: np.ndarray) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
-    # exactly 1 at t = 0 and 0 at +inf (the series would give NaN at +inf), NaN at NaN
+    # exactly 1 at t = 0, 0 at +inf (the series would give NaN there) and where
+    # theta * t overflows, NaN at NaN
     out = np.where(np.isnan(t), math.nan, (t == 0.0).astype(float))
-    pos = (t > 0.0) & (t < math.inf)
+    pos = (t > 0.0) & (t < _finite_below(theta))
     if np.any(pos):
         # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
         ln_base = 2.0 * math.log(theta) - math.log1p(theta)

@@ -77,6 +77,14 @@ class TestLindleyReliability:
         np.testing.assert_allclose(values.ravel(), pointwise, rtol=1e-14)
         assert values[0, 0] == 1.0 and values[1, 1] == 0.0
 
+    def test_zero_where_theta_t_overflows(self):
+        # theta * 1e308 overflows at theta = 2; the series must give 0, not warn
+        assert lindley_reliability(2.0, 3, 1e308) == 0.0
+        np.testing.assert_array_equal(
+            lindley_reliability(2.0, 3, np.array([1e308, 1.0])),
+            [0.0, lindley_reliability(2.0, 3, 1.0)],
+        )
+
     def test_negative_time_in_array_rejected(self):
         with pytest.raises(ValueError, match="-0.1"):
             lindley_reliability(1.0, 2, np.array([1.0, -0.1]))

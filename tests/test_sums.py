@@ -211,6 +211,7 @@ class TestScalarSurvivalPath:
     def test_positive_argument_types(self):
         spec = SumSpec(DistSpec(PRANAV, 0.5), 3)
         assert spec.survival(np.float64(2.0)) == spec.survival(2.0)
+        assert type(spec.survival(np.float64(2.0))) is float
         assert spec.survival(2) == spec.survival(2.0)
         # a 0-d array is an array: it takes the array path, bit for bit
         assert spec.survival(np.array(2.0)) == spec.survival(np.array([2.0]))[0]
@@ -517,9 +518,10 @@ class TestOverflowingArgument:
         spec = SumSpec(DistSpec(LINDLEY, theta), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spec.survival(t) == 0.0 and type(spec.survival(t)) is float
-            assert spec.cdf(t) == 1.0
-            assert spec.pdf(t) == 0.0
+            for arg in (t, np.float64(t)):
+                assert spec.survival(arg) == 0.0 and type(spec.survival(arg)) is float
+                assert spec.cdf(arg) == 1.0
+                assert spec.pdf(arg) == 0.0
             for route, edge in ((spec.survival, 0.0), (spec.cdf, 1.0), (spec.pdf, 0.0)):
                 np.testing.assert_array_equal(route(np.array([t])), [edge])
                 np.testing.assert_array_equal(route(np.array([t, 1.0])), [edge, route(1.0)])
