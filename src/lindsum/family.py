@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .numerics import (
-    ErlangMixture, _pointwise, check_count, check_positive, ln_binomial, ln_factorial, logsumexp,
+    ErlangMixture, _finite_below, _pointwise, check_count, check_positive, ln_binomial,
+    ln_factorial, logsumexp,
 )
 
 __all__ = [
@@ -163,18 +165,23 @@ class DistSpec:
         return self.sum_mixture(1)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x; zero for x < 0 and at +inf, NaN at NaN."""
+        """Density at x; zero for x < 0, at +inf and where theta*x or x^k
+        overflows, NaN at NaN."""
         return _pointwise(self._pdf_array, x)
 
     def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
+        # Past either overflow the product below would be inf * 0 = NaN, and it
+        # is 0 already from half the k-th root of the largest double on: there
+        # either norm_const, about theta^{k+1}/k!, is 0 in double precision, or
+        # theta * x is past 10^7 (k <= 5) and e^{-theta x} is 0.  The
+        # polynomial meets the exponential first, as norm_const times it can
+        # overflow where the density is finite.
+        k = self.member.degree
+        bound = min(_finite_below(self.theta), 0.5 * sys.float_info.max ** (1.0 / k))
         out = np.where(np.isnan(flat), math.nan, 0.0)
-        pos = (flat >= 0.0) & (flat < math.inf)
+        pos = (flat >= 0.0) & (flat < bound)
         xp = flat[pos]
-        out[pos] = (
-            self.norm_const
-            * (self.alpha + xp ** self.member.degree)
-            * np.exp(-self.theta * xp)
-        )
+        out[pos] = self.norm_const * ((self.alpha + xp**k) * np.exp(-self.theta * xp))
         return out
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:

@@ -132,11 +132,18 @@ def _pointwise(
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _math_scalar(x: object) -> bool:
-    """True for a Python int or float (np.float64 included) with 0 < x < inf:
-    such arguments take the math-module paths of ErlangMixture.pdf and
-    survival; every other input, 0-d arrays included, takes the array path."""
-    return isinstance(x, (int, float)) and 0.0 < x < math.inf
+def _series_points(x: np.ndarray, rate: float) -> np.ndarray:
+    """The mask 0 < x < _finite_below(rate): where the Erlang series with this
+    rate are summed; the callers give every other point its edge value."""
+    return (x > 0.0) & (x < _finite_below(rate))
+
+
+def _math_scalar(x: object, rate: float) -> bool:
+    """True for a Python int or float (np.float64 included) in _series_points,
+    tested as one chained comparison: such arguments take the math-module
+    paths of ErlangMixture.pdf and survival; every other input, 0-d arrays
+    included, takes the array path."""
+    return isinstance(x, (int, float)) and 0.0 < x < _finite_below(rate)
 
 
 def _finite_below(rate: float) -> float:
@@ -212,10 +219,10 @@ class ErlangMixture:
         """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
         NaN at NaN.
 
-        A scalar in (0, inf) (see _math_scalar) takes a math-module path that
+        A positive finite scalar (see _math_scalar) takes a math-module path that
         agrees with the array path to about 1e-13 relative.
         """
-        if _math_scalar(x) and x < _finite_below(self.rate):
+        if _math_scalar(x, self.rate):
             ln_x = math.log(x)
             terms = [c + p * ln_x for c, p in self._log_density_terms[2]]
             peak = max(terms)
@@ -239,7 +246,7 @@ class ErlangMixture:
         out = np.where(np.isnan(flat), math.nan, -math.inf)
         if self.shapes[0] == 1 and self.weights[0] > 0.0:
             out[flat == 0.0] = math.log(self.weights[0]) + math.log(self.rate)
-        pos = (flat > 0.0) & (flat < _finite_below(self.rate))
+        pos = _series_points(flat, self.rate)
         if np.any(pos):
             # one (components x points) buffer, updated in place
             const, powers, _ = self._log_density_terms
@@ -270,11 +277,11 @@ class ErlangMixture:
 
         The weighted Erlang tails come from one sweep of the shared Poisson
         series e^{-rate t} (rate t)^j / j! up to the largest shape, along the
-        cached _sweep_plan.  A scalar in (0, inf) (see _math_scalar) runs the
+        cached _sweep_plan.  A positive finite scalar (see _math_scalar) runs the
         sweep on Python floats, which agrees with the array path to about
         1e-14 relative.
         """
-        if _math_scalar(t) and t < _finite_below(self.rate):
+        if _math_scalar(t, self.rate):
             x = self.rate * float(t)  # np.float64 too: the sweep runs on Python floats
             term = partial = math.exp(-x)
             tail = 0.0
@@ -291,7 +298,7 @@ class ErlangMixture:
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
         # the weights, 1 +/- ulp), 0 at +inf and where rate * t overflows, NaN at NaN
         out = np.heaviside(-flat, 1.0)
-        pos = (flat > 0.0) & (flat < _finite_below(self.rate))
+        pos = _series_points(flat, self.rate)
         x = self.rate * flat[pos]
         term = np.exp(-x)
         partial = term.copy()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
 from .numerics import (
-    ErlangMixture, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp,
+    ErlangMixture, _pointwise, _series_points, ln_binomial, ln_factorial, logsumexp,
 )
 from .sums import SumSpec
 
@@ -64,7 +64,7 @@ def _lindley_reliability_array(theta: float, n: int, t: np.ndarray) -> np.ndarra
     # exactly 1 at t = 0, 0 at +inf (the series would give NaN there) and where
     # theta * t overflows, NaN at NaN
     out = np.where(np.isnan(t), math.nan, (t == 0.0).astype(float))
-    pos = (t > 0.0) & (t < _finite_below(theta))
+    pos = _series_points(t, theta)
     if np.any(pos):
         # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
         ln_base = 2.0 * math.log(theta) - math.log1p(theta)
@@ -158,14 +158,10 @@ class ExponentialStandby:
     def label(self) -> str:
         return f"exponential theta={self.theta:g} n={self.n}"
 
-    @cached_property
-    def _mixture(self) -> ErlangMixture:
-        return ErlangMixture(self.theta, (1.0,), (self.n,))
-
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
         """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
         The package's one route to that tail; exponential_reliability calls it."""
-        return self._mixture.survival(t)
+        return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
 
     def mttf(self) -> float:
         return exponential_mttf(self.theta, self.n)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lindsum.family import LINDLEY, SHANKER, DistSpec
-from lindsum.numerics import ErlangMixture, integrate
+from lindsum.numerics import integrate
 from lindsum.reliability import (
     ExponentialStandby,
     MttfRow,
@@ -228,18 +228,6 @@ class TestExponentialStandbyFunctions:
         assert exponential_mttf(0.1, 5) == 50.0
         assert exponential_mttf(1.0, 1) == 1.0
         np.testing.assert_allclose(exponential_mttf(3.0, 5), 5.0 / 3.0, rtol=1e-15)
-
-    def test_system_keeps_one_mixture(self):
-        system = ExponentialStandby(2.0, 5)
-        ts = np.array([0.0, 0.4, 1.3, 7.0])
-        first = system.reliability(ts)
-        mixture = system._mixture
-        np.testing.assert_array_equal(system.reliability(ts), first)
-        assert system.reliability(1.3) == exponential_reliability(2.0, 5, 1.3)
-        assert system._mixture is mixture
-        fresh = ErlangMixture(2.0, (1.0,), (5,))
-        np.testing.assert_array_equal(first, fresh.survival(ts))
-        assert system.reliability(1.3) == fresh.survival(1.3)
 
     def test_mttf_equals_integral_of_reliability(self):
         for theta, n in [(0.5, 3), (2.0, 5)]:

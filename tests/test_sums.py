@@ -453,13 +453,14 @@ def _series_oracle(dist: DistSpec, n: int, x: float) -> tuple[float, float, floa
     with mpmath.workdps(50):
         theta, alpha, xm = mpmath.mpf(dist.theta), mpmath.mpf(dist.alpha), mpmath.mpf(x)
         c = theta ** (k + 1) / (alpha * theta**k + mpmath.factorial(k))
+        decay = mpmath.exp(-theta * xm)
         mean = tail = density = mpmath.mpf(0)
         for r in range(n + 1):
             s = n + k * r
             coef = c**n * mpmath.binomial(n, r) * alpha ** (n - r) * mpmath.factorial(k) ** r
             mean += coef * s / theta ** (s + 1)
             tail += coef / theta**s * mpmath.gammainc(s, theta * xm, regularized=True)
-            density += coef * xm ** (s - 1) / mpmath.factorial(s - 1) * mpmath.exp(-theta * xm)
+            density += coef * xm ** (s - 1) / mpmath.factorial(s - 1) * decay
         return float(mean), float(tail), float(density)
 
 
@@ -526,26 +527,24 @@ class TestOverflowingArgument:
                 np.testing.assert_array_equal(route(np.array([t])), [edge])
                 np.testing.assert_array_equal(route(np.array([t, 1.0])), [edge, route(1.0)])
 
-
-def _mixture_tail_oracle(dist: DistSpec, n: int, t: float) -> float:
-    """Survival of the n-fold sum at t in mpmath at 40 digits, as the binomial
-    mixture of regularized upper incomplete gamma functions
-
-        sum_r C(n,r) p^(n-r) (1-p)^r Q(n + k r, theta t),
-
-    with p = alpha theta^k / (alpha theta^k + k!) computed from theta, alpha
-    and k (not from DistSpec.ln_weights)."""
-    k = dist.member.degree
-    with mpmath.workdps(40):
-        theta = mpmath.mpf(dist.theta)
-        odds = mpmath.mpf(dist.alpha) * theta**k
-        p = odds / (odds + mpmath.factorial(k))
-        x = theta * mpmath.mpf(t)
-        return float(mpmath.fsum(
-            mpmath.binomial(n, r) * p ** (n - r) * (1 - p) ** r
-            * mpmath.gammainc(n + k * r, x, mpmath.inf, regularized=True)
-            for r in range(n + 1)
-        ))
+    @pytest.mark.parametrize("member, theta, x", [
+        (LINDLEY, 2.0, 1e308),  # theta * x overflows
+        (RAM_AWADH, 1.0, 1e100),  # x^5 overflows
+        (AKASH, 1e3, 6e153),  # norm_const * x^2 overflows
+        (RAM_AWADH, 3e-54, 2.2e61),  # just inside half the 5th root of max
+    ])
+    def test_member_density(self, member, theta, x):
+        dist = DistSpec(member, theta)
+        k = member.degree
+        with mpmath.workdps(30):
+            th, xm, alpha = mpmath.mpf(theta), mpmath.mpf(x), mpmath.mpf(dist.alpha)
+            truth = float(th ** (k + 1) / (alpha * th**k + mpmath.factorial(k))
+                          * (alpha + xm**k) * mpmath.exp(-th * xm))
+        assert truth == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.pdf(x) == 0.0
+            np.testing.assert_array_equal(dist.pdf(np.array([x, 1.0])), [0.0, dist.pdf(1.0)])
 
 
 class TestSweepAccuracy:
@@ -567,7 +566,7 @@ class TestSweepAccuracy:
                 ts = [t for t in ts if theta * t <= 700.0]
                 array = spec.survival(np.array(ts))
                 for t, from_array in zip(ts, array):
-                    truth = _mixture_tail_oracle(dist, n, t)
+                    truth = _series_oracle(dist, n, t)[1]
                     if truth < 1e-300:
                         continue
                     for got in (spec.survival(t), from_array):
@@ -588,7 +587,7 @@ class TestSweepAccuracy:
         steps = [r for _, row in plan for r in row]
         assert steps == [1.0 / j for j in range(1, mixture.shapes[-1])]
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
-        truth = _mixture_tail_oracle(dist, 200, 690.0)
+        truth = _series_oracle(dist, 200, 690.0)[1]
         for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
             assert abs(got - truth) <= 1e-13 * truth, (got, truth)
         padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
