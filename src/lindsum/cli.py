@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -25,14 +26,14 @@ from .family import DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError
 from .reliability import ExponentialStandby, StandbyModel, mttf_table
 from .sums import SumSpec
-from .validation import VerifyConfig, quadrature_moment, sample_sum, verify_all
+from .validation import (
+    MOMENT_BOUND, CheckResult, VerifyConfig, quadrature_moment, sample_sum, verify_all,
+)
 
 __all__ = ["DEFAULT_SEED", "SEED_ENV_VAR", "build_parser", "main"]
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "LINDSUM_SEED"
-
-_MOMENT_VERIFY_BOUND = 1e-6
 
 
 def _fmt(value: float, decimals: int | None = None) -> str:
@@ -43,7 +44,7 @@ def _fmt(value: float, decimals: int | None = None) -> str:
 
 def _emit_table(
     columns: list[str],
-    rows: list[list],
+    rows: Sequence[Sequence],
     fmt: str,
     decimals: int | None = None,
 ) -> None:
@@ -112,27 +113,23 @@ _NONNEGATIVE = _arg_type(float, _at_least(0.0), "a finite number >= 0")
 _COUNT, _DECIMALS, _POINTS = _count(1), _count(0), _count(2)
 
 
-def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"environment variable {SEED_ENV_VAR} must be an integer, got {raw!r}")
+def _sum_spec(args: argparse.Namespace) -> SumSpec:
+    return SumSpec(DistSpec(args.dist, args.theta), args.n)
+
+
+def _grid(args, parser, point: float | None, lo: float, hi: float | None) -> np.ndarray:
+    """[point] if one was given, else args.points evenly spaced values on [lo, hi]."""
+    if point is not None:
+        return np.array([point], dtype=float)
+    if not hi > lo:
+        parser.error(f"grid upper bound must exceed lower bound, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, args.points)
 
 
 def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
-    if args.x is not None:
-        grid = np.array([args.x], dtype=float)
-    else:
-        hi = args.x_max if args.x_max is not None else 5.0 * spec.mean()
-        if not hi > args.x_min:
-            parser.error(f"grid upper bound must exceed lower bound, got [{args.x_min}, {hi}]")
-        grid = np.linspace(args.x_min, hi, args.points)
+    spec = _sum_spec(args)
+    hi = 5.0 * spec.mean() if args.x is None and args.x_max is None else args.x_max
+    grid = _grid(args, parser, args.x, args.x_min, hi)
     rows = [
         [float(x), spec.pdf(float(x)), float(cdf), float(survival)]
         for x, cdf, survival in zip(grid, spec.cdf(grid), spec.survival(grid))
@@ -142,38 +139,33 @@ def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
-
-    labels = [f"moment[{m}]" for m in range(1, args.m_max + 1)]
-    values = [spec.moment(m) for m in range(1, args.m_max + 1)]
+    spec = _sum_spec(args)
+    rows = [[f"moment[{m}]", spec.moment(m)] for m in range(1, args.m_max + 1)]
     if args.central:
         m1, m2, m3, m4 = (spec.moment(m) for m in range(1, 5))
-        mean = m1
-        variance = m2 - m1 * m1
+        variance = spec.variance()
         sd = math.sqrt(variance)
-        skewness = (m3 - 3.0 * mean * variance - mean**3) / sd**3
-        kurtosis = (m4 - 4.0 * mean * m3 + 6.0 * mean**2 * m2 - 3.0 * mean**4) / variance**2
-        labels += ["mean", "variance", "skewness", "kurtosis"]
-        values += [mean, variance, skewness, kurtosis]
-
-    if not args.verify:
-        rows = [[label, value] for label, value in zip(labels, values)]
-        _emit_table(["statistic", "value"], rows, args.format)
-        return 0
-
-    rows = []
+        rows += [
+            ["mean", m1],
+            ["variance", variance],
+            ["skewness", (m3 - 3.0 * m1 * variance - m1**3) / sd**3],
+            ["kurtosis", (m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4) / variance**2],
+        ]
+    columns = ["statistic", "value"]
     worst = 0.0
-    for m in range(1, args.m_max + 1):
-        closed = spec.moment(m)
-        numeric = quadrature_moment(spec, m)
-        rel = abs(closed - numeric) / closed
-        worst = max(worst, rel)
-        rows.append([f"moment[{m}]", closed, numeric, rel])
-    _emit_table(["statistic", "value", "quadrature", "rel_error"], rows, args.format)
-    if worst > _MOMENT_VERIFY_BOUND:
+    if args.verify:
+        columns += ["quadrature", "rel_error"]
+        for m, row in enumerate(rows[: args.m_max], start=1):
+            numeric = quadrature_moment(spec, m)
+            row += [numeric, abs(row[1] - numeric) / row[1]]
+            worst = max(worst, row[3])
+        for row in rows[args.m_max :]:  # the central rows have no quadrature check
+            row += [math.nan, math.nan]
+    _emit_table(columns, rows, args.format)
+    if worst > MOMENT_BOUND:
         print(
             f"moment verification failed: worst relative error {worst:.3g} "
-            f"exceeds {_MOMENT_VERIFY_BOUND:.0e}",
+            f"exceeds {MOMENT_BOUND:.0e}",
             file=sys.stderr,
         )
         return 1
@@ -181,20 +173,14 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    model = StandbyModel(DistSpec(args.dist, args.theta), args.n)
-    if args.t is not None:
-        grid = np.array([args.t], dtype=float)
-    else:
-        grid = np.linspace(0.0, args.t_max, args.points)
-    values = np.asarray(model.reliability(grid), dtype=float)
+    grid = _grid(args, parser, args.t, 0.0, args.t_max)
+    # a cold-standby system's reliability is the survival of its lifetime sum
+    table = [grid, _sum_spec(args).survival(grid)]
     columns = ["t", f"R_{args.dist.name.lower()}"]
-    table = [grid, values]
     if args.compare_exponential:
-        comparator = ExponentialStandby(args.theta, args.n)
-        table.append(np.asarray(comparator.reliability(grid), dtype=float))
+        table.append(ExponentialStandby(args.theta, args.n).reliability(grid))
         columns.append("R_exponential")
-    rows = [[float(col[i]) for col in table] for i in range(len(grid))]
-    _emit_table(columns, rows, args.format)
+    _emit_table(columns, np.column_stack(table).tolist(), args.format)
     return 0
 
 
@@ -210,10 +196,7 @@ def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    seed = _resolve_seed(parser, args.seed)
-    spec = SumSpec(DistSpec(args.dist, args.theta), args.n)
-    rng = np.random.default_rng(seed)
-    draws = sample_sum(spec, rng, args.count)
+    draws = sample_sum(_sum_spec(args), np.random.default_rng(args.seed), args.count)
     sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws))
     return 0
 
@@ -228,12 +211,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for line in report.to_lines():
             print(line)
     else:
-        columns = ["check_id", "status", "value", "bound", "detail", "elapsed_s"]
-        rows = [
-            [r.check_id, r.status, r.value, r.bound, r.detail, r.elapsed_s]
-            for r in report.results
-        ]
-        _emit_table(columns, rows, args.format)
+        columns = [f.name for f in fields(CheckResult)]
+        _emit_table(columns, [astuple(r) for r in report.results], args.format)
     if not report.all_passed:
         failed = sum(1 for r in report.results if r.status != "pass")
         print(f"{failed} of {len(report.results)} checks did not pass", file=sys.stderr)
@@ -250,6 +229,16 @@ def _add_format(sub: argparse.ArgumentParser, default: str = "csv") -> None:
     )
 
 
+def _add_spec_flags(sub: argparse.ArgumentParser, dist: str | None = None, n: int = 1) -> None:
+    """--dist (required unless given a default), --theta and --n of one n-fold sum."""
+    sub.add_argument(
+        "--dist", type=_MEMBER, required=dist is None, default=dist,
+        help="family member name, case-insensitive" + (f" (default {dist})" if dist else ""),
+    )
+    sub.add_argument("--theta", type=_POSITIVE, required=True, help="rate parameter, > 0")
+    sub.add_argument("--n", type=_COUNT, default=n, help=f"number of summands (default {n})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindsum",
@@ -257,19 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Closed-form sums of Lindley-family lifetimes and 1-out-of-n "
             "cold-standby reliability."
         ),
-        epilog=(
-            f"The default sampling seed is {DEFAULT_SEED}; set {SEED_ENV_VAR} "
-            "to override it without passing --seed."
-        ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     pdf = subparsers.add_parser("pdf", help="density, cdf, and survival of an n-fold sum")
-    pdf.add_argument(
-        "--dist", type=_MEMBER, required=True, help="family member name (case-insensitive)"
-    )
-    pdf.add_argument("--theta", type=_POSITIVE, required=True, help="rate parameter, > 0")
-    pdf.add_argument("--n", type=_COUNT, default=1, help="number of summands (default 1)")
+    _add_spec_flags(pdf)
     pdf.add_argument("--x", type=_FINITE, default=None, help="single evaluation point")
     pdf.add_argument("--x-min", type=_FINITE, default=0.0, help="grid start (default 0)")
     pdf.add_argument("--x-max", type=_FINITE, default=None, help="grid end (default 5*mean)")
@@ -278,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     pdf.set_defaults(func=cmd_pdf)
 
     moments = subparsers.add_parser("moments", help="raw moments of an n-fold sum")
-    moments.add_argument("--dist", type=_MEMBER, required=True)
-    moments.add_argument("--theta", type=_POSITIVE, required=True)
-    moments.add_argument("--n", type=_COUNT, default=1)
+    _add_spec_flags(moments)
     moments.add_argument("--m-max", type=_COUNT, default=4, help="highest moment (default 4)")
     moments.add_argument(
         "--central",
@@ -298,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     reliability = subparsers.add_parser(
         "reliability", help="cold-standby reliability curve or point value"
     )
-    reliability.add_argument(
-        "--dist", type=_MEMBER, default="lindley", help="family member (default lindley)"
-    )
-    reliability.add_argument("--theta", type=_POSITIVE, required=True)
-    reliability.add_argument("--n", type=_COUNT, default=5, help="number of units (default 5)")
+    _add_spec_flags(reliability, dist="lindley", n=5)
     reliability.add_argument("--t", type=_NONNEGATIVE, default=None, help="single time point")
     reliability.add_argument(
         "--t-max", type=_POSITIVE, default=100.0, help="grid end (default 100)"
@@ -340,11 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     mttf.set_defaults(func=cmd_mttf)
 
     sample = subparsers.add_parser("sample", help="reproducible draws of n-fold sums")
-    sample.add_argument("--dist", type=_MEMBER, required=True)
-    sample.add_argument("--theta", type=_POSITIVE, required=True)
-    sample.add_argument("--n", type=_COUNT, default=1, help="summands per draw (default 1)")
+    _add_spec_flags(sample)
     sample.add_argument("--count", type=_COUNT, required=True, help="number of draws")
-    sample.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
+    # argparse converts a str default with type= too: a bad LINDSUM_SEED is a usage error
+    from_env = f" ({SEED_ENV_VAR} sets the default)" if SEED_ENV_VAR in os.environ else ""
+    sample.add_argument(
+        "--seed", default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
+        type=_arg_type(int, lambda v: check_count(v, "value", 0), f"an integer >= 0{from_env}"),
+        help=f"RNG seed, >= 0 (default: ${SEED_ENV_VAR}, else {DEFAULT_SEED})",
+    )
     sample.set_defaults(func=cmd_sample)
 
     verify = subparsers.add_parser("verify", help="run the cross-check suite")
@@ -359,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated member names to restrict member checks",
     )
     verify.add_argument(
-        "--samples", type=_COUNT, default=1_000_000, help="Monte Carlo sample count (default 1e6)"
+        "--samples", type=_COUNT, default=VerifyConfig.sample_count,
+        help=f"Monte Carlo sample count (default {VerifyConfig.sample_count:g})",
     )
     _add_format(verify, default="plain")
     verify.set_defaults(func=cmd_verify)

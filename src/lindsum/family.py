@@ -20,7 +20,7 @@ Every member is the two-component mixture
 and the sum of n draws puts weight C(n,r) p^(n-r) (1-p)^r on Erlang(n+k*r, theta).
 DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), so
 both are finite for every finite theta, and sum_mixture builds every such
-numerics.ErlangMixture from them.  The density, with its own norm_const, and the
+numerics.ErlangMixture from them.  The density, in log space, and the
 composition sampler stay independent of the mixture code they help check.
 check_positive and check_count (from numerics, re-exported here) are the one
 check of each kind of parameter (a positive finite real, a count with a lower
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,7 +129,7 @@ class DistSpec:
     @property
     def norm_const(self) -> float:
         """Normalizing constant theta^{k+1} / (alpha*theta^k + k!), finite at every
-        finite theta; independent of ln_weights, as the density is their oracle."""
+        finite theta; it underflows with theta^{k+1}, so pdf works in logs instead."""
         k, theta = self.member.degree, self.theta
         if theta <= 1.0:
             return theta ** (k + 1) / (self.alpha * theta**k + math.factorial(k))
@@ -165,23 +164,26 @@ class DistSpec:
         return self.sum_mixture(1)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x; zero for x < 0, at +inf and where theta*x or x^k
-        overflows, NaN at NaN."""
+        """Density at x; zero for x < 0, at +inf and where theta*x overflows,
+        NaN at NaN.  Taken in log space, so it holds at every finite theta
+        where norm_const or e^{-theta x} alone would underflow."""
         return _pointwise(self._pdf_array, x)
 
     def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
-        # Past either overflow the product below would be inf * 0 = NaN, and it
-        # is 0 already from half the k-th root of the largest double on: there
-        # either norm_const, about theta^{k+1}/k!, is 0 in double precision, or
-        # theta * x is past 10^7 (k <= 5) and e^{-theta x} is 0.  The
-        # polynomial meets the exponential first, as norm_const times it can
-        # overflow where the density is finite.
-        k = self.member.degree
-        bound = min(_finite_below(self.theta), 0.5 * sys.float_info.max ** (1.0 / k))
+        # f = theta (a + y^k) / (a + k!) e^{-y} with y = theta x and a = alpha theta^k,
+        # summed in logs: ln(a + y^k) and ln(a + k!) are both shifted by
+        # s = max(ln a, ln k!), so no term overflows or underflows before the one
+        # exp, and the two large logs of a large theta cancel exactly
+        k, theta = self.member.degree, self.theta
+        ln_a = math.log(self.alpha) + k * math.log(theta)
+        ln_kf = math.log(math.factorial(k))
+        shift = max(ln_a, ln_kf)
+        ln_scale = math.log(theta) - math.log(math.exp(ln_a - shift) + math.exp(ln_kf - shift))
         out = np.where(np.isnan(flat), math.nan, 0.0)
-        pos = (flat >= 0.0) & (flat < bound)
-        xp = flat[pos]
-        out[pos] = self.norm_const * ((self.alpha + xp**k) * np.exp(-self.theta * xp))
+        pos = (flat >= 0.0) & (flat < _finite_below(theta))
+        y = theta * flat[pos]
+        ln_yk = k * np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0)
+        out[pos] = np.exp(ln_scale + np.logaddexp(ln_a - shift, ln_yk - shift) - y)
         return out
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:

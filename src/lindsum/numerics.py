@@ -154,6 +154,20 @@ def _finite_below(rate: float) -> float:
     return sys.float_info.max / rate if rate > 1.0 else math.inf
 
 
+def _moment_from_log(log_moment: float, m: int) -> float:
+    """e^log_moment, a moment of order m: OverflowError past the largest double,
+    ArithmeticError below the smallest normal one."""
+    if log_moment > _LN_DOUBLE_MAX:
+        raise OverflowError(
+            f"moment of order m={m} is about e^{log_moment:.6g}, beyond double range"
+        )
+    if log_moment < _LN_DOUBLE_MIN:
+        raise ArithmeticError(
+            f"moment of order m={m} is about e^{log_moment:.6g}, below double range"
+        )
+    return math.exp(log_moment)
+
+
 def logsumexp(log_terms: Sequence[float]) -> float:
     """Log of a sum of positive terms given by their logs, via max-shifting.
 
@@ -328,16 +342,7 @@ class ErlangMixture:
             for w, s in self.components
             if w > 0.0
         ]
-        log_moment = logsumexp(terms) - m * math.log(self.rate)
-        if log_moment > _LN_DOUBLE_MAX:
-            raise OverflowError(
-                f"moment of order m={m} is about e^{log_moment:.6g}, beyond double range"
-            )
-        if log_moment < _LN_DOUBLE_MIN:
-            raise ArithmeticError(
-                f"moment of order m={m} is about e^{log_moment:.6g}, below double range"
-            )
-        return math.exp(log_moment)
+        return _moment_from_log(logsumexp(terms) - m * math.log(self.rate), m)
 
     def mean(self) -> float:
         return self.moment(1)

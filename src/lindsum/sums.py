@@ -27,7 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .family import DistSpec, check_n
-from .numerics import ErlangMixture, check_count, ln_binomial, ln_factorial, logsumexp
+from .numerics import (
+    ErlangMixture, _moment_from_log, check_count, ln_binomial, ln_factorial, logsumexp,
+)
 
 __all__ = ["ErlangMixture", "SumSpec"]
 
@@ -90,7 +92,8 @@ class SumSpec:
             + r * ln_rho
             for r in range(n + 1)
         ]
-        return math.exp(ln_factorial(m) - m * math.log(d.theta) + n * ln_p + logsumexp(terms))
+        log_moment = ln_factorial(m) - m * math.log(d.theta) + n * ln_p + logsumexp(terms)
+        return _moment_from_log(log_moment, m)
 
     def mean(self) -> float:
         """E[S_n] = n * E[X]."""

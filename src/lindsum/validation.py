@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_SEEDS",
     "KS_99_COEFFICIENT",
     "KsReport",
+    "MOMENT_BOUND",
     "VerificationReport",
     "VerifyConfig",
     "convolution_oracle_pdf",
@@ -54,10 +55,18 @@ KS_99_COEFFICIENT = 1.63
 # Documented fixed seeds for the reproducible Monte Carlo checks.
 DEFAULT_SEEDS = (7, 19, 37)
 
+# Relative error allowed between a closed-form moment and its quadrature, in
+# the moments/* checks and in `lindsum moments --verify`.
+MOMENT_BOUND = 1e-6
+
 # Sorted points per run in ks_statistic's pruning, and the slack that covers
 # the cdf's rounding when a run is bounded by its endpoints.
 _KS_RUN = 128
 _KS_SLACK = 1e-12
+
+# Tolerance of the convolution oracle's quadrature (a tenth of it for the
+# inner two-fold integrals at n = 3).
+_CONVOLUTION_TOL = 1e-9
 
 _THETAS = (0.5, 1.0, 2.0)
 _SUM_NS = (1, 2, 3, 5, 10)
@@ -172,7 +181,7 @@ def _ks_deviation(index: np.ndarray, f: np.ndarray, count: int) -> float:
     return max((i / count - f).max(), (f - (i - 1.0) / count).max())
 
 
-def convolution_oracle_pdf(spec: SumSpec, x: float, tol: float = 1e-9) -> float:
+def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     """Density of a 2- or 3-fold sum by direct nested quadrature.
 
     Integrates f(u)f(x-u) (and the extra layer for n = 3) with the adaptive
@@ -198,12 +207,12 @@ def convolution_oracle_pdf(spec: SumSpec, x: float, tol: float = 1e-9) -> float:
         ).value
 
     if spec.n == 2:
-        return two_fold(x, tol)
+        return two_fold(x, _CONVOLUTION_TOL)
 
     def inner(u1: np.ndarray) -> np.ndarray:
-        return np.array([two_fold(width, tol * 0.1) for width in (x - u1).tolist()])
+        return np.array([two_fold(width, _CONVOLUTION_TOL * 0.1) for width in (x - u1).tolist()])
 
-    return integrate(lambda u1: f(u1) * inner(u1), 0.0, x, tol).value
+    return integrate(lambda u1: f(u1) * inner(u1), 0.0, x, _CONVOLUTION_TOL).value
 
 
 def quadrature_moment(spec: SumSpec, m: int) -> float:
@@ -472,7 +481,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
     per_member = (
         ("convolution", _ORACLE_NS, _convolution_error, 1e-6),
         ("normalization", _SUM_NS, _mass_error, 1e-8),
-        ("moments", _SUM_NS, _moment_error, 1e-6),
+        ("moments", _SUM_NS, _moment_error, MOMENT_BOUND),
         ("moment-forms", range(1, 6), _moment_form_error, 1e-10),
     )
     # shared by the ks/* and mc-moments/* checks of this registry only

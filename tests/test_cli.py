@@ -131,6 +131,23 @@ class TestMomentsCommand:
             if parts[0].startswith("moment["):
                 assert float(parts[3]) <= 1e-6
 
+    def test_verify_keeps_the_central_rows(self, capsys):
+        argv = ["moments", "--dist", "shanker", "--theta", "1", "--n", "5", "--central"]
+        _, plain, _ = run_cli(capsys, argv)
+        code, out, _ = run_cli(capsys, argv + ["--verify", "--format", "json"])
+        assert code == 0
+        records = json.loads(out)
+        expected = dict(line.split(",") for line in plain.splitlines()[1:])
+        assert [r["statistic"] for r in records] == list(expected)
+        assert [r["value"] for r in records] == [float(v) for v in expected.values()]
+        for record in records[:4]:
+            assert record["rel_error"] <= 1e-6
+        for record in records[4:]:
+            assert record["quadrature"] is None and record["rel_error"] is None
+        np.testing.assert_allclose(
+            records[5]["value"], SumSpec(DistSpec(SHANKER, 1.0), 5).variance(), rtol=0
+        )
+
     def test_verify_reaches_moments_whose_power_overflows(self, capsys):
         # x^150 alone overflows past x ~ 113; moment[150] ~ 4.34e264 is finite
         code, out, err = run_cli(
@@ -344,11 +361,28 @@ class TestArgumentDomains:
             (["reliability", "--theta", "1", "--t", "nan"], "--t"),
             (["reliability", "--theta", "1", "--t-max", "inf"], "--t-max"),
             (["mttf", "--theta", "1", "--decimals", "-3"], "--decimals"),
+            (["sample", "--dist", "lindley", "--theta", "1", "--count", "2", "--seed", "-1"],
+             "--seed"),
         ],
     )
     def test_out_of_domain_value_exits_2(self, capsys, argv, flag):
         err = run_cli_expecting_usage_error(capsys, argv)
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("raw", ["-1", "seven"])
+    def test_bad_seed_env_var_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(SEED_ENV_VAR, raw)
+        err = run_cli_expecting_usage_error(
+            capsys, ["sample", "--dist", "lindley", "--theta", "1", "--count", "2"]
+        )
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "argument --seed:" in line and SEED_ENV_VAR in line and repr(raw) in line
+
+    def test_flag_seed_overrides_a_bad_env_var(self, capsys, monkeypatch):
+        argv = ["sample", "--dist", "lindley", "--theta", "1", "--count", "2", "--seed", "7"]
+        _, reference, _ = run_cli(capsys, argv)
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        assert run_cli(capsys, argv) == (0, reference, "")
 
 
 class TestTopLevel:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
+from mpmath_oracle import SumOracle
 
 from lindsum.family import LINDLEY, SHANKER, DistSpec
 from lindsum.numerics import integrate
@@ -145,22 +145,6 @@ class TestLindleyMttf:
 EXTREME_THETAS = (1e-200, 1.0, 1e154, 1e200, 1e300)
 
 
-def _lindley_sum_oracle(theta: float, n: int, t: float) -> tuple[float, float]:
-    """Survival at t and mean of the n-fold Lindley sum in mpmath at 50 digits,
-    from its Erlang mixture: weight C(n,r) p^(n-r) (1-p)^r on Erlang(n+r, theta),
-    p = theta/(1+theta)."""
-    with mpmath.workdps(50):
-        theta_, t_ = mpmath.mpf(theta), mpmath.mpf(t)
-        p = theta_ / (1 + theta_)
-        weights = [mpmath.binomial(n, r) * p ** (n - r) * (1 - p) ** r for r in range(n + 1)]
-        survival = mpmath.fsum(
-            w * mpmath.gammainc(n + r, theta_ * t_, regularized=True)
-            for r, w in enumerate(weights)
-        )
-        mean = mpmath.fsum(w * (n + r) for r, w in enumerate(weights)) / theta_
-        return float(survival), float(mean)
-
-
 class TestLindleyClosedFormsAcrossTheta:
     """The double series and the MTTF closed form stay finite and accurate for
     theta anywhere in double range."""
@@ -170,13 +154,13 @@ class TestLindleyClosedFormsAcrossTheta:
     @pytest.mark.parametrize("scaled_t", [0.1, 1.0, 5.0, 20.0])
     def test_reliability_matches_mpmath(self, theta, n, scaled_t):
         t = scaled_t / theta
-        expected, _ = _lindley_sum_oracle(theta, n, t)
+        expected = SumOracle(theta, 1.0, 1, n).survival(t)
         np.testing.assert_allclose(lindley_reliability(theta, n, t), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("theta", EXTREME_THETAS)
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_mttf_matches_mpmath(self, theta, n):
-        _, expected = _lindley_sum_oracle(theta, n, 1.0)
+        expected = SumOracle(theta, 1.0, 1, n).mean()
         np.testing.assert_allclose(lindley_mttf(theta, n), expected, rtol=1e-14)
 
     def test_large_theta_values(self):

@@ -13,9 +13,9 @@ import sys
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
+from mpmath_oracle import SumOracle
 
 from lindsum.family import (
     AKASH,
@@ -385,6 +385,23 @@ class TestMomentSeriesSmallP:
         np.testing.assert_allclose(spec.mean(), 18e60, rtol=1e-12)
 
 
+class TestMomentSeriesRange:
+    """moment_series fails where moment does, with the same errors."""
+
+    def test_beyond_double_range(self):
+        spec = SumSpec(DistSpec(LINDLEY, 1.0), 2)
+        for route in (spec.moment, spec.moment_series):
+            with pytest.raises(OverflowError, match="m=200.*beyond double range"):
+                route(200)
+
+    def test_below_double_range(self):
+        # E[S^3] is about 1e-900 at theta = 1e300; moment_series returned 0.0
+        spec = SumSpec(DistSpec(LINDLEY, 1e300), 2)
+        for route in (spec.moment, spec.moment_series):
+            with pytest.raises(ArithmeticError, match="m=3.*below double range"):
+                route(3)
+
+
 class TestLargeN:
     def test_ram_awadh_fifty_terms_stable(self):
         spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
@@ -440,28 +457,8 @@ class TestZeroWeightComponents:
         np.testing.assert_allclose(dist.moment(1), (p + 2.0 * q) / theta, rtol=1e-13)
 
 
-def _series_oracle(dist: DistSpec, n: int, x: float) -> tuple[float, float, float]:
-    """Mean, survival at x and density at x of the n-fold sum, from the paper's
-    series evaluated term by term in mpmath at 50 digits:
-
-        f_n(x) = c^n sum_r C(n,r) alpha^{n-r} (k!)^r x^{n+kr-1}/(n+kr-1)! e^{-theta x}.
-
-    Each term integrates in closed form: its tail beyond x is theta^{-s} Q(s,
-    theta x) and its first moment s/theta^{s+1}, with s = n + kr and Q the
-    regularized upper incomplete gamma function."""
-    k = dist.member.degree
-    with mpmath.workdps(50):
-        theta, alpha, xm = mpmath.mpf(dist.theta), mpmath.mpf(dist.alpha), mpmath.mpf(x)
-        c = theta ** (k + 1) / (alpha * theta**k + mpmath.factorial(k))
-        decay = mpmath.exp(-theta * xm)
-        mean = tail = density = mpmath.mpf(0)
-        for r in range(n + 1):
-            s = n + k * r
-            coef = c**n * mpmath.binomial(n, r) * alpha ** (n - r) * mpmath.factorial(k) ** r
-            mean += coef * s / theta ** (s + 1)
-            tail += coef / theta**s * mpmath.gammainc(s, theta * xm, regularized=True)
-            density += coef * xm ** (s - 1) / mpmath.factorial(s - 1) * decay
-        return float(mean), float(tail), float(density)
+def _oracle(dist: DistSpec, n: int) -> SumOracle:
+    return SumOracle(dist.theta, dist.alpha, dist.member.degree, n)
 
 
 class TestUnderflowedWeightSum:
@@ -472,11 +469,12 @@ class TestUnderflowedWeightSum:
         dist = DistSpec(RAM_AWADH, 0.1)
         spec = SumSpec(dist, 50)
         assert spec.mixture().weights[0] == 0.0
-        mean = _series_oracle(dist, 50, 1.0)[0]
+        oracle = _oracle(dist, 50)
+        mean = oracle.mean()
         np.testing.assert_allclose(spec.mean(), mean, rtol=1e-12)
         sd = math.sqrt(spec.variance())
         for x in (mean - 2.0 * sd, mean, mean + 2.0 * sd):
-            _, tail, density = _series_oracle(dist, 50, x)
+            tail, density = oracle.survival(x), oracle.pdf(x)
             np.testing.assert_allclose(spec.survival(x), tail, rtol=1e-12)
             np.testing.assert_allclose(spec.cdf(x), 1.0 - tail, rtol=1e-12)
             # the log density is a sum of terms near theta * x = 300 in size,
@@ -531,16 +529,11 @@ class TestOverflowingArgument:
         (LINDLEY, 2.0, 1e308),  # theta * x overflows
         (RAM_AWADH, 1.0, 1e100),  # x^5 overflows
         (AKASH, 1e3, 6e153),  # norm_const * x^2 overflows
-        (RAM_AWADH, 3e-54, 2.2e61),  # just inside half the 5th root of max
+        (RAM_AWADH, 3e-54, 2.2e61),  # x^5 is finite, theta * x = 6.6e7
     ])
     def test_member_density(self, member, theta, x):
         dist = DistSpec(member, theta)
-        k = member.degree
-        with mpmath.workdps(30):
-            th, xm, alpha = mpmath.mpf(theta), mpmath.mpf(x), mpmath.mpf(dist.alpha)
-            truth = float(th ** (k + 1) / (alpha * th**k + mpmath.factorial(k))
-                          * (alpha + xm**k) * mpmath.exp(-th * xm))
-        assert truth == 0.0
+        assert _oracle(dist, 1).pdf(x) == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert dist.pdf(x) == 0.0
@@ -565,8 +558,9 @@ class TestSweepAccuracy:
                 ts = [m * spec.mean() for m in multiples]
                 ts = [t for t in ts if theta * t <= 700.0]
                 array = spec.survival(np.array(ts))
+                oracle = _oracle(dist, n)
                 for t, from_array in zip(ts, array):
-                    truth = _series_oracle(dist, n, t)[1]
+                    truth = oracle.survival(t)
                     if truth < 1e-300:
                         continue
                     for got in (spec.survival(t), from_array):
@@ -587,7 +581,7 @@ class TestSweepAccuracy:
         steps = [r for _, row in plan for r in row]
         assert steps == [1.0 / j for j in range(1, mixture.shapes[-1])]
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
-        truth = _series_oracle(dist, 200, 690.0)[1]
+        truth = _oracle(dist, 200).survival(690.0)
         for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
             assert abs(got - truth) <= 1e-13 * truth, (got, truth)
         padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
