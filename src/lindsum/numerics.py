@@ -17,10 +17,12 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,6 +86,11 @@ _NODES, _KRONROD, _KRONROD_MINUS_GAUSS = (np.array(column) for column in zip(*_G
 _GK21_NODES = np.concatenate((-_NODES[:-1], _NODES[::-1]))
 _GK21_KRONROD = np.concatenate((_KRONROD[:-1], _KRONROD[::-1]))
 _GK21_KRONROD_MINUS_GAUSS = np.concatenate((_KRONROD_MINUS_GAUSS[:-1], _KRONROD_MINUS_GAUSS[::-1]))
+
+# Poisson steps per block of ErlangMixture's survival sweep, and an x = rate t
+# past which its start e^{-x} is 0 in double precision (it is from x = 745.14).
+_BLOCK = 16
+_START_UNDERFLOW = 746.0
 
 
 def check_positive(value: float, name: str) -> float:
@@ -154,6 +161,29 @@ def _finite_below(rate: float) -> float:
     return sys.float_info.max / rate if rate > 1.0 else math.inf
 
 
+class _unlocked_cached_property:
+    """functools.cached_property without the class-wide lock that it takes on
+    every first access before Python 3.12, which costs more than building a
+    small mixture's sweep plan: the value is computed once per instance and
+    stored in its __dict__, which later lookups read first."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, instance: object, owner: type | None = None) -> object:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+@cache
+def _block_factors(b: int) -> tuple[float, ...]:
+    """b!/(b+i)! for i = 0, ..., _BLOCK, as running quotients from 1: the
+    factors of one survival-sweep block, which do not depend on the weights."""
+    return tuple(accumulate(range(b + 1, b + _BLOCK + 1), operator.truediv, initial=1.0))
+
+
 def _moment_from_log(log_moment: float, m: int) -> float:
     """e^log_moment, a moment of order m: OverflowError past the largest double,
     ArithmeticError below the smallest normal one."""
@@ -206,9 +236,9 @@ class ErlangMixture:
             raise ValueError("weights must be nonnegative numbers")
         if abs(math.fsum(self.weights) - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
-        if any(s < 1 for s in self.shapes):
+        if min(self.shapes) < 1:
             raise ValueError("shapes must be positive integers")
-        if any(b <= a for a, b in zip(self.shapes, self.shapes[1:])):
+        if any(map(operator.le, self.shapes[1:], self.shapes)):
             raise ValueError("shapes must be strictly increasing")
 
     @property
@@ -216,7 +246,7 @@ class ErlangMixture:
         """(weight, shape) pairs in increasing shape order."""
         return tuple(zip(self.weights, self.shapes))
 
-    @cached_property
+    @_unlocked_cached_property
     def _log_density_terms(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # log density of a component: ln(w rate^s / (s-1)!) + (s-1) ln x - rate x;
         # its two x-free parts for w > 0, as arrays and as pairs (scalar path)
@@ -273,38 +303,56 @@ class ErlangMixture:
             out[pos] = log_mix - self.rate * xp
         return out
 
-    @cached_property
-    def _sweep_plan(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
-        # one row per positive-weight component: its weight and the reciprocals
-        # 1/j of the Poisson steps from the previous such shape up to its own
+    @_unlocked_cached_property
+    def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        # survival is e^{-x} sum_{j<J} W_j x^j / j!, x = rate t, with W_j the
+        # weight on shapes > j and J the largest shape of positive weight.  One
+        # entry per block of _BLOCK steps from b = 0, _BLOCK, ...: the Horner
+        # coefficients W_{b+i} b!/(b+i)!, highest i first, and b!/(b+_BLOCK)!,
+        # which carries the block's Poisson start e^{-x} x^b / b! to the next's
+        tail = []  # W_{J-1}, ..., W_0 from one descending pass, then reversed
+        above = 0.0
+        top = 0
+        for w, s in zip(reversed(self.weights), reversed(self.shapes)):
+            if above > 0.0:
+                tail += [above] * (top - s)  # W_j for s <= j < top
+            above += w
+            top = s
+        tail += [above] * top
+        tail.reverse()
         plan = []
-        reached = 1
-        for w, s in zip(self.weights, self.shapes):
-            if w > 0.0:
-                plan.append((w, tuple([1.0 / j for j in range(reached, s)])))
-                reached = s
+        for b in range(0, len(tail), _BLOCK):
+            factors = _block_factors(b)
+            coefficients = [w * f for w, f in zip(tail[b:b + _BLOCK], factors)]
+            coefficients.reverse()
+            plan.append((tuple(coefficients), factors[_BLOCK]))
         return tuple(plan)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
         NaN at NaN.
 
-        The weighted Erlang tails come from one sweep of the shared Poisson
-        series e^{-rate t} (rate t)^j / j! up to the largest shape, along the
-        cached _sweep_plan.  A positive finite scalar (see _math_scalar) runs the
+        The weighted Erlang tails sum to one polynomial in x = rate t times
+        e^{-x}, evaluated by Horner's rule block by block along the cached
+        _sweep_plan.  Past x = 745 its start e^{-x}, and so the tail,
+        underflows to 0.  A positive finite scalar (see _math_scalar) runs the
         sweep on Python floats, which agrees with the array path to about
         1e-14 relative.
         """
         if _math_scalar(t, self.rate):
             x = self.rate * float(t)  # np.float64 too: the sweep runs on Python floats
-            term = partial = math.exp(-x)
+            start = math.exp(-x)
+            if start == 0.0:
+                return 0.0  # every block is 0, and x ** _BLOCK may overflow
+            plan = self._sweep_plan
+            x_block = x ** _BLOCK if len(plan) > 1 else 0.0  # unused after the last block
             tail = 0.0
-            for w, steps in self._sweep_plan:
-                for r in steps:
-                    term *= x
-                    term *= r
-                    partial += term
-                tail += w * partial
+            for coefficients, step in plan:
+                acc = 0.0
+                for c in coefficients:
+                    acc = acc * x + c
+                tail += start * acc
+                start = start * x_block * step
             return min(tail, 1.0)
         return _pointwise(self._survival_array, t)
 
@@ -314,18 +362,23 @@ class ErlangMixture:
         out = np.heaviside(-flat, 1.0)
         pos = _series_points(flat, self.rate)
         x = self.rate * flat[pos]
-        term = np.exp(-x)
-        partial = term.copy()
+        start = np.exp(-x)
+        # where the start underflowed every block is 0; capping x there keeps
+        # x ** _BLOCK finite, so no 0 * inf turns it into NaN
+        np.minimum(x, _START_UNDERFLOW, out=x)
+        plan = self._sweep_plan
+        x_block = np.power(x, _BLOCK) if len(plan) > 1 else 0.0  # unused after the last block
         tail = np.zeros_like(x)
-        scratch = np.empty_like(x)
-        for w, steps in self._sweep_plan:
-            # advance partial = sum_{i<j} Poisson(i; x), the Erlang(j) tail, to
-            # this component's shape
-            for r in steps:
-                term *= x
-                term *= r
-                partial += term
-            tail += np.multiply(partial, w, out=scratch)
+        acc = np.empty_like(x)
+        for coefficients, step in plan:
+            acc.fill(coefficients[0])
+            for c in coefficients[1:]:
+                acc *= x
+                acc += c
+            acc *= start
+            tail += acc
+            start *= x_block
+            start *= step
         out[pos] = tail
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
         return np.minimum(out, 1.0)

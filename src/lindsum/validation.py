@@ -23,8 +23,10 @@ from functools import partial
 
 import numpy as np
 
-from .family import LINDLEY, MEMBERS, RAM_AWADH, DistSpec, FamilyMember, check_count, member_by_name
-from .numerics import QuadratureError, integrate
+from .family import (
+    LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
+)
+from .numerics import QuadratureError, integrate, logsumexp
 from .reliability import (
     ExponentialStandby,
     StandbyModel,
@@ -185,34 +187,40 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     """Density of a 2- or 3-fold sum by direct nested quadrature.
 
     Integrates f(u)f(x-u) (and the extra layer for n = 3) with the adaptive
-    rule; shares no code with the closed-form series in SumSpec.pdf, so the
-    two may be compared as independent routes to the same number.
+    rule; shares no code with the closed-form series in SumSpec.pdf, nor with
+    the member's density or constants, so the two may be compared as
+    independent routes to the same number.  The integral runs over v = u/x on
+    [0, 1], with each factor a + u^k divided by s = a + x^k, and its log is
+    added to n ln c - theta x + n ln s + (n-1) ln x: the density holds where
+    c^n, e^{-theta x} or x^k alone would leave double range.
     """
     if spec.n not in (2, 3):
         raise ValueError(f"the convolution oracle supports n in {{2, 3}}, got {spec.n}")
     x = float(x)
     if x <= 0.0:
         return 0.0
-    d = spec.dist
-    c, a, k, theta = d.norm_const, d.alpha, d.member.degree, d.theta
+    member, theta, n = spec.dist.member, spec.dist.theta, spec.n
+    k, ln_theta = member.degree, math.log(theta)
+    ln_a = ln_theta if member.alpha_kind is AlphaKind.THETA else 0.0
+    # c = theta^{k+1} / (a theta^k + k!) and s, their sums by a max shift
+    ln_c = (k + 1) * ln_theta - logsumexp((ln_a + k * ln_theta, math.log(math.factorial(k))))
+    ln_s = logsumexp((ln_a, k * math.log(x)))
+    low, high = math.exp(ln_a - ln_s), math.exp(k * math.log(x) - ln_s)  # a/s, x^k/s
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return c * (a + u**k) * np.exp(-theta * u)
+    def factor(v: np.ndarray) -> np.ndarray:
+        return low + high * v**k
 
     def two_fold(width: float, tol: float) -> float:
-        # f(u) f(width - u), whose two exponentials multiply to e^{-theta width}
-        factor = c * c * math.exp(-theta * width)
-        return integrate(
-            lambda u: factor * (a + u**k) * (a + (width - u) ** k), 0.0, width, tol
-        ).value
+        return integrate(lambda v: factor(v) * factor(width - v), 0.0, width, tol).value
 
-    if spec.n == 2:
-        return two_fold(x, _CONVOLUTION_TOL)
+    if n == 2:
+        fold = two_fold(1.0, _CONVOLUTION_TOL)
+    else:
+        def inner(v1: np.ndarray) -> np.ndarray:
+            return np.array([two_fold(w, _CONVOLUTION_TOL * 0.1) for w in (1.0 - v1).tolist()])
 
-    def inner(u1: np.ndarray) -> np.ndarray:
-        return np.array([two_fold(width, _CONVOLUTION_TOL * 0.1) for width in (x - u1).tolist()])
-
-    return integrate(lambda u1: f(u1) * inner(u1), 0.0, x, _CONVOLUTION_TOL).value
+        fold = integrate(lambda v1: factor(v1) * inner(v1), 0.0, 1.0, _CONVOLUTION_TOL).value
+    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * math.log(x) + math.log(fold))
 
 
 def quadrature_moment(spec: SumSpec, m: int) -> float:

@@ -257,22 +257,14 @@ class TestSampler:
             assert report.passed, (member.name, report.ks_distance, report.threshold)
 
 
-def _mp_reference(dist: DistSpec) -> dict[str, float]:
-    """p, c, survival at 1/theta and the mean of one member, from the closed
-    forms in mpmath at 50 digits."""
+def _mp_reference(dist: DistSpec) -> float:
+    """The exponential weight p = alpha theta^k / (alpha theta^k + k!) of one
+    member in mpmath at 50 digits: the one quantity of TestExtremeTheta that
+    tests/mpmath_oracle.SumOracle does not give."""
     k = dist.member.degree
     with mpmath.workdps(50):
-        theta, alpha = mpmath.mpf(dist.theta), mpmath.mpf(dist.alpha)
-        head, kfact = alpha * theta**k, mpmath.factorial(k)
-        p = head / (head + kfact)
-        # at x = 1/theta: Exp tail e^-1, Erlang(k+1) tail e^-1 * sum_{j<=k} 1/j!
-        erlang_tail = mpmath.e**-1 * mpmath.fsum(1 / mpmath.factorial(j) for j in range(k + 1))
-        return {
-            "p": float(p),
-            "c": float(theta ** (k + 1) / (head + kfact)),
-            "survival": float(p * mpmath.e**-1 + (1 - p) * erlang_tail),
-            "mean": float((p + (1 - p) * (k + 1)) / theta),
-        }
+        head = mpmath.mpf(dist.alpha) * mpmath.mpf(dist.theta) ** k
+        return float(head / (head + mpmath.factorial(k)))
 
 
 class TestExtremeTheta:
@@ -285,7 +277,13 @@ class TestExtremeTheta:
     )
     def test_against_mpmath(self, member, theta):
         dist = DistSpec(member, theta)
-        ref = _mp_reference(dist)
+        oracle = SumOracle(theta, dist.alpha, member.degree, 1)
+        ref = {
+            "p": _mp_reference(dist),
+            "c": oracle.pdf(0.0) / dist.alpha,  # the density at 0 is c * alpha
+            "survival": oracle.survival(1.0 / theta),
+            "mean": oracle.mean(),
+        }
         got = {
             "p": dist.mixture_weight,
             "c": dist.norm_const,

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from mpmath_oracle import SumOracle
@@ -28,7 +29,7 @@ from lindsum.family import (
     SHANKER,
     DistSpec,
 )
-from lindsum.numerics import integrate
+from lindsum.numerics import _BLOCK, _finite_below, integrate
 from lindsum.reliability import ExponentialStandby, exponential_reliability
 from lindsum.sums import ErlangMixture, SumSpec
 
@@ -575,14 +576,78 @@ class TestSweepAccuracy:
         mixture = spec.mixture()
         plan = mixture._sweep_plan
         assert sum(w == 0.0 for w in mixture.weights) == 29
-        assert len(plan) == 172 and all(w > 0.0 for w, _ in plan)
-        assert [w for w, _ in plan] == [w for w in mixture.weights if w > 0.0]
-        # the rows' steps, end to end, are the reciprocals 1/j up to the last shape
-        steps = [r for _, row in plan for r in row]
-        assert steps == [1.0 / j for j in range(1, mixture.shapes[-1])]
+        # one block per _BLOCK Poisson steps up to the last shape; a block's
+        # coefficients are the tail weights, the fsum of the positive weights on
+        # shapes above b+i, times b!/(b+i)!, and it steps on by b!/(b+_BLOCK)!,
+        # each to a few ulp
+        positive = [(w, s) for w, s in mixture.components if w > 0.0]
+        assert len(plan) == math.ceil(mixture.shapes[-1] / _BLOCK) == 75
+        for b, (coefficients, step) in zip(range(0, mixture.shapes[-1], _BLOCK), plan):
+            assert step == pytest.approx(1.0 / math.perm(b + _BLOCK, _BLOCK), rel=2e-15, abs=0.0)
+            for i, c in enumerate(reversed(coefficients)):
+                tail_weight = math.fsum(w for w, s in positive if s > b + i)
+                assert c == pytest.approx(tail_weight / math.perm(b + i, i), rel=2e-15, abs=0.0)
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
         truth = _oracle(dist, 200).survival(690.0)
         for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
             assert abs(got - truth) <= 1e-13 * truth, (got, truth)
         padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
         assert padded._sweep_plan == ErlangMixture(1.5, (1.0,), (5,))._sweep_plan
+
+
+class TestSweepBlocks:
+    """The blocked Horner sweep of survival at top shapes on both sides of a
+    block boundary, some mixtures with zero weights, against mpmath's
+    regularized incomplete gamma function; and its exact 0 where the start
+    e^{-rate t} underflows."""
+
+    RATE = 1.3
+    MIXTURES = [
+        ((1.0,), (1,)),
+        ((0.4, 0.6), (1, 2)),
+        ((0.0, 1.0), (1, 2)),
+        ((1.0,), (15,)),
+        ((0.25, 0.0, 0.75), (3, 9, 16)),
+        ((0.5, 0.5), (1, 16)),
+        ((0.2, 0.3, 0.0, 0.5), (2, 7, 12, 17)),
+        ((0.0, 0.7, 0.3), (5, 16, 32)),
+        ((0.1, 0.6, 0.0, 0.3), (1, 17, 20, 33)),
+    ]
+
+    @staticmethod
+    def _truth(mixture, x):
+        with mpmath.workdps(50):
+            return float(mpmath.fsum(
+                mpmath.mpf(w) * mpmath.gammainc(s, mpmath.mpf(x), regularized=True)
+                for w, s in mixture.components
+            ))
+
+    @pytest.mark.parametrize("weights, shapes", MIXTURES, ids=str)
+    def test_against_mpmath(self, weights, shapes):
+        mixture = ErlangMixture(self.RATE, weights, shapes)
+        assert len(mixture._sweep_plan) == math.ceil(max(shapes) / _BLOCK)
+        xs = [1e-3, 0.3, 1.0, 4.0, 12.0, 25.0, 40.0, 60.0, 100.0]
+        ts = [x / self.RATE for x in xs]
+        array = mixture.survival(np.array(ts))
+        for t, from_array in zip(ts, array):
+            truth = self._truth(mixture, self.RATE * t)
+            if truth < 1e-300:
+                continue
+            for got in (mixture.survival(t), from_array):
+                assert abs(got - truth) <= 1e-13 * truth, (t, got, truth)
+
+    @pytest.mark.parametrize(
+        "weights, shapes", MIXTURES[::3] + [((0.5, 0.5), (40, 3000))], ids=str
+    )
+    def test_zero_past_the_start_underflow(self, weights, shapes):
+        mixture = ErlangMixture(self.RATE, weights, shapes)
+        ts = [746.0 / self.RATE, 1e4 / self.RATE, math.nextafter(_finite_below(self.RATE), 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in ts:
+                assert mixture.survival(t) == 0.0 and mixture.cdf(t) == 1.0
+            np.testing.assert_array_equal(mixture.survival(np.array(ts)), 0.0)
+            # a point with a positive start beside them leaves them 0 and 1
+            np.testing.assert_array_equal(
+                mixture.cdf(np.array(ts + [1.0])), [1.0] * 3 + [mixture.cdf(1.0)]
+            )

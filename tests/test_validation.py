@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath_oracle import SumOracle
 from scipy.stats import ks_2samp
 
 import lindsum.validation
@@ -199,6 +200,19 @@ class TestConvolutionOracle:
                     np.testing.assert_allclose(
                         spec.pdf(float(x)), oracle, rtol=1e-6
                     ), (member.name, n, x)
+
+    @pytest.mark.parametrize("member", [LINDLEY, SHANKER], ids=lambda m: m.name)
+    @pytest.mark.parametrize("theta", [1e-100, 1e-200])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_theta_against_mpmath(self, member, theta, n):
+        # c^n and e^{-theta x} (a + x^k)^n leave double range apart, not together
+        dist = DistSpec(member, theta)
+        oracle = SumOracle(theta, dist.alpha, member.degree, n)
+        for x in (1.0 / theta, 2.0 / theta, 5.0 / theta):
+            truth = oracle.pdf(x)
+            assert truth > 0.0
+            got = convolution_oracle_pdf(SumSpec(dist, n), x)
+            assert got == pytest.approx(truth, rel=1e-10, abs=0.0)
 
     def test_nonpositive_argument(self):
         spec = SumSpec(DistSpec(SHANKER, 1.0), 2)
