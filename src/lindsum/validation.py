@@ -200,12 +200,12 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     if x <= 0.0:
         return 0.0
     member, theta, n = spec.dist.member, spec.dist.theta, spec.n
-    k, ln_theta = member.degree, math.log(theta)
+    k, ln_theta, ln_x = member.degree, math.log(theta), math.log(x)
     ln_a = ln_theta if member.alpha_kind is AlphaKind.THETA else 0.0
-    # c = theta^{k+1} / (a theta^k + k!) and s, their sums by a max shift
+    # ln c, c = theta^{k+1} / (a theta^k + k!), and ln s: each sum by a max shift
     ln_c = (k + 1) * ln_theta - logsumexp((ln_a + k * ln_theta, math.log(math.factorial(k))))
-    ln_s = logsumexp((ln_a, k * math.log(x)))
-    low, high = math.exp(ln_a - ln_s), math.exp(k * math.log(x) - ln_s)  # a/s, x^k/s
+    ln_s = logsumexp((ln_a, k * ln_x))
+    low, high = math.exp(ln_a - ln_s), math.exp(k * ln_x - ln_s)  # a/s and x^k/s
 
     def factor(v: np.ndarray) -> np.ndarray:
         return low + high * v**k
@@ -220,7 +220,7 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
             return np.array([two_fold(w, _CONVOLUTION_TOL * 0.1) for w in (1.0 - v1).tolist()])
 
         fold = integrate(lambda v1: factor(v1) * inner(v1), 0.0, 1.0, _CONVOLUTION_TOL).value
-    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * math.log(x) + math.log(fold))
+    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * ln_x + math.log(fold))
 
 
 def quadrature_moment(spec: SumSpec, m: int) -> float:

@@ -583,10 +583,12 @@ class TestSweepAccuracy:
         positive = [(w, s) for w, s in mixture.components if w > 0.0]
         assert len(plan) == math.ceil(mixture.shapes[-1] / _BLOCK) == 75
         for b, (coefficients, step) in zip(range(0, mixture.shapes[-1], _BLOCK), plan):
-            assert step == pytest.approx(1.0 / math.perm(b + _BLOCK, _BLOCK), rel=2e-15, abs=0.0)
-            for i, c in enumerate(reversed(coefficients)):
-                tail_weight = math.fsum(w for w, s in positive if s > b + i)
-                assert c == pytest.approx(tail_weight / math.perm(b + i, i), rel=2e-15, abs=0.0)
+            np.testing.assert_allclose(step, 1.0 / math.perm(b + _BLOCK, _BLOCK), rtol=2e-15)
+            tail_weights = [
+                math.fsum(w for w, s in positive if s > b + i) for i in range(len(coefficients))
+            ]
+            expected = [weight / math.perm(b + i, i) for i, weight in enumerate(tail_weights)]
+            np.testing.assert_allclose(coefficients[::-1], expected, rtol=2e-15)
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
         truth = _oracle(dist, 200).survival(690.0)
         for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
