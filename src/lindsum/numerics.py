@@ -180,7 +180,9 @@ class _unlocked_cached_property:
 @cache
 def _block_factors(b: int) -> tuple[float, ...]:
     """b!/(b+i)! for i = 0, ..., _BLOCK, as running quotients from 1: the
-    factors of one survival-sweep block, which do not depend on the weights."""
+    factors of one survival-sweep block, which do not depend on the weights.
+    Cached per block index, so the cache holds one tuple per block up to the
+    largest shape any mixture has swept."""
     return tuple(accumulate(range(b + 1, b + _BLOCK + 1), operator.truediv, initial=1.0))
 
 
