@@ -37,8 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    ErlangMixture, _finite_below, _pointwise, check_count, check_positive, ln_binomial,
-    ln_factorial, logsumexp,
+    ErlangMixture, _pointwise, check_count, check_positive, ln_binomial, ln_factorial, logsumexp,
 )
 
 __all__ = [
@@ -163,28 +162,32 @@ class DistSpec:
     def _mixture(self) -> ErlangMixture:
         return self.sum_mixture(1)
 
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x; zero for x < 0, at +inf and where theta*x overflows,
-        NaN at NaN.  Taken in log space, so it holds at every finite theta
-        where norm_const or e^{-theta x} alone would underflow."""
-        return _pointwise(self._pdf_array, x)
-
-    def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
-        # f = theta (a + y^k) / (a + k!) e^{-y} with y = theta x and a = alpha theta^k,
-        # summed in logs: ln(a + y^k) and ln(a + k!) are both shifted by
-        # s = max(ln a, ln k!), so no term overflows or underflows before the one
-        # exp, and the two large logs of a large theta cancel exactly
+    @cached_property
+    def _log_pdf_terms(self) -> tuple[float, float, float, float]:
+        # f = theta (a + y^k) / (a + k!) e^{-y}, y = theta x, a = alpha theta^k, in logs:
+        # ln(a + y^k) and ln(a + k!) are both shifted by s = max(ln a, ln k!), so no
+        # term overflows or underflows before the one exp, and the two large logs of
+        # a large theta cancel exactly.  Gives ln(theta/(a + k!)) + s, ln a - s, s, f(0)
         k, theta = self.member.degree, self.theta
         ln_a = math.log(self.alpha) + k * math.log(theta)
         ln_kf = math.log(math.factorial(k))
         shift = max(ln_a, ln_kf)
         ln_scale = math.log(theta) - math.log(math.exp(ln_a - shift) + math.exp(ln_kf - shift))
-        out = np.where(np.isnan(flat), math.nan, 0.0)
-        pos = (flat >= 0.0) & (flat < _finite_below(theta))
-        y = theta * flat[pos]
-        ln_yk = k * np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0)
-        out[pos] = np.exp(ln_scale + np.logaddexp(ln_a - shift, ln_yk - shift) - y)
-        return out
+        return ln_scale, ln_a - shift, shift, float(np.exp(ln_scale + (ln_a - shift)))
+
+    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Density at x; zero for x < 0, at +inf and where theta*x overflows,
+        NaN at NaN.  Taken in log space, so it holds at every finite theta
+        where norm_const or e^{-theta x} alone would underflow."""
+        at_zero = self._log_pdf_terms[3]
+        return _pointwise(x, self.theta, self._pdf_series, (0.0, at_zero, 0.0))
+
+    def _pdf_series(self, points: np.ndarray) -> np.ndarray:
+        ln_scale, ln_a, shift, _ = self._log_pdf_terms
+        y = self.theta * points
+        # theta x can underflow to 0 at x > 0, where y^k is 0
+        ln_yk = self.member.degree * np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0)
+        return np.exp(ln_scale + np.logaddexp(ln_a, ln_yk - shift) - y)
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X > x), evaluated through the exponential/Erlang mixture."""

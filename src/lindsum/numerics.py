@@ -7,9 +7,13 @@ does.  The helpers here keep those combinations finite.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
-shared rate, and takes its density, tails, and moments here.  The parameter
-checks check_positive and check_count live here too, so that ErlangMixture can
-use them (family, which re-exports them, imports this module).
+shared rate, and takes its density, tails, and moments here.  Every density
+and tail in the package, DistSpec.pdf and the Lindley double series included,
+is evaluated in one frame, _pointwise: it sums a series only where
+0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
+and NaN their edge values.  The parameter checks check_positive and
+check_count live here too, so that ErlangMixture can use them (family, which
+re-exports them, imports this module).
 """
 
 from __future__ import annotations
@@ -130,26 +134,31 @@ def ln_binomial(n: int, r: int) -> float:
 
 
 def _pointwise(
-    fn: Callable[[np.ndarray], np.ndarray], x: float | np.ndarray
+    x: float | np.ndarray, rate: float, series: Callable[[np.ndarray], np.ndarray], edges: tuple
 ) -> float | np.ndarray:
-    """fn applied to x as a flat float array: a Python float for 0-d input,
-    an array of x's shape otherwise."""
+    """The one frame of every density and tail with this rate: series on the flat
+    points 0 < x < _finite_below(rate), which it must not write into; edges =
+    (value at x < 0, at x == 0, at and past that bound and +inf) elsewhere; NaN
+    at NaN.  A Python float for 0-d input, an array of x's shape otherwise."""
     arr = np.asarray(x, dtype=float)
-    out = fn(arr.reshape(-1))
+    flat = arr.reshape(-1)
+    inside = (flat > 0.0) & (flat < _finite_below(rate))
+    if inside.all():
+        out = series(flat)
+    else:
+        below, zero, far = edges
+        out = np.where(flat < 0.0, below, np.where(flat == 0.0, zero, far))
+        out[np.isnan(flat)] = math.nan
+        if inside.any():
+            out[inside] = series(flat[inside])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _series_points(x: np.ndarray, rate: float) -> np.ndarray:
-    """The mask 0 < x < _finite_below(rate): where the Erlang series with this
-    rate are summed; the callers give every other point its edge value."""
-    return (x > 0.0) & (x < _finite_below(rate))
-
-
 def _math_scalar(x: object, rate: float) -> bool:
-    """True for a Python int or float (np.float64 included) in _series_points,
-    tested as one chained comparison: such arguments take the math-module
-    paths of ErlangMixture.pdf and survival; every other input, 0-d arrays
-    included, takes the array path."""
+    """True for a Python int or float (np.float64 included) where _pointwise
+    would call the series, tested as one chained comparison: such arguments
+    take the math-module paths of ErlangMixture.pdf and survival; every other
+    input, 0-d arrays included, takes _pointwise."""
     return isinstance(x, (int, float)) and 0.0 < x < _finite_below(rate)
 
 
@@ -274,36 +283,30 @@ class ErlangMixture:
             peak = max(terms)
             log_mix = peak + math.log(sum(math.exp(t - peak) for t in terms))
             return math.exp(log_mix - self.rate * x)
-        return _pointwise(self._pdf_array, x)
+        # at 0 only a shape-1 component has density: w * rate
+        at_zero = self.weights[0] * self.rate if self.shapes[0] == 1 else 0.0
+        return _pointwise(x, self.rate, self._pdf_series, (0.0, at_zero, 0.0))
 
-    def _pdf_array(self, flat: np.ndarray) -> np.ndarray:
-        out = np.exp(self._log_pdf_array(flat))
-        if self.shapes[0] == 1:
-            # w * rate itself: exp(ln w + ln rate) can differ from it in the last bit
-            out[flat == 0.0] = self.weights[0] * self.rate
-        return out
+    def _pdf_series(self, points: np.ndarray) -> np.ndarray:
+        log_pdf = self._log_pdf_series(points)
+        return np.exp(log_pdf, out=log_pdf)
 
     def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
-        return _pointwise(self._log_pdf_array, x)
+        w = self.weights[0] if self.shapes[0] == 1 else 0.0
+        at_zero = math.log(w) + math.log(self.rate) if w > 0.0 else -math.inf
+        return _pointwise(x, self.rate, self._log_pdf_series, (-math.inf, at_zero, -math.inf))
 
-    def _log_pdf_array(self, flat: np.ndarray) -> np.ndarray:
-        out = np.where(np.isnan(flat), math.nan, -math.inf)
-        if self.shapes[0] == 1 and self.weights[0] > 0.0:
-            out[flat == 0.0] = math.log(self.weights[0]) + math.log(self.rate)
-        pos = _series_points(flat, self.rate)
-        if np.any(pos):
-            # one (components x points) buffer, updated in place
-            const, powers, _ = self._log_density_terms
-            xp = flat[pos]
-            terms = np.multiply.outer(powers, np.log(xp))
-            terms += const[:, None]
-            peak = terms.max(axis=0)
-            terms -= peak
-            log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-            out[pos] = log_mix - self.rate * xp
-        return out
+    def _log_pdf_series(self, points: np.ndarray) -> np.ndarray:
+        # one (components x points) buffer, updated in place
+        const, powers, _ = self._log_density_terms
+        terms = np.multiply.outer(powers, np.log(points))
+        terms += const[:, None]
+        peak = terms.max(axis=0)
+        terms -= peak
+        log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+        return log_mix - self.rate * points
 
     @_unlocked_cached_property
     def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:
@@ -356,14 +359,12 @@ class ErlangMixture:
                 tail += start * acc
                 start = start * x_block * step
             return min(tail, 1.0)
-        return _pointwise(self._survival_array, t)
-
-    def _survival_array(self, flat: np.ndarray) -> np.ndarray:
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
-        # the weights, 1 +/- ulp), 0 at +inf and where rate * t overflows, NaN at NaN
-        out = np.heaviside(-flat, 1.0)
-        pos = _series_points(flat, self.rate)
-        x = self.rate * flat[pos]
+        # the weights, 1 +/- ulp)
+        return _pointwise(t, self.rate, self._survival_series, (1.0, 1.0, 0.0))
+
+    def _survival_series(self, points: np.ndarray) -> np.ndarray:
+        x = self.rate * points
         start = np.exp(-x)
         # where the start underflowed every block is 0; capping x there keeps
         # x ** _BLOCK finite, so no 0 * inf turns it into NaN
@@ -381,9 +382,8 @@ class ErlangMixture:
             tail += acc
             start *= x_block
             start *= step
-        out[pos] = tail
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
-        return np.minimum(out, 1.0)
+        return np.minimum(tail, 1.0, out=tail)
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture <= t), the exact complement of survival."""

@@ -25,9 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
-from .numerics import (
-    ErlangMixture, _pointwise, _series_points, ln_binomial, ln_factorial, logsumexp,
-)
+from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
 from .sums import SumSpec
 
 __all__ = [
@@ -55,35 +53,30 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t = 0, 0 at +inf and where theta * t overflows, NaN at NaN.
     """
     theta, n = check_theta(theta), check_n(n)
-    return _pointwise(partial(_lindley_reliability_array, theta, n), t)
-
-
-def _lindley_reliability_array(theta: float, n: int, t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
-    # exactly 1 at t = 0, 0 at +inf (the series would give NaN there) and where
-    # theta * t overflows, NaN at NaN
-    out = np.where(np.isnan(t), math.nan, (t == 0.0).astype(float))
-    pos = _series_points(t, theta)
-    if np.any(pos):
-        # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
-        ln_base = 2.0 * math.log(theta) - math.log1p(theta)
-        ln_ratio = math.log(theta) - math.log1p(theta)
-        # the x-free log coefficient of each term, grouped by the power of t it multiplies
-        by_power: list[list[float]] = [[] for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(i + 1):
-                common = i * ln_base + ln_binomial(i, j)
-                by_power[i + j].append(common - ln_factorial(i + j))
-                by_power[i + j + 1].append(common + ln_ratio - ln_factorial(i + j + 1))
-        const = np.array([logsumexp(group) for group in by_power])
-        tp = t[pos]
-        terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(tp)
-        peak = terms.max(axis=0)
-        terms -= peak
-        log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-        out[pos] = np.minimum(1.0, np.exp(log_sum - theta * tp))
-    return out
+    # the series would give NaN at +inf; no t < 0 is left for the first edge
+    return _pointwise(t, theta, partial(_lindley_series, theta, n), (math.nan, 1.0, 0.0))
+
+
+def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
+    # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
+    ln_base = 2.0 * math.log(theta) - math.log1p(theta)
+    ln_ratio = math.log(theta) - math.log1p(theta)
+    # the x-free log coefficient of each term, grouped by the power of t it multiplies
+    by_power: list[list[float]] = [[] for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(i + 1):
+            common = i * ln_base + ln_binomial(i, j)
+            by_power[i + j].append(common - ln_factorial(i + j))
+            by_power[i + j + 1].append(common + ln_ratio - ln_factorial(i + j + 1))
+    const = np.array([logsumexp(group) for group in by_power])
+    terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(t)
+    peak = terms.max(axis=0)
+    terms -= peak
+    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+    return np.minimum(1.0, np.exp(log_sum - theta * t))
 
 
 def lindley_mttf(theta: float, n: int) -> float:
