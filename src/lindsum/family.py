@@ -110,6 +110,17 @@ def check_n(n: int) -> int:
     return check_count(n, "n", 1)
 
 
+def _divide_draws(draws: np.ndarray, theta: float, n: int) -> np.ndarray:
+    """draws /= theta, the unit-rate draws of n-fold sums scaled in place;
+    OverflowError, naming theta and n, where one passes the largest double."""
+    try:
+        with np.errstate(over="raise"):
+            draws /= theta
+    except FloatingPointError:
+        raise OverflowError(f"draws at theta={theta!r}, n={n} are beyond double range") from None
+    return draws
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """A family member frozen at a particular rate theta > 0."""
@@ -208,7 +219,8 @@ class DistSpec:
     ) -> float | np.ndarray:
         """Exact draws by composition: Exp(theta) with probability p, else the
         sum of k+1 independent Exp(theta) variates.  Identical seeds give
-        identical output.  size is a count >= 1 or a tuple of them."""
+        identical output.  size is a count >= 1 or a tuple of them; OverflowError
+        where a draw passes the largest double."""
         if size is None:
             return float(self.sample(rng, size=1)[0])
         if isinstance(size, tuple):
@@ -217,11 +229,10 @@ class DistSpec:
             size = tuple(check_count(dim, "size", 1) for dim in size)
         else:
             size = check_count(size, "size", 1)
-        scale = 1.0 / self.theta
         u = rng.random(size)
-        out = rng.exponential(scale, size)
+        out = rng.standard_exponential(size)
         erlang = u >= self.mixture_weight
         count = int(np.count_nonzero(erlang))
         if count:
-            out[erlang] = rng.exponential(scale, (count, self.member.degree + 1)).sum(axis=1)
-        return out
+            out[erlang] = rng.standard_exponential((count, self.member.degree + 1)).sum(axis=1)
+        return _divide_draws(out, self.theta, 1)

@@ -239,10 +239,12 @@ class ErlangMixture:
     shapes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        object.__setattr__(self, "rate", check_positive(self.rate, "rate"))
         if len(self.weights) != len(self.shapes) or not self.weights:
             raise ValueError("weights and shapes must be nonempty and of equal length")
+        others = set(map(type, self.shapes)) - {int}  # each other type checked once
+        if others and (bool in others or not all(issubclass(t, numbers.Integral) for t in others)):
+            raise TypeError(f"shapes must be integers, got {self.shapes!r}")
         if not all(w >= 0 for w in self.weights):
             raise ValueError("weights must be nonnegative numbers")
         if abs(math.fsum(self.weights) - 1.0) > 1e-10:

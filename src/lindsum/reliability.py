@@ -191,9 +191,10 @@ class ReliabilityCurve:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values) or not self.times:
             raise ValueError("times and values must be nonempty and of equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        # written so that NaN, which compares false, fails each check
+        if math.isnan(self.times[0]) or not all(a < b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if any(v < 0.0 or v > 1.0 for v in self.values):
+        if not all(0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("reliability values must lie in [0, 1]")
         if any(b > a + _CURVE_SLACK for a, b in zip(self.values, self.values[1:])):
             raise ValueError("reliability values must be non-increasing")

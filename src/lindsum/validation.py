@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from .family import (
-    LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
+    LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, _divide_draws, check_count,
+    member_by_name,
 )
 from .numerics import QuadratureError, integrate, logsumexp
 from .reliability import (
@@ -256,7 +257,8 @@ def sample_sum(
     given R, the sum is Gamma(n + k*R, theta).  The sampler draws R, then one
     gamma variate per sum.  It uses only the per-member weight
     p = DistSpec.mixture_weight, never the Erlang-mixture weights of the
-    sum, so it stays an independent check of those weights.
+    sum, so it stays an independent check of those weights.  OverflowError
+    where a draw passes the largest double.
     """
     if size is None:
         return float(sample_sum(spec, rng, size=1)[0])
@@ -268,8 +270,7 @@ def sample_sum(
     draws *= d.member.degree
     draws += spec.n
     rng.standard_gamma(draws, out=draws)
-    draws /= d.theta
-    return draws
+    return _divide_draws(draws, d.theta, spec.n)
 
 
 @dataclass(frozen=True)

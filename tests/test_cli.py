@@ -400,8 +400,10 @@ class TestTopLevel:
              "m=169 .* beyond double range"),
             (["moments", "--dist", "lindley", "--theta", "1e200", "--n", "3", "--verify"],
              "m=2 .* below double range"),
+            (["sample", "--dist", "lindley", "--theta", "1e-308", "--n", "5", "--count", "2"],
+             "theta=1e-308, n=5 .* beyond double range"),
         ],
-        ids=["mttf-overflow", "moment-overflow", "moment-underflow"],
+        ids=["mttf-overflow", "moment-overflow", "moment-underflow", "sample-overflow"],
     )
     def test_result_outside_double_range_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)

@@ -248,6 +248,13 @@ class TestSampler:
             se = math.sqrt((spec.moment(2) - spec.moment(1) ** 2) / count)
             assert abs(float(draws.mean()) - spec.moment(1)) <= 4.0 * se
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_overflow_raises(self, size):
+        # every draw above about 1e-15 / theta passes the largest double
+        with pytest.raises(OverflowError, match=r"theta=5e-324, n=1 .*beyond double range"):
+            DistSpec(LINDLEY, 5e-324).sample(np.random.default_rng(7), size)
+
     def test_ks_within_99_percent_band(self):
         count = 1_000_000
         for member in MEMBERS:

@@ -309,6 +309,15 @@ class TestReliabilityCurve:
         with pytest.raises(ValueError):
             ReliabilityCurve("x", (0.0, 1.0), (0.5, 0.9))
 
+    @pytest.mark.parametrize(
+        "times,values",
+        [((0.0, 1.0), (1.0, math.nan)), ((math.nan, 1.0), (1.0, 0.5)),
+         ((0.0, math.nan), (1.0, 0.5)), ((math.nan,), (1.0,))],
+    )
+    def test_nan_rejected(self, times, values):
+        with pytest.raises(ValueError):
+            ReliabilityCurve("x", times, values)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             reliability_curve([], 0.0, 101)

@@ -69,6 +69,15 @@ class TestErlangMixtureValidation:
         with pytest.raises(ValueError):
             ErlangMixture(0.0, (1.0,), (1,))
 
+    def test_rejects_infinite_rate(self):
+        with pytest.raises(ValueError, match="rate must be a positive finite number"):
+            ErlangMixture(math.inf, (1.0,), (2,))
+
+    @pytest.mark.parametrize("shapes", [(1.5, 2.5), (2.0, 3), (True, 2), ("1", 2)])
+    def test_rejects_non_integer_shapes(self, shapes):
+        with pytest.raises(TypeError, match="shapes must be integers"):
+            ErlangMixture(1.0, (0.5, 0.5), shapes)
+
     def test_rejects_negative_and_nan_weights(self):
         with pytest.raises(ValueError):
             ErlangMixture(1.0, (-0.5, 1.5), (1, 2))

@@ -240,6 +240,12 @@ class TestSampleSum:
         se = math.sqrt(spec.variance() / count)
         assert abs(float(draws.mean()) - spec.mean()) <= 4.0 * se
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises(self):
+        spec = SumSpec(DistSpec(LINDLEY, 1e-308), 5)
+        with pytest.raises(OverflowError, match=r"theta=1e-308, n=5 .*beyond double range"):
+            sample_sum(spec, np.random.default_rng(7), 2)
+
     def test_nonnegative(self):
         draws = sample_sum(SumSpec(DistSpec(SHANKER, 2.0), 2), np.random.default_rng(3), 1000)
         assert np.all(draws >= 0.0)
