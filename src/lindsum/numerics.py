@@ -285,7 +285,7 @@ class ErlangMixture:
             peak = max(terms)
             log_mix = peak + math.log(sum(math.exp(t - peak) for t in terms))
             return math.exp(log_mix - self.rate * x)
-        # at 0 only a shape-1 component has density: w * rate
+        # at 0 only a shape-1 component has density, exactly w * rate
         at_zero = self.weights[0] * self.rate if self.shapes[0] == 1 else 0.0
         return _pointwise(x, self.rate, self._pdf_series, (0.0, at_zero, 0.0))
 
