@@ -146,11 +146,16 @@ def _pointwise(
     if inside.all():
         out = series(flat)
     else:
-        below, zero, far = edges
-        out = np.where(flat < 0.0, below, np.where(flat == 0.0, zero, far))
-        out[np.isnan(flat)] = math.nan
+        out = np.empty_like(flat)
         if inside.any():
             out[inside] = series(flat[inside])
+        # the edges are filled on the few points outside, where NaN fails all three tests
+        rest = ~inside
+        edge = flat[rest]
+        below, zero, far = edges
+        out[rest] = np.where(
+            edge < 0.0, below, np.where(edge == 0.0, zero, np.where(edge > 0.0, far, math.nan))
+        )
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
