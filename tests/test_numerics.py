@@ -18,6 +18,7 @@ from lindsum.numerics import (
     _GK21_KRONROD_MINUS_GAUSS,
     _GK21_NODES,
     QuadratureError,
+    _aligned_rows,
     integrate,
     ln_binomial,
     ln_factorial,
@@ -345,3 +346,14 @@ def test_mixture_moment_below_double_range_names_the_order():
     assert mixture.moment(2) > 0.0
     with pytest.raises(ArithmeticError, match="m=3.*below double range"):
         mixture.moment(3)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 21, 10_000])
+def test_sweep_rows_are_64_byte_aligned_and_disjoint(n):
+    rows = _aligned_rows(4, n)
+    assert rows.shape == (4, n)
+    starts = [row.__array_interface__["data"][0] for row in rows]
+    assert all(start % 64 == 0 for start in starts)
+    assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
+    rows[:] = np.arange(4.0)[:, None]
+    assert all(np.all(row == i) for i, row in enumerate(rows))
