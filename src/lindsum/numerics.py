@@ -176,12 +176,9 @@ def _finite_below(rate: float) -> float:
 
 
 def _aligned_rows(rows: int, n: int) -> np.ndarray:
-    """Uninitialised float rows of n points, each starting on a 64-byte
-    boundary, from one allocation.  malloc guarantees 16 bytes, and numpy's
-    in-place SIMD loops, such as the survival sweep's acc *= x, ran about 20%
-    slower at every other 16-byte offset (AVX-512 host, 10k points), so the
-    sweep's speed changed from one process to the next with where its
-    buffers happened to land."""
+    """Uninitialised float rows of n points, each on a 64-byte boundary, from one
+    allocation: malloc guarantees 16 bytes, and in-place numpy loops such as
+    acc *= x ran about 20% slower at every other 16-byte offset (AVX-512, 10k)."""
     stride = -(-n // 8) * 8
     buf = np.empty(rows * stride + 8)
     skip = (-buf.__array_interface__["data"][0] % 64) // 8
