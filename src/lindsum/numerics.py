@@ -25,7 +25,7 @@ import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -185,22 +185,6 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
     return buf[skip:skip + rows * stride].reshape(rows, stride)[:, :n]
 
 
-class _unlocked_cached_property:
-    """functools.cached_property without the class-wide lock that it takes on
-    every first access before Python 3.12, which costs more than building a
-    small mixture's sweep plan: the value is computed once per instance and
-    stored in its __dict__, which later lookups read first."""
-
-    def __init__(self, func: Callable) -> None:
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, instance: object, owner: type | None = None) -> object:
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 @cache
 def _block_factors(b: int) -> tuple[float, ...]:
     """b!/(b+i)! for i = 0, ..., _BLOCK, as running quotients from 1: the
@@ -274,7 +258,7 @@ class ErlangMixture:
         """(weight, shape) pairs in increasing shape order."""
         return tuple(zip(self.weights, self.shapes))
 
-    @_unlocked_cached_property
+    @cached_property
     def _log_density_terms(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # log density of a component: ln(w rate^s / (s-1)!) + (s-1) ln x - rate x;
         # its two x-free parts for w > 0, as arrays and as pairs (scalar path)
@@ -325,7 +309,7 @@ class ErlangMixture:
         log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
         return log_mix - self.rate * points
 
-    @_unlocked_cached_property
+    @cached_property
     def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:
         # survival is e^{-x} sum_{j<J} W_j x^j / j!, x = rate t, with W_j the
         # weight on shapes > j and J the largest shape of positive weight.  One

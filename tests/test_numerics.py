@@ -357,3 +357,12 @@ def test_sweep_rows_are_64_byte_aligned_and_disjoint(n):
     assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
     rows[:] = np.arange(4.0)[:, None]
     assert all(np.all(row == i) for i, row in enumerate(rows))
+
+
+def test_mixture_tables_are_cached_on_the_instance():
+    mixture = DistSpec(LINDLEY, 2.0).sum_mixture(5)
+    mixture.pdf(np.linspace(0.5, 5.0, 4))
+    mixture.survival(1.5)
+    for name in ("_log_density_terms", "_sweep_plan"):
+        assert name in vars(mixture)
+        assert getattr(mixture, name) is getattr(mixture, name)
