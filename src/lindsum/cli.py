@@ -142,14 +142,18 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     spec = _sum_spec(args)
     rows = [[f"moment[{m}]", spec.moment(m)] for m in range(1, args.m_max + 1)]
     if args.central:
-        m1, m2, m3, m4 = (spec.moment(m) for m in range(1, 5))
-        variance = spec.variance()
-        sd = math.sqrt(variance)
+        # cumulants add over the n IID summands, kappa_j(S_n) = n kappa_j(X), so
+        # the shape rows come from one summand's moments; the sum's own raw
+        # moments would cancel in all but a few digits once n is large
+        x1, x2, x3, x4 = (spec.dist.moment(m) for m in range(1, 5))
+        k2 = x2 - x1**2
+        k3 = x3 - 3.0 * x1 * x2 + 2.0 * x1**3
+        k4 = x4 - 4.0 * x1 * x3 + 6.0 * x1**2 * x2 - 3.0 * x1**4 - 3.0 * k2**2
         rows += [
-            ["mean", m1],
-            ["variance", variance],
-            ["skewness", (m3 - 3.0 * m1 * variance - m1**3) / sd**3],
-            ["kurtosis", (m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4) / variance**2],
+            ["mean", spec.mean()],
+            ["variance", spec.variance()],
+            ["skewness", k3 / k2**1.5 / math.sqrt(spec.n)],
+            ["kurtosis", 3.0 + k4 / (spec.n * k2**2)],
         ]
     columns = ["statistic", "value"]
     worst = 0.0

@@ -392,10 +392,14 @@ class ErlangMixture:
         return 1.0 - self.survival(t)
 
     def moment(self, m: int) -> float:
-        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m)."""
+        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m).
+
+        The log of each ratio of factorials is the fsum of the m logs
+        ln(s_r + i), not a difference of two lgammas, each of which carries
+        an error the size of its own ulp."""
         m = check_count(m, "m", 0)
         terms = [
-            math.log(w) + ln_factorial(s + m - 1) - ln_factorial(s - 1)
+            math.log(w) + math.fsum(map(math.log, range(s, s + m)))
             for w, s in self.components
             if w > 0.0
         ]
@@ -405,8 +409,13 @@ class ErlangMixture:
         return self.moment(1)
 
     def variance(self) -> float:
-        mu = self.moment(1)
-        return self.moment(2) - mu * mu
+        """The law of total variance in shape units, sum_r w_r (s_r + (s_r - c)^2)
+        / rate^2 with c = sum_r w_r s_r: moment(2) - mean^2 would cancel once
+        the mean is large against the spread.  Raises as moment(2) does where
+        the result leaves double range."""
+        centre = math.fsum(w * s for w, s in self.components)
+        spread = math.fsum(w * (s + (s - centre) ** 2) for w, s in self.components)
+        return _moment_from_log(math.log(spread) - 2.0 * math.log(self.rate), 2)
 
 
 @dataclass(frozen=True)

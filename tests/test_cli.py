@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_moments import central_summaries
 
 import lindsum
 from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
-from lindsum.family import AKASH, RANI, SHANKER, DistSpec
+from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
 from lindsum.numerics import QuadratureError, QuadratureResult
 from lindsum.reliability import lindley_mttf
 from lindsum.sums import SumSpec
@@ -114,6 +115,18 @@ class TestMomentsCommand:
         np.testing.assert_allclose(
             float(rows["variance"]), dist.moment(2) - dist.moment(1) ** 2, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [10, 1000, 10_000])
+    @pytest.mark.parametrize("member", [LINDLEY, RAM_AWADH], ids=lambda m: m.name)
+    def test_central_rows_against_exact_values(self, capsys, member, n):
+        argv = ["moments", "--dist", member.name, "--theta", "1", "--n", str(n), "--central"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        rows = {r["statistic"]: r["value"] for r in json.loads(out)}
+        variance, skewness, kurtosis = central_summaries(member.degree, n)
+        np.testing.assert_allclose(rows["variance"], variance, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rows["skewness"], skewness, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rows["kurtosis"], kurtosis, rtol=1e-12, atol=0)
 
     def test_verify_mode_passes(self, capsys):
         code, out, _ = run_cli(

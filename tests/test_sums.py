@@ -16,6 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from exact_moments import central_summaries, raw_moments
 from mpmath_oracle import SumOracle
 
 from lindsum.family import (
@@ -384,6 +385,33 @@ class TestMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             SumSpec(DistSpec(LINDLEY, 1.0), 2).moment(-1)
+
+
+class TestExactMoments:
+    """Raw moments and the variance against exact rational values at theta = 1."""
+
+    @pytest.mark.parametrize("n", [50, 1000])
+    @pytest.mark.parametrize("member", [LINDLEY, RAM_AWADH], ids=lambda m: m.name)
+    def test_raw_moments(self, member, n):
+        spec = SumSpec(DistSpec(member, 1.0), n)
+        exact = raw_moments(member.degree, n)
+        for m in range(1, 5):
+            np.testing.assert_allclose(spec.moment(m), float(exact[m]), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [10, 1000, 10_000])
+    @pytest.mark.parametrize("member", [LINDLEY, RAM_AWADH], ids=lambda m: m.name)
+    def test_variance(self, member, n):
+        variance, _, _ = central_summaries(member.degree, n)
+        np.testing.assert_allclose(
+            SumSpec(DistSpec(member, 1.0), n).variance(), variance, rtol=1e-13, atol=0
+        )
+
+    def test_variance_beyond_double_range(self):
+        # the mean is about 2e154 and the variance about 2e308
+        spec = SumSpec(DistSpec(LINDLEY, 1e-154), 1)
+        assert math.isfinite(spec.mean())
+        with pytest.raises(OverflowError, match="m=2.*beyond double range"):
+            spec.variance()
 
 
 class TestMomentSeriesSmallP:
