@@ -392,11 +392,8 @@ class ErlangMixture:
         return 1.0 - self.survival(t)
 
     def moment(self, m: int) -> float:
-        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m).
-
-        The log of each ratio of factorials is the fsum of the m logs
-        ln(s_r + i), not a difference of two lgammas, each of which carries
-        an error the size of its own ulp."""
+        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m), each ratio's log
+        the fsum of the m logs ln(s_r + i), not a difference of two lgammas."""
         m = check_count(m, "m", 0)
         terms = [
             math.log(w) + math.fsum(map(math.log, range(s, s + m)))
@@ -409,10 +406,9 @@ class ErlangMixture:
         return self.moment(1)
 
     def variance(self) -> float:
-        """The law of total variance in shape units, sum_r w_r (s_r + (s_r - c)^2)
-        / rate^2 with c = sum_r w_r s_r: moment(2) - mean^2 would cancel once
-        the mean is large against the spread.  Raises as moment(2) does where
-        the result leaves double range."""
+        """Law of total variance, sum_r w_r (s_r + (s_r - c)^2) / rate^2 with
+        c = sum_r w_r s_r, which does not cancel as moment(2) - mean^2 does at
+        large shapes; raises as moment(2) does outside double range."""
         centre = math.fsum(w * s for w, s in self.components)
         spread = math.fsum(w * (s + (s - centre) ** 2) for w, s in self.components)
         return _moment_from_log(math.log(spread) - 2.0 * math.log(self.rate), 2)
