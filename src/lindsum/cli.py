@@ -20,10 +20,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import astuple, fields
 
-import numpy as np
-
 from .family import DistSpec, check_count, check_positive, member_by_name
-from .numerics import QuadratureError
+from .numerics import QuadratureError, np
 from .reliability import ExponentialStandby, StandbyModel, mttf_table
 from .sums import SumSpec
 from .validation import (

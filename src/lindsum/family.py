@@ -34,10 +34,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .numerics import (
     ErlangMixture, _pointwise, check_count, check_positive, ln_binomial, ln_factorial, logsumexp,
+    np,
 )
 
 __all__ = [

@@ -14,11 +14,25 @@ is evaluated in one frame, _pointwise: it sums a series only where
 and NaN their edge values.  The parameter checks check_positive and
 check_count live here too, so that ErlangMixture can use them (family, which
 re-exports them, imports this module).
+
+numpy is loaded on first use.  This module makes the package's one np: numpy
+itself if it is already imported, else a module that importlib.util.LazyLoader
+registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
+attribute access; the other modules take np from here.  So `lindsum mttf`,
+`lindsum moments` (without --verify), `lindsum --help` and usage errors,
+whose numbers are pure math, never load numpy; `pdf`, `reliability`,
+`sample`, `moments --verify` and `verify` do.  A later `import numpy`
+anywhere completes the load.  One caveat: on Python 3.11 (checked in
+importlib.util._LazyModule) the load takes no lock and switches the module's
+class before numpy's __init__ runs, so a second thread that first touches np
+during that load can see a half-built numpy.  Import numpy before lindsum to
+rule this out.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
 import numbers
 import operator
@@ -27,8 +41,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-
-import numpy as np
 
 __all__ = [
     "ErlangMixture",
@@ -41,6 +53,23 @@ __all__ = [
     "ln_factorial",
     "logsumexp",
 ]
+
+
+def _lazy_numpy():
+    """numpy as imported, else a lazily loaded numpy registered in sys.modules."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 # Logs of exact integer factorials; lgamma takes over past the table.
 _EXACT_LIMIT = 20
@@ -58,7 +87,7 @@ _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21), as rows of
 # (node x >= 0, Kronrod weight, Kronrod minus Gauss weight), outermost first.
 # The 10-point Gauss rule uses the 2nd, 4th, ..., 10th nodes; elsewhere its
-# weight is 0.  Mirrored below into aligned arrays over all 21 nodes.
+# weight is 0.  Mirrored by _gk21_tables into aligned arrays over all 21 nodes.
 _GK21_HALF = (
     (0.995657163025808080735527280689003, 0.011694638867371874278064396062192,
      0.011694638867371874278064396062192),
@@ -85,11 +114,6 @@ _GK21_HALF = (
 # Narrower pieces, relative to their position, are not bisected: the outer
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
 _NARROWEST = 1e3 * math.ulp(1.0)
-
-_NODES, _KRONROD, _KRONROD_MINUS_GAUSS = (np.array(column) for column in zip(*_GK21_HALF))
-_GK21_NODES = np.concatenate((-_NODES[:-1], _NODES[::-1]))
-_GK21_KRONROD = np.concatenate((_KRONROD[:-1], _KRONROD[::-1]))
-_GK21_KRONROD_MINUS_GAUSS = np.concatenate((_KRONROD_MINUS_GAUSS[:-1], _KRONROD_MINUS_GAUSS[::-1]))
 
 # Poisson steps per block of ErlangMixture's survival sweep, and an x = rate t
 # past which its start e^{-x} is 0 in double precision (it is from x = 745.14).
@@ -530,17 +554,43 @@ def integrate(
     return result
 
 
+_GK21_NAMES = ("_GK21_NODES", "_GK21_KRONROD", "_GK21_KRONROD_MINUS_GAUSS")
+
+
+@cache
+def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights, each as
+    a read-only array over all 21 nodes in increasing order; built on first use."""
+    nodes, kronrod, difference = (np.array(column) for column in zip(*_GK21_HALF))
+    tables = (
+        np.concatenate((-nodes[:-1], nodes[::-1])),
+        np.concatenate((kronrod[:-1], kronrod[::-1])),
+        np.concatenate((difference[:-1], difference[::-1])),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def __getattr__(name: str) -> np.ndarray:
+    # the tables keep their module-level names: _GK21_NODES and so on
+    if name in _GK21_NAMES:
+        return _gk21_tables()[_GK21_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _gk21(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """QUADPACK's qk21 on [a, b]: the 21-point Kronrod value and its error
     estimate, resasc * min(1, (200 |K21 - G10| / resasc)^1.5), floored at
     50 eps * resabs (resabs the rule applied to |f|, resasc to |f - mean|)."""
+    nodes, kronrod_weights, difference_weights = _gk21_tables()
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = f(centre + half * _GK21_NODES)
-    kronrod = float(_GK21_KRONROD.dot(values))
+    values = f(centre + half * nodes)
+    kronrod = float(kronrod_weights.dot(values))
     mean = 0.5 * kronrod
-    resabs = float(_GK21_KRONROD.dot(np.abs(values))) * half
-    resasc = float(_GK21_KRONROD.dot(np.abs(values - mean))) * half
-    error = abs(float(_GK21_KRONROD_MINUS_GAUSS.dot(values)) * half)
+    resabs = float(kronrod_weights.dot(np.abs(values))) * half
+    resasc = float(kronrod_weights.dot(np.abs(values - mean))) * half
+    error = abs(float(difference_weights.dot(values)) * half)
     if resasc != 0.0 and error != 0.0:
         error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
     return kronrod * half, max(error, _EPSREL_FLOOR * resabs)

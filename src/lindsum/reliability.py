@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
-from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp
+from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp, np
 from .sums import SumSpec
 
 __all__ = [

@@ -24,11 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .family import DistSpec, check_n
 from .numerics import (
-    ErlangMixture, _moment_from_log, check_count, ln_binomial, ln_factorial, logsumexp,
+    ErlangMixture, _moment_from_log, check_count, ln_binomial, ln_factorial, logsumexp, np,
 )
 
 __all__ = ["ErlangMixture", "SumSpec"]

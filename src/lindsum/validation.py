@@ -21,13 +21,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
-
 from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, _divide_draws, check_count,
     member_by_name,
 )
-from .numerics import QuadratureError, integrate, logsumexp
+from .numerics import QuadratureError, integrate, logsumexp, np
 from .reliability import (
     ExponentialStandby,
     StandbyModel,

@@ -440,19 +440,27 @@ class TestTopLevel:
         assert re.search("^lindsum moments: error: quadrature did not converge", err)
 
 
+MTTF_ARGV = ["mttf", "--theta", "0.1,0.5,1,3", "--dist", "akash"]
+
+
 class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
-    behind moments --verify."""
+    behind moments --verify.  numpy loads on first use: the import, --help, a
+    usage error, mttf, moments without --verify and a library MTTF leave its
+    core unloaded; pdf loads it; and lindsum shares one numpy with code that
+    imports it before or after lindsum."""
 
     @staticmethod
-    def _run(code):
+    def _run(code, package="scipy"):
+        """Run code in a fresh interpreter; whether package or one of its
+        submodules is then in sys.modules, as "True" or "False"."""
         env = dict(os.environ)
         src = str(Path(lindsum.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
             f"{code}\n"
             "import sys\n"
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+            f"print(any(m == {package!r} or m.startswith({package + '.'!r}) for m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
@@ -460,24 +468,65 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
+    @staticmethod
+    def _cli(argv, code=0):
+        """Code that runs main(argv), output discarded, and checks its exit code."""
+        return (
+            "import contextlib, io\n"
+            "from lindsum.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            f"assert code == {code}, code\n"
+        )
+
     def test_import_leaves_scipy_unloaded(self):
         assert self._run("import lindsum") == "False"
 
     def test_mttf_runs_without_scipy(self):
-        code = (
-            "import contextlib, io\n"
-            "from lindsum.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['mttf', '--theta', '0.1,0.5,1,3', '--dist', 'akash']) == 0"
-        )
-        assert self._run(code) == "False"
+        assert self._run(self._cli(MTTF_ARGV)) == "False"
 
     def test_moments_verify_runs_without_scipy(self):
+        argv = ["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--verify"]
+        assert self._run(self._cli(argv)) == "False"
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import lindsum",
+            _cli(["--help"]),
+            _cli(["mttf", "--theta", "-1"], code=2),
+            _cli(MTTF_ARGV),
+            _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
+            "from lindsum import LINDLEY, DistSpec, StandbyModel\n"
+            "assert StandbyModel(DistSpec(LINDLEY, 1.0), 5).mttf() == 7.499999999999999\n",
+        ],
+        ids=["import", "help", "usage-error", "mttf", "moments-central", "library-mttf"],
+    )
+    def test_route_leaves_numpy_unloaded(self, code):
+        assert self._run(code, "numpy._core") == "False"
+
+    def test_pdf_loads_numpy(self):
+        argv = ["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--points", "3"]
+        assert self._run(self._cli(argv), "numpy._core") == "True"
+
+    def test_numpy_imported_first_is_reused(self):
         code = (
-            "import contextlib, io\n"
-            "from lindsum.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['moments', '--dist', 'ramawadh', '--theta', '1', '--n', '5',"
-            " '--verify']) == 0"
+            "import sys\n"
+            "import numpy\n"
+            "import lindsum.numerics\n"
+            "assert lindsum.numerics.np is sys.modules['numpy'] is numpy\n"
+            "assert type(numpy) is type(sys)\n"
         )
-        assert self._run(code) == "False"
+        assert self._run(code, "numpy._core") == "True"
+
+    def test_numpy_imported_after_works(self):
+        code = (
+            "import lindsum.numerics\n"
+            "import numpy as np\n"
+            "assert np is lindsum.numerics.np and np.arange(3).sum() == 3\n"
+        )
+        assert self._run(code, "numpy._core") == "True"
