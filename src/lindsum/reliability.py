@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
@@ -59,10 +59,22 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
+    const = _lindley_log_coefficients(theta, n)
+    terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(t)
+    peak = terms.max(axis=0)
+    terms -= peak
+    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+    return np.minimum(1.0, np.exp(log_sum - theta * t))
+
+
+@lru_cache(maxsize=16)
+def _lindley_log_coefficients(theta: float, n: int) -> np.ndarray:
+    """The x-free log coefficient of each power t^0, ..., t^{2n-1} of the double
+    series, its terms with equal powers summed first; built once per (theta, n)
+    in O(n^2) and cached read-only."""
     # ln(theta^2/(1+theta)) and ln(theta/(1+theta)), finite for every finite theta
     ln_base = 2.0 * math.log(theta) - math.log1p(theta)
     ln_ratio = math.log(theta) - math.log1p(theta)
-    # the x-free log coefficient of each term, grouped by the power of t it multiplies
     by_power: list[list[float]] = [[] for _ in range(2 * n)]
     for i in range(n):
         for j in range(i + 1):
@@ -70,11 +82,8 @@ def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
             by_power[i + j].append(common - ln_factorial(i + j))
             by_power[i + j + 1].append(common + ln_ratio - ln_factorial(i + j + 1))
     const = np.array([logsumexp(group) for group in by_power])
-    terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(t)
-    peak = terms.max(axis=0)
-    terms -= peak
-    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-    return np.minimum(1.0, np.exp(log_sum - theta * t))
+    const.flags.writeable = False
+    return const
 
 
 def lindley_mttf(theta: float, n: int) -> float:

@@ -16,6 +16,7 @@ from lindsum.reliability import (
     MttfRow,
     ReliabilityCurve,
     StandbyModel,
+    _lindley_log_coefficients,
     exponential_mttf,
     exponential_reliability,
     lindley_mttf,
@@ -93,6 +94,46 @@ class TestLindleyReliability:
         values = [lindley_reliability(0.5, 4, t) for t in np.linspace(0.0, 60.0, 200)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "theta,n,t,expected",
+        [
+            (1.0, 5, 5.0, 0.7948786942920119),
+            (0.5, 3, 2.5, 0.9820243446488617),
+            (2.0, 50, 30.0, 0.77003358934004),
+            (0.1, 12, 150.0, 0.9617869671333654),
+            (3.0, 1, 0.7, 0.18674605308579748),
+            (1e-3, 7, 4000.0, 0.9999222819088481),
+            (1.0, 200, 220.0, 0.9999984888446298),
+        ],
+    )
+    def test_values_pinned(self, theta, n, t, expected):
+        # the values the series gave when it rebuilt its coefficients on every
+        # call; the cached table must reproduce them bit for bit, cold and warm
+        _lindley_log_coefficients.cache_clear()
+        assert lindley_reliability(theta, n, t) == expected
+        assert lindley_reliability(theta, n, t) == expected
+
+    def test_array_values_pinned(self):
+        t = np.array([0.25, 1.0, 3.0, 9.0])
+        expected = [0.9999556602126877, 0.9913674951566329, 0.7412037665162569, 0.02586116199888076]
+        assert lindley_reliability(1.3, 4, t).tolist() == expected
+        grid = np.array([[1.0, 10.0], [30.0, 60.0]])
+        expected = [[1.0, 0.9999999990694866], [0.974213068688668, 0.05415871353689056]]
+        assert lindley_reliability(0.7, 20, grid).tolist() == expected
+
+    def test_coefficients_built_once_per_theta_and_n(self):
+        lindley_reliability(0.37, 9, 2.0)
+        before = _lindley_log_coefficients.cache_info()
+        lindley_reliability(0.37, 9, np.array([1.0, 4.0]))
+        lindley_reliability(0.37, 9, 7.5)
+        after = _lindley_log_coefficients.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+    def test_cached_coefficients_read_only(self):
+        lindley_reliability(0.37, 9, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            _lindley_log_coefficients(0.37, 9)[0] = 0.0
 
 
 @pytest.mark.parametrize(
