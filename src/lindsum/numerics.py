@@ -22,10 +22,11 @@ attribute access; the other modules take np from here.  So `lindsum mttf`,
 `lindsum moments` (without --verify), `lindsum --help` and usage errors,
 whose numbers are pure math, never load numpy; `pdf`, `reliability`,
 `sample`, `moments --verify` and `verify` do.  A later `import numpy`
-anywhere completes the load.  One caveat: on Python 3.11 (checked in
-importlib.util._LazyModule) the load takes no lock and switches the module's
-class before numpy's __init__ runs, so a second thread that first touches np
-during that load can see a half-built numpy.  Import numpy before lindsum to
+anywhere completes the load.  One caveat: in Python 3.10.13, 3.11.7 and
+3.12.1 (checked in the source of importlib.util._LazyModule) the load takes
+no lock and switches the module's class before numpy's __init__ runs, so a
+second thread that first touches np during that load can see a half-built
+numpy; 3.13.0 holds a lock through the load.  Import numpy before lindsum to
 rule this out.
 """
 
@@ -559,17 +560,12 @@ _GK21_NAMES = ("_GK21_NODES", "_GK21_KRONROD", "_GK21_KRONROD_MINUS_GAUSS")
 
 @cache
 def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights, each as
-    a read-only array over all 21 nodes in increasing order; built on first use."""
-    nodes, kronrod, difference = (np.array(column) for column in zip(*_GK21_HALF))
-    tables = (
-        np.concatenate((-nodes[:-1], nodes[::-1])),
-        np.concatenate((kronrod[:-1], kronrod[::-1])),
-        np.concatenate((difference[:-1], difference[::-1])),
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights as
+    read-only rows over all 21 nodes in increasing order, built on first use."""
+    half = np.array(tuple(zip(*_GK21_HALF)))
+    tables = np.concatenate((half[:, :-1] * [[-1.0], [1.0], [1.0]], half[:, ::-1]), axis=1)
+    tables.flags.writeable = False
+    return tuple(tables)
 
 
 def __getattr__(name: str) -> np.ndarray:
