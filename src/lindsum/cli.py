@@ -115,23 +115,27 @@ def _sum_spec(args: argparse.Namespace) -> SumSpec:
     return SumSpec(DistSpec(args.dist, args.theta), args.n)
 
 
-def _grid(args, parser, point: float | None, lo: float, hi: float | None) -> np.ndarray:
-    """[point] if one was given, else args.points evenly spaced values on [lo, hi]."""
+def _grid(args, parser, point: float | None, lo: float, hi: float | None) -> list[float]:
+    """[point] if one was given, else args.points evenly spaced values on [lo, hi],
+    as Python floats bit-identical to np.linspace(lo, hi, args.points)."""
     if point is not None:
-        return np.array([point], dtype=float)
+        return [point]
     if not hi > lo:
         parser.error(f"grid upper bound must exceed lower bound, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, args.points)
+    div = args.points - 1
+    delta = hi - lo
+    step = delta / div
+    if step:
+        return [lo + i * step for i in range(div)] + [hi]
+    # linspace's branch for a step that underflows to 0 (a subnormal span)
+    return [lo + i / div * delta for i in range(div)] + [hi]
 
 
 def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = _sum_spec(args)
     hi = 5.0 * spec.mean() if args.x is None and args.x_max is None else args.x_max
     grid = _grid(args, parser, args.x, args.x_min, hi)
-    rows = [
-        [float(x), spec.pdf(float(x)), float(cdf), float(survival)]
-        for x, cdf, survival in zip(grid, spec.cdf(grid), spec.survival(grid))
-    ]
+    rows = [[x, spec.pdf(x), spec.cdf(x), spec.survival(x)] for x in grid]
     _emit_table(["x", "pdf", "cdf", "survival"], rows, args.format)
     return 0
 
@@ -177,12 +181,13 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     grid = _grid(args, parser, args.t, 0.0, args.t_max)
     # a cold-standby system's reliability is the survival of its lifetime sum
-    table = [grid, _sum_spec(args).survival(grid)]
+    routes = [_sum_spec(args).survival]
     columns = ["t", f"R_{args.dist.name.lower()}"]
     if args.compare_exponential:
-        table.append(ExponentialStandby(args.theta, args.n).reliability(grid))
+        routes.append(ExponentialStandby(args.theta, args.n).reliability)
         columns.append("R_exponential")
-    _emit_table(columns, np.column_stack(table).tolist(), args.format)
+    rows = [[t, *(route(t) for route in routes)] for t in grid]
+    _emit_table(columns, rows, args.format)
     return 0
 
 

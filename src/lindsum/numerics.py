@@ -11,23 +11,25 @@ shared rate, and takes its density, tails, and moments here.  Every density
 and tail in the package, DistSpec.pdf and the Lindley double series included,
 is evaluated in one frame, _pointwise: it sums a series only where
 0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
-and NaN their edge values.  The parameter checks check_positive and
-check_count live here too, so that ErlangMixture can use them (family, which
-re-exports them, imports this module).
+and NaN their edge values (to a Python scalar without numpy).  The parameter
+checks check_positive and check_count live here too, so that ErlangMixture
+can use them (family, which re-exports them, imports this module).
 
 numpy is loaded on first use.  This module makes the package's one np: numpy
 itself if it is already imported, else a module that importlib.util.LazyLoader
 registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
 attribute access; the other modules take np from here.  So `lindsum mttf`,
-`lindsum moments` (without --verify), `lindsum --help` and usage errors,
-whose numbers are pure math, never load numpy; `pdf`, `reliability`,
-`sample`, `moments --verify` and `verify` do.  A later `import numpy`
-anywhere completes the load.  One caveat: in Python 3.10.13, 3.11.7 and
-3.12.1 (checked in the source of importlib.util._LazyModule) the load takes
-no lock and switches the module's class before numpy's __init__ runs, so a
-second thread that first touches np during that load can see a half-built
-numpy; 3.13.0 holds a lock through the load.  Import numpy before lindsum to
-rule this out.
+`moments` (without --verify), `pdf`, `reliability`, `--help` and usage errors
+never load numpy: their numbers are pure math, and pdf and reliability take
+each row of their tables from a Python float, through the scalar paths of
+ErlangMixture.pdf and survival and the scalar edges of _pointwise.  `sample`,
+`moments --verify` and `verify` do load it.  A later `import numpy` anywhere
+completes the load.  One caveat: in Python 3.10.13, 3.11.7 and 3.12.1
+(checked in the source of importlib.util._LazyModule) the load takes no lock
+and switches the module's class before numpy's __init__ runs, so a second
+thread that first touches np during that load can see a half-built numpy;
+3.13.0 holds a lock through the load.  Import numpy before lindsum to rule
+this out.
 """
 
 from __future__ import annotations
@@ -164,7 +166,12 @@ def _pointwise(
     """The one frame of every density and tail with this rate: series on the flat
     points 0 < x < _finite_below(rate), which it must not write into; edges =
     (value at x < 0, at x == 0, at and past that bound and +inf) elsewhere; NaN
-    at NaN.  A Python float for 0-d input, an array of x's shape otherwise."""
+    at NaN.  A Python float for 0-d input, an array of x's shape otherwise.  A
+    Python int or float (the _math_scalar test) outside the series range gets
+    its edge value at once, without numpy."""
+    if isinstance(x, (int, float)) and not 0.0 < x < _finite_below(rate):
+        below, zero, far = edges
+        return below if x < 0.0 else zero if x == 0.0 else far if x > 0.0 else math.nan
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     inside = (flat > 0.0) & (flat < _finite_below(rate))
@@ -284,17 +291,20 @@ class ErlangMixture:
         return tuple(zip(self.weights, self.shapes))
 
     @cached_property
-    def _log_density_terms(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def _log_density_pairs(self) -> tuple[tuple[float, float], ...]:
         # log density of a component: ln(w rate^s / (s-1)!) + (s-1) ln x - rate x;
-        # its two x-free parts for w > 0, as arrays and as pairs (scalar path)
+        # its two x-free parts for w > 0, as pure-Python pairs (the scalar path)
         ln_rate = math.log(self.rate)
-        pairs = tuple(
+        return tuple(
             (math.log(w) + s * ln_rate - ln_factorial(s - 1), s - 1.0)
             for w, s in self.components
             if w > 0.0
         )
-        const, powers = (np.array(column) for column in zip(*pairs))
-        return const, powers, pairs
+
+    @cached_property
+    def _log_density_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        # the pairs' two columns as arrays (the array path)
+        return tuple(np.array(column) for column in zip(*self._log_density_pairs))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
@@ -305,7 +315,7 @@ class ErlangMixture:
         """
         if _math_scalar(x, self.rate):
             ln_x = math.log(x)
-            terms = [c + p * ln_x for c, p in self._log_density_terms[2]]
+            terms = [c + p * ln_x for c, p in self._log_density_pairs]
             peak = max(terms)
             log_mix = peak + math.log(sum(math.exp(t - peak) for t in terms))
             return math.exp(log_mix - self.rate * x)
@@ -326,7 +336,7 @@ class ErlangMixture:
 
     def _log_pdf_series(self, points: np.ndarray) -> np.ndarray:
         # one (components x points) buffer, updated in place
-        const, powers, _ = self._log_density_terms
+        const, powers = self._log_density_terms
         terms = np.multiply.outer(powers, np.log(points))
         terms += const[:, None]
         peak = terms.max(axis=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
 from lindsum.numerics import QuadratureError, QuadratureResult
-from lindsum.reliability import lindley_mttf
+from lindsum.reliability import ExponentialStandby, StandbyModel, lindley_mttf
 from lindsum.sums import SumSpec
 
 
@@ -228,6 +229,76 @@ class TestReliabilityCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "t,R_ishita"
+
+
+RAMAWADH_PDF_ARGV = ["pdf", "--dist", "ramawadh", "--n", "50", "--points", "101"]
+
+
+def _table(out, fmt):
+    """The rows of a csv or json table as lists of floats, in column order."""
+    if fmt == "json":
+        return [list(record.values()) for record in json.loads(out)]
+    return [[float(cell) for cell in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+
+class TestTableRows:
+    """pdf and reliability build their rows from Python floats: the grid is
+    np.linspace bit for bit, and every cell is the library's scalar call, within
+    1e-14 of the array calls that built the rows before."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, points, zero_step",
+        [
+            (0.0, 5.0 * SumSpec(DistSpec(RAM_AWADH, 1.3), 50).mean(), 101, False),
+            (0.0, 100.0, 101, False),
+            (-2.5, 7.0, 11, False),
+            (-1e-3, 1.0, 2, False),
+            (0.0, 1e-310, 3, False),
+            (0.0, 1e-322, 101, True),
+            (-1e-322, 1e-322, 101, True),
+        ],
+        ids=["pdf-default", "reliability-default", "negative-start", "two-points",
+             "subnormal-step", "zero-step", "zero-step-negative-start"],
+    )
+    def test_grid_is_linspace_bit_for_bit(self, lo, hi, points, zero_step):
+        assert ((hi - lo) / (points - 1) == 0.0) is zero_step
+        grid = cli._grid(argparse.Namespace(points=points), None, None, lo, hi)
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, points).tolist()]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pdf_rows_are_the_scalar_calls(self, capsys, fmt):
+        spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)
+        argv = RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-20", "--format", fmt]
+        _, out, _ = run_cli(capsys, argv)
+        grid = np.linspace(-20.0, 5.0 * spec.mean(), 101).tolist()
+        expected = [[x, spec.pdf(x), spec.cdf(x), spec.survival(x)] for x in grid]
+        assert _table(out, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reliability_rows_are_the_scalar_calls(self, capsys, fmt):
+        model, system = StandbyModel(DistSpec(LINDLEY, 0.7), 5), ExponentialStandby(0.7, 5)
+        argv = ["reliability", "--theta", "0.7", "--compare-exponential", "--format", fmt]
+        _, out, _ = run_cli(capsys, argv)
+        grid = np.linspace(0.0, 100.0, 101).tolist()
+        expected = [[t, model.reliability(t), system.reliability(t)] for t in grid]
+        assert _table(out, fmt) == expected
+
+    @pytest.mark.parametrize("theta", [0.5, 1.157, 2.0])
+    def test_rows_agree_with_the_array_calls(self, capsys, theta):
+        spec = SumSpec(DistSpec(RAM_AWADH, theta), 50)
+        _, out, _ = run_cli(capsys, RAMAWADH_PDF_ARGV + ["--theta", str(theta)])
+        x, pdf, cdf, survival = np.array(_table(out, "csv")).T
+        assert np.array_equal(pdf, [spec.pdf(v) for v in x.tolist()])
+        np.testing.assert_allclose(survival, spec.survival(x), rtol=1e-14, atol=0.0)
+        # cdf = 1 - survival carries survival's absolute error, which near 1 is
+        # many times a small cdf
+        np.testing.assert_allclose(cdf, spec.cdf(x), rtol=0.0, atol=1e-14)
+        _, out, _ = run_cli(capsys, ["reliability", "--theta", str(theta), "--compare-exponential"])
+        t, r_lindley, r_exponential = np.array(_table(out, "csv")).T
+        model, system = StandbyModel(DistSpec(LINDLEY, theta), 5), ExponentialStandby(theta, 5)
+        np.testing.assert_allclose(r_lindley, model.reliability(t), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(r_exponential, system.reliability(t), rtol=1e-14, atol=0.0)
 
 
 class TestMttfCommand:
@@ -446,9 +517,9 @@ MTTF_ARGV = ["mttf", "--theta", "0.1,0.5,1,3", "--dist", "akash"]
 class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
     behind moments --verify.  numpy loads on first use: the import, --help, a
-    usage error, mttf, moments without --verify and a library MTTF leave its
-    core unloaded; pdf loads it; and lindsum shares one numpy with code that
-    imports it before or after lindsum."""
+    usage error, mttf, moments without --verify, pdf, reliability and a library
+    MTTF leave its core unloaded; sample and moments --verify load it; and
+    lindsum shares one numpy with code that imports it before or after lindsum."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -503,14 +574,26 @@ class TestImportCost:
             _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
             "from lindsum import LINDLEY, DistSpec, StandbyModel\n"
             "assert abs(StandbyModel(DistSpec(LINDLEY, 1.0), 5).mttf() - 7.5) < 1e-12\n",
+            _cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-5"]),
+            _cli(["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--x", "0"]),
+            _cli(["reliability", "--theta", "0.7", "--compare-exponential"]),
+            _cli(["reliability", "--theta", "0.7", "--t", "1", "--compare-exponential"]),
         ],
-        ids=["import", "help", "usage-error", "mttf", "moments-central", "library-mttf"],
+        ids=["import", "help", "usage-error", "mttf", "moments-central", "library-mttf",
+             "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1"],
     )
     def test_route_leaves_numpy_unloaded(self, code):
         assert self._run(code, "numpy._core") == "False"
 
-    def test_pdf_loads_numpy(self):
-        argv = ["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--points", "3"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--dist", "lindley", "--theta", "1", "--n", "2", "--count", "3"],
+            ["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--verify"],
+        ],
+        ids=["sample", "moments-verify"],
+    )
+    def test_route_loads_numpy(self, argv):
         assert self._run(self._cli(argv), "numpy._core") == "True"
 
     def test_numpy_imported_first_is_reused(self):

@@ -5,6 +5,7 @@ Erlang-mixture moments, and the adaptive Gauss-Kronrod quadrature."""
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -363,6 +364,34 @@ def test_mixture_tables_are_cached_on_the_instance():
     mixture = DistSpec(LINDLEY, 2.0).sum_mixture(5)
     mixture.pdf(np.linspace(0.5, 5.0, 4))
     mixture.survival(1.5)
-    for name in ("_log_density_terms", "_sweep_plan"):
+    for name in ("_log_density_pairs", "_log_density_terms", "_sweep_plan"):
         assert name in vars(mixture)
         assert getattr(mixture, name) is getattr(mixture, name)
+
+
+_LINDLEY_2 = DistSpec(LINDLEY, 2.0)
+
+
+@pytest.mark.parametrize(
+    "x", [-1, -0.0, 0, 0.0, sys.float_info.max / 2.0, math.inf, math.nan],
+    ids=["-1", "-0.0", "0", "0.0", "max/rate", "inf", "nan"],
+)
+@pytest.mark.parametrize(
+    "route",
+    [
+        _LINDLEY_2.sum_mixture(1).pdf,  # a shape-1 component: positive at 0
+        _LINDLEY_2.sum_mixture(3).pdf,
+        _LINDLEY_2.sum_mixture(1).log_pdf,
+        _LINDLEY_2.sum_mixture(3).log_pdf,
+        _LINDLEY_2.sum_mixture(3).survival,
+        _LINDLEY_2.sum_mixture(3).cdf,
+        _LINDLEY_2.pdf,
+    ],
+    ids=["pdf-n1", "pdf-n3", "log_pdf-n1", "log_pdf-n3", "survival", "cdf", "DistSpec.pdf"],
+)
+def test_scalar_edges_match_the_0d_array(route, x):
+    # a Python int or float outside the series range takes its edge value in
+    # _pointwise without numpy; a 0-d array still goes through np.asarray
+    got = route(x)
+    assert type(got) is float
+    assert got.hex() == route(np.asarray(x, dtype=float)).hex()
