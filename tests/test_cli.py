@@ -517,9 +517,10 @@ MTTF_ARGV = ["mttf", "--theta", "0.1,0.5,1,3", "--dist", "akash"]
 class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
     behind moments --verify.  numpy loads on first use: the import, --help, a
-    usage error, mttf, moments without --verify, pdf, reliability and a library
-    MTTF leave its core unloaded; sample and moments --verify load it; and
-    lindsum shares one numpy with code that imports it before or after lindsum."""
+    usage error, mttf, moments without --verify, pdf, reliability, a library
+    MTTF and a sum's density and tails at Python floats leave its core
+    unloaded; sample and moments --verify load it; and lindsum shares one
+    numpy with code that imports it before or after lindsum."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -574,13 +575,18 @@ class TestImportCost:
             _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
             "from lindsum import LINDLEY, DistSpec, StandbyModel\n"
             "assert abs(StandbyModel(DistSpec(LINDLEY, 1.0), 5).mttf() - 7.5) < 1e-12\n",
+            "from lindsum import LINDLEY, RAM_AWADH, DistSpec, StandbyModel, SumSpec\n"
+            "spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)\n"
+            "assert spec.pdf(0.0) == 0.0 < spec.pdf(40.0) and spec.cdf(-1.0) == 0.0\n"
+            "assert 0.0 < spec.survival(40.0) < 1.0\n"
+            "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n",
             _cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-5"]),
             _cli(["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--x", "0"]),
             _cli(["reliability", "--theta", "0.7", "--compare-exponential"]),
             _cli(["reliability", "--theta", "0.7", "--t", "1", "--compare-exponential"]),
         ],
         ids=["import", "help", "usage-error", "mttf", "moments-central", "library-mttf",
-             "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1"],
+             "library-sum-scalars", "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1"],
     )
     def test_route_leaves_numpy_unloaded(self, code):
         assert self._run(code, "numpy._core") == "False"

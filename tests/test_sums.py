@@ -160,7 +160,9 @@ class TestDensityAgainstHandExpansion:
 
 class TestScalarDensityPath:
     """Python int/float and np.float64 arguments in (0, inf) take a math-module
-    path; it must agree with the array path, which handles everything else."""
+    path; it must agree with the array path, which handles everything else.
+    At the edges such a scalar gets _pointwise's edge value without numpy,
+    which must equal the array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
@@ -195,7 +197,8 @@ class TestScalarDensityPath:
 class TestScalarSurvivalPath:
     """Python int/float and np.float64 arguments in (0, inf) run the Poisson
     sweep of survival on Python floats; it must agree with the array path,
-    which handles everything else."""
+    which handles everything else.  At the edges such a scalar gets
+    _pointwise's edge value without numpy, which must equal the array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
