@@ -20,8 +20,10 @@ Every member is the two-component mixture
 and the sum of n draws puts weight C(n,r) p^(n-r) (1-p)^r on Erlang(n+k*r, theta).
 DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), so
 both are finite for every finite theta, and sum_mixture builds every such
-numerics.ErlangMixture from them.  The density, in log space, and the
-composition sampler stay independent of the mixture code they help check.
+numerics.ErlangMixture from them; the member's density, tails and moments are
+those of sum_mixture(1).  The closed form c (alpha + x^k) e^{-theta x} is kept
+apart, as validation.convolution_oracle_pdf at n = 1, and the composition
+sampler stays independent of the mixture code it helps check.
 check_positive and check_count (from numerics, re-exported here) are the one
 check of each kind of parameter (a positive finite real, a count with a lower
 bound); check_theta and check_n apply them to theta and n.
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .numerics import (
-    ErlangMixture, _pointwise, check_count, check_positive, ln_binomial, ln_factorial, logsumexp,
-    np,
+    ErlangMixture, check_count, check_positive, ln_binomial, ln_factorial, logsumexp, np,
 )
 
 __all__ = [
@@ -138,7 +139,7 @@ class DistSpec:
     @property
     def norm_const(self) -> float:
         """Normalizing constant theta^{k+1} / (alpha*theta^k + k!), finite at every
-        finite theta; it underflows with theta^{k+1}, so pdf works in logs instead."""
+        finite theta; it underflows with theta^{k+1}, so no density route reads it."""
         k, theta = self.member.degree, self.theta
         if theta <= 1.0:
             return theta ** (k + 1) / (self.alpha * theta**k + math.factorial(k))
@@ -172,32 +173,10 @@ class DistSpec:
     def _mixture(self) -> ErlangMixture:
         return self.sum_mixture(1)
 
-    @cached_property
-    def _log_pdf_terms(self) -> tuple[float, float, float, float]:
-        # f = theta (a + y^k) / (a + k!) e^{-y}, y = theta x, a = alpha theta^k, in logs:
-        # ln(a + y^k) and ln(a + k!) are both shifted by s = max(ln a, ln k!), so no
-        # term overflows or underflows before the one exp, and the two large logs of
-        # a large theta cancel exactly.  Gives ln(theta/(a + k!)) + s, ln a - s, s, f(0)
-        k, theta = self.member.degree, self.theta
-        ln_a = math.log(self.alpha) + k * math.log(theta)
-        ln_kf = math.log(math.factorial(k))
-        shift = max(ln_a, ln_kf)
-        ln_scale = math.log(theta) - math.log(math.exp(ln_a - shift) + math.exp(ln_kf - shift))
-        return ln_scale, ln_a - shift, shift, float(np.exp(ln_scale + (ln_a - shift)))
-
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x; zero for x < 0, at +inf and where theta*x overflows,
-        NaN at NaN.  Taken in log space, so it holds at every finite theta
-        where norm_const or e^{-theta x} alone would underflow."""
-        at_zero = self._log_pdf_terms[3]
-        return _pointwise(x, self.theta, self._pdf_series, (0.0, at_zero, 0.0))
-
-    def _pdf_series(self, points: np.ndarray) -> np.ndarray:
-        ln_scale, ln_a, shift, _ = self._log_pdf_terms
-        y = self.theta * points
-        # theta x can underflow to 0 at x > 0, where y^k is 0
-        ln_yk = self.member.degree * np.log(y, out=np.full_like(y, -math.inf), where=y > 0.0)
-        return np.exp(ln_scale + np.logaddexp(ln_a, ln_yk - shift) - y)
+        """Density at x, through the exponential/Erlang mixture: c * alpha at 0,
+        zero for x < 0, at +inf and where theta*x overflows, NaN at NaN."""
+        return self._mixture.pdf(x)
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X > x), evaluated through the exponential/Erlang mixture."""

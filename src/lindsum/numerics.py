@@ -7,8 +7,11 @@ does.  The helpers here keep those combinations finite.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
-shared rate, and takes its density, tails, and moments here.  Every density
-and tail in the package, DistSpec.pdf and the Lindley double series included,
+shared rate, and takes its density, tails, and moments here (DistSpec.pdf
+too; the member's closed-form density is kept apart, as validation's
+convolution oracle at n = 1).  Its log density and the Lindley double series
+are log-sum-exps of weighted powers of x, both taken by _log_power_series.
+Every density and tail in the package, the Lindley double series included,
 is evaluated in one frame, _pointwise: it sums a series only where
 0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
 and NaN their edge values (to a Python scalar without numpy).  The parameter
@@ -22,7 +25,8 @@ attribute access; the other modules take np from here.  So `lindsum mttf`,
 `moments` (without --verify), `pdf`, `reliability`, `--help` and usage errors
 never load numpy: their numbers are pure math, and pdf and reliability take
 each row of their tables from a Python float, through the scalar paths of
-ErlangMixture.pdf and survival and the scalar edges of _pointwise.  `sample`,
+ErlangMixture.pdf and survival and the scalar edges of _pointwise, as do a
+member's and a sum's density and tails at a Python float.  `sample`,
 `moments --verify` and `verify` do load it.  A later `import numpy` anywhere
 completes the load.  One caveat: in Python 3.10.13, 3.11.7 and 3.12.1
 (checked in the source of importlib.util._LazyModule) the load takes no lock
@@ -207,6 +211,19 @@ def _finite_below(rate: float) -> float:
     return sys.float_info.max / rate if rate > 1.0 else math.inf
 
 
+def _log_power_series(
+    const: np.ndarray, powers: np.ndarray, rate: float, points: np.ndarray
+) -> np.ndarray:
+    """ln(sum_i e^{const_i} x^{powers_i}) - rate x at each point x > 0: a
+    log-sum-exp in one (terms x points) buffer, updated in place."""
+    terms = np.multiply.outer(powers, np.log(points))
+    terms += const[:, None]
+    peak = terms.max(axis=0)
+    terms -= peak
+    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+    return log_sum - rate * points
+
+
 def _aligned_rows(rows: int, n: int) -> np.ndarray:
     """Uninitialised float rows of n points, each on a 64-byte boundary, from one
     allocation: malloc guarantees 16 bytes, and in-place numpy loops such as
@@ -335,14 +352,7 @@ class ErlangMixture:
         return _pointwise(x, self.rate, self._log_pdf_series, (-math.inf, at_zero, -math.inf))
 
     def _log_pdf_series(self, points: np.ndarray) -> np.ndarray:
-        # one (components x points) buffer, updated in place
-        const, powers = self._log_density_terms
-        terms = np.multiply.outer(powers, np.log(points))
-        terms += const[:, None]
-        peak = terms.max(axis=0)
-        terms -= peak
-        log_mix = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-        return log_mix - self.rate * points
+        return _log_power_series(*self._log_density_terms, self.rate, points)
 
     @cached_property
     def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:
@@ -565,9 +575,6 @@ def integrate(
     return result
 
 
-_GK21_NAMES = ("_GK21_NODES", "_GK21_KRONROD", "_GK21_KRONROD_MINUS_GAUSS")
-
-
 @cache
 def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights as
@@ -576,13 +583,6 @@ def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tables = np.concatenate((half[:, :-1] * [[-1.0], [1.0], [1.0]], half[:, ::-1]), axis=1)
     tables.flags.writeable = False
     return tuple(tables)
-
-
-def __getattr__(name: str) -> np.ndarray:
-    # the tables keep their module-level names: _GK21_NODES and so on
-    if name in _GK21_NAMES:
-        return _gk21_tables()[_GK21_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:

@@ -23,7 +23,9 @@ from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
-from .numerics import ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp, np
+from .numerics import (
+    ErlangMixture, _log_power_series, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
+)
 from .sums import SumSpec
 
 __all__ = [
@@ -59,12 +61,8 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
-    const = _lindley_log_coefficients(theta, n)
-    terms = const[:, None] + np.arange(2.0 * n)[:, None] * np.log(t)
-    peak = terms.max(axis=0)
-    terms -= peak
-    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-    return np.minimum(1.0, np.exp(log_sum - theta * t))
+    log_sum = _log_power_series(_lindley_log_coefficients(theta, n), np.arange(2.0 * n), theta, t)
+    return np.minimum(1.0, np.exp(log_sum))
 
 
 @lru_cache(maxsize=16)

@@ -183,26 +183,32 @@ def _ks_deviation(index: np.ndarray, f: np.ndarray, count: int) -> float:
 
 
 def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
-    """Density of a 2- or 3-fold sum by direct nested quadrature.
+    """Density of a member (n = 1) or of a 2- or 3-fold sum, with no Erlang mixture.
 
-    Integrates f(u)f(x-u) (and the extra layer for n = 3) with the adaptive
-    rule; shares no code with the closed-form series in SumSpec.pdf, nor with
-    the member's density or constants, so the two may be compared as
-    independent routes to the same number.  The integral runs over v = u/x on
-    [0, 1], with each factor a + u^k divided by s = a + x^k, and its log is
-    added to n ln c - theta x + n ln s + (n-1) ln x: the density holds where
-    c^n, e^{-theta x} or x^k alone would leave double range.
+    At n = 1 the member's closed form c (a + x^k) e^{-theta x}, written nowhere
+    else in the package; at n = 2 and 3 f(u)f(x-u) (and the extra layer for
+    n = 3) integrated by the adaptive rule.  It shares no code with the
+    mixture behind DistSpec.pdf and SumSpec.pdf, nor with the member's
+    weights or constants, so the two are independent routes to the same
+    number.  The integral runs over v = u/x on [0, 1], with each factor
+    a + u^k divided by s = a + x^k, and its log is added to
+    n ln c - theta x + n ln s + (n-1) ln x: the density holds where c^n,
+    e^{-theta x} or x^k alone would leave double range.  c a at x = 0 for
+    n = 1, else 0 for x <= 0 and at +inf; NaN at NaN.
     """
-    if spec.n not in (2, 3):
-        raise ValueError(f"the convolution oracle supports n in {{2, 3}}, got {spec.n}")
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
+    if spec.n not in (1, 2, 3):
+        raise ValueError(f"the convolution oracle supports n in {{1, 2, 3}}, got {spec.n}")
     member, theta, n = spec.dist.member, spec.dist.theta, spec.n
-    k, ln_theta, ln_x = member.degree, math.log(theta), math.log(x)
+    k, ln_theta = member.degree, math.log(theta)
     ln_a = ln_theta if member.alpha_kind is AlphaKind.THETA else 0.0
-    # ln c, c = theta^{k+1} / (a theta^k + k!), and ln s: each sum by a max shift
+    # ln c, c = theta^{k+1} / (a theta^k + k!), by a max shift
     ln_c = (k + 1) * ln_theta - logsumexp((ln_a + k * ln_theta, math.log(math.factorial(k))))
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        if x == 0.0 and n == 1:
+            return math.exp(ln_c + ln_a)
+        return x if math.isnan(x) else 0.0
+    ln_x = math.log(x)
     ln_s = logsumexp((ln_a, k * ln_x))
     low, high = math.exp(ln_a - ln_s), math.exp(k * ln_x - ln_s)  # a/s and x^k/s
 
@@ -212,7 +218,9 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     def two_fold(width: float, tol: float) -> float:
         return integrate(lambda v: factor(v) * factor(width - v), 0.0, width, tol).value
 
-    if n == 2:
+    if n == 1:
+        fold = 1.0
+    elif n == 2:
         fold = two_fold(1.0, _CONVOLUTION_TOL)
     else:
         def inner(v1: np.ndarray) -> np.ndarray:
@@ -407,16 +415,14 @@ def _moment_form_error(spec: SumSpec) -> float:
 
 
 def _single_term_error(spec: SumSpec) -> float:
-    """n = 1 against the member density: scalar calls on [0, 10/theta], then
-    one vector call on [0, 20/theta]."""
-    dist = spec.dist
-    scalar = max(
-        _relative_error(spec.pdf(float(x)), float(dist.pdf(float(x))))
-        for x in np.linspace(0.0, 10.0 / dist.theta, 21)
-    )
-    grid = np.linspace(0.0, 20.0 / dist.theta, 101)
-    direct = dist.pdf(grid)
-    return max(scalar, float(np.max(np.abs(spec.pdf(grid) - direct) / direct)))
+    """n = 1 against the member's closed form, the convolution oracle at n = 1:
+    scalar calls on [0, 10/theta], then one vector call on [0, 20/theta]."""
+    theta = spec.dist.theta
+    points = np.linspace(0.0, 10.0 / theta, 21).tolist()
+    grid = np.linspace(0.0, 20.0 / theta, 101)
+    values = [spec.pdf(x) for x in points] + spec.pdf(grid).tolist()
+    points += grid.tolist()
+    return max(map(_relative_error, values, (convolution_oracle_pdf(spec, x) for x in points)))
 
 
 def _weight_sum_error(spec: SumSpec) -> float:

@@ -517,9 +517,9 @@ class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
     behind moments --verify.  numpy loads on first use: the import, --help, a
     usage error, mttf, moments without --verify, pdf, reliability, a library
-    MTTF and a sum's density and tails at Python floats leave its core
-    unloaded; sample and moments --verify load it; and lindsum shares one
-    numpy with code that imports it before or after lindsum."""
+    MTTF, and a sum's and a member's density and tails at Python floats leave
+    its core unloaded; sample and moments --verify load it; and lindsum shares
+    one numpy with code that imports it before or after lindsum."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -578,7 +578,9 @@ class TestImportCost:
             "spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)\n"
             "assert spec.pdf(0.0) == 0.0 < spec.pdf(40.0) and spec.cdf(-1.0) == 0.0\n"
             "assert 0.0 < spec.survival(40.0) < 1.0\n"
-            "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n",
+            "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
+            "member = DistSpec(LINDLEY, 1.2)\n"
+            "assert member.pdf(0.0) > member.pdf(1.0) > 0.0\n",
             _cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-5"]),
             _cli(["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--x", "0"]),
             _cli(["reliability", "--theta", "0.7", "--compare-exponential"]),

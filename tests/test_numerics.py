@@ -15,11 +15,9 @@ from scipy.special import gammaincc
 
 from lindsum.family import AKASH, LINDLEY, DistSpec
 from lindsum.numerics import (
-    _GK21_KRONROD,
-    _GK21_KRONROD_MINUS_GAUSS,
-    _GK21_NODES,
     QuadratureError,
     _aligned_rows,
+    _gk21_tables,
     integrate,
     ln_binomial,
     ln_factorial,
@@ -270,19 +268,16 @@ class TestIntegrate:
 
 class TestGaussKronrodRule:
     def test_gauss_nodes_and_weights_match_leggauss(self):
-        gauss = [
-            (x, k - d)
-            for x, k, d in zip(_GK21_NODES, _GK21_KRONROD, _GK21_KRONROD_MINUS_GAUSS)
-            if k != d
-        ]
+        gauss = [(x, k - d) for x, k, d in zip(*_gk21_tables()) if k != d]
         nodes, weights = np.polynomial.legendre.leggauss(10)
         np.testing.assert_allclose([x for x, _ in gauss], nodes, rtol=0, atol=1e-15)
         np.testing.assert_allclose([w for _, w in gauss], weights, rtol=0, atol=1e-15)
 
     def test_kronrod_rule_exact_through_degree_31(self):
+        nodes, kronrod, _ = _gk21_tables()
         for d in range(32):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-            value = math.fsum(w * x**d for w, x in zip(_GK21_KRONROD, _GK21_NODES))
+            value = math.fsum(w * x**d for w, x in zip(kronrod, nodes))
             assert abs(value - exact) <= 1e-14, d
 
 

@@ -12,6 +12,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -101,29 +102,35 @@ class TestSumSpecValidation:
 
 
 class TestSingleTermReduction:
+    """A sum of one draw and the member itself against references that share
+    no code with the mixture both go through: mpmath and exact Fractions."""
+
     def test_density_matches_base_distribution(self):
         xs = np.linspace(0.0, 25.0, 101)
         for member in MEMBERS:
             for theta in (0.5, 1.0, 2.0):
                 dist = DistSpec(member, theta)
-                summed = SumSpec(dist, 1)
-                base = dist.pdf(xs)
-                series = summed.pdf(xs)
-                np.testing.assert_allclose(series, base, rtol=1e-12, atol=1e-300)
+                oracle = SumOracle(theta, dist.alpha, member.degree, 1)
+                truth = [oracle.pdf(x) for x in xs.tolist()]
+                for got in (SumSpec(dist, 1).pdf(xs), dist.pdf(xs)):
+                    np.testing.assert_allclose(got, truth, rtol=1e-12, atol=1e-300)
 
     def test_tail_matches_base_distribution(self):
         for member in MEMBERS:
             dist = DistSpec(member, 1.0)
-            summed = SumSpec(dist, 1)
+            oracle = SumOracle(1.0, dist.alpha, member.degree, 1)
             for x in (0.0, 0.3, 2.0, 9.0):
-                np.testing.assert_allclose(summed.survival(x), dist.survival(x), rtol=1e-12)
+                for got in (SumSpec(dist, 1).survival(x), dist.survival(x)):
+                    np.testing.assert_allclose(got, oracle.survival(x), rtol=1e-12)
 
     def test_moments_match_base_distribution(self):
+        theta = Fraction(1.3)  # the double 1.3, exactly
         for member in MEMBERS:
             dist = DistSpec(member, 1.3)
-            summed = SumSpec(dist, 1)
+            exact = raw_moments(member.degree, 1, theta, Fraction(dist.alpha))
             for m in range(5):
-                np.testing.assert_allclose(summed.moment(m), dist.moment(m), rtol=1e-12)
+                for got in (SumSpec(dist, 1).moment(m), dist.moment(m)):
+                    np.testing.assert_allclose(got, float(exact[m]), rtol=1e-12)
 
 
 class TestDensityAgainstHandExpansion:

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import test_family
 from mpmath_oracle import SumOracle
 from scipy.stats import ks_2samp
 
@@ -218,10 +219,33 @@ class TestConvolutionOracle:
         assert convolution_oracle_pdf(spec, 0.0) == 0.0
         assert convolution_oracle_pdf(spec, -2.0) == 0.0
 
-    def test_only_two_or_three_terms_supported(self):
-        with pytest.raises(ValueError):
-            convolution_oracle_pdf(SumSpec(DistSpec(LINDLEY, 1.0), 1), 1.0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_arguments(self, n):
+        # 0 below zero and at +inf, NaN at NaN, as every density route gives
+        spec = SumSpec(DistSpec(RAM_AWADH, 1.3), n)
+        assert convolution_oracle_pdf(spec, -2.0) == 0.0
+        assert convolution_oracle_pdf(spec, math.inf) == 0.0
+        assert math.isnan(convolution_oracle_pdf(spec, math.nan))
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_single_term_against_mpmath(self, member):
+        # the grid of test_family.TestDensityAcrossTheta, x = 0 (c alpha) included
+        grid = test_family.TestDensityAcrossTheta
+        checked = 0
+        for theta in grid.THETAS:
+            dist = DistSpec(member, theta)
+            spec, oracle = SumSpec(dist, 1), SumOracle(theta, dist.alpha, member.degree, 1)
+            for x in (y / theta for y in grid.SCALED_X):
+                truth = oracle.pdf(x)
+                if truth < 1e-300:
+                    continue
+                got = convolution_oracle_pdf(spec, x)
+                assert abs(got - truth) <= 1e-12 * truth, (theta, x, got, truth)
+                checked += 1
+        assert checked == grid.CHECKED[member.name]
+
+    def test_four_terms_rejected(self):
+        with pytest.raises(ValueError, match="n in {1, 2, 3}, got 4"):
             convolution_oracle_pdf(SumSpec(DistSpec(LINDLEY, 1.0), 4), 1.0)
 
 
