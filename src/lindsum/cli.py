@@ -204,7 +204,7 @@ def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     draws = sample_sum(_sum_spec(args), np.random.default_rng(args.seed), args.count)
-    sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws))
+    sys.stdout.write("".join(f"{v:.17g}\n" for v in draws.tolist()))
     return 0
 
 

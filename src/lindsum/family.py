@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .numerics import (
-    ErlangMixture, check_count, check_positive, ln_binomial, ln_factorial, logsumexp, np,
+    _LN_DOUBLE_MAX, _LN_DOUBLE_MIN, ErlangMixture, check_count, check_positive, ln_factorial, np,
 )
 
 __all__ = [
@@ -161,13 +161,30 @@ class DistSpec:
 
     def sum_mixture(self, n: int) -> ErlangMixture:
         """Erlang mixture of the sum of n IID draws: weight C(n,r) p^{n-r} (1-p)^r
-        on Erlang(n + k*r, theta), built in log space."""
+        on Erlang(n + k*r, theta), walked from 1 at the mode floor((n+1)(1-p)) by
+        w_{r+1}/w_r = (n-r)/(r+1) q/p until it underflows, then normalised with
+        fsum.  q/p = k!/(alpha theta^k) is taken in double where it and p/q are
+        normal (exactly at dyadic theta), else from ln q - ln p."""
         n, k = check_n(n), self.member.degree
         ln_p, ln_q = self.ln_weights
-        log_w = [ln_binomial(n, r) + (n - r) * ln_p + r * ln_q for r in range(n + 1)]
-        total = logsumexp(log_w)
-        weights = tuple(math.exp(v - total) for v in log_w)
-        return ErlangMixture(self.theta, weights, tuple(n + k * r for r in range(n + 1)))
+        if abs(ln_q - ln_p) < -_LN_DOUBLE_MIN:
+            head, tail = self.alpha * self.theta**k, math.factorial(k)
+            odds = (tail / head, head / tail)
+        else:
+            odds = tuple(math.exp(min(d, _LN_DOUBLE_MAX)) for d in (ln_q - ln_p, ln_p - ln_q))
+        mode = min(n, math.floor((n + 1) * math.exp(ln_q)))
+        weights = [0.0] * (n + 1)
+        weights[mode] = 1.0
+        for step, ratio in zip((1, -1), odds):
+            w, r = 1.0, mode
+            while 0 <= r + step <= n and w > 0.0:
+                w *= ((n - r) / (r + 1) if step > 0 else r / (n - r + 1)) * ratio
+                r += step
+                weights[r] = w
+        total = math.fsum(weights)
+        return ErlangMixture(
+            self.theta, tuple(w / total for w in weights), tuple(n + k * r for r in range(n + 1))
+        )
 
     @cached_property
     def _mixture(self) -> ErlangMixture:

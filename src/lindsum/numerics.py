@@ -9,8 +9,9 @@ ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
 shared rate, and takes its density, tails, and moments here (DistSpec.pdf
 too; the member's closed-form density is kept apart, as validation's
-convolution oracle at n = 1).  Its log density and the Lindley double series
-are log-sum-exps of weighted powers of x, both taken by _log_power_series.
+convolution oracle at n = 1).  Its density takes its logs in y = rate x: a
+log-sum-exp over the components on few points (_log_power_series, which also
+sums the Lindley double series), on more a blocked series (_density_blocks).
 Every density and tail in the package, the Lindley double series included,
 is evaluated in one frame, _pointwise: it sums a series only where
 0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
@@ -126,6 +127,14 @@ _NARROWEST = 1e3 * math.ulp(1.0)
 # past which its start e^{-x} is 0 in double precision (it is from x = 745.14).
 _BLOCK = 16
 _START_UNDERFLOW = 746.0
+# ErlangMixture's array density: a log-sum-exp for at most _FEW_COMPONENTS or
+# _FEW_TERMS (component, point) terms (measured crossovers: 5 components at
+# 10k points, 3000 terms at 6 to 51 components), else blocks of at most _BLOCK
+# steps whose coefficients span at most e^_SPREAD.
+_FEW_COMPONENTS = 4
+_FEW_TERMS = 2048
+_SPREAD = 600.0
+_DOUBLE_MIN = sys.float_info.min
 
 
 def check_positive(value: float, name: str) -> float:
@@ -178,10 +187,11 @@ def _pointwise(
         return below if x < 0.0 else zero if x == 0.0 else far if x > 0.0 else math.nan
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
-    inside = (flat > 0.0) & (flat < _finite_below(rate))
-    if inside.all():
+    bound = _finite_below(rate)  # two reductions find the common case; NaN fails both
+    if flat.size and np.minimum.reduce(flat) > 0.0 and np.maximum.reduce(flat) < bound:
         out = series(flat)
     else:
+        inside = (flat > 0.0) & (flat < bound)
         out = np.empty_like(flat)
         if inside.any():
             out[inside] = series(flat[inside])
@@ -212,16 +222,16 @@ def _finite_below(rate: float) -> float:
 
 
 def _log_power_series(
-    const: np.ndarray, powers: np.ndarray, rate: float, points: np.ndarray
+    const: np.ndarray, powers: np.ndarray, log_x: np.ndarray, minus: np.ndarray
 ) -> np.ndarray:
-    """ln(sum_i e^{const_i} x^{powers_i}) - rate x at each point x > 0: a
+    """ln(sum_i e^{const_i} x^{powers_i}) - minus at each point, from ln x: a
     log-sum-exp in one (terms x points) buffer, updated in place."""
-    terms = np.multiply.outer(powers, np.log(points))
+    terms = np.multiply.outer(powers, log_x)
     terms += const[:, None]
     peak = terms.max(axis=0)
     terms -= peak
     log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-    return log_sum - rate * points
+    return log_sum - minus
 
 
 def _aligned_rows(rows: int, n: int) -> np.ndarray:
@@ -308,37 +318,71 @@ class ErlangMixture:
         return tuple(zip(self.weights, self.shapes))
 
     @cached_property
-    def _log_density_pairs(self) -> tuple[tuple[float, float], ...]:
-        # log density of a component: ln(w rate^s / (s-1)!) + (s-1) ln x - rate x;
-        # its two x-free parts for w > 0, as pure-Python pairs (the scalar path)
+    def _density_plan(self) -> tuple[tuple[tuple[float, float], ...], tuple, tuple]:
+        # a component's log density is ln a + (s-1) ln y - y, y = rate x: the
+        # pairs (ln a, s-1) for w > 0, then the edges of pdf and of log_pdf (at
+        # 0 only shape 1 has density, exactly w * rate), all pure Python
         ln_rate = math.log(self.rate)
-        return tuple(
-            (math.log(w) + s * ln_rate - ln_factorial(s - 1), s - 1.0)
+        pairs = tuple(
+            (math.log(w) + ln_rate - ln_factorial(s - 1), s - 1.0)
             for w, s in self.components
             if w > 0.0
         )
+        w = self.weights[0] if self.shapes[0] == 1 else 0.0
+        ln_zero = math.log(w) + ln_rate if w > 0.0 else -math.inf
+        return pairs, (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf)
 
     @cached_property
-    def _log_density_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        # the pairs' two columns as arrays (the array path)
-        return tuple(np.array(column) for column in zip(*self._log_density_pairs))
+    def _density_blocks(self) -> tuple[np.ndarray, ...]:
+        # The density is e^{-y} y^{s_0-1} sum_m a_m z^m over the shapes s_0 + g m
+        # (g the gcd of their gaps, z = y^g).  Block j from step b_j over L_j
+        # steps keeps ln of its largest a, A_j, and c = a/A_j; with v = min(z,
+        # 1/z) its sum, sum c_i v^i for y <= 1 and sum c_i v^(L_j-1-i) past 1,
+        # lies in [e^-_SPREAD, L_j].  `offsets` maps (max(ln y, 0), 1, ln y, y)
+        # to ln A_j + (s_0-1 + g b_j) ln y + g (L_j-1) max(ln y, 0) - y, then to
+        # ln v; `sums` maps the powers of v to the sums for y <= 1, then past 1
+        pairs = self._density_plan[0]
+        first = int(pairs[0][1])
+        g = math.gcd(*(int(p) - first for _, p in pairs)) or 1
+        blocks: list[list[tuple[int, float]]] = []
+        for ln_a, p in pairs:
+            step = (int(p) - first) // g
+            spread = max(high, ln_a) - min(low, ln_a) if blocks else 0.0
+            if blocks and step - blocks[-1][0][0] < _BLOCK and spread <= _SPREAD:
+                blocks[-1].append((step, ln_a))
+                low, high = min(low, ln_a), max(high, ln_a)
+            else:
+                blocks.append([(step, ln_a)])
+                low = high = ln_a
+        width = max(block[-1][0] - block[0][0] for block in blocks) + 1
+        offsets, lows, highs = [], [], []
+        for block in blocks:
+            start, span = block[0][0], block[-1][0] - block[0][0]
+            peak = max(v for _, v in block)
+            offsets.append((g * span, peak, first + g * start, -1.0))
+            row = [0.0] * width
+            for step, ln_a in block:
+                row[step - start] = math.exp(ln_a - peak)
+            lows.append(row)
+            highs.append(row[span::-1] + row[span + 1:])
+        offsets.append((-2.0 * g, 0.0, g, 0.0))
+        return np.array(offsets), np.array(lows + highs), *map(np.array, zip(*pairs))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
         NaN at NaN.
 
-        A positive finite scalar (see _math_scalar) takes a math-module path that
-        agrees with the array path to about 1e-13 relative.
+        A positive finite scalar (see _math_scalar) takes a math-module
+        log-sum-exp in y = rate x (ln y = ln rate + ln x where y is subnormal),
+        as few points do bit for bit; more take _density_blocks' series.
         """
         if _math_scalar(x, self.rate):
-            ln_x = math.log(x)
-            terms = [c + p * ln_x for c, p in self._log_density_pairs]
+            y = self.rate * x
+            ln_y = math.log(y) if y >= _DOUBLE_MIN else math.log(self.rate) + math.log(x)
+            terms = [c + p * ln_y for c, p in self._density_plan[0]]
             peak = max(terms)
-            log_mix = peak + math.log(sum(math.exp(t - peak) for t in terms))
-            return math.exp(log_mix - self.rate * x)
-        # at 0 only a shape-1 component has density, exactly w * rate
-        at_zero = self.weights[0] * self.rate if self.shapes[0] == 1 else 0.0
-        return _pointwise(x, self.rate, self._pdf_series, (0.0, at_zero, 0.0))
+            return math.exp(peak + math.log(sum(math.exp(t - peak) for t in terms)) - y)
+        return _pointwise(x, self.rate, self._pdf_series, self._density_plan[1])
 
     def _pdf_series(self, points: np.ndarray) -> np.ndarray:
         log_pdf = self._log_pdf_series(points)
@@ -347,12 +391,41 @@ class ErlangMixture:
     def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
-        w = self.weights[0] if self.shapes[0] == 1 else 0.0
-        at_zero = math.log(w) + math.log(self.rate) if w > 0.0 else -math.inf
-        return _pointwise(x, self.rate, self._log_pdf_series, (-math.inf, at_zero, -math.inf))
+        return _pointwise(x, self.rate, self._log_pdf_series, self._density_plan[2])
 
     def _log_pdf_series(self, points: np.ndarray) -> np.ndarray:
-        return _log_power_series(*self._log_density_terms, self.rate, points)
+        offsets, sums, const, exponents = self._density_blocks
+        low = np.minimum.reduce(points) * self.rate  # the smallest y
+        few = len(const) <= _FEW_COMPONENTS or len(const) * points.size <= _FEW_TERMS
+        if few and low >= _DOUBLE_MIN:
+            y = points * self.rate  # the scalar path's arithmetic, in the fewest calls
+            return _log_power_series(const, exponents, np.log(y), y)
+        # one buffer: the block logs and ln v, max(ln y, 0), the powers of v
+        # (rows 0-2 hold 1, ln y and y until the logs are taken), the sums
+        rows, width = len(offsets) - 1, sums.shape[1]
+        work = np.empty((3 * rows + 2 + max(width, 3), points.size))
+        logs, above = work[:rows + 1], work[rows + 1]
+        powers, both = work[rows + 2:-2 * rows], work[-2 * rows:]
+        powers[0] = 1.0
+        y = np.multiply(points, self.rate, out=powers[2])
+        np.log(y if low >= _DOUBLE_MIN else np.maximum(y, _DOUBLE_MIN), out=powers[1])
+        if not low >= _DOUBLE_MIN:  # where y is subnormal or 0, ln y = ln rate + ln x
+            np.copyto(powers[1], np.log(points) + math.log(self.rate), where=y < _DOUBLE_MIN)
+        np.maximum(powers[1], 0.0, out=above)
+        np.dot(offsets, work[rows + 1:rows + 5], out=logs)
+        powers = powers[:width]
+        np.exp(logs[rows], out=powers[1:2])
+        for i in range(2, width):  # row by row: an accumulate strides across rows
+            np.multiply(powers[i - 1], powers[1], out=powers[i])
+        np.dot(sums, powers, out=both)
+        block_sums = both[:rows]
+        np.copyto(block_sums, both[rows:], where=above > 0.0)
+        peak = logs[:rows].max(axis=0)
+        shifted = np.subtract(logs[:rows], peak, out=logs[:rows])
+        # a block below e^-708 of the largest weighs under 1e-45 of the sum: the
+        # floor is exact, and keeps np.exp off subnormal results, which cost 100x
+        np.maximum(shifted, -708.0, out=shifted)
+        return peak + np.log(np.einsum("ij,ij->j", block_sums, np.exp(shifted, out=shifted)))
 
     @cached_property
     def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:

@@ -61,7 +61,9 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
-    log_sum = _log_power_series(_lindley_log_coefficients(theta, n), np.arange(2.0 * n), theta, t)
+    log_sum = _log_power_series(
+        _lindley_log_coefficients(theta, n), np.arange(2.0 * n), np.log(t), theta * t
+    )
     return np.minimum(1.0, np.exp(log_sum))
 
 
@@ -151,6 +153,8 @@ class ExponentialStandby:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", check_theta(self.theta))
         object.__setattr__(self, "n", check_n(self.n))
+        # one mixture per system, which keeps its survival plan across calls
+        object.__setattr__(self, "_mixture", ErlangMixture(self.theta, (1.0,), (self.n,)))
 
     @property
     def label(self) -> str:
@@ -159,7 +163,7 @@ class ExponentialStandby:
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
         """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
         The package's one route to that tail; exponential_reliability calls it."""
-        return ErlangMixture(self.theta, (1.0,), (self.n,)).survival(t)
+        return self._mixture.survival(t)
 
     def mttf(self) -> float:
         return exponential_mttf(self.theta, self.n)

@@ -359,7 +359,7 @@ def test_mixture_tables_are_cached_on_the_instance():
     mixture = DistSpec(LINDLEY, 2.0).sum_mixture(5)
     mixture.pdf(np.linspace(0.5, 5.0, 4))
     mixture.survival(1.5)
-    for name in ("_log_density_pairs", "_log_density_terms", "_sweep_plan"):
+    for name in ("_density_plan", "_density_blocks", "_sweep_plan"):
         assert name in vars(mixture)
         assert getattr(mixture, name) is getattr(mixture, name)
 

@@ -29,8 +29,10 @@ from lindsum.family import (
     RAM_AWADH,
     RANI,
     SHANKER,
+    AlphaKind,
     DistSpec,
 )
+from lindsum import numerics
 from lindsum.numerics import _BLOCK, _finite_below, integrate
 from lindsum.reliability import ExponentialStandby, exponential_reliability
 from lindsum.sums import ErlangMixture, SumSpec
@@ -244,15 +246,19 @@ class TestScalarSurvivalPath:
 
 
 class TestKernelMemory:
-    """pdf and log_pdf build their log-sum-exp in one (components x points)
-    buffer; a second temporary of that size would double the traced peak."""
+    """On many points pdf and log_pdf run their blocked series in one buffer of
+    (3 blocks + 2 + width) rows by the points, fewer than the components'
+    one row each; a second temporary of that size would double the traced
+    peak."""
 
     def test_one_buffer_per_call(self):
         mixture = SumSpec(DistSpec(RAM_AWADH, 0.5), 50).mixture()
         x = np.linspace(0.0, 3.0 * mixture.mean(), 10_000)
-        mixture.pdf(x)  # builds the cached x-free terms
-        components = sum(w > 0.0 for w in mixture.weights)
-        buffer_bytes = components * x.size * 8
+        mixture.pdf(x)  # builds the cached plan
+        offsets, sums = mixture._density_blocks[:2]
+        blocks, width = len(offsets) - 1, sums.shape[1]
+        assert (blocks, width) == (4, 16)
+        buffer_bytes = (3 * blocks + 2 + width) * x.size * 8
         for route in (mixture.pdf, mixture.log_pdf):
             tracemalloc.start()
             try:
@@ -700,3 +706,186 @@ class TestSweepBlocks:
             np.testing.assert_array_equal(
                 mixture.cdf(np.array(ts + [1.0])), [1.0] * 3 + [mixture.cdf(1.0)]
             )
+
+
+def _blocked(route, values) -> np.ndarray:
+    """route (a mixture's pdf or log_pdf) at the array values through the
+    blocked series, which otherwise takes only many points of large mixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_FEW_COMPONENTS", 0)
+        patch.setattr(numerics, "_FEW_TERMS", 0)
+        return route(np.asarray(values, dtype=float))
+
+
+def _mp_log_pdf(oracle: SumOracle, x: float) -> float:
+    """ln of the oracle's density at x, at 50 digits: finite where the density
+    itself underflows."""
+    with mpmath.workdps(50):
+        y = oracle.theta * mpmath.mpf(x)
+        series = mpmath.fsum(
+            w * oracle.theta * y ** (s - 1) / mpmath.factorial(s - 1) for w, s in oracle.components
+        )
+        return float(mpmath.log(series) - y)
+
+
+class TestDensityInY:
+    """The n-fold density against SumOracle at 0.5, 1 and 2 times the mean, for
+    theta from 1e-300 to 1e300, on the scalar path, an array through the
+    log-sum-exp over the components and an array through the blocked series.  Each term's log is taken in y = theta x, so nothing cancels:
+    adding s ln theta and (s-1) ln x apart lost up to 2e-11 here."""
+
+    THETAS = (1e-300, 1e-250, 1e-100, 1e-10, 1e10, 1e100, 1e250, 1e300)
+    # (member, n): the points where the truth is a normal double
+    CHECKED = {("Lindley", 1): 24, ("Lindley", 3): 24, ("Lindley", 10): 24, ("Lindley", 50): 22,
+               ("RamAwadh", 1): 24, ("RamAwadh", 3): 24, ("RamAwadh", 10): 23,
+               ("RamAwadh", 50): 22}
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 50])
+    @pytest.mark.parametrize("member", [LINDLEY, RAM_AWADH], ids=lambda m: m.name)
+    def test_against_mpmath(self, member, n):
+        checked = 0
+        for theta in self.THETAS:
+            dist = DistSpec(member, theta)
+            spec, oracle = SumSpec(dist, n), _oracle(dist, n)
+            xs = [f * oracle.mean() for f in (0.5, 1.0, 2.0)]
+            few, many = spec.pdf(np.array(xs)), _blocked(spec.pdf, xs)
+            for i, x in enumerate(xs):
+                truth = oracle.pdf(x)
+                if truth < sys.float_info.min:
+                    continue
+                checked += 1
+                for got in (spec.pdf(x), few[i], many[i]):
+                    assert abs(got - truth) <= 1e-12 * truth, (theta, x, got, truth)
+        assert checked == self.CHECKED[member.name, n]
+
+
+class TestDensityHardCases:
+    """Inputs that break a naive Horner sum or a log taken after rounding."""
+
+    @staticmethod
+    def _check(dist: DistSpec, n: int, xs: list[float]) -> int:
+        spec, oracle = SumSpec(dist, n), _oracle(dist, n)
+        routes = (spec.pdf(np.array(xs)), _blocked(spec.pdf, xs), [spec.pdf(x) for x in xs])
+        checked = 0
+        for route in routes:
+            assert np.all(np.isfinite(route)) and np.all(np.asarray(route) >= 0.0)
+        for i, x in enumerate(xs):
+            truth = oracle.pdf(x)
+            if truth < sys.float_info.min:
+                continue
+            checked += 1
+            for route in routes:
+                assert abs(route[i] - truth) <= 1e-12 * truth, (x, route[i], truth)
+        return checked
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_ram_awadh_tiny_theta(self, n):
+        # the weights grow by about 1e61 a step; a Horner sum normalised to its
+        # first coefficient overflowed here
+        dist = DistSpec(RAM_AWADH, 1e-10)
+        mean = SumSpec(dist, n).mean()
+        xs = [f * mean for f in (1e-3, 0.05, 0.3, 0.7, 1.0, 1.5, 3.0, 10.0)]
+        assert self._check(dist, n, xs) >= 6
+
+    def test_subnormal_first_weight(self):
+        dist = DistSpec(LINDLEY, 1e-155)
+        assert 0.0 < SumSpec(dist, 2).mixture().weights[0] < sys.float_info.min
+        xs = [y / dist.theta for y in (1e-200, 1e-30, 1e-3, 0.5, 3.0, 30.0, 700.0)]
+        assert self._check(dist, 2, xs) >= 3
+
+    @pytest.mark.parametrize("theta, n, x", [
+        (1e10, 2, 1e-320),  # theta x = 1e-310 is subnormal
+        (1e5, 2, 3e-315),
+        (1e-10, 1, 1e-320),  # theta x underflows to 0
+    ])
+    def test_subnormal_y(self, theta, n, x):
+        assert theta * x < sys.float_info.min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._check(DistSpec(LINDLEY, theta), n, [x, 1.0 / theta]) == 2
+
+    @pytest.mark.parametrize("member, theta, n", [
+        (LINDLEY, 2.0, 50), (RAM_AWADH, 2.0, 5), (AKASH, 1e100, 1), (RAM_AWADH, 1e-10, 10),
+    ])
+    def test_log_density_near_the_overflow_bound(self, member, theta, n):
+        dist = DistSpec(member, theta)
+        mixture, oracle = SumSpec(dist, n).mixture(), _oracle(dist, n)
+        bound = _finite_below(theta) if theta > 1.0 else sys.float_info.max
+        xs = [math.nextafter(bound, 0.0), 0.5 * bound, 1e-3 * bound]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (mixture.log_pdf(np.array(xs)), _blocked(mixture.log_pdf, xs)):
+                for x, value in zip(xs, got):
+                    truth = _mp_log_pdf(oracle, x)
+                    assert abs(value - truth) <= 1e-12 * abs(truth), (x, value, truth)
+
+
+class TestDensityDomain:
+    """Across theta in double range and theta x from 1e-320 to the largest
+    double, pdf is finite and log_pdf finite, and pdf is 0 only where log_pdf
+    is below the smallest normal double's log: no NaN, no inf, no spurious 0."""
+
+    @pytest.mark.parametrize("member", [LINDLEY, AKASH, RAM_AWADH], ids=lambda m: m.name)
+    def test_no_spurious_values(self, member):
+        scaled = [10.0**e for e in range(-320, 309, 4)]
+        for theta in (1e-300, 1e-200, 1e-100, 1e-20, 0.5, 2.0, 1e20, 1e100, 1e200, 1e300):
+            for n in (1, 2, 5, 20, 50):
+                mixture = SumSpec(DistSpec(member, theta), n).mixture()
+                bound = _finite_below(theta)
+                xs = np.array([x for x in (y / theta for y in scaled) if 0.0 < x < bound])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for density, log_density in (
+                        (mixture.pdf(xs), mixture.log_pdf(xs)),
+                        (_blocked(mixture.pdf, xs), _blocked(mixture.log_pdf, xs)),
+                    ):
+                        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+                        assert np.all(np.isfinite(log_density))
+                        assert np.all(density[log_density > -708.0] > 0.0)
+                        normal = log_density > -700.0
+                        np.testing.assert_allclose(
+                            density[normal], np.exp(log_density[normal]), rtol=1e-15
+                        )
+
+
+def _exact_weights(member, theta: Fraction, n: int) -> list[float]:
+    """C(n,r) p^(n-r) q^r, each rounded once from exact integers: with p = P/D
+    and q = Q/D, T_r = C(n,r) P^(n-r) Q^r is walked in integers and T_r / D^n
+    is a correctly rounded int division."""
+    alpha = Fraction(1) if member.alpha_kind is AlphaKind.UNIT else theta
+    head = alpha * theta**member.degree
+    p = head / (head + math.factorial(member.degree))
+    big_p, den = p.numerator, p.denominator
+    big_q, scale = den - big_p, den**n
+    term, out = big_p**n, []
+    for r in range(n + 1):
+        out.append(term / scale)
+        term = term * (n - r) * big_q // ((r + 1) * big_p)
+    return out
+
+
+class TestSumWeightsExact:
+    """sum_mixture's weights against exact rational ones at theta = 1/2, 1 and
+    2, where p is rational: every weight of at least 1e-300 within 1e-13.
+    Weights taken as differences of lgammas were off by 1.3e-11 at n = 5000."""
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_against_integers(self, member):
+        for theta in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            for n in (1, 2, 7, 50, 1000, 5000):
+                got = DistSpec(member, float(theta)).sum_mixture(n).weights
+                for r, exact in enumerate(_exact_weights(member, theta, n)):
+                    if exact >= 1e-300:
+                        assert abs(got[r] - exact) <= 1e-13 * exact, (theta, n, r, got[r], exact)
+
+    @pytest.mark.parametrize("theta", [1e-300, 1e300])
+    def test_mass_at_an_end_past_double_range(self, theta):
+        for member in MEMBERS:
+            dist = DistSpec(member, theta)
+            for n in (1, 5, 50):
+                weights = dist.sum_mixture(n).weights
+                end = weights[-1] if theta < 1.0 else weights[0]
+                assert end == 1.0, (member.name, n, weights[:3])
+                oracle = _oracle(dist, n)
+                for got, (truth, _) in zip(weights, oracle.components):
+                    assert abs(got - float(truth)) <= 1e-13 * float(truth) + 1e-320
