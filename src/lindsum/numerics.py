@@ -9,9 +9,11 @@ ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
 shared rate, and takes its density, tails, and moments here (DistSpec.pdf
 too; the member's closed-form density is kept apart, as validation's
-convolution oracle at n = 1).  Its density takes its logs in y = rate x: a
-log-sum-exp over the components on few points (_log_power_series, which also
-sums the Lindley double series), on more a blocked series (_density_blocks).
+convolution oracle at n = 1).  Its density and its survival are one kind of
+series in y = rate x, sum_i w_i y^{p_i} e^{-y} / p_i!: the weights on the
+powers s-1 (times rate), and the tail weights W_j, the weight on shapes above
+j, on the powers j.  One plan, _Series, serves both, with one evaluator for
+a scalar and one for arrays, in log space.
 Every density and tail in the package, the Lindley double series included,
 is evaluated in one frame, _pointwise: it sums a series only where
 0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
@@ -39,6 +41,7 @@ this out.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import importlib.util
 import math
@@ -47,7 +50,7 @@ import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
 
 __all__ = [
@@ -123,17 +126,16 @@ _GK21_HALF = (
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
 _NARROWEST = 1e3 * math.ulp(1.0)
 
-# Poisson steps per block of ErlangMixture's survival sweep, and an x = rate t
-# past which its start e^{-x} is 0 in double precision (it is from x = 745.14).
-_BLOCK = 16
-_START_UNDERFLOW = 746.0
-# ErlangMixture's array density: a log-sum-exp for at most _FEW_COMPONENTS or
-# _FEW_TERMS (component, point) terms (measured crossovers: 5 components at
-# 10k points, 3000 terms at 6 to 51 components), else blocks of at most _BLOCK
-# steps whose coefficients span at most e^_SPREAD.
-_FEW_COMPONENTS = 4
+# ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
+# coefficients span at most a factor _SPREAD_RATIO; an array of at most
+# _FEW_TERMS (term, point) pairs takes the scalar evaluator at each point,
+# larger ones the array evaluator, in chunks of points whose working buffer
+# stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark grid
+# among 16 to 128 steps and 1 to 4 MB).
 _FEW_TERMS = 2048
-_SPREAD = 600.0
+_BLOCK = 32
+_SPREAD_RATIO = math.exp(600.0)
+_CHUNK_BYTES = 4 << 20
 _DOUBLE_MIN = sys.float_info.min
 
 
@@ -221,36 +223,198 @@ def _finite_below(rate: float) -> float:
     return sys.float_info.max / rate if rate > 1.0 else math.inf
 
 
-def _log_power_series(
-    const: np.ndarray, powers: np.ndarray, log_x: np.ndarray, minus: np.ndarray
-) -> np.ndarray:
-    """ln(sum_i e^{const_i} x^{powers_i}) - minus at each point, from ln x: a
-    log-sum-exp in one (terms x points) buffer, updated in place."""
-    terms = np.multiply.outer(powers, log_x)
-    terms += const[:, None]
-    peak = terms.max(axis=0)
-    terms -= peak
-    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-    return log_sum - minus
+def _ln_poisson_scale(r: int) -> float:
+    """ln r! - r ln r + r (0 at r = 0), the log of r! e^r / r^r, from the
+    exact ratio r!/r^r for r <= 15 and from Stirling's series past it."""
+    if r <= 15:
+        return math.log(math.factorial(r) / r**r) + r if r else 0.0
+    inverse = 1.0 / r
+    square = inverse * inverse
+    series = 1/12 - square * (1/360 - square * (1/1260 - square * (1/1680 - square / 1188)))
+    return 0.5 * math.log(2.0 * math.pi * r) + inverse * series
 
 
-def _aligned_rows(rows: int, n: int) -> np.ndarray:
-    """Uninitialised float rows of n points, each on a 64-byte boundary, from one
-    allocation: malloc guarantees 16 bytes, and in-place numpy loops such as
-    acc *= x ran about 20% slower at every other 16-byte offset (AVX-512, 10k)."""
-    stride = -(-n // 8) * 8
-    buf = np.empty(rows * stride + 8)
-    skip = (-buf.__array_interface__["data"][0] % 64) // 8
-    return buf[skip:skip + rows * stride].reshape(rows, stride)[:, :n]
+class _Series:
+    """ln(e^l sum_i w_i y^{p_i} e^{-y} / p_i!) at y = rate x > 0, for weights
+    w_i > 0 on increasing powers p_i of a lattice of step g and a log factor
+    l: the one plan of ErlangMixture's density and survival series, in Python
+    floats.  at and log_series are its evaluators for a scalar and for arrays
+    (on a numpy view built at the first array call); value and values give
+    e^series, at most e^cap (1 for a tail).
 
+    The terms are cut into blocks of at most _BLOCK lattice steps whose
+    coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
+    a block is its first term times sum c_i v^i for y <= 1, and its last term
+    times a polynomial in v past 1, with c the ratios of its terms to that one
+    at y = 1, running products of weight ratios and 1/k.  A term
+    e^l w y^r e^{-y} / r! is taken as e^{K - bd0}, with the constant
+    K = l + ln w - ln(r! e^r / r^r) and Loader's deviance bd0 = r f(y/r),
+    f(u) = u - 1 - ln u (y itself at r = 0): neither has a large part to
+    cancel where y is near r, where the terms that matter lie, so the sum
+    keeps a few ulp where e^{-y} or y^r alone underflows or overflows (Loader,
+    "Fast and accurate computation of binomial probabilities", 2000).  The
+    two evaluators take the same steps in the same order.
+    """
 
-@cache
-def _block_factors(b: int) -> tuple[float, ...]:
-    """b!/(b+i)! for i = 0, ..., _BLOCK, as running quotients from 1: the
-    factors of one survival-sweep block, which do not depend on the weights.
-    Cached per block index, so the cache holds one tuple per block up to the
-    largest shape any mixture has swept."""
-    return tuple(accumulate(range(b + 1, b + _BLOCK + 1), operator.truediv, initial=1.0))
+    def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
+                 log_factor: float, cap: float = math.inf):
+        self.terms, self.g, self.cap = len(weights), g, cap
+        # each term over the one before at y = 1: a weight ratio times p!/q!
+        # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway)
+        if powers[-1] - powers[0] == self.terms - 1:
+            ratios = map(operator.truediv, weights[1:], weights)
+            steps = list(map(operator.truediv, ratios, powers[1:]))
+        else:
+            steps = [w / v * (1 / math.prod(range(p + 1, q + 1))) if q - p < 400 else 0.0
+                     for w, v, p, q in zip(weights[1:], weights, powers, powers[1:])]
+        # per side (y <= 1, y > 1), per block: r, 1/r, K and the coefficients of
+        # v's powers, highest first, for Horner's rule
+        self._sides = [], []
+        i = 0
+        while i < self.terms:
+            end = bisect.bisect_left(powers, powers[i] + g * _BLOCK, i)
+            ratios = list(accumulate(steps[i:end - 1], operator.mul, initial=1.0))
+            if not max(ratios) <= min(ratios) * _SPREAD_RATIO:  # end before the term past it
+                low = high = 1.0
+                for end, ratio in enumerate(ratios, i):
+                    low, high = min(low, ratio), max(high, ratio)
+                    if not high <= low * _SPREAD_RATIO:
+                        break
+                ratios = ratios[:end - i]
+            if powers[end - 1] - powers[i] != g * (end - 1 - i):  # gaps: zeros between
+                row = [0.0] * ((powers[end - 1] - powers[i]) // g + 1)
+                for p, ratio in zip(powers[i:end], ratios):
+                    row[(p - powers[i]) // g] = ratio
+                ratios = row
+            for side, at, row in zip(self._sides, (i, end - 1),
+                                     (ratios[::-1], [c / ratios[-1] for c in ratios])):
+                r = powers[at]
+                constant = log_factor + math.log(weights[at]) - _ln_poisson_scale(r)
+                side.append((r, 1.0 / max(r, 1), constant, row))
+            i = end
+
+    def value(self, x: float, rate: float) -> float:
+        """e^series at one x > 0, at most e^cap."""
+        return math.exp(min(self.at(x, rate), self.cap))
+
+    def values(self, points: np.ndarray, rate: float, log: bool = False) -> np.ndarray:
+        """e^series (the series if log) at a flat array of points: on at most
+        _FEW_TERMS (term, point) pairs the scalar evaluator at each point, bit
+        for bit, else the array evaluator."""
+        if self.terms * points.size <= _FEW_TERMS:
+            scalar = partial(self.at if log else self.value, rate=rate)
+            return np.array([scalar(x) for x in points.tolist()])
+        series = self.log_series(points, rate)
+        return series if log else np.exp(np.minimum(series, self.cap, out=series), out=series)
+
+    def at(self, x: float, rate: float) -> float:
+        """The series at one x > 0 in Python floats: Horner's rule per block,
+        then a log-sum-exp across the blocks."""
+        x = float(x)
+        y = rate * x
+        high = y > 1.0
+        v = y ** (-self.g if high else self.g)
+        top, total = -math.inf, 0.0
+        for r, inverse, constant, coefficients in self._sides[high]:
+            acc = 0.0
+            for c in coefficients:
+                acc = acc * v + c
+            if not r:
+                offset = constant - y
+            elif y >= _DOUBLE_MIN:
+                u = y * inverse
+                offset = constant - r * (u - 1.0 - math.log(u))
+            else:  # y subnormal or 0: ln u = ln rate + ln x - ln r
+                ln_u = math.log(rate) + math.log(x) - math.log(r)
+                offset = constant - r * (y * inverse - 1.0 - ln_u)
+            if offset > top:  # rescale the blocks so far (0 before the first)
+                total = total * math.exp(top - offset) + acc
+                top = offset
+            else:
+                total += acc * math.exp(offset - top)
+        return top + math.log(total)
+
+    @cached_property
+    def _arrays(self) -> list[tuple[np.ndarray, ...]]:
+        # per side: r, 1/r, K and ln r as columns, and the rows mapping the
+        # powers of v (at least 1 and v) to the block sums
+        width = max(2, *(len(block[3]) for block in self._sides[0]))
+        arrays = []
+        for side in self._sides:
+            columns = np.array([(r, inverse, constant, math.log(max(r, 1)))
+                                for r, inverse, constant, _ in side]).T[:, :, None].copy()
+            rows = [c[::-1] + [0.0] * (width - len(c)) for *_, c in side]
+            arrays.append((*columns, np.array(rows)))
+        return arrays
+
+    def log_series(self, points: np.ndarray, rate: float) -> np.ndarray:
+        """The series at a flat array of points, in chunks whose working buffer
+        stays within _CHUNK_BYTES.  Each side of y = 1 takes its own blocks: a
+        chunk's majority side runs on all its points, those of the other side
+        (set to y = 1 there) then run apart."""
+        rows, width = self._arrays[0][4].shape
+        size = max(1, _CHUNK_BYTES // (8 * (2 * rows + width)))
+        out = np.empty_like(points)
+        for start in range(0, points.size, size):
+            x = points[start:start + size]
+            y = x * rate
+            above = y > 1.0
+            major = bool(2 * np.count_nonzero(above) >= y.size)
+            others = np.flatnonzero(above != major)
+            if others.size:
+                y_others, y[others] = y[others], 1.0
+            part = out[start:start + size]
+            self._log_side(x, y, rate, major, part)
+            if others.size:
+                part[others] = self._log_side(x[others], y_others, rate, not major)
+        return out
+
+    def _log_side(self, x: np.ndarray, y: np.ndarray, rate: float, high: bool,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        r, inverse, constant, ln_r, sums = self._arrays[high]
+        rows, width = sums.shape
+        # the block offsets, scratch rows for ln u and then the block sums, and
+        # the powers of v
+        work = np.empty((2 * rows + width, x.size))
+        offsets, scratch, powers = work[:rows], work[rows:2 * rows], work[2 * rows:]
+        u = np.multiply(inverse, y, out=offsets)
+        tiny = y < _DOUBLE_MIN
+        if tiny.any():  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
+            np.log(np.maximum(u, _DOUBLE_MIN, out=u), out=scratch)
+            np.copyto(scratch, np.log(x) + math.log(rate) - ln_r, where=tiny)
+        else:
+            np.log(u, out=scratch)
+        u -= 1.0
+        u -= scratch
+        u *= r
+        np.subtract(constant, u, out=offsets)
+        if not r[0, 0]:  # a first block at y^0: its offset is K - y
+            np.subtract(constant[0], y, out=offsets[0])
+        # v = y^-g or y^g, and its powers: each run of them the run below times
+        # the next power of two, so each takes about 2 log2(i) roundings
+        powers[0] = 1.0
+        if high:
+            np.divide(1.0, y, out=powers[1])
+        else:
+            powers[1] = y
+        if self.g > 1:
+            np.power(powers[1], self.g, out=powers[1])
+        step = 2
+        while step < width:
+            np.square(powers[step // 2], out=powers[step])
+            np.multiply(powers[1:min(step, width - step)], powers[step],
+                        out=powers[step + 1:2 * step])
+            step *= 2
+        block_sums = np.dot(sums, powers, out=scratch)
+        if rows == 1:
+            return np.add(offsets[0], np.log(block_sums[0], out=block_sums[0]), out=out)
+        top = offsets.max(axis=0)
+        offsets -= top
+        # a block below e^-708 of the largest weighs under 1e-45 of the sum: the
+        # floor is exact, and keeps np.exp off subnormal results, which cost 100x
+        np.maximum(offsets, -708.0, out=offsets)
+        total = np.einsum("ij,ij->j", block_sums, np.exp(offsets, out=offsets))
+        return np.add(top, np.log(total, out=total), out=out)
 
 
 def _moment_from_log(log_moment: float, m: int) -> float:
@@ -318,123 +482,24 @@ class ErlangMixture:
         return tuple(zip(self.weights, self.shapes))
 
     @cached_property
-    def _density_plan(self) -> tuple[tuple[tuple[float, float], ...], tuple, tuple]:
-        # a component's log density is ln a + (s-1) ln y - y, y = rate x: the
-        # pairs (ln a, s-1) for w > 0, then the edges of pdf and of log_pdf (at
-        # 0 only shape 1 has density, exactly w * rate), all pure Python
+    def _density_plan(self) -> tuple[_Series, tuple, tuple]:
+        # a component's density is rate w y^(s-1) e^{-y} / (s-1)!, y = rate x:
+        # the series of the pairs (w, s-1) for w > 0 on the lattice of their
+        # gaps' gcd, then the edges of pdf and of log_pdf (at 0 only shape 1 has
+        # density, exactly w * rate)
         ln_rate = math.log(self.rate)
-        pairs = tuple(
-            (math.log(w) + ln_rate - ln_factorial(s - 1), s - 1.0)
-            for w, s in self.components
-            if w > 0.0
-        )
+        weights, powers = zip(*((w, s - 1) for w, s in self.components if w > 0.0))
+        g = math.gcd(*(p - powers[0] for p in powers)) or 1
+        series = _Series(weights, powers, g, ln_rate)
         w = self.weights[0] if self.shapes[0] == 1 else 0.0
         ln_zero = math.log(w) + ln_rate if w > 0.0 else -math.inf
-        return pairs, (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf)
+        return series, (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf)
 
     @cached_property
-    def _density_blocks(self) -> tuple[np.ndarray, ...]:
-        # The density is e^{-y} y^{s_0-1} sum_m a_m z^m over the shapes s_0 + g m
-        # (g the gcd of their gaps, z = y^g).  Block j from step b_j over L_j
-        # steps keeps ln of its largest a, A_j, and c = a/A_j; with v = min(z,
-        # 1/z) its sum, sum c_i v^i for y <= 1 and sum c_i v^(L_j-1-i) past 1,
-        # lies in [e^-_SPREAD, L_j].  `offsets` maps (max(ln y, 0), 1, ln y, y)
-        # to ln A_j + (s_0-1 + g b_j) ln y + g (L_j-1) max(ln y, 0) - y, then to
-        # ln v; `sums` maps the powers of v to the sums for y <= 1, then past 1
-        pairs = self._density_plan[0]
-        first = int(pairs[0][1])
-        g = math.gcd(*(int(p) - first for _, p in pairs)) or 1
-        blocks: list[list[tuple[int, float]]] = []
-        for ln_a, p in pairs:
-            step = (int(p) - first) // g
-            spread = max(high, ln_a) - min(low, ln_a) if blocks else 0.0
-            if blocks and step - blocks[-1][0][0] < _BLOCK and spread <= _SPREAD:
-                blocks[-1].append((step, ln_a))
-                low, high = min(low, ln_a), max(high, ln_a)
-            else:
-                blocks.append([(step, ln_a)])
-                low = high = ln_a
-        width = max(block[-1][0] - block[0][0] for block in blocks) + 1
-        offsets, lows, highs = [], [], []
-        for block in blocks:
-            start, span = block[0][0], block[-1][0] - block[0][0]
-            peak = max(v for _, v in block)
-            offsets.append((g * span, peak, first + g * start, -1.0))
-            row = [0.0] * width
-            for step, ln_a in block:
-                row[step - start] = math.exp(ln_a - peak)
-            lows.append(row)
-            highs.append(row[span::-1] + row[span + 1:])
-        offsets.append((-2.0 * g, 0.0, g, 0.0))
-        return np.array(offsets), np.array(lows + highs), *map(np.array, zip(*pairs))
-
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
-        NaN at NaN.
-
-        A positive finite scalar (see _math_scalar) takes a math-module
-        log-sum-exp in y = rate x (ln y = ln rate + ln x where y is subnormal),
-        as few points do bit for bit; more take _density_blocks' series.
-        """
-        if _math_scalar(x, self.rate):
-            y = self.rate * x
-            ln_y = math.log(y) if y >= _DOUBLE_MIN else math.log(self.rate) + math.log(x)
-            terms = [c + p * ln_y for c, p in self._density_plan[0]]
-            peak = max(terms)
-            return math.exp(peak + math.log(sum(math.exp(t - peak) for t in terms)) - y)
-        return _pointwise(x, self.rate, self._pdf_series, self._density_plan[1])
-
-    def _pdf_series(self, points: np.ndarray) -> np.ndarray:
-        log_pdf = self._log_pdf_series(points)
-        return np.exp(log_pdf, out=log_pdf)
-
-    def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Natural log of the density, finite where the density underflows:
-        -inf where it is zero, NaN at NaN."""
-        return _pointwise(x, self.rate, self._log_pdf_series, self._density_plan[2])
-
-    def _log_pdf_series(self, points: np.ndarray) -> np.ndarray:
-        offsets, sums, const, exponents = self._density_blocks
-        low = np.minimum.reduce(points) * self.rate  # the smallest y
-        few = len(const) <= _FEW_COMPONENTS or len(const) * points.size <= _FEW_TERMS
-        if few and low >= _DOUBLE_MIN:
-            y = points * self.rate  # the scalar path's arithmetic, in the fewest calls
-            return _log_power_series(const, exponents, np.log(y), y)
-        # one buffer: the block logs and ln v, max(ln y, 0), the powers of v
-        # (rows 0-2 hold 1, ln y and y until the logs are taken), the sums
-        rows, width = len(offsets) - 1, sums.shape[1]
-        work = np.empty((3 * rows + 2 + max(width, 3), points.size))
-        logs, above = work[:rows + 1], work[rows + 1]
-        powers, both = work[rows + 2:-2 * rows], work[-2 * rows:]
-        powers[0] = 1.0
-        y = np.multiply(points, self.rate, out=powers[2])
-        np.log(y if low >= _DOUBLE_MIN else np.maximum(y, _DOUBLE_MIN), out=powers[1])
-        if not low >= _DOUBLE_MIN:  # where y is subnormal or 0, ln y = ln rate + ln x
-            np.copyto(powers[1], np.log(points) + math.log(self.rate), where=y < _DOUBLE_MIN)
-        np.maximum(powers[1], 0.0, out=above)
-        np.dot(offsets, work[rows + 1:rows + 5], out=logs)
-        powers = powers[:width]
-        np.exp(logs[rows], out=powers[1:2])
-        for i in range(2, width):  # row by row: an accumulate strides across rows
-            np.multiply(powers[i - 1], powers[1], out=powers[i])
-        np.dot(sums, powers, out=both)
-        block_sums = both[:rows]
-        np.copyto(block_sums, both[rows:], where=above > 0.0)
-        peak = logs[:rows].max(axis=0)
-        shifted = np.subtract(logs[:rows], peak, out=logs[:rows])
-        # a block below e^-708 of the largest weighs under 1e-45 of the sum: the
-        # floor is exact, and keeps np.exp off subnormal results, which cost 100x
-        np.maximum(shifted, -708.0, out=shifted)
-        return peak + np.log(np.einsum("ij,ij->j", block_sums, np.exp(shifted, out=shifted)))
-
-    @cached_property
-    def _sweep_plan(self) -> tuple[tuple[tuple[float, ...], float], ...]:
-        # survival is e^{-x} sum_{j<J} W_j x^j / j!, x = rate t, with W_j the
-        # weight on shapes > j and J the largest shape of positive weight.  One
-        # entry per block of _BLOCK steps from b = 0, _BLOCK, ...: the Horner
-        # coefficients W_{b+i} b!/(b+i)!, highest i first, and b!/(b+_BLOCK)!,
-        # which carries the block's Poisson start e^{-x} x^b / b! to the next's
-        tail = []  # W_{J-1}, ..., W_0 from one descending pass, then reversed
+    def _survival_plan(self) -> _Series:
+        # survival is e^{-y} sum_{j<J} W_j y^j / j!, y = rate t, with W_j the
+        # weight on shapes > j and J the largest shape of positive weight
+        tail: list[float] = []  # W_{J-1}, ..., W_0 from one descending pass
         above = 0.0
         top = 0
         for w, s in zip(reversed(self.weights), reversed(self.shapes)):
@@ -444,66 +509,36 @@ class ErlangMixture:
             top = s
         tail += [above] * top
         tail.reverse()
-        plan = []
-        for b in range(0, len(tail), _BLOCK):
-            factors = _block_factors(b)
-            coefficients = [w * f for w, f in zip(tail[b:b + _BLOCK], factors)]
-            coefficients.reverse()
-            plan.append((tuple(coefficients), factors[_BLOCK]))
-        return tuple(plan)
+        # every term is nonnegative; only the weights' 1e-10 slack can pass 1
+        return _Series(tail, range(len(tail)), 1, 0.0, cap=0.0)
+
+    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
+        NaN at NaN."""
+        plan, edges, _ = self._density_plan
+        if _math_scalar(x, self.rate):
+            return plan.value(x, self.rate)
+        return _pointwise(x, self.rate, partial(plan.values, rate=self.rate), edges)
+
+    def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Natural log of the density, finite where the density underflows:
+        -inf where it is zero, NaN at NaN."""
+        plan, _, edges = self._density_plan
+        return _pointwise(x, self.rate, partial(plan.values, rate=self.rate, log=True), edges)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
         NaN at NaN.
 
-        The weighted Erlang tails sum to one polynomial in x = rate t times
-        e^{-x}, evaluated by Horner's rule block by block along the cached
-        _sweep_plan.  Past x = 745 its start e^{-x}, and so the tail,
-        underflows to 0.  A positive finite scalar (see _math_scalar) runs the
-        sweep on Python floats, which agrees with the array path to about
-        1e-14 relative.
+        The weighted Erlang tails sum to one series in y = rate t, taken in
+        log space like the density, so it holds where e^{-y} underflows.
         """
+        plan = self._survival_plan
         if _math_scalar(t, self.rate):
-            x = self.rate * float(t)  # np.float64 too: the sweep runs on Python floats
-            start = math.exp(-x)
-            if start == 0.0:
-                return 0.0  # every block is 0, and x ** _BLOCK may overflow
-            plan = self._sweep_plan
-            x_block = x ** _BLOCK if len(plan) > 1 else 0.0  # unused after the last block
-            tail = 0.0
-            for coefficients, step in plan:
-                acc = 0.0
-                for c in coefficients:
-                    acc = acc * x + c
-                tail += start * acc
-                start = start * x_block * step
-            return min(tail, 1.0)
+            return plan.value(t, self.rate)
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
         # the weights, 1 +/- ulp)
-        return _pointwise(t, self.rate, self._survival_series, (1.0, 1.0, 0.0))
-
-    def _survival_series(self, points: np.ndarray) -> np.ndarray:
-        x, start, tail, acc = _aligned_rows(4, points.size)
-        np.multiply(points, self.rate, out=x)
-        np.exp(np.negative(x, out=start), out=start)
-        # where the start underflowed every block is 0; capping x there keeps
-        # x ** _BLOCK finite, so no 0 * inf turns it into NaN
-        np.minimum(x, _START_UNDERFLOW, out=x)
-        plan = self._sweep_plan
-        x_block = np.power(x, _BLOCK) if len(plan) > 1 else 0.0  # unused after the last block
-        tail.fill(0.0)
-        for coefficients, step in plan:
-            acc.fill(coefficients[0])
-            for c in coefficients[1:]:
-                acc *= x
-                acc += c
-            acc *= start
-            tail += acc
-            start *= x_block
-            start *= step
-        # every term is nonnegative; only the weights' 1e-10 slack can pass 1.  A
-        # new array, so the result does not hold the other three rows
-        return np.minimum(tail, 1.0)
+        return _pointwise(t, self.rate, partial(plan.values, rate=self.rate), (1.0, 1.0, 0.0))
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture <= t), the exact complement of survival."""

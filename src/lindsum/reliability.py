@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
 from .numerics import (
-    ErlangMixture, _log_power_series, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
+    ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
 )
 from .sums import SumSpec
 
@@ -61,10 +61,12 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
-    log_sum = _log_power_series(
-        _lindley_log_coefficients(theta, n), np.arange(2.0 * n), np.log(t), theta * t
-    )
-    return np.minimum(1.0, np.exp(log_sum))
+    terms = np.multiply.outer(np.arange(2.0 * n), np.log(t))
+    terms += _lindley_log_coefficients(theta, n)[:, None]
+    peak = terms.max(axis=0)
+    terms -= peak
+    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
+    return np.minimum(1.0, np.exp(log_sum - theta * t))
 
 
 @lru_cache(maxsize=16)

@@ -69,6 +69,13 @@ _KS_SLACK = 1e-12
 # inner two-fold integrals at n = 3).
 _CONVOLUTION_TOL = 1e-9
 
+# Relative tolerance of the tails/* quadratures, and so their bound: the
+# closed form's own error, about 1e-15, is far below it.
+_TAIL_TOL = 1e-10
+# tails/upper/*: (member, n, t) at theta = 1, past theta t = 745, where
+# e^{-theta t} underflows; t None for the mean
+_UPPER_TAILS = {"ramawadh": (RAM_AWADH, 200, None), "lindley": (LINDLEY, 500, 1000.0)}
+
 _THETAS = (0.5, 1.0, 2.0)
 _SUM_NS = (1, 2, 3, 5, 10)
 _ORACLE_NS = (2, 3)
@@ -484,6 +491,15 @@ def _check_stability() -> tuple[float, float]:
     return _mass_error(spec), 1e-6
 
 
+def _check_upper_tail(member: FamilyMember, n: int, t: float | None) -> tuple[float, float]:
+    """Survival against quadrature of the density over [t, inf)."""
+    spec = SumSpec(DistSpec(member, 1.0), n)
+    t = spec.mean() if t is None else t
+    scale = math.sqrt(spec.variance())
+    tail = integrate(spec.pdf, t, math.inf, tol=_TAIL_TOL, scale=scale).value
+    return _relative_error(spec.survival(t), tail), _TAIL_TOL
+
+
 def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[float, float]]]]:
     if cfg.members is None:
         members = MEMBERS
@@ -519,6 +535,8 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
                      partial(_monte_carlo, member, units, cfg, monte_carlo, kind))
                 )
     registry.append(("stability", _check_stability))
+    for name, case in _UPPER_TAILS.items():
+        registry.append((f"tails/upper/{name}", partial(_check_upper_tail, *case)))
     registry.append(
         ("reductions/pdf", partial(_worst_over_specs, MEMBERS, (1,), _single_term_error, 1e-12))
     )

@@ -32,6 +32,8 @@ CHECK_IDS = [
     "lindley-dual/mttf",
     *(check.format(m.name.lower()) for m in MEMBERS for check in PER_MEMBER_IDS),
     "stability",
+    "tails/upper/ramawadh",
+    "tails/upper/lindley",
     "reductions/pdf",
     "reductions/weights",
 ]
@@ -49,6 +51,7 @@ BOUNDS = {
     "ks/": 1.63e-3,
     "mc-moments/": 4.0,
     "stability": 1e-6,
+    "tails/": 1e-10,
     "reductions/pdf": 1e-12,
     "reductions/weights": 1e-10,
 }
@@ -62,6 +65,7 @@ GROUPS = {
     "normalization-and-moments": (("normalization/", "moments/", "moment-forms/"), 120.0),
     "monte-carlo": (("ks/", "mc-moments/"), 120.0),
     "large-sum-stability": (("stability",), 30.0),
+    "upper-tails": (("tails/",), 10.0),
     "reductions": (("reductions/",), None),
 }
 
@@ -126,6 +130,9 @@ class TestAcceptance:
 
     def test_large_sum_stability(self, report, capsys):
         _gate(report, capsys, "large-sum-stability")
+
+    def test_upper_tails(self, report, capsys):
+        _gate(report, capsys, "upper-tails")
 
     def test_single_term_and_weight_reductions(self, report, capsys):
         _gate(report, capsys, "reductions")

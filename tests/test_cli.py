@@ -577,7 +577,7 @@ class TestImportCost:
             "from lindsum import LINDLEY, RAM_AWADH, DistSpec, StandbyModel, SumSpec\n"
             "spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)\n"
             "assert spec.pdf(0.0) == 0.0 < spec.pdf(40.0) and spec.cdf(-1.0) == 0.0\n"
-            "assert 0.0 < spec.survival(40.0) < 1.0\n"
+            "assert 0.0 < spec.survival(200.0) < 1.0\n"
             "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
             "member = DistSpec(LINDLEY, 1.2)\n"
             "assert member.pdf(0.0) > member.pdf(1.0) > 0.0\n",

@@ -16,7 +16,6 @@ from scipy.special import gammaincc
 from lindsum.family import AKASH, LINDLEY, DistSpec
 from lindsum.numerics import (
     QuadratureError,
-    _aligned_rows,
     _gk21_tables,
     integrate,
     ln_binomial,
@@ -344,22 +343,11 @@ def test_mixture_moment_below_double_range_names_the_order():
         mixture.moment(3)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 21, 10_000])
-def test_sweep_rows_are_64_byte_aligned_and_disjoint(n):
-    rows = _aligned_rows(4, n)
-    assert rows.shape == (4, n)
-    starts = [row.__array_interface__["data"][0] for row in rows]
-    assert all(start % 64 == 0 for start in starts)
-    assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
-    rows[:] = np.arange(4.0)[:, None]
-    assert all(np.all(row == i) for i, row in enumerate(rows))
-
-
 def test_mixture_tables_are_cached_on_the_instance():
     mixture = DistSpec(LINDLEY, 2.0).sum_mixture(5)
     mixture.pdf(np.linspace(0.5, 5.0, 4))
     mixture.survival(1.5)
-    for name in ("_density_plan", "_density_blocks", "_sweep_plan"):
+    for name in ("_density_plan", "_survival_plan"):
         assert name in vars(mixture)
         assert getattr(mixture, name) is getattr(mixture, name)
 

@@ -169,9 +169,9 @@ class TestDensityAgainstHandExpansion:
 
 class TestScalarDensityPath:
     """Python int/float and np.float64 arguments in (0, inf) take a math-module
-    path; it must agree with the array path, which handles everything else.
-    At the edges such a scalar gets _pointwise's edge value without numpy,
-    which must equal the array path's."""
+    path; it must agree with the array evaluator, which takes every array of
+    many (term, point) pairs.  At the edges such a scalar gets _pointwise's
+    edge value without numpy, which must equal the array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
@@ -182,7 +182,7 @@ class TestScalarDensityPath:
                         scalar = spec.pdf(x)
                         assert type(scalar) is float
                         np.testing.assert_allclose(
-                            scalar, spec.pdf(np.array([x]))[0], rtol=1e-12, atol=0.0
+                            scalar, _blocked(spec.pdf, [x])[0], rtol=1e-12, atol=0.0
                         ), (member.name, theta, n, x)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -204,10 +204,11 @@ class TestScalarDensityPath:
 
 
 class TestScalarSurvivalPath:
-    """Python int/float and np.float64 arguments in (0, inf) run the Poisson
-    sweep of survival on Python floats; it must agree with the array path,
-    which handles everything else.  At the edges such a scalar gets
-    _pointwise's edge value without numpy, which must equal the array path's."""
+    """Python int/float and np.float64 arguments in (0, inf) sum the survival
+    series on Python floats; it must agree with the array evaluator, which
+    takes every array of many (term, point) pairs.  At the edges such a
+    scalar gets _pointwise's edge value without numpy, which must equal the
+    array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
@@ -218,7 +219,7 @@ class TestScalarSurvivalPath:
                         scalar = spec.survival(t)
                         assert type(scalar) is float
                         np.testing.assert_allclose(
-                            scalar, spec.survival(np.array([t]))[0], rtol=1e-12, atol=0.0
+                            scalar, _blocked(spec.survival, [t])[0], rtol=1e-12, atol=0.0
                         ), (member.name, theta, n, t)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -246,27 +247,26 @@ class TestScalarSurvivalPath:
 
 
 class TestKernelMemory:
-    """On many points pdf and log_pdf run their blocked series in one buffer of
-    (3 blocks + 2 + width) rows by the points, fewer than the components'
-    one row each; a second temporary of that size would double the traced
-    peak."""
+    """On many points pdf, log_pdf and survival run their blocked series in
+    chunks of points whose working buffer stays within _CHUNK_BYTES, so the
+    traced peak is about one chunk's buffer plus a few arrays of the points'
+    size, however many blocks the plan has: without chunks, survival at
+    Lindley n = 5000 peaked at 45 MB on these 10k points."""
 
     def test_one_buffer_per_call(self):
-        mixture = SumSpec(DistSpec(RAM_AWADH, 0.5), 50).mixture()
-        x = np.linspace(0.0, 3.0 * mixture.mean(), 10_000)
-        mixture.pdf(x)  # builds the cached plan
-        offsets, sums = mixture._density_blocks[:2]
-        blocks, width = len(offsets) - 1, sums.shape[1]
-        assert (blocks, width) == (4, 16)
-        buffer_bytes = (3 * blocks + 2 + width) * x.size * 8
-        for route in (mixture.pdf, mixture.log_pdf):
-            tracemalloc.start()
-            try:
-                route(x)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * buffer_bytes, (route.__name__, peak / buffer_bytes)
+        for member, theta, n in ((RAM_AWADH, 0.5, 50), (LINDLEY, 1.0, 5000)):
+            mixture = SumSpec(DistSpec(member, theta), n).mixture()
+            x = np.linspace(0.0, 3.0 * mixture.mean(), 10_000)
+            for route in (mixture.pdf, mixture.log_pdf, mixture.survival):
+                route(x)  # builds the cached plans
+                tracemalloc.start()
+                try:
+                    route(x)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                bound = 1.25 * numerics._CHUNK_BYTES + 8 * x.nbytes
+                assert peak <= bound, (n, route.__name__, peak / numerics._CHUNK_BYTES)
 
 
 class TestLogDensity:
@@ -595,9 +595,9 @@ class TestOverflowingArgument:
 
 
 class TestSweepAccuracy:
-    """The Poisson sweep of survival, on the scalar and the array path, against
-    the mpmath tail at the grid workload's specs, where rate * t <= 700 (below
-    the underflow of the sweep's start) and the tail is at least 1e-300."""
+    """Survival, on the scalar path and through the array evaluator, against
+    the mpmath tail at the grid workload's specs, wherever the tail is at
+    least 1e-300 (past rate * t = 745 too, where e^{-rate t} underflows)."""
 
     MEAN_MULTIPLES = {1: (0.05, 0.4, 1.0, 2.5, 6.0), 5: (0.2, 0.6, 1.0, 2.0, 4.0),
                       50: (0.8, 1.0, 1.3)}
@@ -610,8 +610,7 @@ class TestSweepAccuracy:
                 dist = DistSpec(member, theta)
                 spec = SumSpec(dist, n)
                 ts = [m * spec.mean() for m in multiples]
-                ts = [t for t in ts if theta * t <= 700.0]
-                array = spec.survival(np.array(ts))
+                array = _blocked(spec.survival, ts)
                 oracle = _oracle(dist, n)
                 for t, from_array in zip(ts, array):
                     truth = oracle.survival(t)
@@ -620,41 +619,63 @@ class TestSweepAccuracy:
                     for got in (spec.survival(t), from_array):
                         assert abs(got - truth) <= 1e-13 * truth, (theta, n, t, got, truth)
                     checked += 1
-        assert checked == 26  # every point is inside the domain above
+        assert checked == 26  # every point: no tail is below 1e-300
+
+    @pytest.mark.parametrize("member, n, t", [(RAM_AWADH, 200, None), (LINDLEY, 500, 1000.0)],
+                             ids=["RamAwadh-200-mean", "Lindley-500-t1000"])
+    def test_past_the_start_underflow(self, member, n, t):
+        # theta t near 1192 and 1000, where e^{-theta t} underflows: once 0.0,
+        # the tails are 0.4965 and 5.275e-15
+        dist = DistSpec(member, 1.0)
+        spec, oracle = SumSpec(dist, n), _oracle(dist, n)
+        t = t or oracle.mean()
+        truth = oracle.survival(t)
+        assert truth > 1e-15
+        for got in (spec.survival(t), _blocked(spec.survival, [t])[0]):
+            assert abs(got - truth) <= 2e-15 * t * truth, (got, truth)
 
     def test_plan_skips_zero_weights(self):
         # RamAwadh theta = 1, n = 200: 29 of the 201 weights underflow to 0
         dist = DistSpec(RAM_AWADH, 1.0)
         spec = SumSpec(dist, 200)
         mixture = spec.mixture()
-        plan = mixture._sweep_plan
+        plan = mixture._survival_plan
         assert sum(w == 0.0 for w in mixture.weights) == 29
-        # one block per _BLOCK Poisson steps up to the last shape; a block's
-        # coefficients are the tail weights, the fsum of the positive weights on
-        # shapes above b+i, times b!/(b+i)!, and it steps on by b!/(b+_BLOCK)!,
-        # each to a few ulp
+        # one block per _BLOCK terms W_j y^j / j! up to the last shape; the block
+        # from b keeps r = b, its constant ln W_b - ln(b! e^b / b^b), and for
+        # y <= 1 the ratios of its terms to the first at y = 1, highest first:
+        # the tail weights, the fsum of the positive weights on shapes above
+        # b+i, over W_b, times b!/(b+i)!, each to a few ulp
         positive = [(w, s) for w, s in mixture.components if w > 0.0]
-        assert len(plan) == math.ceil(mixture.shapes[-1] / _BLOCK) == 75
-        for b, (coefficients, step) in zip(range(0, mixture.shapes[-1], _BLOCK), plan):
-            np.testing.assert_allclose(step, 1.0 / math.perm(b + _BLOCK, _BLOCK), rtol=2e-15)
+        assert len(plan._sides[0]) == math.ceil(mixture.shapes[-1] / _BLOCK) == 38
+        for b, (r, _, constant, coefficients) in zip(range(0, mixture.shapes[-1], _BLOCK),
+                                                     plan._sides[0]):
+            assert r == b
             tail_weights = [
                 math.fsum(w for w, s in positive if s > b + i) for i in range(len(coefficients))
             ]
-            expected = [weight / math.perm(b + i, i) for i, weight in enumerate(tail_weights)]
+            with mpmath.workdps(30):
+                scale = mpmath.log(mpmath.factorial(b)) - b * mpmath.log(b) + b if b else 0
+                expected = float(mpmath.log(tail_weights[0]) - scale)
+            assert abs(constant - expected) <= 1e-15 + 4 * math.ulp(expected)
+            expected = [weight / tail_weights[0] / math.perm(b + i, i)
+                        for i, weight in enumerate(tail_weights)]
             np.testing.assert_allclose(coefficients[::-1], expected, rtol=2e-15)
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
         truth = _oracle(dist, 200).survival(690.0)
-        for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
+        for got in (spec.survival(690.0), _blocked(spec.survival, [690.0])[0]):
             assert abs(got - truth) <= 1e-13 * truth, (got, truth)
-        padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))
-        assert padded._sweep_plan == ErlangMixture(1.5, (1.0,), (5,))._sweep_plan
+        padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))._survival_plan
+        plain = ErlangMixture(1.5, (1.0,), (5,))._survival_plan
+        assert padded._sides == plain._sides
 
 
 class TestSweepBlocks:
-    """The blocked Horner sweep of survival at top shapes on both sides of a
-    block boundary, some mixtures with zero weights, against mpmath's
-    regularized incomplete gamma function; and its exact 0 where the start
-    e^{-rate t} underflows."""
+    """The blocked survival series at top shapes on both sides of a block
+    boundary, some mixtures with zero weights, against mpmath's regularized
+    incomplete gamma function, on the scalar path and through the array
+    evaluator; also past rate t = 745, where e^{-rate t} underflows but the
+    tail does not, and its exact 0 where rate t overflows."""
 
     RATE = 1.3
     MIXTURES = [
@@ -667,52 +688,71 @@ class TestSweepBlocks:
         ((0.2, 0.3, 0.0, 0.5), (2, 7, 12, 17)),
         ((0.0, 0.7, 0.3), (5, 16, 32)),
         ((0.1, 0.6, 0.0, 0.3), (1, 17, 20, 33)),
+        ((0.5, 0.5), (1, 32)),
+        ((0.2, 0.0, 0.8), (31, 40, 65)),
     ]
 
     @staticmethod
-    def _truth(mixture, x):
+    def _truth(mixture, x) -> tuple[float, float]:
+        """The tail at x = rate t and its complement, the cdf, at 50 digits."""
         with mpmath.workdps(50):
-            return float(mpmath.fsum(
+            tail = mpmath.fsum(
                 mpmath.mpf(w) * mpmath.gammainc(s, mpmath.mpf(x), regularized=True)
                 for w, s in mixture.components
-            ))
+            )
+            return float(tail), float(1 - tail)
 
     @pytest.mark.parametrize("weights, shapes", MIXTURES, ids=str)
     def test_against_mpmath(self, weights, shapes):
         mixture = ErlangMixture(self.RATE, weights, shapes)
-        assert len(mixture._sweep_plan) == math.ceil(max(shapes) / _BLOCK)
+        top = max(s for w, s in mixture.components if w > 0.0)
+        assert len(mixture._survival_plan._sides[0]) == math.ceil(top / _BLOCK)
         xs = [1e-3, 0.3, 1.0, 4.0, 12.0, 25.0, 40.0, 60.0, 100.0]
         ts = [x / self.RATE for x in xs]
-        array = mixture.survival(np.array(ts))
+        array = _blocked(mixture.survival, ts)
         for t, from_array in zip(ts, array):
-            truth = self._truth(mixture, self.RATE * t)
+            truth = self._truth(mixture, self.RATE * t)[0]
             if truth < 1e-300:
                 continue
             for got in (mixture.survival(t), from_array):
                 assert abs(got - truth) <= 1e-13 * truth, (t, got, truth)
 
     @pytest.mark.parametrize(
-        "weights, shapes", MIXTURES[::3] + [((0.5, 0.5), (40, 3000))], ids=str
+        "weights, shapes",
+        MIXTURES[::3] + [((0.5, 0.5), (40, 3000)), ((0.3, 0.7), (700, 800))], ids=str,
     )
-    def test_zero_past_the_start_underflow(self, weights, shapes):
+    def test_past_the_start_underflow(self, weights, shapes):
+        # within 1e-12 up to y = rate t = 1000, then 2e-15 y: e^{-y} has
+        # condition number y; tails below the smallest normal double are not
+        # compared, and where rate t overflows both are exact
         mixture = ErlangMixture(self.RATE, weights, shapes)
-        ts = [746.0 / self.RATE, 1e4 / self.RATE, math.nextafter(_finite_below(self.RATE), 0.0)]
+        ts = [x / self.RATE for x in (700.0, 745.0, 746.0, 800.0, 1000.0, 1500.0, 2383.0, 1e4)]
+        far = math.nextafter(_finite_below(self.RATE), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for t in ts:
-                assert mixture.survival(t) == 0.0 and mixture.cdf(t) == 1.0
-            np.testing.assert_array_equal(mixture.survival(np.array(ts)), 0.0)
-            # a point with a positive start beside them leaves them 0 and 1
+            tails, cdfs = _blocked(mixture.survival, ts), _blocked(mixture.cdf, ts)
+            for t, from_array, cdf_from_array in zip(ts, tails, cdfs):
+                y = self.RATE * t
+                bound = max(1e-12, 2e-15 * y)
+                tail, cdf = self._truth(mixture, y)
+                if tail >= sys.float_info.min:
+                    for got in (mixture.survival(t), from_array):
+                        assert abs(got - tail) <= bound * tail, (y, got, tail)
+                for got in (mixture.cdf(t), cdf_from_array):
+                    assert abs(got - cdf) <= bound * cdf, (y, got, cdf)
+            assert mixture.survival(far) == 0.0 and mixture.cdf(far) == 1.0
+            np.testing.assert_array_equal(_blocked(mixture.survival, [far, far]), 0.0)
+            # a point where the tail is positive beside it leaves it 0 and 1
             np.testing.assert_array_equal(
-                mixture.cdf(np.array(ts + [1.0])), [1.0] * 3 + [mixture.cdf(1.0)]
+                mixture.cdf(np.array([far, 1.0])), [1.0, mixture.cdf(1.0)]
             )
 
 
 def _blocked(route, values) -> np.ndarray:
     """route (a mixture's pdf or log_pdf) at the array values through the
-    blocked series, which otherwise takes only many points of large mixtures."""
+    array evaluator, which otherwise takes only arrays of many (term, point)
+    pairs."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_FEW_COMPONENTS", 0)
         patch.setattr(numerics, "_FEW_TERMS", 0)
         return route(np.asarray(values, dtype=float))
 
@@ -730,9 +770,10 @@ def _mp_log_pdf(oracle: SumOracle, x: float) -> float:
 
 class TestDensityInY:
     """The n-fold density against SumOracle at 0.5, 1 and 2 times the mean, for
-    theta from 1e-300 to 1e300, on the scalar path, an array through the
-    log-sum-exp over the components and an array through the blocked series.  Each term's log is taken in y = theta x, so nothing cancels:
-    adding s ln theta and (s-1) ln x apart lost up to 2e-11 here."""
+    theta from 1e-300 to 1e300, on the scalar path, on a short array (the
+    scalar path at each point) and through the array evaluator.  Each term's
+    log is taken in y = theta x, so nothing cancels: adding s ln theta and
+    (s-1) ln x apart lost up to 2e-11 here."""
 
     THETAS = (1e-300, 1e-250, 1e-100, 1e-10, 1e10, 1e100, 1e250, 1e300)
     # (member, n): the points where the truth is a normal double
@@ -792,6 +833,22 @@ class TestDensityHardCases:
         assert 0.0 < SumSpec(dist, 2).mixture().weights[0] < sys.float_info.min
         xs = [y / dist.theta for y in (1e-200, 1e-30, 1e-3, 0.5, 3.0, 30.0, 700.0)]
         assert self._check(dist, 2, xs) >= 3
+
+    @pytest.mark.parametrize("weights, shapes", [((0.5, 0.5), (40, 3000)), ((0.3, 0.7), (2, 500))])
+    def test_wide_shape_gaps(self, weights, shapes):
+        # the terms' ratio across a gap of hundreds of shapes is below the
+        # smallest double: each term takes a block of its own
+        mixture = ErlangMixture(1.3, weights, shapes)
+        xs = [20.0, 300.0, 1500.0]
+        for x, from_array in zip(xs, _blocked(mixture.pdf, xs)):
+            with mpmath.workdps(50):
+                y = 1.3 * mpmath.mpf(x)
+                truth = float(mpmath.fsum(
+                    w * 1.3 * y ** (s - 1) * mpmath.exp(-y) / mpmath.factorial(s - 1)
+                    for w, s in mixture.components
+                ))
+            for got in (mixture.pdf(x), from_array):
+                assert abs(got - truth) <= 1e-12 * truth, (x, got, truth)
 
     @pytest.mark.parametrize("theta, n, x", [
         (1e10, 2, 1e-320),  # theta x = 1e-310 is subnormal
