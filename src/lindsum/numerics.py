@@ -260,12 +260,13 @@ class _Series:
                  log_factor: float, cap: float = math.inf):
         self.terms, self.g, self.cap = len(weights), g, cap
         # each term over the one before at y = 1: a weight ratio times p!/q!
-        # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway)
+        # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway; w
+        # meets p!/q! before v, so that no inf meets a 0)
         if powers[-1] - powers[0] == self.terms - 1:
             ratios = map(operator.truediv, weights[1:], weights)
             steps = list(map(operator.truediv, ratios, powers[1:]))
         else:
-            steps = [w / v * (1 / math.prod(range(p + 1, q + 1))) if q - p < 400 else 0.0
+            steps = [w * (1 / math.prod(range(p + 1, q + 1))) / v if q - p < 400 else 0.0
                      for w, v, p, q in zip(weights[1:], weights, powers, powers[1:])]
         # per side (y <= 1, y > 1), per block: r, 1/r, K and the coefficients of
         # v's powers, highest first, for Horner's rule

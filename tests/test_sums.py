@@ -834,12 +834,15 @@ class TestDensityHardCases:
         xs = [y / dist.theta for y in (1e-200, 1e-30, 1e-3, 0.5, 3.0, 30.0, 700.0)]
         assert self._check(dist, 2, xs) >= 3
 
-    @pytest.mark.parametrize("weights, shapes", [((0.5, 0.5), (40, 3000)), ((0.3, 0.7), (2, 500))])
+    @pytest.mark.parametrize("weights, shapes", [
+        ((0.5, 0.5), (40, 3000)), ((0.3, 0.7), (2, 500)), ((2e-320, 1.0), (77, 448)),
+    ])
     def test_wide_shape_gaps(self, weights, shapes):
         # the terms' ratio across a gap of hundreds of shapes is below the
-        # smallest double: each term takes a block of its own
+        # smallest double (or, from a subnormal weight, both tiny and huge):
+        # each term takes a block of its own
         mixture = ErlangMixture(1.3, weights, shapes)
-        xs = [20.0, 300.0, 1500.0]
+        xs = [20.0, 300.0, 340.0, 1500.0]
         for x, from_array in zip(xs, _blocked(mixture.pdf, xs)):
             with mpmath.workdps(50):
                 y = 1.3 * mpmath.mpf(x)
@@ -847,6 +850,8 @@ class TestDensityHardCases:
                     w * 1.3 * y ** (s - 1) * mpmath.exp(-y) / mpmath.factorial(s - 1)
                     for w, s in mixture.components
                 ))
+            if truth < sys.float_info.min:
+                continue
             for got in (mixture.pdf(x), from_array):
                 assert abs(got - truth) <= 1e-12 * truth, (x, got, truth)
 
