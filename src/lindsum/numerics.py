@@ -253,7 +253,8 @@ class _Series:
     cancel where y is near r, where the terms that matter lie, so the sum
     keeps a few ulp where e^{-y} or y^r alone underflows or overflows (Loader,
     "Fast and accurate computation of binomial probabilities", 2000).  The
-    two evaluators take the same steps in the same order.
+    two evaluators take each block's log the same way, in the same order, so
+    they agree to a few ulp.
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
@@ -303,8 +304,9 @@ class _Series:
         _FEW_TERMS (term, point) pairs the scalar evaluator at each point, bit
         for bit, else the array evaluator."""
         if self.terms * points.size <= _FEW_TERMS:
-            scalar = partial(self.at if log else self.value, rate=rate)
-            return np.array([scalar(x) for x in points.tolist()])
+            at, cap = self.at, self.cap
+            series = [at(x, rate) for x in points.tolist()]
+            return np.array(series if log else [math.exp(min(v, cap)) for v in series])
         series = self.log_series(points, rate)
         return series if log else np.exp(np.minimum(series, self.cap, out=series), out=series)
 
