@@ -180,8 +180,7 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     grid = _grid(args, parser, args.t, 0.0, args.t_max)
-    # a cold-standby system's reliability is the survival of its lifetime sum
-    routes = [_sum_spec(args).survival]
+    routes = [StandbyModel(DistSpec(args.dist, args.theta), args.n).reliability]
     columns = ["t", f"R_{args.dist.name.lower()}"]
     if args.compare_exponential:
         routes.append(ExponentialStandby(args.theta, args.n).reliability)

@@ -12,12 +12,13 @@ too; the member's closed-form density is kept apart, as validation's
 convolution oracle at n = 1).  Its density and its survival are one kind of
 series in y = rate x, sum_i w_i y^{p_i} e^{-y} / p_i!: the weights on the
 powers s-1 (times rate), and the tail weights W_j, the weight on shapes above
-j, on the powers j.  One plan, _Series, serves both, with one evaluator for
-a scalar and one for arrays, in log space.
+j, on the powers j.  One plan, _Series, built with the mixture's rate, serves
+both, with one evaluator for a scalar and one for arrays, in log space.
 Every density and tail in the package, the Lindley double series included,
-is evaluated in one frame, _pointwise: it sums a series only where
-0 < x < _finite_below(rate) and gives x < 0, x == 0, x at or past that bound,
-and NaN their edge values (to a Python scalar without numpy).  The parameter
+is routed by one frame, _pointwise: where 0 < x < _finite_below(rate) it
+takes a Python int or float to the scalar evaluator, without numpy, and any
+other input to the array series; x < 0, x == 0, x at or past that bound, and
+NaN get their edge values (a Python scalar without numpy).  The parameter
 checks check_positive and check_count live here too, so that ErlangMixture
 can use them (family, which re-exports them, imports this module).
 
@@ -27,16 +28,15 @@ registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
 attribute access; the other modules take np from here.  So `lindsum mttf`,
 `moments` (without --verify), `pdf`, `reliability`, `--help` and usage errors
 never load numpy: their numbers are pure math, and pdf and reliability take
-each row of their tables from a Python float, through the scalar paths of
-ErlangMixture.pdf and survival and the scalar edges of _pointwise, as do a
-member's and a sum's density and tails at a Python float.  `sample`,
-`moments --verify` and `verify` do load it.  A later `import numpy` anywhere
-completes the load.  One caveat: in Python 3.10.13, 3.11.7 and 3.12.1
-(checked in the source of importlib.util._LazyModule) the load takes no lock
-and switches the module's class before numpy's __init__ runs, so a second
-thread that first touches np during that load can see a half-built numpy;
-3.13.0 holds a lock through the load.  Import numpy before lindsum to rule
-this out.
+each row of their tables from a Python float, through the scalar route of
+_pointwise, as do a member's and a sum's density, log density and tails at a
+Python float.  `sample`, `moments --verify` and `verify` do load it.  A later
+`import numpy` anywhere completes the load.  One caveat: in Python 3.10.13,
+3.11.7 and 3.12.1 (checked in the source of importlib.util._LazyModule) the
+load takes no lock and switches the module's class before numpy's __init__
+runs, so a second thread that first touches np during that load can see a
+half-built numpy; 3.13.0 holds a lock through the load.  Import numpy before
+lindsum to rule this out.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import accumulate
 
 __all__ = [
@@ -175,21 +175,22 @@ def ln_binomial(n: int, r: int) -> float:
     return ln_factorial(n) - ln_factorial(r) - ln_factorial(n - r)
 
 
-def _pointwise(
-    x: float | np.ndarray, rate: float, series: Callable[[np.ndarray], np.ndarray], edges: tuple
-) -> float | np.ndarray:
-    """The one frame of every density and tail with this rate: series on the flat
-    points 0 < x < _finite_below(rate), which it must not write into; edges =
-    (value at x < 0, at x == 0, at and past that bound and +inf) elsewhere; NaN
-    at NaN.  A Python float for 0-d input, an array of x's shape otherwise.  A
-    Python int or float (the _math_scalar test) outside the series range gets
-    its edge value at once, without numpy."""
-    if isinstance(x, (int, float)) and not 0.0 < x < _finite_below(rate):
+def _pointwise(x: float | np.ndarray, bound: float, scalar: Callable[[float], float] | None,
+               series: Callable[[np.ndarray], np.ndarray], edges: tuple) -> float | np.ndarray:
+    """The one frame of every density and tail: inside 0 < x < bound, scalar
+    at a Python int or float (np.float64 included), without numpy, and series
+    on the flat points of any other input, 0-d arrays included, which it must
+    not write into; edges = (value at x < 0, at x == 0, at and past bound and
+    +inf) elsewhere, a Python scalar's at once; NaN at NaN.  A Python float for
+    a scalar or 0-d input, an array of x's shape otherwise."""
+    if isinstance(x, (int, float)):
+        if 0.0 < x < bound:
+            return scalar(x)
         below, zero, far = edges
         return below if x < 0.0 else zero if x == 0.0 else far if x > 0.0 else math.nan
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
-    bound = _finite_below(rate)  # two reductions find the common case; NaN fails both
+    # two reductions find the common case; NaN fails both
     if flat.size and np.minimum.reduce(flat) > 0.0 and np.maximum.reduce(flat) < bound:
         out = series(flat)
     else:
@@ -205,14 +206,6 @@ def _pointwise(
             edge < 0.0, below, np.where(edge == 0.0, zero, np.where(edge > 0.0, far, math.nan))
         )
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _math_scalar(x: object, rate: float) -> bool:
-    """True for a Python int or float (np.float64 included) where _pointwise
-    would call the series, tested as one chained comparison: such arguments
-    take the math-module paths of ErlangMixture.pdf and survival; every other
-    input, 0-d arrays included, takes _pointwise."""
-    return isinstance(x, (int, float)) and 0.0 < x < _finite_below(rate)
 
 
 def _finite_below(rate: float) -> float:
@@ -238,9 +231,11 @@ class _Series:
     """ln(e^l sum_i w_i y^{p_i} e^{-y} / p_i!) at y = rate x > 0, for weights
     w_i > 0 on increasing powers p_i of a lattice of step g and a log factor
     l: the one plan of ErlangMixture's density and survival series, in Python
-    floats.  at and log_series are its evaluators for a scalar and for arrays
-    (on a numpy view built at the first array call); value and values give
-    e^series, at most e^cap (1 for a tail).
+    floats, built with the mixture's rate; bound is _finite_below(rate), where
+    _pointwise's series range ends.  at and log_series are its evaluators for a
+    scalar and for arrays (on a numpy view built at the first array call);
+    value and values give e^series, at most e^cap (1 for a tail), and
+    log_values the series, both through at on few (term, point) pairs.
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -258,8 +253,9 @@ class _Series:
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
-                 log_factor: float, cap: float = math.inf):
-        self.terms, self.g, self.cap = len(weights), g, cap
+                 log_factor: float, rate: float, cap: float = math.inf):
+        self.terms, self.g, self.rate, self.cap = len(weights), g, rate, cap
+        self.bound = _finite_below(rate)
         # each term over the one before at y = 1: a weight ratio times p!/q!
         # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway; w
         # meets p!/q! before v, so that no inf meets a 0)
@@ -295,26 +291,30 @@ class _Series:
                 side.append((r, 1.0 / max(r, 1), constant, row))
             i = end
 
-    def value(self, x: float, rate: float) -> float:
+    def value(self, x: float) -> float:
         """e^series at one x > 0, at most e^cap."""
-        return math.exp(min(self.at(x, rate), self.cap))
+        return math.exp(min(self.at(x), self.cap))
 
-    def values(self, points: np.ndarray, rate: float, log: bool = False) -> np.ndarray:
-        """e^series (the series if log) at a flat array of points: on at most
-        _FEW_TERMS (term, point) pairs the scalar evaluator at each point, bit
-        for bit, else the array evaluator."""
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """e^series at a flat array of points, at most e^cap: value's, bit for
+        bit, on at most _FEW_TERMS (term, point) pairs, else from log_series."""
         if self.terms * points.size <= _FEW_TERMS:
             at, cap = self.at, self.cap
-            series = [at(x, rate) for x in points.tolist()]
-            return np.array(series if log else [math.exp(min(v, cap)) for v in series])
-        series = self.log_series(points, rate)
-        return series if log else np.exp(np.minimum(series, self.cap, out=series), out=series)
+            return np.array([math.exp(min(at(x), cap)) for x in points.tolist()])
+        series = self.log_series(points)
+        return np.exp(np.minimum(series, self.cap, out=series), out=series)
 
-    def at(self, x: float, rate: float) -> float:
+    def log_values(self, points: np.ndarray) -> np.ndarray:
+        """The series at a flat array of points, by values' rule."""
+        if self.terms * points.size <= _FEW_TERMS:
+            return np.array(list(map(self.at, points.tolist())))
+        return self.log_series(points)
+
+    def at(self, x: float) -> float:
         """The series at one x > 0 in Python floats: Horner's rule per block,
         then a log-sum-exp across the blocks."""
         x = float(x)
-        y = rate * x
+        y = self.rate * x
         high = y > 1.0
         v = y ** (-self.g if high else self.g)
         top, total = -math.inf, 0.0
@@ -328,7 +328,7 @@ class _Series:
                 u = y * inverse
                 offset = constant - r * (u - 1.0 - math.log(u))
             else:  # y subnormal or 0: ln u = ln rate + ln x - ln r
-                ln_u = math.log(rate) + math.log(x) - math.log(r)
+                ln_u = math.log(self.rate) + math.log(x) - math.log(r)
                 offset = constant - r * (y * inverse - 1.0 - ln_u)
             if offset > top:  # rescale the blocks so far (0 before the first)
                 total = total * math.exp(top - offset) + acc
@@ -350,7 +350,7 @@ class _Series:
             arrays.append((*columns, np.array(rows)))
         return arrays
 
-    def log_series(self, points: np.ndarray, rate: float) -> np.ndarray:
+    def log_series(self, points: np.ndarray) -> np.ndarray:
         """The series at a flat array of points, in chunks whose working buffer
         stays within _CHUNK_BYTES.  Each side of y = 1 takes its own blocks: a
         chunk's majority side runs on all its points, those of the other side
@@ -360,19 +360,19 @@ class _Series:
         out = np.empty_like(points)
         for start in range(0, points.size, size):
             x = points[start:start + size]
-            y = x * rate
+            y = x * self.rate
             above = y > 1.0
             major = bool(2 * np.count_nonzero(above) >= y.size)
             others = np.flatnonzero(above != major)
             if others.size:
                 y_others, y[others] = y[others], 1.0
             part = out[start:start + size]
-            self._log_side(x, y, rate, major, part)
+            self._log_side(x, y, major, part)
             if others.size:
-                part[others] = self._log_side(x[others], y_others, rate, not major)
+                part[others] = self._log_side(x[others], y_others, not major)
         return out
 
-    def _log_side(self, x: np.ndarray, y: np.ndarray, rate: float, high: bool,
+    def _log_side(self, x: np.ndarray, y: np.ndarray, high: bool,
                   out: np.ndarray | None = None) -> np.ndarray:
         r, inverse, constant, ln_r, sums = self._arrays[high]
         rows, width = sums.shape
@@ -384,7 +384,7 @@ class _Series:
         tiny = y < _DOUBLE_MIN
         if tiny.any():  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
             np.log(np.maximum(u, _DOUBLE_MIN, out=u), out=scratch)
-            np.copyto(scratch, np.log(x) + math.log(rate) - ln_r, where=tiny)
+            np.copyto(scratch, np.log(x) + math.log(self.rate) - ln_r, where=tiny)
         else:
             np.log(u, out=scratch)
         u -= 1.0
@@ -493,7 +493,7 @@ class ErlangMixture:
         ln_rate = math.log(self.rate)
         weights, powers = zip(*((w, s - 1) for w, s in self.components if w > 0.0))
         g = math.gcd(*(p - powers[0] for p in powers)) or 1
-        series = _Series(weights, powers, g, ln_rate)
+        series = _Series(weights, powers, g, ln_rate, self.rate)
         w = self.weights[0] if self.shapes[0] == 1 else 0.0
         ln_zero = math.log(w) + ln_rate if w > 0.0 else -math.inf
         return series, (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf)
@@ -513,21 +513,19 @@ class ErlangMixture:
         tail += [above] * top
         tail.reverse()
         # every term is nonnegative; only the weights' 1e-10 slack can pass 1
-        return _Series(tail, range(len(tail)), 1, 0.0, cap=0.0)
+        return _Series(tail, range(len(tail)), 1, 0.0, self.rate, cap=0.0)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
         NaN at NaN."""
         plan, edges, _ = self._density_plan
-        if _math_scalar(x, self.rate):
-            return plan.value(x, self.rate)
-        return _pointwise(x, self.rate, partial(plan.values, rate=self.rate), edges)
+        return _pointwise(x, plan.bound, plan.value, plan.values, edges)
 
     def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
         plan, _, edges = self._density_plan
-        return _pointwise(x, self.rate, partial(plan.values, rate=self.rate, log=True), edges)
+        return _pointwise(x, plan.bound, plan.at, plan.log_values, edges)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
@@ -537,11 +535,9 @@ class ErlangMixture:
         log space like the density, so it holds where e^{-y} underflows.
         """
         plan = self._survival_plan
-        if _math_scalar(t, self.rate):
-            return plan.value(t, self.rate)
         # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
         # the weights, 1 +/- ulp)
-        return _pointwise(t, self.rate, partial(plan.values, rate=self.rate), (1.0, 1.0, 0.0))
+        return _pointwise(t, plan.bound, plan.value, plan.values, (1.0, 1.0, 0.0))
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture <= t), the exact complement of survival."""

@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
 from .numerics import (
-    ErlangMixture, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
+    ErlangMixture, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
 )
-from .sums import SumSpec
 
 __all__ = [
     "ExponentialStandby",
@@ -56,8 +55,10 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
-    # the series would give NaN at +inf; no t < 0 is left for the first edge
-    return _pointwise(t, theta, partial(_lindley_series, theta, n), (math.nan, 1.0, 0.0))
+    # t is an array, so no scalar evaluator; the series would give NaN at +inf;
+    # no t < 0 is left for the first edge
+    series = partial(_lindley_series, theta, n)
+    return _pointwise(t, _finite_below(theta), None, series, (math.nan, 1.0, 0.0))
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
@@ -128,8 +129,8 @@ class StandbyModel:
         object.__setattr__(self, "n", check_n(self.n))
 
     @cached_property
-    def _sum(self) -> SumSpec:
-        return SumSpec(self.failure_dist, self.n)
+    def _mixture(self) -> ErlangMixture:
+        return self.failure_dist.sum_mixture(self.n)
 
     @property
     def label(self) -> str:
@@ -138,11 +139,11 @@ class StandbyModel:
 
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
         """System reliability R(t): survival of the n-fold lifetime sum."""
-        return self._sum.survival(t)
+        return self._mixture.survival(t)
 
     def mttf(self) -> float:
         """Mean time to failure: the mean of the n-fold lifetime sum."""
-        return self._sum.mean()
+        return self._mixture.mean()
 
 
 @dataclass(frozen=True)

@@ -517,9 +517,10 @@ class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
     behind moments --verify.  numpy loads on first use: the import, --help, a
     usage error, mttf, moments without --verify, pdf, reliability, a library
-    MTTF, and a sum's and a member's density and tails at Python floats leave
-    its core unloaded; sample and moments --verify load it; and lindsum shares
-    one numpy with code that imports it before or after lindsum."""
+    MTTF, and a sum's and a member's density and tails and a sum's log density
+    at Python floats leave its core unloaded; sample and moments --verify load
+    it; and lindsum shares one numpy with code that imports it before or after
+    lindsum."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -574,10 +575,12 @@ class TestImportCost:
             _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
             "from lindsum import LINDLEY, DistSpec, StandbyModel\n"
             "assert abs(StandbyModel(DistSpec(LINDLEY, 1.0), 5).mttf() - 7.5) < 1e-12\n",
+            "import math\n"
             "from lindsum import LINDLEY, RAM_AWADH, DistSpec, StandbyModel, SumSpec\n"
             "spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)\n"
             "assert spec.pdf(0.0) == 0.0 < spec.pdf(40.0) and spec.cdf(-1.0) == 0.0\n"
             "assert 0.0 < spec.survival(200.0) < 1.0\n"
+            "assert spec.mixture().log_pdf(40.0) > spec.mixture().log_pdf(0.0) == -math.inf\n"
             "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
             "member = DistSpec(LINDLEY, 1.2)\n"
             "assert member.pdf(0.0) > member.pdf(1.0) > 0.0\n",

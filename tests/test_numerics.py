@@ -356,8 +356,11 @@ _LINDLEY_2 = DistSpec(LINDLEY, 2.0)
 
 
 @pytest.mark.parametrize(
-    "x", [-1, -0.0, 0, 0.0, sys.float_info.max / 2.0, math.inf, math.nan],
-    ids=["-1", "-0.0", "0", "0.0", "max/rate", "inf", "nan"],
+    "x",
+    [-1, -0.0, 0, 0.0, sys.float_info.max / 2.0, math.inf, math.nan,
+     5e-324, 0.5, 3, np.float64(1.5), 40.0, math.nextafter(sys.float_info.max / 2.0, 0.0)],
+    ids=["-1", "-0.0", "0", "0.0", "max/rate", "inf", "nan",
+         "subnormal", "0.5", "3", "np.float64", "40.0", "below-max/rate"],
 )
 @pytest.mark.parametrize(
     "route",
@@ -373,8 +376,10 @@ _LINDLEY_2 = DistSpec(LINDLEY, 2.0)
     ids=["pdf-n1", "pdf-n3", "log_pdf-n1", "log_pdf-n3", "survival", "cdf", "DistSpec.pdf"],
 )
 def test_scalar_edges_match_the_0d_array(route, x):
-    # a Python int or float outside the series range takes its edge value in
-    # _pointwise without numpy; a 0-d array still goes through np.asarray
+    # _pointwise gives a Python int or float (np.float64 included) its edge
+    # value, or inside the series range the scalar evaluator, without numpy; a
+    # 0-d array still goes through np.asarray and the array series, whose few
+    # (term, point) pairs take the scalar evaluator too, bit for bit
     got = route(x)
     assert type(got) is float
     assert got.hex() == route(np.asarray(x, dtype=float)).hex()
