@@ -1,55 +1,12 @@
 """Exact distributions of sums of Lindley-family lifetimes and the
 1-out-of-n cold-standby reliability they induce, with built-in cross-checks
-against quadrature and Monte Carlo."""
+against quadrature and Monte Carlo.
 
-from .family import (
-    AKASH,
-    ISHITA,
-    LINDLEY,
-    MEMBERS,
-    PRANAV,
-    RAM_AWADH,
-    RANI,
-    SHANKER,
-    AlphaKind,
-    DistSpec,
-    FamilyMember,
-    member_by_name,
-)
-from .numerics import (
-    ErlangMixture,
-    QuadratureError,
-    QuadratureResult,
-    integrate,
-    ln_binomial,
-    ln_factorial,
-    logsumexp,
-)
-from .reliability import (
-    ExponentialStandby,
-    MttfRow,
-    ReliabilityCurve,
-    StandbyModel,
-    exponential_mttf,
-    exponential_reliability,
-    lindley_mttf,
-    lindley_reliability,
-    mttf_table,
-    reliability_curve,
-)
-from .sums import SumSpec
-from .validation import (
-    DEFAULT_SEEDS,
-    KS_99_COEFFICIENT,
-    CheckResult,
-    KsReport,
-    VerificationReport,
-    VerifyConfig,
-    convolution_oracle_pdf,
-    ks_statistic,
-    sample_sum,
-    verify_all,
-)
+Each submodule, and each name of __all__, is imported on first access, so
+`import lindsum` runs none of them and a command loads only what it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -96,3 +53,24 @@ __all__ = [
     "verify_all",
     "__version__",
 ]
+
+# the submodules in dependency order: a name of __all__ is taken from the first
+# that defines or imports it, which is its home module, since a module
+# re-exports only names of the modules before it
+_SUBMODULES = ("numerics", "family", "sums", "reliability", "validation", "cli")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for sub in _SUBMODULES:
+            module = importlib.import_module(f"{__name__}.{sub}")
+            if name in vars(module):
+                value = globals()[name] = vars(module)[name]
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,26 +7,24 @@ on a quadrature cross-check that cannot converge.
 CSV output uses a header row, comma delimiter, '.' decimal separator, LF line
 endings, and 17 significant digits, so values round-trip exactly through float
 parsing; JSON writes non-finite values as null.
+
+Only what every command needs is imported at the top: a command imports
+reliability, validation or json inside its own function, by reading the name
+from the module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import astuple, fields
 
 from .family import DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError, np
-from .reliability import ExponentialStandby, StandbyModel, mttf_table
 from .sums import SumSpec
-from .validation import (
-    MOMENT_BOUND, CheckResult, VerifyConfig, quadrature_moment, sample_sum, verify_all,
-)
 
 __all__ = ["DEFAULT_SEED", "SEED_ENV_VAR", "build_parser", "main"]
 
@@ -49,6 +47,8 @@ def _emit_table(
     """Write a table of str or float cells as csv, json (non-finite floats as
     null), or aligned plain text."""
     if fmt == "json":
+        import json
+
         records = [
             {
                 col: cell if isinstance(cell, str) else float(cell) if math.isfinite(cell) else None
@@ -158,8 +158,10 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             ["kurtosis", 3.0 + k4 / (spec.n * k2**2)],
         ]
     columns = ["statistic", "value"]
-    worst = 0.0
     if args.verify:
+        from .validation import MOMENT_BOUND, quadrature_moment
+
+        worst = 0.0
         columns += ["quadrature", "rel_error"]
         for m, row in enumerate(rows[: args.m_max], start=1):
             numeric = quadrature_moment(spec, m)
@@ -168,7 +170,7 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for row in rows[args.m_max :]:  # the central rows have no quadrature check
             row += [math.nan, math.nan]
     _emit_table(columns, rows, args.format)
-    if worst > MOMENT_BOUND:
+    if args.verify and worst > MOMENT_BOUND:
         print(
             f"moment verification failed: worst relative error {worst:.3g} "
             f"exceeds {MOMENT_BOUND:.0e}",
@@ -179,6 +181,8 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .reliability import ExponentialStandby, StandbyModel
+
     grid = _grid(args, parser, args.t, 0.0, args.t_max)
     routes = [StandbyModel(DistSpec(args.dist, args.theta), args.n).reliability]
     columns = ["t", f"R_{args.dist.name.lower()}"]
@@ -191,6 +195,8 @@ def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .reliability import StandbyModel, mttf_table
+
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
     columns += [f"mttf_{m.name.lower()}" for m in args.dist]
     rows = [
@@ -202,15 +208,23 @@ def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .validation import sample_sum
+
     draws = sample_sum(_sum_spec(args), np.random.default_rng(args.seed), args.count)
     sys.stdout.write("".join(f"{v:.17g}\n" for v in draws.tolist()))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from dataclasses import astuple, fields
+
+    from .validation import CheckResult, VerifyConfig, verify_all
+
     members = tuple(m.name for m in args.member) if args.member else None
     only = tuple(args.only.split(",")) if args.only else None
-    report = verify_all(VerifyConfig(members=members, only=only, sample_count=args.samples))
+    # --samples defaults to VerifyConfig's own count
+    samples = {} if args.samples is None else {"sample_count": args.samples}
+    report = verify_all(VerifyConfig(members=members, only=only, **samples))
     if not report.results:
         parser.error(f"--only {args.only!r} matched no checks")
     if args.format == "plain":
@@ -243,6 +257,18 @@ def _add_spec_flags(sub: argparse.ArgumentParser, dist: str | None = None, n: in
     )
     sub.add_argument("--theta", type=_POSITIVE, required=True, help="rate parameter, > 0")
     sub.add_argument("--n", type=_COUNT, default=n, help=f"number of summands (default {n})")
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """Names --samples' default, VerifyConfig.sample_count, only when verify's
+    help is printed, so that building the parser imports no validation."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "samples":
+            return action.help
+        from .validation import VerifyConfig
+
+        return f"{action.help} (default {VerifyConfig.sample_count:g})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample.set_defaults(func=cmd_sample)
 
-    verify = subparsers.add_parser("verify", help="run the cross-check suite")
+    verify = subparsers.add_parser(
+        "verify", help="run the cross-check suite", formatter_class=_VerifyHelp
+    )
     verify.add_argument(
         "--only", default=None,
         help="comma-separated check-id prefixes, e.g. mttf-reference,reductions"
@@ -344,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated member names to restrict member checks",
     )
     verify.add_argument(
-        "--samples", type=_COUNT, default=VerifyConfig.sample_count,
-        help=f"Monte Carlo sample count (default {VerifyConfig.sample_count:g})",
+        "--samples", type=_COUNT, default=None, help="Monte Carlo sample count"
     )
     _add_format(verify, default="plain")
     verify.set_defaults(func=cmd_verify)

@@ -16,8 +16,9 @@ j, on the powers j.  One plan, _Series, built with the mixture's rate, serves
 both, with one evaluator for a scalar and one for arrays, in log space.
 Every density and tail in the package, the Lindley double series included,
 is routed by one frame, _pointwise: where 0 < x < _finite_below(rate) it
-takes a Python int or float to the scalar evaluator, without numpy, and any
-other input to the array series; x < 0, x == 0, x at or past that bound, and
+takes a Python int or float to the scalar evaluator, without numpy (which,
+on a plan of more than _FEW_TERMS terms, takes the array series itself), and
+any other input to the array series; x < 0, x == 0, x at or past that bound, and
 NaN get their edge values (a Python scalar without numpy).  The parameter
 checks check_positive and check_count live here too, so that ErlangMixture
 can use them (family, which re-exports them, imports this module).
@@ -129,7 +130,7 @@ _NARROWEST = 1e3 * math.ulp(1.0)
 # ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
 # coefficients span at most a factor _SPREAD_RATIO; an array of at most
 # _FEW_TERMS (term, point) pairs takes the scalar evaluator at each point,
-# larger ones the array evaluator, in chunks of points whose working buffer
+# larger ones the array evaluator, as does a scalar on a larger plan, in chunks of points whose working buffer
 # stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark grid
 # among 16 to 128 steps and 1 to 4 MB).
 _FEW_TERMS = 2048
@@ -195,11 +196,17 @@ def _pointwise(x: float | np.ndarray, bound: float, scalar: Callable[[float], fl
         out = series(flat)
     else:
         inside = (flat > 0.0) & (flat < bound)
-        out = np.empty_like(flat)
-        if inside.any():
-            out[inside] = series(flat[inside])
-        # the edges are filled on the few points outside, where NaN fails all three tests
-        rest = ~inside
+        rest = np.flatnonzero(~inside)
+        if 0 < 2 * rest.size <= flat.size:
+            # a few edge points, such as x = 0 on a grid: the series runs on
+            # every point, those at the edges moved onto the first inside one,
+            # and only the edge positions are patched below
+            out = series(np.where(inside, flat, flat[inside.argmax()]))
+        else:  # mostly edges (or no points): the series runs on the inside ones alone
+            out = np.empty_like(flat)
+            if rest.size < flat.size:
+                out[inside] = series(flat[inside])
+        # NaN fails all three tests
         edge = flat[rest]
         below, zero, far = edges
         out[rest] = np.where(
@@ -235,7 +242,9 @@ class _Series:
     _pointwise's series range ends.  at and log_series are its evaluators for a
     scalar and for arrays (on a numpy view built at the first array call);
     value and values give e^series, at most e^cap (1 for a tail), and
-    log_values the series, both through at on few (term, point) pairs.
+    log_values the series, both through at on few (term, point) pairs.  On
+    more than _FEW_TERMS terms at and value take the array series at x, as a
+    0-d array does, bit for bit.
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -291,8 +300,18 @@ class _Series:
                 side.append((r, 1.0 / max(r, 1), constant, row))
             i = end
 
+    @cached_property
+    def _few(self) -> bool:
+        # whether value and at run in Python floats: on at most _FEW_TERMS
+        # terms, as a 0-d array does in values; past that their loop over the
+        # terms costs more than the array series.  Decided once per plan, at
+        # its first scalar call
+        return self.terms <= _FEW_TERMS
+
     def value(self, x: float) -> float:
         """e^series at one x > 0, at most e^cap."""
+        if not self._few:
+            return float(self.values(np.array([x], dtype=float))[0])
         return math.exp(min(self.at(x), self.cap))
 
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -312,7 +331,9 @@ class _Series:
 
     def at(self, x: float) -> float:
         """The series at one x > 0 in Python floats: Horner's rule per block,
-        then a log-sum-exp across the blocks."""
+        then a log-sum-exp across the blocks (log_series on large plans)."""
+        if not self._few:
+            return float(self.log_series(np.array([x], dtype=float))[0])
         x = float(x)
         y = self.rate * x
         high = y > 1.0
@@ -361,18 +382,22 @@ class _Series:
         for start in range(0, points.size, size):
             x = points[start:start + size]
             y = x * self.rate
+            # one test per chunk for a subnormal y, which only the low side holds
+            tiny = bool(np.minimum.reduce(y) < _DOUBLE_MIN)
             above = y > 1.0
-            major = bool(2 * np.count_nonzero(above) >= y.size)
-            others = np.flatnonzero(above != major)
-            if others.size:
+            count = np.count_nonzero(above)
+            major = bool(2 * count >= y.size)
+            split = 0 < count < y.size
+            if split:
+                others = np.flatnonzero(~above if major else above)
                 y_others, y[others] = y[others], 1.0
             part = out[start:start + size]
-            self._log_side(x, y, major, part)
-            if others.size:
-                part[others] = self._log_side(x[others], y_others, not major)
+            self._log_side(x, y, major, tiny, part)
+            if split:
+                part[others] = self._log_side(x[others], y_others, not major, tiny)
         return out
 
-    def _log_side(self, x: np.ndarray, y: np.ndarray, high: bool,
+    def _log_side(self, x: np.ndarray, y: np.ndarray, high: bool, tiny: bool,
                   out: np.ndarray | None = None) -> np.ndarray:
         r, inverse, constant, ln_r, sums = self._arrays[high]
         rows, width = sums.shape
@@ -381,10 +406,9 @@ class _Series:
         work = np.empty((2 * rows + width, x.size))
         offsets, scratch, powers = work[:rows], work[rows:2 * rows], work[2 * rows:]
         u = np.multiply(inverse, y, out=offsets)
-        tiny = y < _DOUBLE_MIN
-        if tiny.any():  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
+        if tiny and not high:  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
             np.log(np.maximum(u, _DOUBLE_MIN, out=u), out=scratch)
-            np.copyto(scratch, np.log(x) + math.log(self.rate) - ln_r, where=tiny)
+            np.copyto(scratch, np.log(x) + math.log(self.rate) - ln_r, where=y < _DOUBLE_MIN)
         else:
             np.log(u, out=scratch)
         u -= 1.0

@@ -502,7 +502,7 @@ class TestTopLevel:
                 QuadratureResult(math.inf, math.inf, 21),
             )
 
-        monkeypatch.setattr(cli, "quadrature_moment", unconverged)
+        monkeypatch.setattr(lindsum.validation, "quadrature_moment", unconverged)
         argv = ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--verify"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
@@ -605,6 +605,29 @@ class TestImportCost:
     )
     def test_route_loads_numpy(self, argv):
         assert self._run(self._cli(argv), "numpy._core") == "True"
+
+    @pytest.mark.parametrize(
+        "code, unloaded",
+        [
+            ("import lindsum", ("numerics", "family", "sums", "reliability", "validation", "cli")),
+            (_cli(MTTF_ARGV), ("validation",)),
+            (_cli(["reliability", "--theta", "0.7", "--compare-exponential"]), ("validation",)),
+            (_cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3"]), ("reliability", "validation")),
+            (_cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
+             ("reliability", "validation")),
+        ],
+        ids=["import", "mttf", "reliability", "pdf", "moments-central"],
+    )
+    def test_route_leaves_submodules_unloaded(self, code, unloaded):
+        # lindsum imports each submodule on first use, and the CLI imports
+        # reliability and validation only in the commands that use them
+        check = (
+            f"{code}\n"
+            "import sys\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('lindsum.'))\n"
+            f"assert not {{'lindsum.' + m for m in {unloaded!r}}}.intersection(loaded), loaded\n"
+        )
+        self._run(check)
 
     def test_numpy_imported_first_is_reused(self):
         code = (
