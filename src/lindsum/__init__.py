@@ -2,8 +2,10 @@
 1-out-of-n cold-standby reliability they induce, with built-in cross-checks
 against quadrature and Monte Carlo.
 
-Each submodule, and each name of __all__, is imported on first access, so
-`import lindsum` runs none of them and a command loads only what it uses.
+The core, numerics, family and sums, which every command and every
+distribution uses, is imported with the package; reliability, validation and
+cli, and the names of __all__ they hold, on first access, so a command loads
+only what it uses.
 """
 
 import importlib
@@ -58,6 +60,8 @@ __all__ = [
 # that defines or imports it, which is its home module, since a module
 # re-exports only names of the modules before it
 _SUBMODULES = ("numerics", "family", "sums", "reliability", "validation", "cli")
+for _core in _SUBMODULES[:3]:
+    importlib.import_module(f"{__name__}.{_core}")
 
 
 def __getattr__(name: str):

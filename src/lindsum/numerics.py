@@ -196,17 +196,11 @@ def _pointwise(x: float | np.ndarray, bound: float, scalar: Callable[[float], fl
         out = series(flat)
     else:
         inside = (flat > 0.0) & (flat < bound)
-        rest = np.flatnonzero(~inside)
-        if 0 < 2 * rest.size <= flat.size:
-            # a few edge points, such as x = 0 on a grid: the series runs on
-            # every point, those at the edges moved onto the first inside one,
-            # and only the edge positions are patched below
-            out = series(np.where(inside, flat, flat[inside.argmax()]))
-        else:  # mostly edges (or no points): the series runs on the inside ones alone
-            out = np.empty_like(flat)
-            if rest.size < flat.size:
-                out[inside] = series(flat[inside])
-        # NaN fails all three tests
+        out = np.empty_like(flat)
+        if inside.any():
+            out[inside] = series(flat[inside])
+        # the edges are filled on the few points outside, where NaN fails all three tests
+        rest = ~inside
         edge = flat[rest]
         below, zero, far = edges
         out[rest] = np.where(
