@@ -58,7 +58,8 @@ __all__ = [
 
 # the submodules in dependency order: a name of __all__ is taken from the first
 # that defines or imports it, which is its home module, since a module
-# re-exports only names of the modules before it
+# re-exports only names of the modules before it.  The first three, the core,
+# are imported with the package.
 _SUBMODULES = ("numerics", "family", "sums", "reliability", "validation", "cli")
 for _core in _SUBMODULES[:3]:
     importlib.import_module(f"{__name__}.{_core}")

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import astuple, fields
 
 from .family import DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError, np
@@ -216,8 +217,6 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from dataclasses import astuple, fields
-
     from .validation import CheckResult, VerifyConfig, verify_all
 
     members = tuple(m.name for m in args.member) if args.member else None

@@ -18,8 +18,8 @@ Every density and tail in the package, the Lindley double series included,
 is routed by one frame, _pointwise: where 0 < x < _finite_below(rate) it
 takes a Python int or float to the scalar evaluator, without numpy (which,
 on a plan of more than _FEW_TERMS terms, takes the array series itself), and
-any other input to the array series; x < 0, x == 0, x at or past that bound, and
-NaN get their edge values (a Python scalar without numpy).  The parameter
+any other input to the array series; x < 0, x == 0, x at or past that bound,
+and NaN get their edge values (a Python scalar without numpy).  The parameter
 checks check_positive and check_count live here too, so that ErlangMixture
 can use them (family, which re-exports them, imports this module).
 
@@ -130,9 +130,9 @@ _NARROWEST = 1e3 * math.ulp(1.0)
 # ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
 # coefficients span at most a factor _SPREAD_RATIO; an array of at most
 # _FEW_TERMS (term, point) pairs takes the scalar evaluator at each point,
-# larger ones the array evaluator, as does a scalar on a larger plan, in chunks of points whose working buffer
-# stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark grid
-# among 16 to 128 steps and 1 to 4 MB).
+# larger ones the array evaluator, as does a scalar on a larger plan, in chunks
+# of points whose working buffer stays within _CHUNK_BYTES (32 steps and 4 MB
+# ran fastest on the benchmark grid among 16 to 128 steps and 1 to 4 MB).
 _FEW_TERMS = 2048
 _BLOCK = 32
 _SPREAD_RATIO = math.exp(600.0)
