@@ -236,9 +236,9 @@ class _Series:
     _pointwise's series range ends.  at and log_series are its evaluators for a
     scalar and for arrays (on a numpy view built at the first array call);
     value and values give e^series, at most e^cap (1 for a tail), and
-    log_values the series, both through at on few (term, point) pairs.  On
-    more than _FEW_TERMS terms at and value take the array series at x, as a
-    0-d array does, bit for bit.
+    log_value and log_values the series, all through at on few (term, point)
+    pairs.  On more than _FEW_TERMS terms value and log_value take the array
+    series at x, as a 0-d array does, bit for bit.
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -294,19 +294,20 @@ class _Series:
                 side.append((r, 1.0 / max(r, 1), constant, row))
             i = end
 
-    @cached_property
-    def _few(self) -> bool:
-        # whether value and at run in Python floats: on at most _FEW_TERMS
-        # terms, as a 0-d array does in values; past that their loop over the
-        # terms costs more than the array series.  Decided once per plan, at
-        # its first scalar call
-        return self.terms <= _FEW_TERMS
-
     def value(self, x: float) -> float:
         """e^series at one x > 0, at most e^cap."""
-        if not self._few:
-            return float(self.values(np.array([x], dtype=float))[0])
-        return math.exp(min(self.at(x), self.cap))
+        # in Python floats on few terms, as a 0-d array in values; past that
+        # at's loop costs more than the array series (the int test costs less
+        # per call than reading a flag cached on the plan)
+        if self.terms <= _FEW_TERMS:
+            return math.exp(min(self.at(x), self.cap))
+        return float(self.values(np.array([x], dtype=float))[0])
+
+    def log_value(self, x: float) -> float:
+        """The series at one x > 0."""
+        if self.terms <= _FEW_TERMS:
+            return self.at(x)
+        return float(self.log_series(np.array([x], dtype=float))[0])
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """e^series at a flat array of points, at most e^cap: value's, bit for
@@ -325,9 +326,7 @@ class _Series:
 
     def at(self, x: float) -> float:
         """The series at one x > 0 in Python floats: Horner's rule per block,
-        then a log-sum-exp across the blocks (log_series on large plans)."""
-        if not self._few:
-            return float(self.log_series(np.array([x], dtype=float))[0])
+        then a log-sum-exp across the blocks."""
         x = float(x)
         y = self.rate * x
         high = y > 1.0
@@ -543,7 +542,7 @@ class ErlangMixture:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
         plan, _, edges = self._density_plan
-        return _pointwise(x, plan.bound, plan.at, plan.log_values, edges)
+        return _pointwise(x, plan.bound, plan.log_value, plan.log_values, edges)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
