@@ -258,18 +258,6 @@ def _add_spec_flags(sub: argparse.ArgumentParser, dist: str | None = None, n: in
     sub.add_argument("--n", type=_COUNT, default=n, help=f"number of summands (default {n})")
 
 
-class _VerifyHelp(argparse.HelpFormatter):
-    """Names --samples' default, VerifyConfig.sample_count, only when verify's
-    help is printed, so that building the parser imports no validation."""
-
-    def _get_help_string(self, action: argparse.Action) -> str | None:
-        if action.dest != "samples":
-            return action.help
-        from .validation import VerifyConfig
-
-        return f"{action.help} (default {VerifyConfig.sample_count:g})"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindsum",
@@ -357,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample.set_defaults(func=cmd_sample)
 
-    verify = subparsers.add_parser(
-        "verify", help="run the cross-check suite", formatter_class=_VerifyHelp
-    )
+    verify = subparsers.add_parser("verify", help="run the cross-check suite")
     verify.add_argument(
         "--only", default=None,
         help="comma-separated check-id prefixes, e.g. mttf-reference,reductions"
@@ -371,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated member names to restrict member checks",
     )
     verify.add_argument(
-        "--samples", type=_COUNT, default=None, help="Monte Carlo sample count"
+        "--samples", type=_COUNT, default=None,
+        help="Monte Carlo sample count (default: VerifyConfig.sample_count)",
     )
     _add_format(verify, default="plain")
     verify.set_defaults(func=cmd_verify)

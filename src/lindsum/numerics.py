@@ -16,10 +16,9 @@ j, on the powers j.  One plan, _Series, built with the mixture's rate, serves
 both, with one evaluator for a scalar and one for arrays, in log space.
 Every density and tail in the package, the Lindley double series included,
 is routed by one frame, _pointwise: where 0 < x < _finite_below(rate) it
-takes a Python int or float to the scalar evaluator, without numpy (which,
-on a plan of more than _FEW_TERMS terms, takes the array series itself), and
-any other input to the array series; x < 0, x == 0, x at or past that bound,
-and NaN get their edge values (a Python scalar without numpy).  The parameter
+takes a Python int or float to the scalar evaluator, without numpy, and any
+other input to the array series; x < 0, x == 0, x at or past that bound, and
+NaN get their edge values (a Python scalar without numpy).  The parameter
 checks check_positive and check_count live here too, so that ErlangMixture
 can use them (family, which re-exports them, imports this module).
 
@@ -130,9 +129,9 @@ _NARROWEST = 1e3 * math.ulp(1.0)
 # ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
 # coefficients span at most a factor _SPREAD_RATIO; an array of at most
 # _FEW_TERMS (term, point) pairs takes the scalar evaluator at each point,
-# larger ones the array evaluator, as does a scalar on a larger plan, in chunks
-# of points whose working buffer stays within _CHUNK_BYTES (32 steps and 4 MB
-# ran fastest on the benchmark grid among 16 to 128 steps and 1 to 4 MB).
+# larger ones the array evaluator, in chunks of points whose working buffer
+# stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark grid
+# among 16 to 128 steps and 1 to 4 MB).
 _FEW_TERMS = 2048
 _BLOCK = 32
 _SPREAD_RATIO = math.exp(600.0)
@@ -236,9 +235,7 @@ class _Series:
     _pointwise's series range ends.  at and log_series are its evaluators for a
     scalar and for arrays (on a numpy view built at the first array call);
     value and values give e^series, at most e^cap (1 for a tail), and
-    log_value and log_values the series, all through at on few (term, point)
-    pairs.  On more than _FEW_TERMS terms value and log_value take the array
-    series at x, as a 0-d array does, bit for bit.
+    log_values the series, both through at on few (term, point) pairs.
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -296,18 +293,7 @@ class _Series:
 
     def value(self, x: float) -> float:
         """e^series at one x > 0, at most e^cap."""
-        # in Python floats on few terms, as a 0-d array in values; past that
-        # at's loop costs more than the array series (the int test costs less
-        # per call than reading a flag cached on the plan)
-        if self.terms <= _FEW_TERMS:
-            return math.exp(min(self.at(x), self.cap))
-        return float(self.values(np.array([x], dtype=float))[0])
-
-    def log_value(self, x: float) -> float:
-        """The series at one x > 0."""
-        if self.terms <= _FEW_TERMS:
-            return self.at(x)
-        return float(self.log_series(np.array([x], dtype=float))[0])
+        return math.exp(min(self.at(x), self.cap))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """e^series at a flat array of points, at most e^cap: value's, bit for
@@ -375,22 +361,18 @@ class _Series:
         for start in range(0, points.size, size):
             x = points[start:start + size]
             y = x * self.rate
-            # one test per chunk for a subnormal y, which only the low side holds
-            tiny = bool(np.minimum.reduce(y) < _DOUBLE_MIN)
             above = y > 1.0
-            count = np.count_nonzero(above)
-            major = bool(2 * count >= y.size)
-            split = 0 < count < y.size
-            if split:
-                others = np.flatnonzero(~above if major else above)
+            major = bool(2 * np.count_nonzero(above) >= y.size)
+            others = np.flatnonzero(above != major)
+            if others.size:
                 y_others, y[others] = y[others], 1.0
             part = out[start:start + size]
-            self._log_side(x, y, major, tiny, part)
-            if split:
-                part[others] = self._log_side(x[others], y_others, not major, tiny)
+            self._log_side(x, y, major, part)
+            if others.size:
+                part[others] = self._log_side(x[others], y_others, not major)
         return out
 
-    def _log_side(self, x: np.ndarray, y: np.ndarray, high: bool, tiny: bool,
+    def _log_side(self, x: np.ndarray, y: np.ndarray, high: bool,
                   out: np.ndarray | None = None) -> np.ndarray:
         r, inverse, constant, ln_r, sums = self._arrays[high]
         rows, width = sums.shape
@@ -399,9 +381,10 @@ class _Series:
         work = np.empty((2 * rows + width, x.size))
         offsets, scratch, powers = work[:rows], work[rows:2 * rows], work[2 * rows:]
         u = np.multiply(inverse, y, out=offsets)
-        if tiny and not high:  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
+        tiny = y < _DOUBLE_MIN
+        if tiny.any():  # where y is subnormal or 0, ln u = ln rate + ln x - ln r
             np.log(np.maximum(u, _DOUBLE_MIN, out=u), out=scratch)
-            np.copyto(scratch, np.log(x) + math.log(self.rate) - ln_r, where=y < _DOUBLE_MIN)
+            np.copyto(scratch, np.log(x) + math.log(self.rate) - ln_r, where=tiny)
         else:
             np.log(u, out=scratch)
         u -= 1.0
@@ -542,7 +525,7 @@ class ErlangMixture:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
         plan, _, edges = self._density_plan
-        return _pointwise(x, plan.bound, plan.log_value, plan.log_values, edges)
+        return _pointwise(x, plan.bound, plan.at, plan.log_values, edges)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,

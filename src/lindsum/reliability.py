@@ -99,18 +99,11 @@ def lindley_mttf(theta: float, n: int) -> float:
 def exponential_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail
     of ExponentialStandby; requires t >= 0."""
-    # checked before the cache, where n=True would hit the entry for n=1
-    system = _exponential_system(check_theta(theta), check_n(n))
+    system = ExponentialStandby(theta, n)
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return system.reliability(t)
-
-
-@lru_cache(maxsize=16)
-def _exponential_system(theta: float, n: int) -> ExponentialStandby:
-    """One system per (theta, n), which keeps its mixture's survival plan."""
-    return ExponentialStandby(theta, n)
 
 
 def exponential_mttf(theta: float, n: int) -> float:

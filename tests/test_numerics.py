@@ -122,15 +122,6 @@ class TestErlangTail:
         assert 0.0 <= value <= 1.0
         assert exponential_reliability(1.0, 2, 1e6) == 0.0
 
-    def test_cached_system_still_checks_its_arguments(self):
-        # the system is cached per (theta, n): the entry for n = 1 must not
-        # answer n=True, which hashes and compares equal to 1
-        assert exponential_reliability(1.0, 1, 1.0) == exponential_reliability(1.0, 1, 1.0)
-        with pytest.raises(TypeError, match="n must be an integer"):
-            exponential_reliability(1.0, True, 1.0)
-        with pytest.raises(ValueError, match="theta"):
-            exponential_reliability(math.nan, 1, 1.0)
-
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             exponential_reliability(1.0, 0, 1.0)
@@ -362,9 +353,6 @@ def test_mixture_tables_are_cached_on_the_instance():
 
 
 _LINDLEY_2 = DistSpec(LINDLEY, 2.0)
-# 2653 density and 8826 survival terms, past _FEW_TERMS: a Python float takes
-# the array series there, as a 0-d array does
-_LARGE_PLAN = DistSpec(LINDLEY, 1.0).sum_mixture(5000)
 
 
 @pytest.mark.parametrize(
@@ -384,12 +372,8 @@ _LARGE_PLAN = DistSpec(LINDLEY, 1.0).sum_mixture(5000)
         _LINDLEY_2.sum_mixture(3).survival,
         _LINDLEY_2.sum_mixture(3).cdf,
         _LINDLEY_2.pdf,
-        _LARGE_PLAN.pdf,
-        _LARGE_PLAN.log_pdf,
-        _LARGE_PLAN.survival,
     ],
-    ids=["pdf-n1", "pdf-n3", "log_pdf-n1", "log_pdf-n3", "survival", "cdf", "DistSpec.pdf",
-         "pdf-n5000", "log_pdf-n5000", "survival-n5000"],
+    ids=["pdf-n1", "pdf-n3", "log_pdf-n1", "log_pdf-n3", "survival", "cdf", "DistSpec.pdf"],
 )
 def test_scalar_edges_match_the_0d_array(route, x):
     # _pointwise gives a Python int or float (np.float64 included) its edge
