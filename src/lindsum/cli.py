@@ -23,7 +23,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import astuple, fields
 
-from .family import DistSpec, check_count, check_positive, member_by_name
+from .family import LINDLEY, DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError, np
 from .sums import SumSpec
 
@@ -97,6 +97,12 @@ def _at_least(low: float):
     return check
 
 
+def _nonempty(value: str) -> str:
+    if value:
+        return value
+    raise ValueError(value)
+
+
 def _count(low: int):
     return _arg_type(int, lambda v: check_count(v, "value", low), f"an integer >= {low}")
 
@@ -109,6 +115,7 @@ _POSITIVE = _arg_type(float, lambda v: check_positive(v, "value"), "a positive f
 _MEMBER = _arg_type(str, member_by_name, "a family member name")
 _FINITE = _arg_type(float, _at_least(-math.inf), "a finite number")
 _NONNEGATIVE = _arg_type(float, _at_least(0.0), "a finite number >= 0")
+_PREFIX = _arg_type(str, _nonempty, "a nonempty check-id prefix")
 _COUNT, _DECIMALS, _POINTS = _count(1), _count(0), _count(2)
 
 
@@ -198,10 +205,12 @@ def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .reliability import StandbyModel, mttf_table
 
+    # each member once; Lindley is always a column
+    extra = [m for m in dict.fromkeys(args.dist) if m is not LINDLEY]
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
-    columns += [f"mttf_{m.name.lower()}" for m in args.dist]
+    columns += [f"mttf_{m.name.lower()}" for m in extra]
     rows = [
-        [*row, *(StandbyModel(DistSpec(m, row.theta), args.n).mttf() for m in args.dist)]
+        [*row, *(StandbyModel(DistSpec(m, row.theta), args.n).mttf() for m in extra)]
         for row in mttf_table(args.theta, args.n)
     ]
     _emit_table(columns, rows, args.format, decimals=args.decimals)
@@ -220,12 +229,12 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from .validation import CheckResult, VerifyConfig, verify_all
 
     members = tuple(m.name for m in args.member) if args.member else None
-    only = tuple(args.only.split(",")) if args.only else None
+    only = tuple(args.only) if args.only else None
     # --samples defaults to VerifyConfig's own count
     samples = {} if args.samples is None else {"sample_count": args.samples}
     report = verify_all(VerifyConfig(members=members, only=only, **samples))
     if not report.results:
-        parser.error(f"--only {args.only!r} matched no checks")
+        parser.error(f"--only {','.join(args.only)!r} matched no checks")
     if args.format == "plain":
         for line in report.to_lines():
             print(line)
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="run the cross-check suite")
     verify.add_argument(
-        "--only", default=None,
+        "--only", type=_comma_list(_PREFIX), default=None,
         help="comma-separated check-id prefixes, e.g. mttf-reference,reductions"
     )
     verify.add_argument(

@@ -7,10 +7,12 @@ simulation with a Kolmogorov-Smirnov distance for whole distributions.  The
 two routes are never collapsed; a disagreement fails the check rather than
 being patched over.
 
-verify_all() runs the registry, the one list of checks, and reports one
-record per check with the measured value, its bound, and the check's wall
-time.  Quadrature non-convergence is reported as an "error" status instead of
-being silently swallowed.
+verify_all() runs the registry, the one list of checks: rows of (check id,
+measure, bound), where each measure returns only the value it measured and
+the row states the bound.  It reports one record per check with the
+measured value, its bound, and the check's wall time.  Quadrature
+non-convergence is reported as an "error" status instead of being silently
+swallowed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, _divide_draws, check_count,
@@ -111,7 +113,7 @@ def ks_statistic(
 
     The distance is max over order statistics x_(i) of
     max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N), exactly; the default threshold
-    is the 99% Kolmogorov band 1.63/sqrt(N).
+    is the 99% Kolmogorov band _ks_band(N) = 1.63/sqrt(N).
 
     The cdf is evaluated only where the distance can be attained.  A
     nondecreasing F bounds every deviation in a run of sorted points lo..hi
@@ -154,8 +156,13 @@ def ks_statistic(
     _check_nondecreasing(x, index, f)
     distance = float(_ks_deviation(index, f, count))
     if threshold is None:
-        threshold = KS_99_COEFFICIENT / math.sqrt(count)
+        threshold = _ks_band(count)
     return KsReport(count, distance, float(threshold), distance <= threshold)
+
+
+def _ks_band(count: int) -> float:
+    """The 99% Kolmogorov band of a count-point sample."""
+    return KS_99_COEFFICIENT / math.sqrt(count)
 
 
 def _cdf_at(
@@ -344,13 +351,12 @@ def _relative_error(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
-def _check_mttf_reference(model: str) -> tuple[float, float]:
+def _check_mttf_reference(model: str) -> float:
     mttf, expected = _MTTF_REFERENCE[model]
-    worst = max(abs(mttf(theta, _STANDBY_N) - e) for theta, e in zip(_STANDBY_THETAS, expected))
-    return worst, 0.005
+    return max(abs(mttf(theta, _STANDBY_N) - e) for theta, e in zip(_STANDBY_THETAS, expected))
 
 
-def _check_dominance() -> tuple[float, float]:
+def _check_dominance() -> float:
     """Worst gap R_exponential - R_lindley on the grid, for the Lindley double
     series and for the StandbyModel route of the CLI and reliability_curve."""
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
@@ -360,20 +366,20 @@ def _check_dominance() -> tuple[float, float]:
         model = StandbyModel(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid)
         for lindley in (lindley_reliability(theta, _STANDBY_N, grid), model):
             worst = max(worst, float(np.max(exponential - lindley)))
-    return worst, 0.0
+    return worst
 
 
-def _check_dual_tail() -> tuple[float, float]:
+def _check_dual_tail() -> float:
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
     worst = 0.0
     for theta in _STANDBY_THETAS:
         mixture_tail = SumSpec(DistSpec(LINDLEY, theta), _STANDBY_N).survival(grid)
         series = lindley_reliability(theta, _STANDBY_N, grid)
         worst = max(worst, float(np.max(np.abs(series - mixture_tail))))
-    return worst, 1e-10
+    return worst
 
 
-def _check_dual_mttf() -> tuple[float, float]:
+def _check_dual_mttf() -> float:
     worst = 0.0
     for theta in _STANDBY_THETAS:
         for n in range(1, 6):
@@ -382,22 +388,21 @@ def _check_dual_mttf() -> tuple[float, float]:
                 partial(lindley_reliability, theta, n), 0.0, math.inf, scale=closed
             ).value
             worst = max(worst, abs(numeric - closed) / closed)
-    return worst, 1e-6
+    return worst
 
 
 def _worst_over_specs(
     members: Sequence[FamilyMember],
     ns: Sequence[int],
     measure: Callable[[SumSpec], float],
-    bound: float,
-) -> tuple[float, float]:
+) -> float:
     """Worst measure(spec) over the sums of every member, theta in _THETAS and n in ns."""
     return max(
         measure(SumSpec(DistSpec(member, theta), n))
         for member in members
         for theta in _THETAS
         for n in ns
-    ), bound
+    )
 
 
 def _convolution_error(spec: SumSpec) -> float:
@@ -436,50 +441,30 @@ def _weight_sum_error(spec: SumSpec) -> float:
     return abs(math.fsum(spec.mixture().weights) - 1.0)
 
 
-# (member name, n) -> {"ks": (worst KS distance, band), "mc-moments": (worst
-# moment |z|, bound)} over the seeds
-_MonteCarloMemo = dict[tuple[str, int], dict[str, tuple[float, float]]]
-
 # Rate of the Monte Carlo cases.  At theta = 1, Shanker and Ishita (alpha =
 # theta) coincide with Lindley and Akash (alpha = 1) and would repeat their draws.
 _MC_THETA = 2.0
 
 
-def _monte_carlo(
-    member: FamilyMember, n: int, cfg: VerifyConfig, memo: _MonteCarloMemo, kind: str
-) -> tuple[float, float]:
-    """The "ks" or "mc-moments" record of (member, n): the worst KS distance, or
-    the worst first/second-moment |z|, over the seeds, with its bound.
-
-    Each seed's sample is drawn once and serves both statistics.  memo belongs
-    to one verify_all call and holds only the two records per (member, n), so
-    the ks/* and mc-moments/* checks share a draw without keeping it alive.
-    """
-    key = (member.name, n)
-    if key not in memo:
-        spec = SumSpec(DistSpec(member, _MC_THETA), n)
-        exact = {m: spec.moment(m) for m in range(1, 5)}
-        worst_ks = worst_z = band = 0.0
-        for seed in DEFAULT_SEEDS:
-            rng = np.random.default_rng(seed)
-            samples = sample_sum(spec, rng, cfg.sample_count)
-            # the second moment without a squared copy of the sample; einsum's sum,
-            # unlike a BLAS dot product, does not depend on the BLAS thread count
-            square_sum = float(np.einsum("i,i->", samples, samples))
-            means = (float(samples.mean()), square_sum / cfg.sample_count)
-            for m, mean in zip((1, 2), means):
-                se = math.sqrt((exact[2 * m] - exact[m] ** 2) / cfg.sample_count)
-                worst_z = max(worst_z, abs(mean - exact[m]) / se)
-            ks = ks_statistic(samples, spec.cdf)
-            worst_ks, band = max(worst_ks, ks.ks_distance), ks.threshold
-        memo[key] = {
-            "ks": (worst_ks, band),
-            "mc-moments": (worst_z, 4.0),
-        }
-    return memo[key][kind]
+def _monte_carlo(member: FamilyMember, n: int, count: int) -> tuple[float, float]:
+    """The worst KS distance and the worst first/second-moment |z| of (member, n)
+    over the seeds, from one count-point sample per seed that serves both."""
+    spec = SumSpec(DistSpec(member, _MC_THETA), n)
+    exact = {m: spec.moment(m) for m in range(1, 5)}
+    worst_ks = worst_z = 0.0
+    for seed in DEFAULT_SEEDS:
+        samples = sample_sum(spec, np.random.default_rng(seed), count)
+        # the second moment without a squared copy of the sample; einsum's sum,
+        # unlike a BLAS dot product, does not depend on the BLAS thread count
+        square_sum = float(np.einsum("i,i->", samples, samples))
+        for m, mean in zip((1, 2), (float(samples.mean()), square_sum / count)):
+            se = math.sqrt((exact[2 * m] - exact[m] ** 2) / count)
+            worst_z = max(worst_z, abs(mean - exact[m]) / se)
+        worst_ks = max(worst_ks, ks_statistic(samples, spec.cdf).ks_distance)
+    return worst_ks, worst_z
 
 
-def _check_stability() -> tuple[float, float]:
+def _check_stability() -> float:
     spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 50)
     grid = np.linspace(0.0, 500.0, 1001)[1:]
     densities = np.asarray(spec.pdf(grid), dtype=float)
@@ -488,23 +473,25 @@ def _check_stability() -> tuple[float, float]:
         raise ArithmeticError("non-finite density or survival value in the deep-sum regime")
     if np.any(densities < 0.0):
         raise ArithmeticError("negative density value in the deep-sum regime")
-    return _mass_error(spec), 1e-6
+    return _mass_error(spec)
 
 
-def _check_upper_tail(member: FamilyMember, n: int, t: float | None) -> tuple[float, float]:
+def _check_upper_tail(member: FamilyMember, n: int, t: float | None) -> float:
     """Survival against quadrature of the density over [t, inf)."""
     spec = SumSpec(DistSpec(member, 1.0), n)
     t = spec.mean() if t is None else t
     scale = math.sqrt(spec.variance())
     tail = integrate(spec.pdf, t, math.inf, tol=_TAIL_TOL, scale=scale).value
-    return _relative_error(spec.survival(t), tail), _TAIL_TOL
+    return _relative_error(spec.survival(t), tail)
 
 
-def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[float, float]]]]:
+def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], float], float]]:
+    """Every check as one (check id, measure, bound) row; a check passes when
+    measure() <= bound.  Repeated members give their checks once."""
     if cfg.members is None:
         members = MEMBERS
     else:
-        members = tuple(member_by_name(name) for name in cfg.members)
+        members = tuple(dict.fromkeys(member_by_name(name) for name in cfg.members))
 
     # (id prefix, n values, worst error of one sum, bound) of each per-member check
     per_member = (
@@ -513,45 +500,40 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], tuple[flo
         ("moments", _SUM_NS, _moment_error, MOMENT_BOUND),
         ("moment-forms", range(1, 6), _moment_form_error, 1e-10),
     )
-    # shared by the ks/* and mc-moments/* checks of this registry only
-    monte_carlo: _MonteCarloMemo = {}
-    registry: list[tuple[str, Callable[[], tuple[float, float]]]] = [
-        (f"mttf-reference/{model}", partial(_check_mttf_reference, model))
+    # one (member, n) draw per seed serves its ks/* and mc-moments/* checks; the
+    # cache holds only their two statistics, and only for this registry
+    monte_carlo = cache(_monte_carlo)
+    ks_band = _ks_band(cfg.sample_count)
+    registry: list[tuple[str, Callable[[], float], float]] = [
+        (f"mttf-reference/{model}", partial(_check_mttf_reference, model), 0.005)
         for model in _MTTF_REFERENCE
     ]
-    registry.append(("dominance", _check_dominance))
-    registry.append(("lindley-dual/tail", _check_dual_tail))
-    registry.append(("lindley-dual/mttf", _check_dual_mttf))
+    registry.append(("dominance", _check_dominance, 0.0))
+    registry.append(("lindley-dual/tail", _check_dual_tail, 1e-10))
+    registry.append(("lindley-dual/mttf", _check_dual_mttf, 1e-6))
     for member in members:
         lower = member.name.lower()
         for prefix, ns, measure, bound in per_member:
             registry.append(
-                (f"{prefix}/{lower}", partial(_worst_over_specs, (member,), ns, measure, bound))
+                (f"{prefix}/{lower}", partial(_worst_over_specs, (member,), ns, measure), bound)
             )
         for units in (2, 5):
-            for kind in ("ks", "mc-moments"):
-                registry.append(
-                    (f"{kind}/{lower}/n{units}",
-                     partial(_monte_carlo, member, units, cfg, monte_carlo, kind))
-                )
-    registry.append(("stability", _check_stability))
+            pair = partial(monte_carlo, member, units, cfg.sample_count)
+            registry.append((f"ks/{lower}/n{units}", lambda pair=pair: pair()[0], ks_band))
+            registry.append((f"mc-moments/{lower}/n{units}", lambda pair=pair: pair()[1], 4.0))
+    registry.append(("stability", _check_stability, 1e-6))
     for name, case in _UPPER_TAILS.items():
-        registry.append((f"tails/upper/{name}", partial(_check_upper_tail, *case)))
+        registry.append((f"tails/upper/{name}", partial(_check_upper_tail, *case), _TAIL_TOL))
     registry.append(
-        ("reductions/pdf", partial(_worst_over_specs, MEMBERS, (1,), _single_term_error, 1e-12))
+        ("reductions/pdf", partial(_worst_over_specs, MEMBERS, (1,), _single_term_error), 1e-12)
     )
     registry.append(
         ("reductions/weights",
-         partial(_worst_over_specs, MEMBERS, range(1, 21), _weight_sum_error, 1e-10))
+         partial(_worst_over_specs, MEMBERS, range(1, 21), _weight_sum_error), 1e-10)
     )
 
     if cfg.only is not None:
-        wanted = tuple(cfg.only)
-        registry = [
-            (check_id, fn)
-            for check_id, fn in registry
-            if any(check_id == w or check_id.startswith(w) for w in wanted)
-        ]
+        registry = [row for row in registry if row[0].startswith(tuple(cfg.only))]
     return registry
 
 
@@ -564,11 +546,11 @@ def verify_all(config: VerifyConfig | None = None) -> VerificationReport:
     """
     cfg = config or VerifyConfig()
     results = []
-    for check_id, fn in _build_registry(cfg):
+    for check_id, measure, bound in _build_registry(cfg):
         start = time.perf_counter()
         detail = ""
         try:
-            value, bound = fn()
+            value = measure()
             status = "pass" if value <= bound else "fail"
         except QuadratureError as exc:
             status, value, bound, detail = "error", exc.best.value, math.nan, str(exc)

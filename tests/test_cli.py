@@ -331,6 +331,21 @@ class TestMttfCommand:
         np.testing.assert_allclose(row[3], 2 * DistSpec(AKASH, 1.0).moment(1), rtol=1e-12)
         np.testing.assert_allclose(row[4], 2 * DistSpec(RANI, 1.0).moment(1), rtol=1e-12)
 
+    def test_repeated_members_give_one_column_each(self, capsys):
+        # Lindley is always a column, so naming it adds none; a repeat adds none
+        _, out, _ = run_cli(
+            capsys, ["mttf", "--theta", "0.3", "--dist", "lindley,akash,AKASH,lindley"]
+        )
+        assert out.splitlines()[0] == "theta,mttf_lindley,mttf_exponential,mttf_akash"
+
+    def test_json_keeps_the_closed_form_lindley_column(self, capsys):
+        _, out, _ = run_cli(
+            capsys, ["mttf", "--theta", "0.3", "--dist", "lindley,akash", "--format", "json"]
+        )
+        (record,) = json.loads(out)
+        assert list(record) == ["theta", "mttf_lindley", "mttf_exponential", "mttf_akash"]
+        assert record["mttf_lindley"] == lindley_mttf(0.3, 5)
+
     def test_theta_required(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["mttf", "--n", "5"])
         assert "--theta" in err
@@ -432,6 +447,26 @@ class TestVerifyCommand:
     def test_unmatched_only_exits_2(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["verify", "--only", "nonsense"])
         assert "--only" in err
+
+    @pytest.mark.parametrize("only", ["", "mttf,", ",reductions", "mttf,,reductions"])
+    def test_empty_only_item_exits_2(self, capsys, only):
+        # an empty prefix would match every check id
+        err = run_cli_expecting_usage_error(capsys, ["verify", "--only", only])
+        assert "argument --only" in err and "''" in err
+
+    def test_repeated_member_reports_each_check_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--only", "moment-forms,convolution", "--member", "lindley,LINDLEY,akash",
+             "--format", "csv"],
+        )
+        assert code == 0
+        assert [r["check_id"] for r in csv.DictReader(io.StringIO(out))] == [
+            "convolution/lindley",
+            "moment-forms/lindley",
+            "convolution/akash",
+            "moment-forms/akash",
+        ]
 
 
 class TestArgumentDomains:

@@ -340,6 +340,23 @@ class TestVerifyAll:
         assert len(report.results) == 2
         assert report.all_passed
 
+    def test_ks_band_follows_the_sample_count(self):
+        # the registry states the ks/* bound: the 99% band of the configured count
+        count = 20_000
+        report = verify_all(
+            VerifyConfig(members=("lindley", "ramawadh"), only=("ks",), sample_count=count)
+        )
+        band = ks_statistic(np.linspace(0.0, 1.0, count), lambda x: x).threshold
+        assert band == KS_99_COEFFICIENT / math.sqrt(count)
+        assert [r.bound for r in report.results] == [band] * 4
+        assert report.all_passed
+
+    def test_repeated_members_give_each_check_once(self):
+        report = verify_all(
+            VerifyConfig(members=("lindley", "LINDLEY", " Lindley"), only=("moment-forms",))
+        )
+        assert [r.check_id for r in report.results] == ["moment-forms/lindley"]
+
     def test_nan_cdf_reports_error(self, monkeypatch):
         # a cdf breakdown in the KS pass is an error record, not a NaN "fail"
         monkeypatch.setattr(SumSpec, "cdf", lambda self, x: np.full(np.shape(x), math.nan))
