@@ -277,16 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    pdf = subparsers.add_parser("pdf", help="density, cdf, and survival of an n-fold sum")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose func takes its own parser, for its usage errors."""
+        sub = subparsers.add_parser(name, help=help)
+        sub.set_defaults(func=lambda args: func(args, sub))
+        return sub
+
+    pdf = command("pdf", cmd_pdf, "density, cdf, and survival of an n-fold sum")
     _add_spec_flags(pdf)
     pdf.add_argument("--x", type=_FINITE, default=None, help="single evaluation point")
     pdf.add_argument("--x-min", type=_FINITE, default=0.0, help="grid start (default 0)")
     pdf.add_argument("--x-max", type=_FINITE, default=None, help="grid end (default 5*mean)")
     pdf.add_argument("--points", type=_POINTS, default=101, help="grid size (default 101)")
     _add_format(pdf)
-    pdf.set_defaults(func=cmd_pdf)
 
-    moments = subparsers.add_parser("moments", help="raw moments of an n-fold sum")
+    moments = command("moments", cmd_moments, "raw moments of an n-fold sum")
     _add_spec_flags(moments)
     moments.add_argument("--m-max", type=_COUNT, default=4, help="highest moment (default 4)")
     moments.add_argument(
@@ -300,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check each moment against quadrature; exit 1 on disagreement",
     )
     _add_format(moments)
-    moments.set_defaults(func=cmd_moments)
 
-    reliability = subparsers.add_parser(
-        "reliability", help="cold-standby reliability curve or point value"
+    reliability = command(
+        "reliability", cmd_reliability, "cold-standby reliability curve or point value"
     )
     _add_spec_flags(reliability, dist="lindley", n=5)
     reliability.add_argument("--t", type=_NONNEGATIVE, default=None, help="single time point")
@@ -317,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="add the exponential-component reliability column",
     )
     _add_format(reliability)
-    reliability.set_defaults(func=cmd_reliability)
 
-    mttf = subparsers.add_parser("mttf", help="MTTF comparison table")
+    mttf = command("mttf", cmd_mttf, "MTTF comparison table")
     mttf.add_argument(
         "--theta",
         type=_comma_list(_POSITIVE),
@@ -340,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed-decimal rendering for csv/plain output (e.g. 2)",
     )
     _add_format(mttf)
-    mttf.set_defaults(func=cmd_mttf)
 
-    sample = subparsers.add_parser("sample", help="reproducible draws of n-fold sums")
+    sample = command("sample", cmd_sample, "reproducible draws of n-fold sums")
     _add_spec_flags(sample)
     sample.add_argument("--count", type=_COUNT, required=True, help="number of draws")
     # argparse converts a str default with type= too: a bad LINDSUM_SEED is a usage error
@@ -352,9 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_arg_type(int, lambda v: check_count(v, "value", 0), f"an integer >= 0{from_env}"),
         help=f"RNG seed, >= 0 (default: ${SEED_ENV_VAR}, else {DEFAULT_SEED})",
     )
-    sample.set_defaults(func=cmd_sample)
 
-    verify = subparsers.add_parser("verify", help="run the cross-check suite")
+    verify = command("verify", cmd_verify, "run the cross-check suite")
     verify.add_argument(
         "--only", type=_comma_list(_PREFIX), default=None,
         help="comma-separated check-id prefixes, e.g. mttf-reference,reductions"
@@ -370,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo sample count (default: VerifyConfig.sample_count)",
     )
     _add_format(verify, default="plain")
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -379,7 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ArithmeticError, QuadratureError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2

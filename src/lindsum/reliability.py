@@ -156,8 +156,10 @@ class ExponentialStandby:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", check_theta(self.theta))
         object.__setattr__(self, "n", check_n(self.n))
-        # one mixture per system, which keeps its survival plan across calls
-        object.__setattr__(self, "_mixture", ErlangMixture(self.theta, (1.0,), (self.n,)))
+
+    @cached_property
+    def _mixture(self) -> ErlangMixture:
+        return ErlangMixture(self.theta, (1.0,), (self.n,))
 
     @property
     def label(self) -> str:

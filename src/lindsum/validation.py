@@ -10,9 +10,9 @@ being patched over.
 verify_all() runs the registry, the one list of checks: rows of (check id,
 measure, bound), where each measure returns only the value it measured and
 the row states the bound.  It reports one record per check with the
-measured value, its bound, and the check's wall time.  Quadrature
-non-convergence is reported as an "error" status instead of being silently
-swallowed.
+measured value, its bound, and the check's wall time.  A measure that raises
+(quadrature that cannot converge, say) gives an "error" record: the row's
+bound, a NaN value (null in JSON) and the reason in detail.
 """
 
 from __future__ import annotations
@@ -356,27 +356,26 @@ def _check_mttf_reference(model: str) -> float:
     return max(abs(mttf(theta, _STANDBY_N) - e) for theta, e in zip(_STANDBY_THETAS, expected))
 
 
-def _check_dominance() -> float:
-    """Worst gap R_exponential - R_lindley on the grid, for the Lindley double
-    series and for the StandbyModel route of the CLI and reliability_curve."""
+def _standby_curves() -> np.ndarray:
+    """Exponential, Lindley double-series and Lindley StandbyModel reliability of
+    _STANDBY_N cold-standby units on the shared grid, each a row per theta."""
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
-    worst = -math.inf
-    for theta in _STANDBY_THETAS:
-        exponential = ExponentialStandby(theta, _STANDBY_N).reliability(grid)
-        model = StandbyModel(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid)
-        for lindley in (lindley_reliability(theta, _STANDBY_N, grid), model):
-            worst = max(worst, float(np.max(exponential - lindley)))
-    return worst
+    return np.array([
+        (ExponentialStandby(theta, _STANDBY_N).reliability(grid),
+         lindley_reliability(theta, _STANDBY_N, grid),
+         StandbyModel(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid))
+        for theta in _STANDBY_THETAS
+    ]).swapaxes(0, 1)
+
+
+def _check_dominance() -> float:
+    exponential, *lindley = _standby_curves()  # worst R_exponential - R_lindley
+    return float(np.max(exponential - lindley))
 
 
 def _check_dual_tail() -> float:
-    grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
-    worst = 0.0
-    for theta in _STANDBY_THETAS:
-        mixture_tail = SumSpec(DistSpec(LINDLEY, theta), _STANDBY_N).survival(grid)
-        series = lindley_reliability(theta, _STANDBY_N, grid)
-        worst = max(worst, float(np.max(np.abs(series - mixture_tail))))
-    return worst
+    _, series, model = _standby_curves()
+    return float(np.max(np.abs(series - model)))
 
 
 def _check_dual_mttf() -> float:
@@ -541,21 +540,19 @@ def verify_all(config: VerifyConfig | None = None) -> VerificationReport:
     """Run every registered cross-check and collect one record per check.
 
     A check passes when its measured value is within its bound, fails when it
-    is not, and reports status "error" (with detail) when its oracle could not
-    converge or evaluation broke down.
+    is not, and reports status "error", with value NaN and the reason in
+    detail, when its oracle could not converge or evaluation broke down.
     """
     cfg = config or VerifyConfig()
+    np.ndarray  # completes numpy's load on first use before the first check's timer
     results = []
     for check_id, measure, bound in _build_registry(cfg):
         start = time.perf_counter()
-        detail = ""
         try:
-            value = measure()
+            value, detail = measure(), ""
             status = "pass" if value <= bound else "fail"
-        except QuadratureError as exc:
-            status, value, bound, detail = "error", exc.best.value, math.nan, str(exc)
-        except ArithmeticError as exc:
-            status, value, bound, detail = "error", math.nan, math.nan, str(exc)
+        except (QuadratureError, ArithmeticError) as exc:
+            status, value, detail = "error", math.nan, str(exc)
         elapsed = time.perf_counter() - start
         results.append(CheckResult(check_id, status, value, bound, detail, elapsed))
     return VerificationReport(tuple(results))

@@ -18,6 +18,8 @@ import pytest
 from exact_moments import central_summaries
 
 import lindsum
+import lindsum.numerics
+import lindsum.reliability
 from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
@@ -229,6 +231,27 @@ class TestReliabilityCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "t,R_ishita"
+
+    def test_rows_share_one_mixture_and_plan_per_route(self, capsys, monkeypatch):
+        plans, mixtures = [], []
+
+        class CountedSeries(lindsum.numerics._Series):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        def counted_mixture(*args):
+            mixtures.append(real_mixture(*args))
+            return mixtures[-1]
+
+        real_mixture = lindsum.reliability.ErlangMixture
+        monkeypatch.setattr(lindsum.numerics, "_Series", CountedSeries)
+        # only ExponentialStandby builds a mixture in reliability itself
+        monkeypatch.setattr(lindsum.reliability, "ErlangMixture", counted_mixture)
+        code, out, _ = run_cli(capsys, ["reliability", "--theta", "0.7", "--compare-exponential"])
+        assert code == 0 and len(out.splitlines()) == 102
+        assert len(mixtures) == 1
+        assert len(plans) == 2  # one survival plan each for Lindley and exponential
 
 
 RAMAWADH_PDF_ARGV = ["pdf", "--dist", "ramawadh", "--n", "50", "--points", "101"]
@@ -448,6 +471,20 @@ class TestVerifyCommand:
         err = run_cli_expecting_usage_error(capsys, ["verify", "--only", "nonsense"])
         assert "--only" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--only", "nonsense"], "--only 'nonsense' matched no checks"),
+            (["pdf", "--dist", "lindley", "--theta", "1", "--x-min", "5", "--x-max", "1"],
+             "grid upper bound must exceed lower bound, got [5.0, 1.0]"),
+        ],
+        ids=["verify-only", "pdf-grid"],
+    )
+    def test_command_error_prints_its_own_usage(self, capsys, argv, message):
+        err = run_cli_expecting_usage_error(capsys, argv)
+        assert err.startswith(f"usage: lindsum {argv[0]} [-h] ")
+        assert err.endswith(f"lindsum {argv[0]}: error: {message}\n")
+
     @pytest.mark.parametrize("only", ["", "mttf,", ",reductions", "mttf,,reductions"])
     def test_empty_only_item_exits_2(self, capsys, only):
         # an empty prefix would match every check id
@@ -663,6 +700,21 @@ class TestImportCost:
             f"assert not {{'lindsum.' + m for m in {unloaded!r}}}.intersection(loaded), loaded\n"
         )
         self._run(check)
+
+    def test_verify_loads_numpy_before_the_first_check(self):
+        # numpy's load on first use is not timed as part of the first check
+        code = (
+            "import sys\n"
+            "from lindsum import validation\n"
+            "seen = []\n"
+            "def stub():\n"
+            "    seen.append('numpy._core' in sys.modules)\n"
+            "    return 0.0\n"
+            "validation._check_dominance = stub\n"
+            "report = validation.verify_all(validation.VerifyConfig(only=('dominance',)))\n"
+            "assert report.all_passed and seen == [True], seen\n"
+        )
+        self._run(code)
 
     def test_numpy_imported_first_is_reused(self):
         code = (

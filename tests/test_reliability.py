@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath_oracle import SumOracle
 
-from lindsum.family import LINDLEY, SHANKER, DistSpec
+from lindsum.family import LINDLEY, MEMBERS, SHANKER, DistSpec
 from lindsum.numerics import integrate
 from lindsum.reliability import (
     ExponentialStandby,
@@ -312,11 +313,40 @@ class TestStandbyModels:
         assert model.reliability(-1.0) == 1.0
         assert model.mttf() == 5.0
 
+    def test_exponential_mixture_built_once_on_first_use(self):
+        # like StandbyModel, ExponentialStandby keeps its mixture in a cached property
+        system = ExponentialStandby(0.7, 5)
+        assert "_mixture" not in vars(system)
+        first = system.reliability(3.0)
+        mixture = system._mixture
+        assert system.reliability(3.0) == first
+        assert system._mixture is mixture
+        assert system == ExponentialStandby(0.7, 5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StandbyModel(DistSpec(LINDLEY, 1.0), 0)
         with pytest.raises(ValueError):
             ExponentialStandby(-1.0, 2)
+
+
+class TestMttfOverTheDomain:
+    """Every MTTF route against the 50-digit mean of the n-fold sum, for any
+    member, theta log-uniform on [1e-200, 1e200] and n up to 1000."""
+
+    @given(
+        member=st.sampled_from(MEMBERS),
+        theta=st.floats(-200.0, 200.0).map(lambda e: 10.0**e),
+        n=st.integers(1, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_routes_match_mpmath(self, member, theta, n):
+        dist = DistSpec(member, theta)
+        expected = SumOracle(theta, dist.alpha, member.degree, n).mean()
+        routes = [StandbyModel(dist, n).mttf(), SumSpec(dist, n).mean()]
+        if member is LINDLEY:
+            routes.append(lindley_mttf(theta, n))
+        np.testing.assert_allclose(routes, expected, rtol=1e-12, atol=0.0)
 
 
 class TestReliabilityCurve:

@@ -376,6 +376,15 @@ class TestVerifyAll:
         assert not report.all_passed
         assert result.detail != ""
 
+    def test_error_record_keeps_its_rows_bound(self, unconverged_quadrature):
+        # an error record is an ordinary record whose measure raised: the row's
+        # bound, no value, and the quadrature failure in detail
+        (result,) = verify_all(VerifyConfig(only=("normalization/lindley",))).results
+        assert result.status == "error"
+        assert math.isnan(result.value)
+        assert result.bound == 1e-8
+        assert result.detail.startswith("quadrature did not converge")
+
     def test_monte_carlo_sample_drawn_once_per_call(self, monkeypatch):
         calls = []
         real = lindsum.validation.sample_sum
@@ -458,7 +467,7 @@ class TestVerifyAll:
         assert main(["verify", "--only", "normalization/lindley", "--format", "json"]) == 1
         (record,) = json.loads(capsys.readouterr().out)
         assert record["status"] == "error"
-        assert record["bound"] is None
+        assert record["value"] is None
 
     def test_unknown_member_rejected(self):
         with pytest.raises(ValueError):
