@@ -26,17 +26,16 @@ numpy is loaded on first use.  This module makes the package's one np: numpy
 itself if it is already imported, else a module that importlib.util.LazyLoader
 registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
 attribute access; the other modules take np from here.  So `lindsum mttf`,
-`moments` (without --verify), `pdf`, `reliability`, `--help` and usage errors
-never load numpy: their numbers are pure math, and pdf and reliability take
-each row of their tables from a Python float, through the scalar route of
-_pointwise, as do a member's and a sum's density, log density and tails at a
-Python float.  `sample`, `moments --verify` and `verify` do load it.  A later
-`import numpy` anywhere completes the load.  One caveat: in Python 3.10.13,
-3.11.7 and 3.12.1 (checked in the source of importlib.util._LazyModule) the
-load takes no lock and switches the module's class before numpy's __init__
-runs, so a second thread that first touches np during that load can see a
-half-built numpy; 3.13.0 holds a lock through the load.  Import numpy before
-lindsum to rule this out.
+`moments` (--verify too), `pdf`, `reliability`, `--help` and usage errors
+never load numpy: their numbers are pure math, their densities and tails come
+from Python floats through the scalar route of _pointwise, and integrate runs
+in Python floats.  `sample` and `verify` do load it.  A later `import numpy`
+anywhere completes the load.  One caveat: in Python 3.10.13, 3.11.7 and 3.12.1
+(checked in the source of importlib.util._LazyModule) the load takes no lock
+and switches the module's class before numpy's __init__ runs, so a second
+thread that first touches np during that load can see a half-built numpy;
+3.13.0 holds a lock through the load.  Import numpy before lindsum to rule
+this out.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import math
 import numbers
 import operator
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -95,32 +94,22 @@ _LN_DOUBLE_MIN = math.log(sys.float_info.min)
 # floors each rule's error estimate at that fraction of the integral of |f|.
 _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
 
-# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21), as rows of
-# (node x >= 0, Kronrod weight, Kronrod minus Gauss weight), outermost first.
-# The 10-point Gauss rule uses the 2nd, 4th, ..., 10th nodes; elsewhere its
-# weight is 0.  Mirrored by _gk21_tables into aligned arrays over all 21 nodes.
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21, its constants
+# rounded to double) as rows of (node x >= 0, Kronrod weight, Kronrod minus
+# Gauss weight), outermost first.  The 10-point Gauss rule uses the 2nd, 4th,
+# ..., 10th nodes, elsewhere its weight is 0; _gk21_tables mirrors the rows.
 _GK21_HALF = (
-    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192,
-     0.011694638867371874278064396062192),
-    (0.973906528517171720077964012084452, 0.0325581623079647274788189724593899,
-     -0.0341131820007234101147498374339421),
-    (0.930157491355708226001207180059508, 0.0547558965743519960313813002445802,
-     0.0547558965743519960313813002445802),
-    (0.865063366688984510732096688423493, 0.0750396748109199527670431409161897,
-     -0.0744116743396606403787331987415073),
-    (0.780817726586416897063717578345043, 0.093125454583697605535065465083366,
-     0.093125454583697605535065465083366),
-    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
-     -0.109699203713684402096324343902358),
-    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074,
-     0.123491976262065851077958109831074),
-    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
-     -0.134557501998523029163172919797762),
-    (0.294392862701460198131126603103865, 0.142775938577060080797094273138717,
-     0.142775938577060080797094273138717),
-    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
-     -0.147785119813414378799051478679270),
-    (0.0, 0.149445554002916905664936468389821, 0.149445554002916905664936468389821),
+    (0.9956571630258081, 0.011694638867371874, 0.011694638867371874),
+    (0.9739065285171717, 0.032558162307964725, -0.03411318200072341),
+    (0.9301574913557082, 0.054755896574351995, 0.054755896574351995),
+    (0.8650633666889845, 0.07503967481091996, -0.07441167433966064),
+    (0.7808177265864169, 0.0931254545836976, 0.0931254545836976),
+    (0.6794095682990244, 0.10938715880229764, -0.1096992037136844),
+    (0.5627571346686047, 0.12349197626206584, 0.12349197626206584),
+    (0.4333953941292472, 0.13470921731147334, -0.13455750199852304),
+    (0.2943928627014602, 0.14277593857706009, 0.14277593857706009),
+    (0.14887433898163122, 0.14773910490133849, -0.14778511981341438),
+    (0.0, 0.1494455540029169, 0.1494455540029169),
 )
 # Narrower pieces, relative to their position, are not bisected: the outer
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
@@ -589,7 +578,7 @@ class QuadratureError(RuntimeError):
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[list[float]], Sequence[float]],
     lower: float,
     upper: float,
     tol: float = 1e-10,
@@ -609,10 +598,9 @@ def integrate(
     when the budget runs out, or the worst interval is too narrow to bisect,
     with the error estimate, measured against max(1, |integral|), above tol,
     or when the value or the estimate is not finite (tolerances much below
-    1e-13 are generally unattainable in double precision).
-
-    f is vectorised: it is called once per rule, on the rule's 21 nodes as a
-    float array, and must return one value per node (ValueError otherwise).
+    1e-13 are generally unattainable in double precision).  f is called once
+    per rule, on its 21 nodes as a list of floats, and returns one number per
+    node, as a sequence or a numpy array (ValueError otherwise).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -626,19 +614,22 @@ def integrate(
     if upper == lower:
         return QuadratureResult(0.0, 0.0, 0)
 
-    def checked(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"integrand must return one value per node: called on {x.size} nodes, "
-                f"it returned shape {out.shape}"
-            )
+    def checked(x: list[float]) -> Sequence[float]:
+        out = f(x)
+        if hasattr(out, "shape"):  # a numpy array or scalar: its shape, and floats
+            shape, out = out.shape, out.tolist()
+        else:
+            shape = (len(out),) if hasattr(out, "__len__") else ()
+        if shape != (len(x),):
+            raise ValueError(f"integrand must return one value per node: called on "
+                             f"{len(x)} nodes, it returned shape {shape}")
         return out
 
     if math.isinf(upper):
-        def target(u: np.ndarray, _a=lower, _s=scale) -> np.ndarray:
-            w = 1.0 - u
-            return checked(_a + _s * u / w) * _s / (w * w)
+        def target(u: list[float], _a=lower, _s=scale) -> list[float]:
+            w = [1.0 - v for v in u]
+            values = checked([_a + _s * v / d for v, d in zip(u, w)])
+            return [y * _s / (d * d) for y, d in zip(values, w)]
 
         a, b = 0.0, 1.0
     else:
@@ -656,7 +647,7 @@ def integrate(
         if narrow:
             break
         heapq.heappop(pieces)
-        mid = 0.5 * (left + right)
+        mid = 0.5 * left + 0.5 * right  # halves first: left + right may overflow
         value_left, error_left = _gk21(target, left, mid)
         value_right, error_right = _gk21(target, mid, right)
         heapq.heappush(pieces, (-error_left, left, mid, value_left))
@@ -664,8 +655,8 @@ def integrate(
         value += value_left + value_right - piece
         error += error_left + error_right + worst
 
-    value = math.fsum(p[3] for p in pieces)
-    scaled_err = math.fsum(-p[0] for p in pieces) / max(1.0, abs(value))
+    value = _fsum(p[3] for p in pieces)
+    scaled_err = _fsum(-p[0] for p in pieces) / max(1.0, abs(value))
     result = QuadratureResult(value, scaled_err, 21 * (2 * len(pieces) - 1))
     if not (math.isfinite(value) and math.isfinite(scaled_err)):
         raise QuadratureError(
@@ -682,28 +673,34 @@ def integrate(
     return result
 
 
+def _fsum(terms: Iterable[float]) -> float:
+    """math.fsum, but NaN where it raises (inf - inf, a sum past double range)."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 @cache
-def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights as
-    read-only rows over all 21 nodes in increasing order, built on first use."""
-    half = np.array(tuple(zip(*_GK21_HALF)))
-    tables = np.concatenate((half[:, :-1] * [[-1.0], [1.0], [1.0]], half[:, ::-1]), axis=1)
-    tables.flags.writeable = False
-    return tuple(tables)
+def _gk21_tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights over
+    all 21 nodes in increasing order, built on first use."""
+    outer = [(-x, kronrod, difference) for x, kronrod, difference in _GK21_HALF[:-1]]
+    return tuple(zip(*outer, *reversed(_GK21_HALF)))
 
 
-def _gk21(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+def _gk21(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
     """QUADPACK's qk21 on [a, b]: the 21-point Kronrod value and its error
     estimate, resasc * min(1, (200 |K21 - G10| / resasc)^1.5), floored at
     50 eps * resabs (resabs the rule applied to |f|, resasc to |f - mean|)."""
     nodes, kronrod_weights, difference_weights = _gk21_tables()
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = f(centre + half * nodes)
-    kronrod = float(kronrod_weights.dot(values))
+    centre, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a  # finite for any finite a, b
+    values = f([centre + half * x for x in nodes])
+    kronrod = _fsum(map(operator.mul, kronrod_weights, values))
     mean = 0.5 * kronrod
-    resabs = float(kronrod_weights.dot(np.abs(values))) * half
-    resasc = float(kronrod_weights.dot(np.abs(values - mean))) * half
-    error = abs(float(difference_weights.dot(values)) * half)
+    resabs = _fsum(map(operator.mul, kronrod_weights, map(abs, values))) * half
+    resasc = _fsum(map(operator.mul, kronrod_weights, [abs(v - mean) for v in values])) * half
+    error = abs(_fsum(map(operator.mul, difference_weights, values)) * half)
     if resasc != 0.0 and error != 0.0:
         error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
     return kronrod * half, max(error, _EPSREL_FLOOR * resabs)

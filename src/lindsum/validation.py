@@ -27,7 +27,7 @@ from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, _divide_draws, check_count,
     member_by_name,
 )
-from .numerics import QuadratureError, integrate, logsumexp, np
+from .numerics import _LN_DOUBLE_MAX, QuadratureError, integrate, logsumexp, np
 from .reliability import (
     ExponentialStandby,
     StandbyModel,
@@ -226,21 +226,20 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     ln_s = logsumexp((ln_a, k * ln_x))
     low, high = math.exp(ln_a - ln_s), math.exp(k * ln_x - ln_s)  # a/s and x^k/s
 
-    def factor(v: np.ndarray) -> np.ndarray:
+    def factor(v: float) -> float:
         return low + high * v**k
 
     def two_fold(width: float, tol: float) -> float:
-        return integrate(lambda v: factor(v) * factor(width - v), 0.0, width, tol).value
+        return integrate(lambda vs: [factor(v) * factor(width - v) for v in vs],
+                         0.0, width, tol).value
 
     if n == 1:
         fold = 1.0
     elif n == 2:
         fold = two_fold(1.0, _CONVOLUTION_TOL)
     else:
-        def inner(v1: np.ndarray) -> np.ndarray:
-            return np.array([two_fold(w, _CONVOLUTION_TOL * 0.1) for w in (1.0 - v1).tolist()])
-
-        fold = integrate(lambda v1: factor(v1) * inner(v1), 0.0, 1.0, _CONVOLUTION_TOL).value
+        fold = integrate(lambda vs: [factor(v) * two_fold(1.0 - v, _CONVOLUTION_TOL * 0.1)
+                                     for v in vs], 0.0, 1.0, _CONVOLUTION_TOL).value
     return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * ln_x + math.log(fold))
 
 
@@ -251,16 +250,19 @@ def quadrature_moment(spec: SumSpec, m: int) -> float:
     mean-based scale hint of the quadrature (not the closed-form moment under
     test), and the integral is multiplied back by c^m in two halves.  So the
     rule's sums stay finite wherever the moment is, though x^m alone may
-    overflow.  Raises QuadratureError when the quadrature cannot meet its
-    tolerance (numpy's overflow and invalid warnings are silenced).
+    overflow.  It is evaluated per node in Python floats, log_pdf's scalar
+    route, so it loads no numpy; an exponent past double range gives inf.
+    Raises QuadratureError when the quadrature cannot meet its tolerance.
     """
     log_pdf = spec.mixture().log_pdf
     c = _sum_scale(spec)
     shift = m * math.log(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = integrate(
-            lambda x: np.exp(m * np.log(x) + log_pdf(x) - shift), 0.0, math.inf, scale=c
-        ).value
+
+    def integrand(points: list[float]) -> list[float]:
+        exponents = [m * math.log(x) + log_pdf(x) - shift for x in points]
+        return [math.inf if e > _LN_DOUBLE_MAX else math.exp(e) for e in exponents]
+
+    scaled = integrate(integrand, 0.0, math.inf, scale=c).value
     half = c ** (0.5 * m)
     return scaled * half * half
 

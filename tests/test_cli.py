@@ -588,11 +588,11 @@ MTTF_ARGV = ["mttf", "--theta", "0.1,0.5,1,3", "--dist", "akash"]
 class TestImportCost:
     """No route loads scipy: not the import, not mttf, and not the quadrature
     behind moments --verify.  numpy loads on first use: the import, --help, a
-    usage error, mttf, moments without --verify, pdf, reliability, a library
-    MTTF, and a sum's and a member's density and tails and a sum's log density
-    at Python floats leave its core unloaded; sample and moments --verify load
-    it; and lindsum shares one numpy with code that imports it before or after
-    lindsum."""
+    usage error, mttf, moments with and without --verify, pdf, reliability, a
+    library MTTF, a sum's and a member's density and tails and a sum's log
+    density at Python floats, and integrate on a pure-Python integrand leave
+    its core unloaded; sample loads it; and lindsum shares one numpy with code
+    that imports it before or after lindsum."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -660,20 +660,23 @@ class TestImportCost:
             _cli(["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--x", "0"]),
             _cli(["reliability", "--theta", "0.7", "--compare-exponential"]),
             _cli(["reliability", "--theta", "0.7", "--t", "1", "--compare-exponential"]),
+            _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--verify"]),
+            "import math\n"
+            "from lindsum.numerics import integrate\n"
+            "result = integrate(lambda x: [math.exp(-v) for v in x], 0.0, math.inf)\n"
+            "assert abs(result.value - 1.0) < 1e-12\n",
         ],
         ids=["import", "help", "usage-error", "mttf", "moments-central", "library-mttf",
-             "library-sum-scalars", "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1"],
+             "library-sum-scalars", "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1",
+             "moments-verify", "integrate"],
     )
     def test_route_leaves_numpy_unloaded(self, code):
         assert self._run(code, "numpy._core") == "False"
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["sample", "--dist", "lindley", "--theta", "1", "--n", "2", "--count", "3"],
-            ["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--verify"],
-        ],
-        ids=["sample", "moments-verify"],
+        [["sample", "--dist", "lindley", "--theta", "1", "--n", "2", "--count", "3"]],
+        ids=["sample"],
     )
     def test_route_loads_numpy(self, argv):
         assert self._run(self._cli(argv), "numpy._core") == "True"

@@ -216,7 +216,7 @@ class TestMoments:
             spec = DistSpec(member, 1.0)
             for m in range(1, 7):
                 numeric = integrate(
-                    lambda x: x**m * spec.pdf(x),
+                    lambda x: np.asarray(x) ** m * spec.pdf(x),
                     0.0,
                     math.inf,
                     1e-11,

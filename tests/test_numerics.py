@@ -96,7 +96,8 @@ class TestErlangTail:
         for shape in (2, 5, 30):
             rate = 1.5
 
-            def density(u: np.ndarray) -> np.ndarray:
+            def density(u: list[float]) -> np.ndarray:
+                u = np.asarray(u)
                 return np.exp(
                     shape * math.log(rate)
                     + (shape - 1) * np.log(u)
@@ -175,7 +176,7 @@ class TestLogSumTerms:
 
 class TestIntegrate:
     def test_exponential_mass(self):
-        result = integrate(lambda x: np.exp(-x), 0.0, math.inf, 1e-10)
+        result = integrate(lambda x: np.exp(-np.asarray(x)), 0.0, math.inf, 1e-10)
         np.testing.assert_allclose(result.value, 1.0, atol=1e-10)
         assert result.error_estimate <= 1e-10
         assert result.evaluations == 189
@@ -186,7 +187,7 @@ class TestIntegrate:
             for theta in (0.5, 1.0, 2.0):
                 expected = math.factorial(k) / theta ** (k + 1)
                 result = integrate(
-                    lambda x: x**k * np.exp(-theta * x),
+                    lambda x: np.asarray(x) ** k * np.exp(-theta * np.asarray(x)),
                     0.0,
                     math.inf,
                     1e-10,
@@ -207,8 +208,8 @@ class TestIntegrate:
         # unit Gaussian bump centered at 300: invisible near u=0 without a hint
         center, width = 300.0, 5.0
 
-        def bump(x: np.ndarray) -> np.ndarray:
-            z = (x - center) / width
+        def bump(x: list[float]) -> np.ndarray:
+            z = (np.asarray(x) - center) / width
             return np.exp(-0.5 * z * z) / (width * math.sqrt(2.0 * math.pi))
 
         result = integrate(bump, 0.0, math.inf, 1e-10, scale=center)
@@ -217,20 +218,20 @@ class TestIntegrate:
 
     def test_budget_exhaustion_raises_with_best_estimate(self):
         with pytest.raises(QuadratureError) as excinfo:
-            integrate(lambda x: np.sin(1e6 * x), 0.0, 1.0, 1e-13, limit=3)
+            integrate(lambda x: np.sin(1e6 * np.asarray(x)), 0.0, 1.0, 1e-13, limit=3)
         best = excinfo.value.best
         assert math.isfinite(best.value)
         assert best.evaluations > 0
 
     def test_nan_integrand_raises(self):
         with pytest.raises(QuadratureError, match="not finite") as excinfo:
-            integrate(lambda x: np.where(x > 0.5, math.nan, 1.0), 0.0, 1.0)
+            integrate(lambda x: np.where(np.asarray(x) > 0.5, math.nan, 1.0), 0.0, 1.0)
         assert excinfo.value.best.evaluations > 0
 
     def test_divergent_tail_raises(self):
         # the error piles up at u -> 1 until the worst piece cannot be bisected
         with pytest.raises(QuadratureError, match="too narrow to bisect"):
-            integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
+            integrate(lambda x: 1.0 / (1.0 + np.asarray(x)), 0.0, math.inf)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -254,15 +255,41 @@ class TestIntegrate:
             integrate(lambda x: np.ones(1), 0.0, upper)
 
     def test_one_call_per_rule(self):
-        shapes = []
+        sizes = []
 
-        def counting(x: np.ndarray) -> np.ndarray:
-            shapes.append(x.shape)
-            return np.exp(-x)
+        def counting(x: list[float]) -> np.ndarray:
+            sizes.append(len(x))
+            return np.exp(-np.asarray(x))
 
         result = integrate(counting, 0.0, math.inf, 1e-10)
         assert result.evaluations == 189
-        assert shapes == [(21,)] * (189 // 21)
+        assert sizes == [21] * (189 // 21)
+
+    def test_sequence_and_array_returns_agree(self):
+        def as_list(x: list[float]) -> list[float]:
+            assert type(x) is list and all(type(v) is float for v in x)
+            return [math.sin(v) for v in x]
+
+        expected = integrate(as_list, 0.0, math.pi, 1e-12)
+        np.testing.assert_allclose(expected.value, 2.0, rtol=1e-12)
+        for wrap in (tuple, np.array):
+            assert integrate(lambda x: wrap(as_list(x)), 0.0, math.pi, 1e-12) == expected
+
+    def test_opposite_infinities_raise(self):
+        # +inf and -inf at different nodes: their sum is NaN, not a ValueError
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate(lambda x: [math.inf if v < 0.5 else -math.inf for v in x], 0.0, 1.0)
+
+    def test_overflowing_weighted_sum_raises(self):
+        # every node finite, the Kronrod sum of 1e308 (weights summing to 2) is not
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate(lambda x: [1e308] * len(x), 0.0, 1.0)
+
+    def test_interval_wider_than_double_range(self):
+        # b - a overflows; the centre and half-width are taken from a/2 and b/2
+        result = integrate(lambda x: [1e-300] * len(x), -1e308, 1e308)
+        np.testing.assert_allclose(result.value, 2e8, rtol=1e-15)
+        assert result.evaluations == 21
 
 
 class TestGaussKronrodRule:
@@ -288,7 +315,7 @@ class TestIntegrateAgainstMpmath:
             for k in range(11):
                 for theta in (0.5, 1.0, 2.0):
                     result = integrate(
-                        lambda x: x**k * np.exp(-theta * x),
+                        lambda x: np.asarray(x) ** k * np.exp(-theta * np.asarray(x)),
                         0.0,
                         math.inf,
                         1e-13,
@@ -302,8 +329,8 @@ class TestIntegrateAgainstMpmath:
     def test_remote_gaussian_bump(self):
         center, width = 300.0, 5.0
 
-        def bump(x: np.ndarray) -> np.ndarray:
-            z = (x - center) / width
+        def bump(x: list[float]) -> np.ndarray:
+            z = (np.asarray(x) - center) / width
             return np.exp(-0.5 * z * z) / (width * math.sqrt(2.0 * math.pi))
 
         with mpmath.workdps(30):
@@ -324,7 +351,9 @@ class TestIntegrateAgainstMpmath:
 
         with mpmath.workdps(30):
             reference = mpmath.quad(lambda u: akash(u) * akash(x - u), [0, x])
-        result = integrate(lambda u: dist.pdf(u) * dist.pdf(x - u), 0.0, x, 1e-13)
+        result = integrate(
+            lambda u: dist.pdf(np.asarray(u)) * dist.pdf(x - np.asarray(u)), 0.0, x, 1e-13
+        )
         np.testing.assert_allclose(result.value, float(reference), rtol=1e-12)
 
 

@@ -392,7 +392,7 @@ class TestMoments:
         spec = SumSpec(DistSpec(ISHITA, 1.0), 4)
         for m in range(1, 5):
             numeric = integrate(
-                lambda x: x**m * spec.pdf(x),
+                lambda x: np.asarray(x) ** m * spec.pdf(x),
                 0.0,
                 math.inf,
                 1e-11,
