@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import astuple, fields
 
 from .family import LINDLEY, DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError, np
@@ -40,7 +39,7 @@ def _fmt(value: float, decimals: int | None = None) -> str:
 
 
 def _emit_table(
-    columns: list[str],
+    columns: Sequence[str],
     rows: Sequence[Sequence],
     fmt: str,
     decimals: int | None = None,
@@ -239,8 +238,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for line in report.to_lines():
             print(line)
     else:
-        columns = [f.name for f in fields(CheckResult)]
-        _emit_table(columns, [astuple(r) for r in report.results], args.format)
+        rows = [[getattr(r, c) for c in CheckResult._fields] for r in report.results]
+        _emit_table(CheckResult._fields, rows, args.format)
     if not report.all_passed:
         failed = sum(1 for r in report.results if r.status != "pass")
         print(f"{failed} of {len(report.results)} checks did not pass", file=sys.stderr)

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .numerics import (
-    _LN_DOUBLE_MAX, _LN_DOUBLE_MIN, ErlangMixture, check_count, check_positive, ln_factorial, np,
+    _LN_DOUBLE_MAX, _LN_DOUBLE_MIN, ErlangMixture, _Record, check_count, check_positive,
+    ln_factorial, np,
 )
 
 __all__ = [
@@ -67,8 +67,7 @@ class AlphaKind(enum.Enum):
     THETA = "theta"
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(_Record):
     """A named member: polynomial degree plus the kind of its constant term."""
 
     name: str
@@ -121,8 +120,7 @@ def _divide_draws(draws: np.ndarray, theta: float, n: int) -> np.ndarray:
     return draws
 
 
-@dataclass(frozen=True)
-class DistSpec:
+class DistSpec(_Record):
     """A family member frozen at a particular rate theta > 0."""
 
     member: FamilyMember

@@ -22,6 +22,13 @@ NaN get their edge values (a Python scalar without numpy).  The parameter
 checks check_positive and check_count live here too, so that ErlangMixture
 can use them (family, which re-exports them, imports this module).
 
+_Record, the base of every frozen value class, stands in for frozen
+dataclasses, so no module imports dataclasses (or inspect with it): fields are
+a subclass's annotations (after a parent record's), class values defaults;
+__init__ takes them by position or keyword, then calls __post_init__; set and
+del raise AttributeError (cached_property still caches); equality (one class
+only) and hash skip _uncompared; the repr is the dataclass one.
+
 numpy is loaded on first use.  This module makes the package's one np: numpy
 itself if it is already imported, else a module that importlib.util.LazyLoader
 registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
@@ -48,7 +55,6 @@ import numbers
 import operator
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 
@@ -439,8 +445,57 @@ def logsumexp(log_terms: Sequence[float]) -> float:
     return peak + math.log(math.fsum(math.exp(v - peak) for v in terms))
 
 
-@dataclass(frozen=True)
-class ErlangMixture:
+class _Record:
+    """Base of the package's frozen value classes (see the module docstring)."""
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = (*getattr(cls, "_fields", ()), *cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """One value per field, defaults filled in; TypeError on a bad argument."""
+        given = dict(zip(cls._fields, args))
+        values = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)} | given | kwargs
+        wrong = (values.keys() ^ set(cls._fields)) | (given.keys() & kwargs.keys())
+        if wrong or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() got too many, repeated, unknown or missing "
+                            f"arguments {sorted(wrong)}; its fields are {cls._fields}")
+        return [values[f] for f in cls._fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ErlangMixture(_Record):
     """Finite mixture of Erlang(shape, rate) components with a shared rate.
 
     Weights are nonnegative and sum to 1 (within 1e-10); a component whose
@@ -555,8 +610,7 @@ class ErlangMixture:
         return _moment_from_log(math.log(spread) - 2.0 * math.log(self.rate), 2)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Outcome of an adaptive quadrature run.
 
     error_estimate is scaled by max(1, |value|), so it is absolute for

@@ -18,13 +18,12 @@ Exponential components give the Erlang tail and MTTF = n/theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
 from .numerics import (
-    ErlangMixture, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
+    ErlangMixture, _Record, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
 )
 
 __all__ = [
@@ -118,8 +117,7 @@ def _finite_mttf(mttf: float, theta: float, n: int) -> float:
     return mttf
 
 
-@dataclass(frozen=True)
-class StandbyModel:
+class StandbyModel(_Record):
     """Cold standby system of n units with a family failure distribution."""
 
     failure_dist: DistSpec
@@ -146,8 +144,7 @@ class StandbyModel:
         return self._mixture.mean()
 
 
-@dataclass(frozen=True)
-class ExponentialStandby:
+class ExponentialStandby(_Record):
     """Cold standby system of n units with Exp(theta) lifetimes, for comparison."""
 
     theta: float
@@ -174,12 +171,10 @@ class ExponentialStandby:
         return exponential_mttf(self.theta, self.n)
 
 
-class MttfRow(NamedTuple):
+class MttfRow(namedtuple("MttfRow", "theta lindley exponential")):
     """MTTF of Lindley and exponential cold-standby systems at one rate."""
 
-    theta: float
-    lindley: float
-    exponential: float
+    __slots__ = ()
 
 
 def mttf_table(theta_values, n: int) -> list[MttfRow]:
@@ -190,8 +185,7 @@ def mttf_table(theta_values, n: int) -> list[MttfRow]:
     ]
 
 
-@dataclass(frozen=True)
-class ReliabilityCurve:
+class ReliabilityCurve(_Record):
     """A labelled reliability curve sampled on a strictly increasing time grid.
 
     Values lie in [0, 1] and are non-increasing along the grid (up to a 1e-12

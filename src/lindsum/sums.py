@@ -21,19 +21,17 @@ form of the moments, moment_series, is kept as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .family import DistSpec, check_n
 from .numerics import (
-    ErlangMixture, _moment_from_log, check_count, ln_binomial, ln_factorial, logsumexp, np,
+    ErlangMixture, _moment_from_log, _Record, check_count, ln_binomial, ln_factorial, logsumexp, np,
 )
 
 __all__ = ["ErlangMixture", "SumSpec"]
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(_Record):
     """The sum of n >= 1 IID draws from a family distribution."""
 
     dist: DistSpec

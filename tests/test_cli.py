@@ -176,6 +176,20 @@ class TestMomentsCommand:
         assert len(rows) == 150
         assert max(float(row["rel_error"]) for row in rows) <= 1e-12
 
+    @pytest.mark.parametrize("theta, m_max", [("1e100", "3"), ("1e150", "2")])
+    def test_verify_reaches_sums_whose_mass_lies_far_below_1(self, capsys, theta, m_max):
+        # the quadrature's scale hint is the sum's mean, 3e-100 or 3e-150 here;
+        # floored at 1, it put no node on the mass and read 0 (rel_error 1)
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--dist", "lindley", "--theta", theta, "--n", "3", "--m-max", m_max,
+             "--verify"],
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == int(m_max)
+        assert max(float(row["rel_error"]) for row in rows) <= 1e-12
+
     @pytest.mark.filterwarnings("error")
     def test_verify_reaches_the_last_finite_moment(self, capsys):
         # moment[168] ~ 5.35e307 is finite and moment[169] is not; unscaled,
@@ -592,7 +606,10 @@ class TestImportCost:
     library MTTF, a sum's and a member's density and tails and a sum's log
     density at Python floats, and integrate on a pure-Python integrand leave
     its core unloaded; sample loads it; and lindsum shares one numpy with code
-    that imports it before or after lindsum."""
+    that imports it before or after lindsum.  The value classes derive from
+    numerics._Record, so those numpy-free routes leave dataclasses and
+    inspect unloaded too, and sample, whose numpy imports inspect, leaves
+    dataclasses unloaded."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -637,7 +654,7 @@ class TestImportCost:
         argv = ["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--verify"]
         assert self._run(self._cli(argv)) == "False"
 
-    @pytest.mark.parametrize(
+    numpy_free_routes = pytest.mark.parametrize(
         "code",
         [
             "import lindsum",
@@ -670,8 +687,20 @@ class TestImportCost:
              "library-sum-scalars", "pdf-grid", "pdf-x-0", "reliability-grid", "reliability-t-1",
              "moments-verify", "integrate"],
     )
+
+    @numpy_free_routes
     def test_route_leaves_numpy_unloaded(self, code):
         assert self._run(code, "numpy._core") == "False"
+
+    @numpy_free_routes
+    def test_route_leaves_dataclasses_and_inspect_unloaded(self, code):
+        check = (
+            f"{code}\n"
+            "import sys\n"
+            "loaded = sorted({'dataclasses', 'inspect'}.intersection(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        )
+        self._run(check)
 
     @pytest.mark.parametrize(
         "argv",
@@ -680,6 +709,10 @@ class TestImportCost:
     )
     def test_route_loads_numpy(self, argv):
         assert self._run(self._cli(argv), "numpy._core") == "True"
+
+    def test_sample_leaves_dataclasses_unloaded(self):
+        argv = ["sample", "--dist", "lindley", "--theta", "1", "--n", "2", "--count", "3"]
+        assert self._run(self._cli(argv), "dataclasses") == "False"
 
     @pytest.mark.parametrize(
         "code, unloaded",
