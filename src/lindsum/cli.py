@@ -66,13 +66,9 @@ def _emit_table(
         writer.writerow(columns)
         writer.writerows(cells)
         return
-    widths = [
-        max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
-        for i, name in enumerate(columns)
-    ]
-    print("  ".join(name.ljust(w) for name, w in zip(columns, widths)))
-    for row in cells:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    widths = [max(map(len, column)) for column in zip(columns, *cells)]
+    for row in [columns, *cells]:  # the last column unpadded: no line ends in spaces
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _arg_type(parse, check, expected: str):
@@ -166,13 +162,13 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         ]
     columns = ["statistic", "value"]
     if args.verify:
-        from .validation import MOMENT_BOUND, quadrature_moment
+        from .validation import MOMENT_BOUND, _relative_error, quadrature_moment
 
         worst = 0.0
         columns += ["quadrature", "rel_error"]
         for m, row in enumerate(rows[: args.m_max], start=1):
             numeric = quadrature_moment(spec, m)
-            row += [numeric, abs(row[1] - numeric) / row[1]]
+            row += [numeric, _relative_error(numeric, row[1])]
             worst = max(worst, row[3])
         for row in rows[args.m_max :]:  # the central rows have no quadrature check
             row += [math.nan, math.nan]

@@ -13,14 +13,17 @@ convolution oracle at n = 1).  Its density and its survival are one kind of
 series in y = rate x, sum_i w_i y^{p_i} e^{-y} / p_i!: the weights on the
 powers s-1 (times rate), and the tail weights W_j, the weight on shapes above
 j, on the powers j.  One plan, _Series, built with the mixture's rate, serves
-both, with one evaluator for a scalar and one for arrays, in log space.
-Every density and tail in the package, the Lindley double series included,
-is routed by one frame, _pointwise: where 0 < x < _finite_below(rate) it
-takes a Python int or float to the scalar evaluator, without numpy, and any
-other input to the array series; x < 0, x == 0, x at or past that bound, and
-NaN get their edge values (a Python scalar without numpy).  The parameter
-checks check_positive and check_count live here too, so that ErlangMixture
-can use them (family, which re-exports them, imports this module).
+both: it carries its bound _finite_below(rate), its cap, its edge values,
+and one evaluator for a scalar and one for arrays, in log space.  Every
+density and tail in the package, the Lindley double series included, is
+evaluated by one frame, _pointwise(x, plan, log=False), which applies each
+rule once: where 0 < x < bound it takes a Python int or float to the scalar
+evaluator, without numpy, a small array to it point by point and a larger
+one to the array series, then caps the series and, unless log, takes its
+exponential; x < 0, x == 0, x at or past the bound, and NaN get the plan's
+edge values (a Python scalar without numpy).  The parameter checks
+check_positive and check_count live here too, so that ErlangMixture can use
+them (family, which re-exports them, imports this module).
 
 _Record, the base of every frozen value class, stands in for frozen
 dataclasses, so no module imports dataclasses (or inspect with it): fields are
@@ -55,7 +58,7 @@ import numbers
 import operator
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 
 __all__ = [
@@ -103,7 +106,7 @@ _EPSREL_FLOOR = 50.0 * math.ulp(1.0)
 # The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21, its constants
 # rounded to double) as rows of (node x >= 0, Kronrod weight, Kronrod minus
 # Gauss weight), outermost first.  The 10-point Gauss rule uses the 2nd, 4th,
-# ..., 10th nodes, elsewhere its weight is 0; _gk21_tables mirrors the rows.
+# ..., 10th nodes, elsewhere its weight is 0.
 _GK21_HALF = (
     (0.9956571630258081, 0.011694638867371874, 0.011694638867371874),
     (0.9739065285171717, 0.032558162307964725, -0.03411318200072341),
@@ -117,6 +120,10 @@ _GK21_HALF = (
     (0.14887433898163122, 0.14773910490133849, -0.14778511981341438),
     (0.0, 0.1494455540029169, 0.1494455540029169),
 )
+# The rows mirrored: the nodes, Kronrod weights and Kronrod-minus-Gauss weights
+# over all 21 nodes in increasing order.
+_GK21_TABLES = tuple(zip(*[(-x, kronrod, difference) for x, kronrod, difference in _GK21_HALF[:-1]],
+                         *reversed(_GK21_HALF)))
 # Narrower pieces, relative to their position, are not bisected: the outer
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
 _NARROWEST = 1e3 * math.ulp(1.0)
@@ -170,37 +177,55 @@ def ln_binomial(n: int, r: int) -> float:
     return ln_factorial(n) - ln_factorial(r) - ln_factorial(n - r)
 
 
-def _pointwise(x: float | np.ndarray, bound: float, scalar: Callable[[float], float] | None,
-               series: Callable[[np.ndarray], np.ndarray], edges: tuple) -> float | np.ndarray:
-    """The one frame of every density and tail: inside 0 < x < bound, scalar
-    at a Python int or float (np.float64 included), without numpy, and series
-    on the flat points of any other input, 0-d arrays included, which it must
-    not write into; edges = (value at x < 0, at x == 0, at and past bound and
-    +inf) elsewhere, a Python scalar's at once; NaN at NaN.  A Python float for
-    a scalar or 0-d input, an array of x's shape otherwise."""
+def _pointwise(x: float | np.ndarray, plan, log: bool = False) -> float | np.ndarray:
+    """The one frame of every density and tail: e^series, or where log the
+    series, at most plan.cap, inside 0 < x < plan.bound, and plan.edges
+    (plan.log_edges where log) = (value at x < 0, at x == 0, at and past the
+    bound and +inf) elsewhere; NaN at NaN.  A Python int or float (np.float64
+    included) takes plan.at inside, without numpy, and its edge at once; any
+    other input, 0-d arrays included, is taken flat, its points inside by
+    _inside_values.  A Python float for a scalar or 0-d input, an array of x's
+    shape otherwise."""
     if isinstance(x, (int, float)):
-        if 0.0 < x < bound:
-            return scalar(x)
-        below, zero, far = edges
+        if 0.0 < x < plan.bound:
+            value = plan.at(x)
+            if value > plan.cap:  # faster than min()
+                value = plan.cap
+            return value if log else math.exp(value)
+        below, zero, far = plan.log_edges if log else plan.edges
         return below if x < 0.0 else zero if x == 0.0 else far if x > 0.0 else math.nan
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     # two reductions find the common case; NaN fails both
-    if flat.size and np.minimum.reduce(flat) > 0.0 and np.maximum.reduce(flat) < bound:
-        out = series(flat)
+    if flat.size and np.minimum.reduce(flat) > 0.0 and np.maximum.reduce(flat) < plan.bound:
+        out = _inside_values(flat, plan, log)
     else:
-        inside = (flat > 0.0) & (flat < bound)
+        inside = (flat > 0.0) & (flat < plan.bound)
         out = np.empty_like(flat)
         if inside.any():
-            out[inside] = series(flat[inside])
+            out[inside] = _inside_values(flat[inside], plan, log)
         # the edges are filled on the few points outside, where NaN fails all three tests
         rest = ~inside
         edge = flat[rest]
-        below, zero, far = edges
+        below, zero, far = plan.log_edges if log else plan.edges
         out[rest] = np.where(
             edge < 0.0, below, np.where(edge == 0.0, zero, np.where(edge > 0.0, far, math.nan))
         )
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _inside_values(points: np.ndarray, plan, log: bool) -> np.ndarray:
+    """_pointwise's values at flat points inside the series range: plan.at at
+    each of at most plan.few points, bit for bit the scalar route, else
+    plan.log_series, which must not write into them; at most plan.cap."""
+    if points.size <= plan.few:
+        at, cap = plan.at, plan.cap
+        if log:
+            return np.array([min(at(v), cap) for v in points.tolist()])
+        return np.array([math.exp(min(at(v), cap)) for v in points.tolist()])
+    series = plan.log_series(points)
+    np.minimum(series, plan.cap, out=series)
+    return series if log else np.exp(series, out=series)
 
 
 def _finite_below(rate: float) -> float:
@@ -226,11 +251,12 @@ class _Series:
     """ln(e^l sum_i w_i y^{p_i} e^{-y} / p_i!) at y = rate x > 0, for weights
     w_i > 0 on increasing powers p_i of a lattice of step g and a log factor
     l: the one plan of ErlangMixture's density and survival series, in Python
-    floats, built with the mixture's rate; bound is _finite_below(rate), where
-    _pointwise's series range ends.  at and log_series are its evaluators for a
-    scalar and for arrays (on a numpy view built at the first array call);
-    value and values give e^series, at most e^cap (1 for a tail), and
-    log_values the series, both through at on few (term, point) pairs.
+    floats, built with the mixture's rate, and all that _pointwise takes of
+    it: bound, _finite_below(rate), where the series range ends; cap, the
+    most the series may be (0 for a tail); few, the most points an array call
+    takes through at; edges and log_edges, the values and their logs at x < 0,
+    at x == 0 and at and past the bound; at and log_series, its evaluators
+    for a scalar and for arrays (on a numpy view built at the first array call).
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -248,9 +274,9 @@ class _Series:
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
-                 log_factor: float, rate: float, cap: float = math.inf):
+                 log_factor: float, rate: float, cap: float, edges: tuple, log_edges: tuple):
         self.terms, self.g, self.rate, self.cap = len(weights), g, rate, cap
-        self.bound = _finite_below(rate)
+        self.bound, self.edges, self.log_edges = _finite_below(rate), edges, log_edges
         # each term over the one before at y = 1: a weight ratio times p!/q!
         # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway; w
         # meets p!/q! before v, so that no inf meets a 0)
@@ -286,24 +312,10 @@ class _Series:
                 side.append((r, 1.0 / max(r, 1), constant, row))
             i = end
 
-    def value(self, x: float) -> float:
-        """e^series at one x > 0, at most e^cap."""
-        return math.exp(min(self.at(x), self.cap))
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """e^series at a flat array of points, at most e^cap: value's, bit for
-        bit, on at most _FEW_TERMS (term, point) pairs, else from log_series."""
-        if self.terms * points.size <= _FEW_TERMS:
-            at, cap = self.at, self.cap
-            return np.array([math.exp(min(at(x), cap)) for x in points.tolist()])
-        series = self.log_series(points)
-        return np.exp(np.minimum(series, self.cap, out=series), out=series)
-
-    def log_values(self, points: np.ndarray) -> np.ndarray:
-        """The series at a flat array of points, by values' rule."""
-        if self.terms * points.size <= _FEW_TERMS:
-            return np.array(list(map(self.at, points.tolist())))
-        return self.log_series(points)
+    @property
+    def few(self) -> int:
+        """_FEW_TERMS // terms, read from _FEW_TERMS at each call."""
+        return _FEW_TERMS // self.terms
 
     def at(self, x: float) -> float:
         """The series at one x > 0 in Python floats: Horner's rule per block,
@@ -529,18 +541,17 @@ class ErlangMixture(_Record):
         return tuple(zip(self.weights, self.shapes))
 
     @cached_property
-    def _density_plan(self) -> tuple[_Series, tuple, tuple]:
+    def _density_plan(self) -> _Series:
         # a component's density is rate w y^(s-1) e^{-y} / (s-1)!, y = rate x:
         # the series of the pairs (w, s-1) for w > 0 on the lattice of their
-        # gaps' gcd, then the edges of pdf and of log_pdf (at 0 only shape 1 has
-        # density, exactly w * rate)
+        # gaps' gcd, with no cap (at 0 only shape 1 has density, exactly w * rate)
         ln_rate = math.log(self.rate)
         weights, powers = zip(*((w, s - 1) for w, s in self.components if w > 0.0))
         g = math.gcd(*(p - powers[0] for p in powers)) or 1
-        series = _Series(weights, powers, g, ln_rate, self.rate)
         w = self.weights[0] if self.shapes[0] == 1 else 0.0
         ln_zero = math.log(w) + ln_rate if w > 0.0 else -math.inf
-        return series, (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf)
+        return _Series(weights, powers, g, ln_rate, self.rate, math.inf,
+                       (0.0, w * self.rate, 0.0), (-math.inf, ln_zero, -math.inf))
 
     @cached_property
     def _survival_plan(self) -> _Series:
@@ -556,20 +567,21 @@ class ErlangMixture(_Record):
             top = s
         tail += [above] * top
         tail.reverse()
-        # every term is nonnegative; only the weights' 1e-10 slack can pass 1
-        return _Series(tail, range(len(tail)), 1, 0.0, self.rate, cap=0.0)
+        # every term is nonnegative; only the weights' 1e-10 slack can pass 1,
+        # hence the cap; exactly 1 for t <= 0 (the series at t = 0 would give
+        # the float sum of the weights, 1 +/- ulp)
+        return _Series(tail, range(len(tail)), 1, 0.0, self.rate, 0.0,
+                       (1.0, 1.0, 0.0), (0.0, 0.0, -math.inf))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density: zero for x < 0, at +inf and where rate*x overflows,
         NaN at NaN."""
-        plan, edges, _ = self._density_plan
-        return _pointwise(x, plan.bound, plan.value, plan.values, edges)
+        return _pointwise(x, self._density_plan)
 
     def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Natural log of the density, finite where the density underflows:
         -inf where it is zero, NaN at NaN."""
-        plan, _, edges = self._density_plan
-        return _pointwise(x, plan.bound, plan.at, plan.log_values, edges)
+        return _pointwise(x, self._density_plan, log=True)
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture > t): 1 for t <= 0, 0 at +inf and where rate*t overflows,
@@ -578,10 +590,7 @@ class ErlangMixture(_Record):
         The weighted Erlang tails sum to one series in y = rate t, taken in
         log space like the density, so it holds where e^{-y} underflows.
         """
-        plan = self._survival_plan
-        # exactly 1 for t <= 0 (the series at t = 0 would give the float sum of
-        # the weights, 1 +/- ulp)
-        return _pointwise(t, plan.bound, plan.value, plan.values, (1.0, 1.0, 0.0))
+        return _pointwise(t, self._survival_plan)
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(mixture <= t), the exact complement of survival."""
@@ -735,19 +744,11 @@ def _fsum(terms: Iterable[float]) -> float:
         return math.nan
 
 
-@cache
-def _gk21_tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The qk21 nodes, Kronrod weights and Kronrod-minus-Gauss weights over
-    all 21 nodes in increasing order, built on first use."""
-    outer = [(-x, kronrod, difference) for x, kronrod, difference in _GK21_HALF[:-1]]
-    return tuple(zip(*outer, *reversed(_GK21_HALF)))
-
-
 def _gk21(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
     """QUADPACK's qk21 on [a, b]: the 21-point Kronrod value and its error
     estimate, resasc * min(1, (200 |K21 - G10| / resasc)^1.5), floored at
     50 eps * resabs (resabs the rule applied to |f|, resasc to |f - mean|)."""
-    nodes, kronrod_weights, difference_weights = _gk21_tables()
+    nodes, kronrod_weights, difference_weights = _GK21_TABLES
     centre, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a  # finite for any finite a, b
     values = f([centre + half * x for x in nodes])
     kronrod = _fsum(map(operator.mul, kronrod_weights, values))

@@ -42,6 +42,11 @@ __all__ = [
 _CURVE_SLACK = 1e-12
 
 
+# the fields numerics._pointwise reads of a plan (see numerics._Series); the
+# double series has an array evaluator of log R alone
+_LindleyPlan = namedtuple("_LindleyPlan", "bound cap few at log_series edges log_edges")
+
+
 def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | np.ndarray:
     """Cold-standby reliability with Lindley components, by the double series.
 
@@ -54,19 +59,20 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
-    # t is an array, so no scalar evaluator; the series would give NaN at +inf;
-    # no t < 0 is left for the first edge
-    series = partial(_lindley_series, theta, n)
-    return _pointwise(t, _finite_below(theta), None, series, (math.nan, 1.0, 0.0))
+    # t is an array and few is 0, so no point needs a scalar evaluator; the
+    # series would give NaN at +inf; no t < 0 is left for the first edge
+    plan = _LindleyPlan(_finite_below(theta), 0.0, 0, None, partial(_lindley_series, theta, n),
+                        (math.nan, 1.0, 0.0), (math.nan, 0.0, -math.inf))
+    return _pointwise(t, plan)
 
 
 def _lindley_series(theta: float, n: int, t: np.ndarray) -> np.ndarray:
+    """ln R at t > 0: the log of the double sum, less theta t."""
     terms = np.multiply.outer(np.arange(2.0 * n), np.log(t))
     terms += _lindley_log_coefficients(theta, n)[:, None]
     peak = terms.max(axis=0)
     terms -= peak
-    log_sum = peak + np.log(np.exp(terms, out=terms).sum(axis=0))
-    return np.minimum(1.0, np.exp(log_sum - theta * t))
+    return peak + np.log(np.exp(terms, out=terms).sum(axis=0)) - theta * t
 
 
 @lru_cache(maxsize=16)

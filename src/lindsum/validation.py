@@ -253,7 +253,7 @@ def quadrature_moment(spec: SumSpec, m: int) -> float:
     Raises QuadratureError when the quadrature cannot meet its tolerance.
     """
     log_pdf = spec.mixture().log_pdf
-    c = _sum_scale(spec)
+    c = spec.mean()  # change-of-variable hint only, no bias; unfloored, to reach mass far below 1
     shift = m * math.log(c)
 
     def integrand(points: list[float]) -> list[float]:
@@ -341,11 +341,6 @@ class VerificationReport(_Record):
         return lines
 
 
-def _sum_scale(spec: SumSpec) -> float:
-    # change-of-variable hint only, no bias; unfloored, to reach mass far below 1
-    return spec.mean()
-
-
 def _relative_error(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
@@ -385,7 +380,7 @@ def _check_dual_mttf() -> float:
             numeric = integrate(
                 partial(lindley_reliability, theta, n), 0.0, math.inf, scale=closed
             ).value
-            worst = max(worst, abs(numeric - closed) / closed)
+            worst = max(worst, _relative_error(numeric, closed))
     return worst
 
 
@@ -411,7 +406,7 @@ def _convolution_error(spec: SumSpec) -> float:
 
 
 def _mass_error(spec: SumSpec) -> float:
-    return abs(integrate(spec.pdf, 0.0, math.inf, scale=_sum_scale(spec)).value - 1.0)
+    return abs(integrate(spec.pdf, 0.0, math.inf, scale=spec.mean()).value - 1.0)
 
 
 def _moment_error(spec: SumSpec) -> float:

@@ -204,6 +204,21 @@ class TestMomentsCommand:
         assert len(rows) == 168
         assert max(float(row["rel_error"]) for row in rows) <= 1e-12
 
+    def test_verify_failure_exits_1(self, capsys, monkeypatch):
+        # a quadrature 1e-3 off the closed form fails the 1e-6 bound; the table
+        # is still written
+        real = lindsum.validation.quadrature_moment
+        monkeypatch.setattr(
+            lindsum.validation, "quadrature_moment", lambda spec, m: real(spec, m) * 1.001
+        )
+        argv = ["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--verify"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        assert all(abs(float(row["rel_error"]) - 1e-3) <= 1e-12 for row in rows)
+        assert err == "moment verification failed: worst relative error 0.001 exceeds 1e-06\n"
+
 
 class TestReliabilityCommand:
     def test_single_time_with_comparison(self, capsys):
@@ -335,6 +350,32 @@ class TestTableRows:
         model, system = StandbyModel(DistSpec(LINDLEY, theta), 5), ExponentialStandby(theta, 5)
         np.testing.assert_allclose(r_lindley, model.reliability(t), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(r_exponential, system.reliability(t), rtol=1e-14, atol=0.0)
+
+
+PLAIN_ARGV = {
+    "mttf": ["mttf", "--theta", "0.5,1", "--dist", "akash"],
+    "mttf-decimals": ["mttf", "--theta", "0.1,0.5,1,3", "--decimals", "2"],
+    "pdf": ["pdf", "--dist", "lindley", "--theta", "1", "--n", "3", "--x-min", "-1",
+            "--points", "7"],
+    "moments": ["moments", "--dist", "shanker", "--theta", "1", "--n", "5", "--central",
+                "--verify"],
+    "reliability": ["reliability", "--theta", "0.7", "--compare-exponential", "--points", "11"],
+}
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV.values(), ids=PLAIN_ARGV)
+def test_plain_table_is_the_csv_aligned(capsys, argv):
+    # the csv's cells, each column starting where its header does, two spaces
+    # apart at least, and no line ending in whitespace
+    _, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    expected = list(csv.reader(io.StringIO(out)))
+    code, out, _ = run_cli(capsys, argv + ["--format", "plain"])
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split() for line in lines] == expected
+    assert all(line == line.rstrip() for line in lines)
+    (starts,) = {tuple(m.start() for m in re.finditer(r"\S+", line)) for line in lines}
+    assert all(line[start - 2:start] == "  " for line in lines for start in starts[1:])
 
 
 class TestMttfCommand:

@@ -16,7 +16,7 @@ from scipy.special import gammaincc
 from lindsum.family import AKASH, LINDLEY, DistSpec
 from lindsum.numerics import (
     QuadratureError,
-    _gk21_tables,
+    _GK21_TABLES,
     integrate,
     ln_binomial,
     ln_factorial,
@@ -65,6 +65,10 @@ class TestLnBinomial:
             ln_binomial(3, 4)
         with pytest.raises(ValueError):
             ln_binomial(3, -1)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
+            ln_binomial(-1, 0)
 
 
 class TestErlangTail:
@@ -165,6 +169,11 @@ class TestLogSumTerms:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             logsumexp([])
+
+    def test_infinite_terms(self):
+        # an infinite term is the sum; all -inf is the log of an empty sum
+        assert logsumexp([0.5, math.inf, -3.0]) == math.inf
+        assert logsumexp([-math.inf, -math.inf]) == -math.inf
 
     @given(
         st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=40)
@@ -294,13 +303,13 @@ class TestIntegrate:
 
 class TestGaussKronrodRule:
     def test_gauss_nodes_and_weights_match_leggauss(self):
-        gauss = [(x, k - d) for x, k, d in zip(*_gk21_tables()) if k != d]
+        gauss = [(x, k - d) for x, k, d in zip(*_GK21_TABLES) if k != d]
         nodes, weights = np.polynomial.legendre.leggauss(10)
         np.testing.assert_allclose([x for x, _ in gauss], nodes, rtol=0, atol=1e-15)
         np.testing.assert_allclose([w for _, w in gauss], weights, rtol=0, atol=1e-15)
 
     def test_kronrod_rule_exact_through_degree_31(self):
-        nodes, kronrod, _ = _gk21_tables()
+        nodes, kronrod, _ = _GK21_TABLES
         for d in range(32):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
             value = math.fsum(w * x**d for w, x in zip(kronrod, nodes))

@@ -270,6 +270,12 @@ class TestSampleSum:
         with pytest.raises(OverflowError, match=r"theta=1e-308, n=5 .*beyond double range"):
             sample_sum(spec, np.random.default_rng(7), 2)
 
+    def test_without_size_one_float(self):
+        spec = SumSpec(DistSpec(RAM_AWADH, 1.0), 3)
+        draw = sample_sum(spec, np.random.default_rng(7))
+        assert type(draw) is float
+        assert draw == sample_sum(spec, np.random.default_rng(7), 1)[0]
+
     def test_nonnegative(self):
         draws = sample_sum(SumSpec(DistSpec(SHANKER, 2.0), 2), np.random.default_rng(3), 1000)
         assert np.all(draws >= 0.0)
@@ -366,6 +372,20 @@ class TestVerifyAll:
         (result,) = report.results
         assert result.status == "error"
         assert "cdf is NaN at sorted point 0" in result.detail
+
+    @pytest.mark.parametrize(
+        "method, value, reason",
+        [("pdf", math.nan, "non-finite density or survival value"),
+         ("survival", math.inf, "non-finite density or survival value"),
+         ("pdf", -1e-300, "negative density value")],
+        ids=["nan-density", "infinite-survival", "negative-density"],
+    )
+    def test_stability_breakdown_reports_error(self, monkeypatch, method, value, reason):
+        monkeypatch.setattr(SumSpec, method, lambda self, x: np.full(np.shape(x), value))
+        (result,) = verify_all(VerifyConfig(only=("stability",))).results
+        assert (result.status, result.bound) == ("error", 1e-6)
+        assert math.isnan(result.value)
+        assert result.detail == f"{reason} in the deep-sum regime"
 
     def test_unconverged_quadrature_reports_error(self, unconverged_quadrature):
         # quadrature that cannot meet its tolerance must surface as an
