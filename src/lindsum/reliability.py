@@ -217,8 +217,8 @@ class ReliabilityCurve(_Record):
 def reliability_curve(models, t_max: float, points: int) -> list[ReliabilityCurve]:
     """Evaluate each model's reliability on a uniform grid over [0, t_max]."""
     grid = np.linspace(0.0, check_positive(t_max, "t_max"), check_count(points, "points", 2))
-    curves = []
+    times, curves = tuple(grid.tolist()), []
     for model in models:
-        values = np.asarray(model.reliability(grid), dtype=float)
-        curves.append(ReliabilityCurve(model.label, tuple(grid), tuple(values)))
+        values = np.asarray(model.reliability(grid), dtype=float).tolist()
+        curves.append(ReliabilityCurve(model.label, times, tuple(values)))
     return curves

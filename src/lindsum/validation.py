@@ -1,8 +1,9 @@
 """Independent cross-checks of every closed form in the package.
 
 Each check pits a closed-form quantity against a route that shares no code
-with it: nested quadrature of the convolution integral for sum densities,
-adaptive quadrature for normalizations, moments, and MTTFs, and Monte Carlo
+with it: the convolution integral f_n = f_{n-1} * f, folded by nested
+quadrature one summand per level, for sum densities; adaptive quadrature for
+moments (the normalization is the zeroth) and MTTFs; and Monte Carlo
 simulation with a Kolmogorov-Smirnov distance for whole distributions.  The
 two routes are never collapsed; a disagreement fails the check rather than
 being patched over.
@@ -66,8 +67,8 @@ MOMENT_BOUND = 1e-6
 _KS_RUN = 128
 _KS_SLACK = 1e-12
 
-# Tolerance of the convolution oracle's quadrature (a tenth of it for the
-# inner two-fold integrals at n = 3).
+# Tolerance of the convolution oracle's outer quadrature; each inner level of
+# the fold runs at a tenth of the tolerance around it.
 _CONVOLUTION_TOL = 1e-9
 
 # Relative tolerance of the tails/* quadratures, and so their bound: the
@@ -198,12 +199,13 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     """Density of a member (n = 1) or of a 2- or 3-fold sum, with no Erlang mixture.
 
     At n = 1 the member's closed form c (a + x^k) e^{-theta x}, written nowhere
-    else in the package; at n = 2 and 3 f(u)f(x-u) (and the extra layer for
-    n = 3) integrated by the adaptive rule.  It shares no code with the
-    mixture behind DistSpec.pdf and SumSpec.pdf, nor with the member's
-    weights or constants, so the two are independent routes to the same
-    number.  The integral runs over v = u/x on [0, 1], with each factor
-    a + u^k divided by s = a + x^k, and its log is added to
+    else in the package; at n = 2 and 3 the convolution f_n = f_{n-1} * f,
+    folded by the adaptive rule one summand per level, each inner level at a
+    tenth of the tolerance around it (n <= 3 bounds the nested cost).  It
+    shares no code with the mixture behind DistSpec.pdf and SumSpec.pdf, nor
+    with the member's weights or constants, so the two are independent routes
+    to the same number.  The integral runs over v = u/x on [0, 1], with each
+    factor a + u^k divided by s = a + x^k, and its log is added to
     n ln c - theta x + n ln s + (n-1) ln x: the density holds where c^n,
     e^{-theta x} or x^k alone would leave double range.  c a at x = 0 for
     n = 1, else 0 for x <= 0 and at +inf; NaN at NaN.
@@ -227,18 +229,13 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     def factor(v: float) -> float:
         return low + high * v**k
 
-    def two_fold(width: float, tol: float) -> float:
-        return integrate(lambda vs: [factor(v) * factor(width - v) for v in vs],
+    def fold(m: int, width: float, tol: float) -> float:  # m-fold convolution at width
+        rest = factor if m == 2 else lambda w: fold(m - 1, w, tol * 0.1)
+        return integrate(lambda vs: [factor(v) * rest(width - v) for v in vs],
                          0.0, width, tol).value
 
-    if n == 1:
-        fold = 1.0
-    elif n == 2:
-        fold = two_fold(1.0, _CONVOLUTION_TOL)
-    else:
-        fold = integrate(lambda vs: [factor(v) * two_fold(1.0 - v, _CONVOLUTION_TOL * 0.1)
-                                     for v in vs], 0.0, 1.0, _CONVOLUTION_TOL).value
-    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * ln_x + math.log(fold))
+    folded = 1.0 if n == 1 else fold(n, 1.0, _CONVOLUTION_TOL)
+    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * ln_x + math.log(folded))
 
 
 def quadrature_moment(spec: SumSpec, m: int) -> float:
@@ -406,7 +403,7 @@ def _convolution_error(spec: SumSpec) -> float:
 
 
 def _mass_error(spec: SumSpec) -> float:
-    return abs(integrate(spec.pdf, 0.0, math.inf, scale=spec.mean()).value - 1.0)
+    return abs(quadrature_moment(spec, 0) - 1.0)
 
 
 def _moment_error(spec: SumSpec) -> float:

@@ -65,6 +65,15 @@ def test_dir_lists_names_and_submodules_before_they_load():
     assert out.split() == ["True", "True", "False"]
 
 
+def test_dir_in_process_imports_nothing():
+    # the same listing in this process, where line coverage sees __dir__ run
+    before = set(sys.modules)
+    names = dir(lindsum)
+    assert set(sys.modules) == before
+    assert names == sorted(names)
+    assert {*lindsum.__all__, *SUBMODULES} <= set(names)
+
+
 def test_submodule_and_unknown_attributes():
     _run(
         "import lindsum\n"

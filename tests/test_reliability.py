@@ -359,6 +359,12 @@ class TestReliabilityCurve:
             assert curve.times[0] == 0.0 and curve.times[-1] == 100.0
             assert curve.values[0] == 1.0
 
+    def test_fields_hold_python_floats(self):
+        models = [StandbyModel(DistSpec(LINDLEY, 0.5), 5), ExponentialStandby(0.5, 5)]
+        for curve in reliability_curve(models, 100.0, 11):
+            assert {type(v) for v in curve.times + curve.values} == {float}
+            assert "np.float64" not in repr(curve)
+
     def test_lindley_curve_dominates_exponential(self):
         for theta in THETAS:
             pair = reliability_curve(

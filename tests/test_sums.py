@@ -18,6 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 from exact_moments import central_summaries, raw_moments
+from hypothesis import given, settings, strategies as st
 from mpmath_oracle import SumOracle
 
 from lindsum.family import (
@@ -852,6 +853,30 @@ class TestDensityInY:
                 for got in (spec.pdf(x), few[i], many[i]):
                     assert abs(got - truth) <= 1e-12 * truth, (theta, x, got, truth)
         assert checked == self.CHECKED[member.name, n]
+
+
+class TestPointwiseOverTheDomain:
+    """pdf and survival of the n-fold sum at a Python float against SumOracle,
+    jointly over any member, theta log-uniform on [1e-200, 1e200], n up to
+    1000 and t log-uniform from 1e-6 to 50 times the mean, within 1e-12
+    relative wherever the truth is at least 1e-300 (ROADMAP item 6; the cdf
+    waits for item 1's lower tail)."""
+
+    @given(
+        member=st.sampled_from(MEMBERS),
+        theta=st.floats(-200.0, 200.0).map(lambda e: 10.0**e),
+        n=st.integers(1, 1000),
+        factor=st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_pdf_and_survival_match_mpmath(self, member, theta, n, factor):
+        dist = DistSpec(member, theta)
+        spec, oracle = SumSpec(dist, n), _oracle(dist, n)
+        t = factor * oracle.mean()
+        for route, truth in ((spec.pdf, oracle.pdf), (spec.survival, oracle.survival)):
+            got, expected = route(t), truth(t)
+            if expected >= 1e-300:
+                assert abs(got - expected) <= 1e-12 * expected, (route.__name__, t, got, expected)
 
 
 class TestDensityHardCases:
