@@ -58,6 +58,16 @@ KS_99_COEFFICIENT = 1.63
 # Documented fixed seeds for the reproducible Monte Carlo checks.
 DEFAULT_SEEDS = (7, 19, 37)
 
+# The ks/* checks pool the seeds' samples of each (member, n) and hold the
+# _KS_CASES cases of the full registry to one family-wise level by a Bonferroni
+# band: P(D > c/sqrt(N)) <= 2 exp(-2 c^2) for every N (the DKW inequality), so
+# c = sqrt(ln(2m/alpha)/2) puts each of m cases at alpha/m.  The level is the
+# one the power study tests/ks_power.py chose: c = 1.779 (1.992 at 1%).
+_MC_NS = (2, 5)
+_KS_CASES = len(MEMBERS) * len(_MC_NS)
+_KS_FAMILY_LEVEL = 0.05
+_KS_FAMILY_COEFFICIENT = math.sqrt(math.log(2 * _KS_CASES / _KS_FAMILY_LEVEL) / 2)
+
 # Relative error allowed between a closed-form moment and its quadrature, in
 # the moments/* checks and in `lindsum moments --verify`.
 MOMENT_BOUND = 1e-6
@@ -112,7 +122,26 @@ def ks_statistic(
 
     The distance is max over order statistics x_(i) of
     max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N), exactly; the default threshold
-    is the 99% Kolmogorov band _ks_band(N) = 1.63/sqrt(N).
+    is the 99% Kolmogorov band _ks_band(N) = 1.63/sqrt(N).  samples of any
+    shape are taken flattened, into a sorted copy: the input is never
+    changed.  _ks_distance, on that copy, says how the distance is found.
+    """
+    x = np.sort(np.asarray(samples, dtype=float), axis=None)
+    if x.size == 0:
+        raise ValueError("samples must be nonempty")
+    distance = _ks_distance(x, cdf)
+    if threshold is None:
+        threshold = _ks_band(x.size)
+    return KsReport(x.size, distance, float(threshold), distance <= threshold)
+
+
+def _ks_band(count: int, coefficient: float = KS_99_COEFFICIENT) -> float:
+    """The Kolmogorov band coefficient/sqrt(count), by default the 99% band."""
+    return coefficient / math.sqrt(count)
+
+
+def _ks_distance(x: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Exact two-sided KS distance of the sorted, nonempty 1-d sample x.
 
     The cdf is evaluated only where the distance can be attained.  A
     nondecreasing F bounds every deviation in a run of sorted points lo..hi
@@ -121,18 +150,14 @@ def ks_statistic(
     run of _KS_RUN points, then, in one step, at the interiors of the runs
     whose bound (plus _KS_SLACK) beats the best deviation at the ends.  The
     distance is attained in one of those runs or at an end, so it is exact,
-    and each point is evaluated at most once.  samples of any shape are
-    taken flattened.
+    and each point is evaluated at most once.
 
     cdf must be elementwise: it is called twice, on sorted points (the run
     ends, then the opened interiors, possibly none), and must return one value
     per point.  A NaN value, or one below the evaluated value before it by
     more than _KS_SLACK, raises ArithmeticError.
     """
-    x = np.sort(np.asarray(samples, dtype=float), axis=None)
     count = x.size
-    if count == 0:
-        raise ValueError("samples must be nonempty")
     lo = np.arange(0, count, _KS_RUN)
     hi = np.minimum(lo + _KS_RUN, count) - 1
     # lo and hi interleaved, less the repeat of a one-point last run
@@ -153,15 +178,7 @@ def ks_statistic(
     f[~inner] = f_ends
     f[inner] = _cdf_at(cdf, x, index[inner])
     _check_nondecreasing(x, index, f)
-    distance = float(_ks_deviation(index, f, count))
-    if threshold is None:
-        threshold = _ks_band(count)
-    return KsReport(count, distance, float(threshold), distance <= threshold)
-
-
-def _ks_band(count: int) -> float:
-    """The 99% Kolmogorov band of a count-point sample."""
-    return KS_99_COEFFICIENT / math.sqrt(count)
+    return float(_ks_deviation(index, f, count))
 
 
 def _cdf_at(
@@ -272,22 +289,25 @@ def sample_sum(
     Each summand is Exp(theta) with probability p and Erlang(k+1, theta)
     otherwise, so the number R of Erlang summands is Binomial(n, 1 - p) and,
     given R, the sum is Gamma(n + k*R, theta).  The sampler draws R, then one
-    gamma variate per sum.  It uses only the per-member weight
+    gamma variate per sum (_draw_sums).  It uses only the per-member weight
     p = DistSpec.mixture_weight, never the Erlang-mixture weights of the
     sum, so it stays an independent check of those weights.  OverflowError
     where a draw passes the largest double.
     """
     if size is None:
         return float(sample_sum(spec, rng, size=1)[0])
-    size = check_count(size, "size", 1)
+    return _draw_sums(spec, rng, np.empty(check_count(size, "size", 1)))
+
+
+def _draw_sums(spec: SumSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-d float array out with draws of the sum, as sample_sum says,
+    and return it: out holds the shapes n + k*R, then the draws, so no
+    temporary of the sample's size is made but R's."""
     d = spec.dist
-    # one array holds the shapes n + k*R, then the draws: no temporaries of
-    # the sample's size (the stream is unchanged)
-    draws = rng.binomial(spec.n, 1.0 - d.mixture_weight, size).astype(float)
-    draws *= d.member.degree
-    draws += spec.n
-    rng.standard_gamma(draws, out=draws)
-    return _divide_draws(draws, d.theta, spec.n)
+    np.multiply(rng.binomial(spec.n, 1.0 - d.mixture_weight, out.size), d.member.degree, out=out)
+    out += spec.n
+    rng.standard_gamma(out, out=out)
+    return _divide_draws(out, d.theta, spec.n)
 
 
 class VerifyConfig(_Record):
@@ -437,21 +457,27 @@ _MC_THETA = 2.0
 
 
 def _monte_carlo(member: FamilyMember, n: int, count: int) -> tuple[float, float]:
-    """The worst KS distance and the worst first/second-moment |z| of (member, n)
-    over the seeds, from one count-point sample per seed that serves both."""
+    """The KS distance of (member, n) and its worst first/second-moment |z|.
+
+    Each seed's count-point sample fills its segment of one buffer and gives
+    its own moment |z|; the buffer is then sorted in place and the pooled
+    sample of every seed gives the one KS distance, judged against the
+    family-wise band of the ks/* rows."""
     spec = SumSpec(DistSpec(member, _MC_THETA), n)
     exact = {m: spec.moment(m) for m in range(1, 5)}
-    worst_ks = worst_z = 0.0
-    for seed in DEFAULT_SEEDS:
-        samples = sample_sum(spec, np.random.default_rng(seed), count)
+    pool = np.empty((len(DEFAULT_SEEDS), count))
+    worst_z = 0.0
+    for seed, samples in zip(DEFAULT_SEEDS, pool):
+        _draw_sums(spec, np.random.default_rng(seed), samples)
         # the second moment without a squared copy of the sample; einsum's sum,
         # unlike a BLAS dot product, does not depend on the BLAS thread count
         square_sum = float(np.einsum("i,i->", samples, samples))
         for m, mean in zip((1, 2), (float(samples.mean()), square_sum / count)):
             se = math.sqrt((exact[2 * m] - exact[m] ** 2) / count)
             worst_z = max(worst_z, abs(mean - exact[m]) / se)
-        worst_ks = max(worst_ks, ks_statistic(samples, spec.cdf).ks_distance)
-    return worst_ks, worst_z
+    pool = pool.reshape(-1)
+    pool.sort()
+    return _ks_distance(pool, spec.cdf), worst_z
 
 
 def _check_stability() -> float:
@@ -493,7 +519,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], float], f
     # one (member, n) draw per seed serves its ks/* and mc-moments/* checks; the
     # cache holds only their two statistics, and only for this registry
     monte_carlo = cache(_monte_carlo)
-    ks_band = _ks_band(cfg.sample_count)
+    ks_band = _ks_band(len(DEFAULT_SEEDS) * cfg.sample_count, _KS_FAMILY_COEFFICIENT)
     registry: list[tuple[str, Callable[[], float], float]] = [
         (f"mttf-reference/{model}", partial(_check_mttf_reference, model), 0.005)
         for model in _MTTF_REFERENCE
@@ -507,7 +533,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], float], f
             registry.append(
                 (f"{prefix}/{lower}", partial(_worst_over_specs, (member,), ns, measure), bound)
             )
-        for units in (2, 5):
+        for units in _MC_NS:
             pair = partial(monte_carlo, member, units, cfg.sample_count)
             registry.append((f"ks/{lower}/n{units}", lambda pair=pair: pair()[0], ks_band))
             registry.append((f"mc-moments/{lower}/n{units}", lambda pair=pair: pair()[1], 4.0))

@@ -347,15 +347,20 @@ class TestVerifyAll:
         assert report.all_passed
 
     def test_ks_band_follows_the_sample_count(self):
-        # the registry states the ks/* bound: the 99% band of the configured count
+        # the registry states the ks/* bound: the family-wise band of the three
+        # seeds' pooled samples, over the 14 cases of the full registry, so the
+        # member filter and --only leave it as it is
         count = 20_000
         report = verify_all(
             VerifyConfig(members=("lindley", "ramawadh"), only=("ks",), sample_count=count)
         )
-        band = ks_statistic(np.linspace(0.0, 1.0, count), lambda x: x).threshold
-        assert band == KS_99_COEFFICIENT / math.sqrt(count)
+        band = math.sqrt(math.log(2 * 14 / 0.05) / 2) / math.sqrt(3 * count)
         assert [r.bound for r in report.results] == [band] * 4
         assert report.all_passed
+        (alone,) = verify_all(
+            VerifyConfig(members=("akash",), only=("ks/akash/n5",), sample_count=count)
+        ).results
+        assert alone.bound == band
 
     def test_repeated_members_give_each_check_once(self):
         report = verify_all(
@@ -407,13 +412,13 @@ class TestVerifyAll:
 
     def test_monte_carlo_sample_drawn_once_per_call(self, monkeypatch):
         calls = []
-        real = lindsum.validation.sample_sum
+        real = lindsum.validation._draw_sums
 
-        def counting(spec, rng, size=None):
+        def counting(spec, rng, out):
             calls.append((spec.dist.member.name, spec.n))
-            return real(spec, rng, size)
+            return real(spec, rng, out)
 
-        monkeypatch.setattr(lindsum.validation, "sample_sum", counting)
+        monkeypatch.setattr(lindsum.validation, "_draw_sums", counting)
         config = VerifyConfig(
             members=("lindley",), only=("ks", "mc-moments"), sample_count=20_000
         )
