@@ -288,26 +288,47 @@ def sample_sum(
 
     Each summand is Exp(theta) with probability p and Erlang(k+1, theta)
     otherwise, so the number R of Erlang summands is Binomial(n, 1 - p) and,
-    given R, the sum is Gamma(n + k*R, theta).  The sampler draws R, then one
-    gamma variate per sum (_draw_sums).  It uses only the per-member weight
-    p = DistSpec.mixture_weight, never the Erlang-mixture weights of the
+    given R, the sum is Gamma(n + k*R, theta).  _draw_sums draws the sums
+    grouped by R; they are then shuffled in place, so the draws come out
+    exchangeable, in no order of R.  The sampler uses only the per-member
+    weights DistSpec.ln_weights, never the Erlang-mixture weights of the
     sum, so it stays an independent check of those weights.  OverflowError
     where a draw passes the largest double.
     """
     if size is None:
         return float(sample_sum(spec, rng, size=1)[0])
-    return _draw_sums(spec, rng, np.empty(check_count(size, "size", 1)))
+    draws = _draw_sums(spec, rng, np.empty(check_count(size, "size", 1)))
+    rng.shuffle(draws)
+    return draws
 
 
 def _draw_sums(spec: SumSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the 1-d float array out with draws of the sum, as sample_sum says,
-    and return it: out holds the shapes n + k*R, then the draws, so no
-    temporary of the sample's size is made but R's."""
-    d = spec.dist
-    np.multiply(rng.binomial(spec.n, 1.0 - d.mixture_weight, out.size), d.member.degree, out=out)
-    out += spec.n
-    rng.standard_gamma(out, out=out)
-    return _divide_draws(out, d.theta, spec.n)
+    """Fill the 1-d float array out with draws of the sum grouped by R, in
+    increasing R, and return it.
+
+    The count of each R comes from one multinomial draw over R's pmf
+    C(n,r) p^{n-r} q^r, taken in log space relative to its first r from
+    ln p and ln q; then each nonzero count is one standard_gamma call of
+    shape n + k*r, written into its slice of out.  The pmf is taken on r
+    within 40 standard deviations plus 500 of nq, outside which Bernstein's
+    inequality puts less than e^-375 of R's mass, so at most O(sqrt(n)) + 1001
+    values of r are kept at any n.
+    """
+    n, k = spec.n, spec.dist.member.degree
+    ln_p, ln_q = spec.dist.ln_weights
+    reach = 40.0 * math.sqrt(n * math.exp(ln_p + ln_q)) + 500.0
+    centre = n * math.exp(ln_q)
+    r = np.arange(max(0, math.floor(centre - reach)), min(n, math.ceil(centre + reach)) + 1)
+    ln_pmf = (r - r[0]) * (ln_q - ln_p)  # ln pmf(r) - ln pmf(r[0]), less ln C(n,r)/C(n,r[0])
+    ln_pmf[1:] += np.cumsum(np.log((n - r[1:] + 1.0) / r[1:]))
+    pmf = np.exp(ln_pmf - ln_pmf.max())
+    counts = rng.multinomial(out.size, pmf / pmf.sum())
+    start = 0
+    for i in np.flatnonzero(counts).tolist():
+        stop = start + int(counts[i])
+        rng.standard_gamma(n + k * int(r[i]), out=out[start:stop])
+        start = stop
+    return _divide_draws(out, spec.dist.theta, n)
 
 
 class VerifyConfig(_Record):

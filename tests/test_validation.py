@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import test_family
 from mpmath_oracle import SumOracle
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 import lindsum.validation
 from lindsum.cli import main
@@ -39,11 +39,17 @@ def _one_pass_ks_distance(samples, cdf):
     return float(max((i / count - f).max(), (f - (i - 1.0) / count).max()))
 
 
-def _binomial_gamma_reference(spec, rng, size):
-    # reference: the sampler's stream as one expression with its temporaries
-    d = spec.dist
-    erlang_count = rng.binomial(spec.n, 1.0 - d.mixture_weight, size)
-    return rng.standard_gamma(spec.n + d.member.degree * erlang_count) / d.theta
+def _grouped_reference(spec, rng, size):
+    # reference: the sampler's stream as one expression, from scipy's binomial
+    # pmf of R: one multinomial draw of R's counts, one gamma call per count
+    # in increasing R, divided by theta, then shuffled
+    d, n = spec.dist, spec.n
+    return rng.permutation(np.concatenate([
+        rng.standard_gamma(n + d.member.degree * r, count)
+        for r, count in enumerate(
+            rng.multinomial(size, binom.pmf(np.arange(n + 1), n, 1.0 - d.mixture_weight)))
+        if count
+    ]) / d.theta)
 
 
 def _uniform_cdf(x):
@@ -142,8 +148,8 @@ class TestKsStatistic:
 
     @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
     def test_verify_sample_needs_few_cdf_points(self, seed):
-        # the sample of the ks/ramawadh/n5 check: the exact distance from
-        # under 15% of the points
+        # one seed's share of the ks/ramawadh/n5 pool, shuffled: the exact
+        # distance from under 15% of the points
         spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
         samples = sample_sum(spec, np.random.default_rng(seed), 1_000_000)
         sizes = []
@@ -286,8 +292,25 @@ class TestSampleSum:
     def test_stream_matches_reference(self, member, n, theta):
         spec = SumSpec(DistSpec(member, theta), n)
         draws = sample_sum(spec, np.random.default_rng(n), 1000)
-        reference = _binomial_gamma_reference(spec, np.random.default_rng(n), 1000)
+        reference = _grouped_reference(spec, np.random.default_rng(n), 1000)
         np.testing.assert_array_equal(draws, reference)
+
+    def test_draws_are_exchangeable(self):
+        # _draw_sums leaves the draws grouped by R, in increasing R; after the
+        # shuffle the first half and the second half are one law
+        spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
+        draws = sample_sum(spec, np.random.default_rng(5), 100_000)
+        assert ks_2samp(draws[:50_000], draws[50_000:]).pvalue > 1e-4
+
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_sums_at_huge_n(self, n):
+        # R's pmf is kept only near its mean, so n = 1e9 costs O(sqrt(n)); the
+        # mean and the spread of the sums, n E[X] and n Var[X], stay exact
+        dist = DistSpec(LINDLEY, 1.0)
+        mean, variance = dist.moment(1), dist.moment(2) - dist.moment(1) ** 2
+        draws = sample_sum(SumSpec(dist, n), np.random.default_rng(n), 2000)
+        assert abs(draws.mean() - n * mean) <= 4.0 * math.sqrt(n * variance / 2000)
+        assert 0.9 < draws.std() / math.sqrt(n * variance) < 1.1
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 3])
