@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--samples", type=_COUNT, default=None,
-        help="Monte Carlo sample count (default: VerifyConfig.sample_count)",
+        help="Monte Carlo sums drawn per seed (default: VerifyConfig.sample_count); "
+        "each ks/* check pools the three seeds' samples",
     )
     _add_format(verify, default="plain")
 

@@ -336,7 +336,7 @@ class VerifyConfig(_Record):
 
     members: tuple[str, ...] | None = None
     only: tuple[str, ...] | None = None
-    sample_count: int = 1_000_000
+    sample_count: int = 1_000_000  # Monte Carlo sums per seed; ks/* pools the seeds
 
     def __post_init__(self) -> None:
         for name in ("members", "only"):

@@ -5,9 +5,12 @@ It is built from theta, alpha and k alone.  The member weight
 p = alpha theta^k / (alpha theta^k + k!), its complement and the sum's
 weights C(n,r) p^(n-r) (1-p)^r on Erlang(n + k r, theta) are taken in
 mpmath, not from the package's ln_weights, norm_const or ErlangMixture.
-Each Erlang term integrates in closed form: its tail beyond x is the
-regularized upper incomplete gamma function Q(s, theta x) and its mean
-s / theta.
+Each Erlang term integrates in closed form: its mean is s / theta, and its
+tail beyond x is the regularized upper incomplete gamma function
+Q(s, y) = e^{-y} sum_{j<s} y^j/j!, y = theta x, for the integer shape s.  So
+the sum's survival is one Poisson sum e^{-y} sum_j W_j y^j/j!, with W_j the
+weight on shapes above j: positive terms, so no cancellation, and no
+incomplete gamma function per component.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ class SumOracle:
             self.components = [
                 (mpmath.binomial(n, r) * p ** (n - r) * q**r, n + k * r) for r in range(n + 1)
             ]
+            # W_j for j below the largest shape, summed down from it
+            weight_at = {s: w for w, s in self.components}
+            above, self.tail_weights = mpmath.mpf(0), []
+            for j in reversed(range(n + k * n)):
+                above += weight_at.get(j + 1, 0)
+                self.tail_weights.append(above)
+            self.tail_weights.reverse()
 
     def pdf(self, x: float) -> float:
         with mpmath.workdps(DIGITS):
@@ -39,11 +49,17 @@ class SumOracle:
             ) * mpmath.exp(-y))
 
     def survival(self, x: float) -> float:
+        return float(self.survival_mpf(x))
+
+    def survival_mpf(self, x: float) -> mpmath.mpf:
+        """P(S > x) at DIGITS digits, for x >= 0: the Poisson sum over W_j."""
         with mpmath.workdps(DIGITS):
             y = self.theta * mpmath.mpf(x)
-            return float(mpmath.fsum(
-                w * mpmath.gammainc(s, y, regularized=True) for w, s in self.components
-            ))
+            term, terms = mpmath.exp(-y), []  # e^{-y} y^j / j!
+            for j, tail_weight in enumerate(self.tail_weights):
+                terms.append(tail_weight * term)
+                term = term * y / (j + 1)
+            return mpmath.fsum(terms)
 
     def mean(self) -> float:
         with mpmath.workdps(DIGITS):

@@ -868,7 +868,7 @@ class TestPointwiseOverTheDomain:
         n=st.integers(1, 1000),
         factor=st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_pdf_and_survival_match_mpmath(self, member, theta, n, factor):
         dist = DistSpec(member, theta)
         spec, oracle = SumSpec(dist, n), _oracle(dist, n)
@@ -877,6 +877,28 @@ class TestPointwiseOverTheDomain:
             got, expected = route(t), truth(t)
             if expected >= 1e-300:
                 assert abs(got - expected) <= 1e-12 * expected, (route.__name__, t, got, expected)
+
+
+class TestSumOracleSurvival:
+    """SumOracle's survival, one Poisson sum over the tail weights, against
+    the route it replaced: one 50-digit regularized gammainc per component."""
+
+    @pytest.mark.parametrize(
+        "member, theta, n, factor",
+        [(LINDLEY, 1.0, 1, 0.5), (RAM_AWADH, 2.0, 5, 3.0), (AKASH, 1e-100, 50, 1.0),
+         (RAM_AWADH, 1e100, 200, 0.2), (SHANKER, 0.3, 20, 8.0)],
+        ids=["lindley-1", "ramawadh-5-tail", "akash-50-tiny-theta", "ramawadh-200-huge-theta",
+             "shanker-20-deep-tail"],
+    )
+    def test_poisson_sum_matches_gammainc(self, member, theta, n, factor):
+        oracle = _oracle(DistSpec(member, theta), n)
+        t = factor * oracle.mean()
+        with mpmath.workdps(50):
+            y = oracle.theta * mpmath.mpf(t)
+            route = mpmath.fsum(
+                w * mpmath.gammainc(s, y, regularized=True) for w, s in oracle.components
+            )
+            assert abs(oracle.survival_mpf(t) - route) <= mpmath.mpf("1e-40") * route
 
 
 class TestDensityHardCases:

@@ -11,6 +11,7 @@ import pytest
 import test_family
 from mpmath_oracle import SumOracle
 from scipy.stats import binom, ks_2samp
+from test_acceptance import BOUNDS, CHECK_IDS
 
 import lindsum.validation
 from lindsum.cli import main
@@ -28,6 +29,13 @@ from lindsum.validation import (
 
 
 _KS_RUN = lindsum.validation._KS_RUN
+
+# every registry row whose measure runs adaptive quadrature
+QUADRATURE_IDS = [
+    check_id for check_id in CHECK_IDS
+    if check_id.startswith(("convolution/", "normalization/", "moments/", "tails/upper/",
+                            "lindley-dual/mttf", "stability"))
+]
 
 
 def _one_pass_ks_distance(samples, cdf):
@@ -424,13 +432,16 @@ class TestVerifyAll:
         assert not report.all_passed
         assert result.detail != ""
 
-    def test_error_record_keeps_its_rows_bound(self, unconverged_quadrature):
+    @pytest.mark.parametrize("check_id", QUADRATURE_IDS)
+    def test_error_record_keeps_its_rows_bound(self, unconverged_quadrature, check_id):
         # an error record is an ordinary record whose measure raised: the row's
         # bound, no value, and the quadrature failure in detail
-        (result,) = verify_all(VerifyConfig(only=("normalization/lindley",))).results
+        (result,) = verify_all(VerifyConfig(only=(check_id,))).results
+        assert result.check_id == check_id
         assert result.status == "error"
         assert math.isnan(result.value)
-        assert result.bound == 1e-8
+        (bound,) = [b for prefix, b in BOUNDS.items() if check_id.startswith(prefix)]
+        assert result.bound == bound
         assert result.detail.startswith("quadrature did not converge")
 
     def test_monte_carlo_sample_drawn_once_per_call(self, monkeypatch):
