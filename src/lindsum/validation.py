@@ -319,7 +319,9 @@ def _draw_sums(spec: SumSpec, rng: np.random.Generator, out: np.ndarray) -> np.n
     reach = 40.0 * math.sqrt(n * math.exp(ln_p + ln_q)) + 500.0
     centre = n * math.exp(ln_q)
     r = np.arange(max(0, math.floor(centre - reach)), min(n, math.ceil(centre + reach)) + 1)
-    ln_pmf = (r - r[0]) * (ln_q - ln_p)  # ln pmf(r) - ln pmf(r[0]), less ln C(n,r)/C(n,r[0])
+    # ln pmf(r) - ln pmf(r[0]) = (r - r[0]) ln(q/p) + ln(C(n,r)/C(n,r[0])), the
+    # second a running sum of ln((n-j+1)/j) over j = r[0]+1 .. r
+    ln_pmf = (r - r[0]) * (ln_q - ln_p)
     ln_pmf[1:] += np.cumsum(np.log((n - r[1:] + 1.0) / r[1:]))
     pmf = np.exp(ln_pmf - ln_pmf.max())
     counts = rng.multinomial(out.size, pmf / pmf.sum())

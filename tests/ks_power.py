@@ -42,7 +42,7 @@ from lindsum.validation import (
 
 ENTROPY = 31
 CASES = [(member, n) for member in MEMBERS for n in _MC_NS]
-# the least and the most sensitive cases to a shift of p, and one between
+# the cases least and most sensitive to a shift of p, and one between
 POWER_CASES = ((LINDLEY, 2), (AKASH, 5), (RAM_AWADH, 5))
 SHIFTS = (0.0005, 0.001, 0.002, 0.003, 0.004)
 LEVELS = (0.01, 0.05)
