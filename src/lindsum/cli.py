@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .family import LINDLEY, DistSpec, check_count, check_positive, member_by_name
 from .numerics import QuadratureError, np
-from .sums import SumSpec
+from .sums import SumSpec, sample_sum
 
 __all__ = ["DEFAULT_SEED", "SEED_ENV_VAR", "build_parser", "main"]
 
@@ -213,8 +213,6 @@ def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .validation import sample_sum
-
     draws = sample_sum(_sum_spec(args), np.random.default_rng(args.seed), args.count)
     sys.stdout.write("".join(f"{v:.17g}\n" for v in draws.tolist()))
     return 0
@@ -280,9 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdf = command("pdf", cmd_pdf, "density, cdf, and survival of an n-fold sum")
     _add_spec_flags(pdf)
-    pdf.add_argument("--x", type=_FINITE, default=None, help="single evaluation point")
-    pdf.add_argument("--x-min", type=_FINITE, default=0.0, help="grid start (default 0)")
-    pdf.add_argument("--x-max", type=_FINITE, default=None, help="grid end (default 5*mean)")
+    pdf.add_argument("--x", type=_FINITE, default=None,
+                     help="single evaluation point; give e-notation negatives as --x=-2e0")
+    pdf.add_argument("--x-min", type=_FINITE, default=0.0,
+                     help="grid start (default 0); give e-notation negatives as --x-min=-1e-3")
+    pdf.add_argument("--x-max", type=_FINITE, default=None,
+                     help="grid end (default 5*mean); give e-notation negatives as --x-max=-1e-3")
     pdf.add_argument("--points", type=_POINTS, default=101, help="grid size (default 101)")
     _add_format(pdf)
 

@@ -22,8 +22,8 @@ DistSpec derives (ln p, ln(1-p)) once, from the log-odds ln(alpha*theta^k/k!), s
 both are finite for every finite theta, and sum_mixture builds every such
 numerics.ErlangMixture from them; the member's density, tails and moments are
 those of sum_mixture(1).  The closed form c (alpha + x^k) e^{-theta x} is kept
-apart, as validation.convolution_oracle_pdf at n = 1, and the composition
-sampler stays independent of the mixture code it helps check.
+apart, as validation.convolution_oracle_pdf at n = 1, and DistSpec.sample,
+the composition oracle of sums.sample_sum, uses none of the mixture code.
 check_positive and check_count (from numerics, re-exported here) are the one
 check of each kind of parameter (a positive finite real, a count with a lower
 bound); check_theta and check_n apply them to theta and n.

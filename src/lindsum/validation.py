@@ -3,10 +3,10 @@
 Each check pits a closed-form quantity against a route that shares no code
 with it: the convolution integral f_n = f_{n-1} * f, folded by nested
 quadrature one summand per level, for sum densities; adaptive quadrature for
-moments (the normalization is the zeroth) and MTTFs; and Monte Carlo
-simulation with a Kolmogorov-Smirnov distance for whole distributions.  The
-two routes are never collapsed; a disagreement fails the check rather than
-being patched over.
+moments (the normalization is the zeroth) and MTTFs; and sums drawn by the
+core's sampler sums.sample_sum (re-exported here), with a Kolmogorov-Smirnov
+distance, for whole distributions.  The two routes are never collapsed; a
+disagreement fails the check rather than being patched over.
 
 verify_all() runs the registry, the one list of checks: rows of (check id,
 measure, bound), where each measure returns only the value it measured and
@@ -24,8 +24,7 @@ from collections.abc import Callable, Sequence
 from functools import cache, partial
 
 from .family import (
-    LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, _divide_draws, check_count,
-    member_by_name,
+    LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
 )
 from .numerics import _LN_DOUBLE_MAX, QuadratureError, _Record, integrate, logsumexp, np
 from .reliability import (
@@ -35,7 +34,7 @@ from .reliability import (
     lindley_mttf,
     lindley_reliability,
 )
-from .sums import SumSpec
+from .sums import SumSpec, _draw_sums, sample_sum
 
 __all__ = [
     "CheckResult",
@@ -277,60 +276,6 @@ def quadrature_moment(spec: SumSpec, m: int) -> float:
     scaled = integrate(integrand, 0.0, math.inf, scale=c).value
     half = c ** (0.5 * m)
     return scaled * half * half
-
-
-def sample_sum(
-    spec: SumSpec,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> float | np.ndarray:
-    """Simulate sums of n IID family draws exactly, at O(1) cost per draw.
-
-    Each summand is Exp(theta) with probability p and Erlang(k+1, theta)
-    otherwise, so the number R of Erlang summands is Binomial(n, 1 - p) and,
-    given R, the sum is Gamma(n + k*R, theta).  _draw_sums draws the sums
-    grouped by R; they are then shuffled in place, so the draws come out
-    exchangeable, in no order of R.  The sampler uses only the per-member
-    weights DistSpec.ln_weights, never the Erlang-mixture weights of the
-    sum, so it stays an independent check of those weights.  OverflowError
-    where a draw passes the largest double.
-    """
-    if size is None:
-        return float(sample_sum(spec, rng, size=1)[0])
-    draws = _draw_sums(spec, rng, np.empty(check_count(size, "size", 1)))
-    rng.shuffle(draws)
-    return draws
-
-
-def _draw_sums(spec: SumSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the 1-d float array out with draws of the sum grouped by R, in
-    increasing R, and return it.
-
-    The count of each R comes from one multinomial draw over R's pmf
-    C(n,r) p^{n-r} q^r, taken in log space relative to its first r from
-    ln p and ln q; then each nonzero count is one standard_gamma call of
-    shape n + k*r, written into its slice of out.  The pmf is taken on r
-    within 40 standard deviations plus 500 of nq, outside which Bernstein's
-    inequality puts less than e^-375 of R's mass, so at most O(sqrt(n)) + 1001
-    values of r are kept at any n.
-    """
-    n, k = spec.n, spec.dist.member.degree
-    ln_p, ln_q = spec.dist.ln_weights
-    reach = 40.0 * math.sqrt(n * math.exp(ln_p + ln_q)) + 500.0
-    centre = n * math.exp(ln_q)
-    r = np.arange(max(0, math.floor(centre - reach)), min(n, math.ceil(centre + reach)) + 1)
-    # ln pmf(r) - ln pmf(r[0]) = (r - r[0]) ln(q/p) + ln(C(n,r)/C(n,r[0])), the
-    # second a running sum of ln((n-j+1)/j) over j = r[0]+1 .. r
-    ln_pmf = (r - r[0]) * (ln_q - ln_p)
-    ln_pmf[1:] += np.cumsum(np.log((n - r[1:] + 1.0) / r[1:]))
-    pmf = np.exp(ln_pmf - ln_pmf.max())
-    counts = rng.multinomial(out.size, pmf / pmf.sum())
-    start = 0
-    for i in np.flatnonzero(counts).tolist():
-        stop = start + int(counts[i])
-        rng.standard_gamma(n + k * int(r[i]), out=out[start:stop])
-        start = stop
-    return _divide_draws(out, spec.dist.theta, n)
 
 
 class VerifyConfig(_Record):

@@ -49,6 +49,14 @@ class TestPdfCommand:
         assert lines[0] == "x,pdf,cdf,survival"
         assert lines[1] == "0,0.5,0,1"
 
+    def test_negative_point_in_e_notation_joined_to_its_flag(self, capsys):
+        # argparse (3.11) reads the split form --x -2e0 as two flags, so the
+        # help gives the joined form
+        code, out, _ = run_cli(capsys, ["pdf", "--dist", "lindley", "--theta", "1", "--n", "2",
+                                        "--x=-2e0"])
+        assert code == 0
+        assert out.splitlines()[1] == "-2,0,0,1"
+
     def test_grid_defaults(self, capsys):
         code, out, _ = run_cli(
             capsys, ["pdf", "--dist", "lindley", "--theta", "1", "--n", "5"]
@@ -764,8 +772,14 @@ class TestImportCost:
             (_cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3"]), ("reliability", "validation")),
             (_cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
              ("reliability", "validation")),
+            (_cli(["sample", "--dist", "lindley", "--theta", "1", "--n", "2", "--count", "3"]),
+             ("reliability", "validation")),
+            ("import numpy as np\n"
+             "from lindsum import LINDLEY, DistSpec, SumSpec, sample_sum\n"
+             "assert sample_sum(SumSpec(DistSpec(LINDLEY, 1.0), 3), np.random.default_rng(1)) > 0\n",
+             ("reliability", "validation")),
         ],
-        ids=["import", "mttf", "reliability", "pdf", "moments-central"],
+        ids=["import", "mttf", "reliability", "pdf", "moments-central", "sample", "library-sample"],
     )
     def test_route_leaves_submodules_unloaded(self, code, unloaded):
         # lindsum imports reliability, validation and cli on first use, and the
