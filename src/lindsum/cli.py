@@ -125,8 +125,10 @@ def _grid(args, parser, point: float | None, lo: float, hi: float | None) -> lis
         return [point]
     if not hi > lo:
         parser.error(f"grid upper bound must exceed lower bound, got [{lo}, {hi}]")
-    div = args.points - 1
     delta = hi - lo
+    if not math.isfinite(delta):
+        parser.error(f"grid span must be finite, got [{lo}, {hi}]")
+    div = args.points - 1
     step = delta / div
     if step:
         return [lo + i * step for i in range(div)] + [hi]

@@ -33,26 +33,20 @@ del raise AttributeError (cached_property still caches); equality (one class
 only) and hash skip _uncompared; the repr is the dataclass one.
 
 numpy is loaded on first use.  This module makes the package's one np: numpy
-itself if it is already imported, else a module that importlib.util.LazyLoader
-registers as sys.modules["numpy"] and that runs numpy's __init__ on its first
-attribute access; the other modules take np from here.  So `lindsum mttf`,
-`moments` (--verify too), `pdf`, `reliability`, `--help` and usage errors
-never load numpy: their numbers are pure math, their densities and tails come
-from Python floats through the scalar route of _pointwise, and integrate runs
-in Python floats.  `sample` and `verify` do load it.  A later `import numpy`
-anywhere completes the load.  One caveat: in Python 3.10.13, 3.11.7 and 3.12.1
-(checked in the source of importlib.util._LazyModule) the load takes no lock
-and switches the module's class before numpy's __init__ runs, so a second
-thread that first touches np during that load can see a half-built numpy;
-3.13.0 holds a lock through the load.  Import numpy before lindsum to rule
-this out.
+itself if it is already imported, else a _Numpy proxy whose first attribute
+read runs `import numpy` (under the import system's lock, so a second thread
+waits for the whole load) and which keeps each attribute it reads; the other
+modules take np from here.  The proxy registers nothing in sys.modules.  So
+`lindsum mttf`, `moments` (--verify too), `pdf`, `reliability`, `--help` and
+usage errors never load numpy: their numbers are pure math, their densities
+and tails come from Python floats through the scalar route of _pointwise, and
+integrate runs in Python floats.  `sample` and `verify` do load it.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import importlib.util
 import math
 import numbers
 import operator
@@ -74,21 +68,18 @@ __all__ = [
 ]
 
 
-def _lazy_numpy():
-    """numpy as imported, else a lazily loaded numpy registered in sys.modules."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+class _Numpy:
+    """numpy, imported at the first attribute read; keeps each attribute it reads."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
 
 
-np = _lazy_numpy()
+np = sys.modules.get("numpy") or _Numpy()
 
 # Logs of exact integer factorials; lgamma takes over past the table.
 _EXACT_LIMIT = 20

@@ -540,8 +540,14 @@ class TestVerifyCommand:
             (["verify", "--only", "nonsense"], "--only 'nonsense' matched no checks"),
             (["pdf", "--dist", "lindley", "--theta", "1", "--x-min", "5", "--x-max", "1"],
              "grid upper bound must exceed lower bound, got [5.0, 1.0]"),
+            (["pdf", "--dist", "lindley", "--theta", "1", "--x-min=-1.7e308", "--x-max",
+              "1.7e308", "--points", "5"],
+             "grid span must be finite, got [-1.7e+308, 1.7e+308]"),
+            # the default grid end, 5 * mean, overflows
+            (["pdf", "--dist", "lindley", "--theta", "3e-308", "--points", "3"],
+             "grid span must be finite, got [0.0, inf]"),
         ],
-        ids=["verify-only", "pdf-grid"],
+        ids=["verify-only", "pdf-grid", "pdf-grid-span", "pdf-default-grid-span"],
     )
     def test_command_error_prints_its_own_usage(self, capsys, argv, message):
         err = run_cli_expecting_usage_error(capsys, argv)
@@ -655,10 +661,11 @@ class TestImportCost:
     library MTTF, a sum's and a member's density and tails and a sum's log
     density at Python floats, and integrate on a pure-Python integrand leave
     its core unloaded; sample loads it; and lindsum shares one numpy with code
-    that imports it before or after lindsum.  The value classes derive from
-    numerics._Record, so those numpy-free routes leave dataclasses and
-    inspect unloaded too, and sample, whose numpy imports inspect, leaves
-    dataclasses unloaded."""
+    that imports it before or after lindsum, registers nothing in sys.modules
+    itself, and loads it whole when threads first touch it at once.  The
+    value classes derive from numerics._Record, so those numpy-free routes
+    leave dataclasses and inspect unloaded too, and sample, whose numpy
+    imports inspect, leaves dataclasses unloaded."""
 
     @staticmethod
     def _run(code, package="scipy"):
@@ -820,7 +827,46 @@ class TestImportCost:
     def test_numpy_imported_after_works(self):
         code = (
             "import lindsum.numerics\n"
-            "import numpy as np\n"
-            "assert np is lindsum.numerics.np and np.arange(3).sum() == 3\n"
+            "import numpy\n"
+            "assert numpy.arange(3).sum() == 3 == lindsum.numerics.np.arange(3).sum()\n"
+            "assert lindsum.numerics.np.ndarray is numpy.ndarray\n"
         )
         assert self._run(code, "numpy._core") == "True"
+
+    def test_import_registers_no_numpy(self):
+        assert self._run("import lindsum", "numpy") == "False"
+
+    def test_numpy_imported_after_is_a_plain_module(self):
+        code = (
+            "import sys\n"
+            "import lindsum\n"
+            "import numpy\n"
+            "assert type(numpy) is type(sys), type(numpy)\n"
+        )
+        self._run(code)
+
+    def test_threads_first_touch_numpy_together(self):
+        # threads released at once all wait for the one load, none sees a
+        # half-built numpy; more threads than cores, switching often
+        code = (
+            "import sys, threading\n"
+            "import lindsum.numerics as nm\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(4)\n"
+            "errors = []\n"
+            "def touch():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        assert nm.np.arange(3).sum() == 3\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=touch) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=30)\n"
+            "assert not any(thread.is_alive() for thread in threads)\n"
+            "assert not errors, errors\n"
+        )
+        for _ in range(5):
+            self._run(code)
