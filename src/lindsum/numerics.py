@@ -30,7 +30,8 @@ dataclasses, so no module imports dataclasses (or inspect with it): fields are
 a subclass's annotations (after a parent record's), class values defaults;
 __init__ takes them by position or keyword, then calls __post_init__; set and
 del raise AttributeError (cached_property still caches); equality (one class
-only) and hash skip _uncompared; the repr is the dataclass one.
+only) and hash skip _uncompared, through a getter of the compared values built
+once per class; the repr is the dataclass one.
 
 numpy is loaded on first use.  This module makes the package's one np: numpy
 itself if it is already imported, else a _Numpy proxy whose first attribute
@@ -173,13 +174,14 @@ def _pointwise(x: float | np.ndarray, plan, log: bool = False) -> float | np.nda
     series, at most plan.cap, inside 0 < x < plan.bound, and plan.edges
     (plan.log_edges where log) = (value at x < 0, at x == 0, at and past the
     bound and +inf) elsewhere; NaN at NaN.  A Python int or float (np.float64
-    included) takes plan.at inside, without numpy, and its edge at once; any
+    included; an exact float is tested first) takes plan.at inside, as a
+    float and without numpy, and its edge at once; any
     other input, 0-d arrays included, is taken flat, its points inside by
     _inside_values.  A Python float for a scalar or 0-d input, an array of x's
     shape otherwise."""
-    if isinstance(x, (int, float)):
+    if x.__class__ is float or isinstance(x, (int, float)):
         if 0.0 < x < plan.bound:
-            value = plan.at(x)
+            value = plan.at(float(x))
             if value > plan.cap:  # faster than min()
                 value = plan.cap
             return value if log else math.exp(value)
@@ -261,7 +263,9 @@ class _Series:
     keeps a few ulp where e^{-y} or y^r alone underflows or overflows (Loader,
     "Fast and accurate computation of binomial probabilities", 2000).  The
     two evaluators take each block's log the same way, in the same order, so
-    they agree to a few ulp.
+    they agree to a few ulp.  On a side of one block (every sum of n <= 5
+    at moderate theta) at returns that block's log at once, bit for bit its
+    log-sum-exp loop.
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
@@ -309,14 +313,17 @@ class _Series:
         return _FEW_TERMS // self.terms
 
     def at(self, x: float) -> float:
-        """The series at one x > 0 in Python floats: Horner's rule per block,
-        then a log-sum-exp across the blocks."""
-        x = float(x)
+        """The series at one float x > 0 in Python floats: Horner's rule per
+        block, then a running log-sum-exp across the blocks.  A side of one
+        block returns its offset plus the log of its sum at once: the offset
+        is finite, so that is bit for bit what the loop gives."""
         y = self.rate * x
         high = y > 1.0
         v = y ** (-self.g if high else self.g)
+        blocks = self._sides[high]
+        single, log, exp = len(blocks) == 1, math.log, math.exp
         top, total = -math.inf, 0.0
-        for r, inverse, constant, coefficients in self._sides[high]:
+        for r, inverse, constant, coefficients in blocks:
             acc = 0.0
             for c in coefficients:
                 acc = acc * v + c
@@ -324,16 +331,18 @@ class _Series:
                 offset = constant - y
             elif y >= _DOUBLE_MIN:
                 u = y * inverse
-                offset = constant - r * (u - 1.0 - math.log(u))
+                offset = constant - r * (u - 1.0 - log(u))
             else:  # y subnormal or 0: ln u = ln rate + ln x - ln r
-                ln_u = math.log(self.rate) + math.log(x) - math.log(r)
+                ln_u = log(self.rate) + log(x) - log(r)
                 offset = constant - r * (y * inverse - 1.0 - ln_u)
+            if single:
+                return offset + log(acc)
             if offset > top:  # rescale the blocks so far (0 before the first)
-                total = total * math.exp(top - offset) + acc
+                total = total * exp(top - offset) + acc
                 top = offset
             else:
-                total += acc * math.exp(offset - top)
-        return top + math.log(total)
+                total += acc * exp(offset - top)
+        return top + log(total)
 
     @cached_property
     def _arrays(self) -> list[tuple[np.ndarray, ...]]:
@@ -455,7 +464,11 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         cls._fields = (*getattr(cls, "_fields", ()), *cls.__dict__.get("__annotations__", ()))
-        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        keys = tuple(f for f in cls._fields if f not in cls._uncompared)
+        # _key's tuple of the compared values from __dict__ (itemgetter of one
+        # key gives a bare value)
+        cls._key_of = staticmethod(operator.itemgetter(*keys) if len(keys) > 1
+                                   else lambda values: tuple([values[f] for f in keys]))
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
@@ -483,7 +496,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return tuple([self.__dict__[f] for f in self._compared])
+        return self._key_of(self.__dict__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -11,9 +11,10 @@ theta from 1e-200 to 1e200 and n from 1 to 500, the member's own pdf,
 survival and cdf, lindley_reliability, ExponentialStandby.reliability and
 mixtures whose shapes skip lattice points; each on arrays holding the edges
 and NaN, on 37- and 5000-point grids, on a 2-d array, on 0-d arrays and on
-Python scalars.  Each value is hashed as its 8 bytes, and a scalar call's
-result type is hashed beside it.  Not collected by pytest: the hash depends
-on the platform's libm and numpy build, so there is no stored value to test.
+Python scalars (floats, ints up to 10**20, a bool and an np.float64).  Each
+value is hashed as its 8 bytes, and a scalar call's result type is hashed
+beside it.  Not collected by pytest: the hash depends on the platform's libm
+and numpy build, so there is no stored value to test.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def inputs(scale: float, signed: bool = True) -> list:
         np.linspace(0.1 * scale, 3.0 * scale, 12).reshape(3, 4),
         np.array([0.5 * scale, scale, 2.0 * scale]),
     ]
-    scalars = [*edges, 0, 3, 0.5 * scale, 2.0 * scale, math.nextafter(scale, 0.0)]
+    # np.float64, a bool and an int past 2**53 take the frame's fallback type test
+    scalars = [*edges, 0, 3, True, 10**20, np.float64(0.7 * scale), 0.5 * scale, 2.0 * scale,
+               math.nextafter(scale, 0.0)]
     return arrays + [np.asarray(v) for v in scalars] + scalars
 
 

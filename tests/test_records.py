@@ -109,6 +109,10 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # the hash of the compared values' tuple, as a frozen dataclass's, however
+    # many fields are compared (VerificationReport has one)
+    compared = tuple(getattr(a, f) for f in a._fields if f not in a._uncompared)
+    assert a._key() == compared and hash(a) == hash(compared)
 
 
 @records

@@ -252,6 +252,37 @@ class TestScalarSurvivalPath:
             assert spec.cdf(t) == 1.0 - spec.survival(t)
 
 
+class TestOneBlockScalarPath:
+    """At these theta every plan of n <= 5 has one block, so the scalar
+    evaluator returns that block's offset plus the log of its sum without the
+    cross-block log-sum-exp.  It must agree with the array series (a
+    3000-point array: past every such plan's few, so no point falls back to
+    the scalar evaluator) to 1e-14, on both sides of y = rate x = 1 and where
+    y is subnormal, which takes the ln u = ln rate + ln x - ln r branch."""
+
+    YS = (1e-310, 1e-3, 0.5, 1.0, 1.7, 6.0, 30.0)
+    POINTS = 3000
+
+    @pytest.mark.parametrize("theta", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_matches_array_series(self, member, theta):
+        for n in range(1, 6):
+            mixture = SumSpec(DistSpec(member, theta), n).mixture()
+            rate = mixture.rate
+            xs = [y / rate for y in self.YS if y / rate > 0.0] + [5e-324]
+            # at theta = 1e200 no positive float gives a subnormal y
+            assert theta > 1.0 or any(rate * x < sys.float_info.min for x in xs)
+            array = np.resize(xs, self.POINTS)
+            for plan, routes in ((mixture._density_plan, (mixture.pdf, mixture.log_pdf)),
+                                 (mixture._survival_plan, (mixture.survival,))):
+                assert len(plan._sides[0]) == len(plan._sides[1]) == 1
+                assert plan.few < self.POINTS
+                for route in routes:
+                    scalars = [route(x) for x in xs]
+                    np.testing.assert_allclose(scalars, route(array)[:len(xs)], rtol=1e-14,
+                                               atol=0.0, err_msg=f"{member.name} {theta} {n}")
+
+
 class TestKernelMemory:
     """On many points pdf, log_pdf and survival run their blocked series in
     chunks of points whose working buffer stays within _CHUNK_BYTES (4 MB), so
