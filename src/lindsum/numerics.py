@@ -18,12 +18,12 @@ and one evaluator for a scalar and one for arrays, in log space.  Every
 density and tail in the package, the Lindley double series included, is
 evaluated by one frame, _pointwise(x, plan, log=False), which applies each
 rule once: where 0 < x < bound it takes a Python int or float to the scalar
-evaluator, without numpy, a small array to it point by point and a larger
-one to the array series, then caps the series and, unless log, takes its
-exponential; x < 0, x == 0, x at or past the bound, and NaN get the plan's
-edge values (a Python scalar without numpy).  The parameter checks
-check_positive and check_count live here too, so that ErlangMixture can use
-them (family, which re-exports them, imports this module).
+evaluator, without numpy, and any array to the array series, then caps the
+series and, unless log, takes its exponential; x < 0, x == 0, x at or past
+the bound, and NaN get the plan's edge values (a Python scalar without
+numpy).  The parameter checks check_positive and check_count live here too,
+so that ErlangMixture can use them (family, which re-exports them, imports
+this module).
 
 _Record, the base of every frozen value class, stands in for frozen
 dataclasses, so no module imports dataclasses (or inspect with it): fields are
@@ -121,12 +121,9 @@ _GK21_TABLES = tuple(zip(*[(-x, kronrod, difference) for x, kronrod, difference 
 _NARROWEST = 1e3 * math.ulp(1.0)
 
 # ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
-# coefficients span at most a factor _SPREAD_RATIO; an array of at most
-# _FEW_TERMS (term, point) pairs takes the scalar evaluator at each point,
-# larger ones the array evaluator, in chunks of points whose working buffer
-# stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark grid
-# among 16 to 128 steps and 1 to 4 MB).
-_FEW_TERMS = 2048
+# coefficients span at most a factor _SPREAD_RATIO, arrays in chunks of points whose
+# buffer stays within _CHUNK_BYTES (32 steps and 4 MB ran fastest on the benchmark
+# grid among 16 to 128 steps and 1 to 4 MB).
 _BLOCK = 32
 _SPREAD_RATIO = math.exp(600.0)
 _CHUNK_BYTES = 4 << 20
@@ -175,13 +172,17 @@ def _pointwise(x: float | np.ndarray, plan, log: bool = False) -> float | np.nda
     (plan.log_edges where log) = (value at x < 0, at x == 0, at and past the
     bound and +inf) elsewhere; NaN at NaN.  A Python int or float (np.float64
     included; an exact float is tested first) takes plan.at inside, as a
-    float and without numpy, and its edge at once; any
-    other input, 0-d arrays included, is taken flat, its points inside by
-    _inside_values.  A Python float for a scalar or 0-d input, an array of x's
-    shape otherwise."""
+    float and without numpy, and its edge at once (an int past double range,
+    the far edge); any other input, 0-d arrays included, is taken flat, its
+    points inside by _inside_values.  A Python float for a scalar or 0-d
+    input, an array of x's shape otherwise."""
     if x.__class__ is float or isinstance(x, (int, float)):
         if 0.0 < x < plan.bound:
-            value = plan.at(float(x))
+            try:
+                x = float(x)
+            except OverflowError:  # an int past double range
+                return plan.log_edges[2] if log else plan.edges[2]
+            value = plan.at(x)
             if value > plan.cap:  # faster than min()
                 value = plan.cap
             return value if log else math.exp(value)
@@ -208,14 +209,7 @@ def _pointwise(x: float | np.ndarray, plan, log: bool = False) -> float | np.nda
 
 
 def _inside_values(points: np.ndarray, plan, log: bool) -> np.ndarray:
-    """_pointwise's values at flat points inside the series range: plan.at at
-    each of at most plan.few points, bit for bit the scalar route, else
-    plan.log_series, which must not write into them; at most plan.cap."""
-    if points.size <= plan.few:
-        at, cap = plan.at, plan.cap
-        if log:
-            return np.array([min(at(v), cap) for v in points.tolist()])
-        return np.array([math.exp(min(at(v), cap)) for v in points.tolist()])
+    """plan.log_series at flat points inside (not written into), capped, e^ unless log."""
     series = plan.log_series(points)
     np.minimum(series, plan.cap, out=series)
     return series if log else np.exp(series, out=series)
@@ -246,10 +240,10 @@ class _Series:
     l: the one plan of ErlangMixture's density and survival series, in Python
     floats, built with the mixture's rate, and all that _pointwise takes of
     it: bound, _finite_below(rate), where the series range ends; cap, the
-    most the series may be (0 for a tail); few, the most points an array call
-    takes through at; edges and log_edges, the values and their logs at x < 0,
-    at x == 0 and at and past the bound; at and log_series, its evaluators
-    for a scalar and for arrays (on a numpy view built at the first array call).
+    most the series may be (0 for a tail); edges and log_edges, the values
+    and their logs at x < 0, at x == 0 and at and past the bound; at and
+    log_series, its evaluators for a scalar and for arrays (on a numpy view
+    built at the first array call).
 
     The terms are cut into blocks of at most _BLOCK lattice steps whose
     coefficients span at most a factor _SPREAD_RATIO.  In v = min(y^g, y^-g)
@@ -262,20 +256,22 @@ class _Series:
     cancel where y is near r, where the terms that matter lie, so the sum
     keeps a few ulp where e^{-y} or y^r alone underflows or overflows (Loader,
     "Fast and accurate computation of binomial probabilities", 2000).  The
-    two evaluators take each block's log the same way, in the same order, so
-    they agree to a few ulp.  On a side of one block (every sum of n <= 5
-    at moderate theta) at returns that block's log at once, bit for bit its
-    log-sum-exp loop.
+    evaluators differ in a block's sum (Horner's rule in at, powers of v in
+    log_series) and in libm against numpy: on 5000-point grids of every
+    member's sums they differ by up to 256 ulp of the log, 2.3e-13 in it
+    (at theta = 1e5; 1.8e-12 where it passes 1e3).  On a side of one block
+    (every sum of n <= 5 at moderate theta) at returns that block's log at
+    once, bit for bit its log-sum-exp loop.
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
                  log_factor: float, rate: float, cap: float, edges: tuple, log_edges: tuple):
-        self.terms, self.g, self.rate, self.cap = len(weights), g, rate, cap
+        self.g, self.rate, self.cap = g, rate, cap
         self.bound, self.edges, self.log_edges = _finite_below(rate), edges, log_edges
         # each term over the one before at y = 1: a weight ratio times p!/q!
         # (0 past 400 steps, where p!/q! < e^-1300 ends the block anyway; w
         # meets p!/q! before v, so that no inf meets a 0)
-        if powers[-1] - powers[0] == self.terms - 1:
+        if powers[-1] - powers[0] == len(weights) - 1:
             ratios = map(operator.truediv, weights[1:], weights)
             steps = list(map(operator.truediv, ratios, powers[1:]))
         else:
@@ -285,7 +281,7 @@ class _Series:
         # v's powers, highest first, for Horner's rule
         self._sides = [], []
         i = 0
-        while i < self.terms:
+        while i < len(weights):
             end = bisect.bisect_left(powers, powers[i] + g * _BLOCK, i)
             ratios = list(accumulate(steps[i:end - 1], operator.mul, initial=1.0))
             if not max(ratios) <= min(ratios) * _SPREAD_RATIO:  # end before the term past it
@@ -306,11 +302,6 @@ class _Series:
                 constant = log_factor + math.log(weights[at]) - _ln_poisson_scale(r)
                 side.append((r, 1.0 / max(r, 1), constant, row))
             i = end
-
-    @property
-    def few(self) -> int:
-        """_FEW_TERMS // terms, read from _FEW_TERMS at each call."""
-        return _FEW_TERMS // self.terms
 
     def at(self, x: float) -> float:
         """The series at one float x > 0 in Python floats: Horner's rule per

@@ -42,9 +42,8 @@ __all__ = [
 _CURVE_SLACK = 1e-12
 
 
-# the fields numerics._pointwise reads of a plan (see numerics._Series); the
-# double series has an array evaluator of log R alone
-_LindleyPlan = namedtuple("_LindleyPlan", "bound cap few at log_series edges log_edges")
+# the fields numerics._pointwise reads of a plan for arrays (see numerics._Series)
+_LindleyPlan = namedtuple("_LindleyPlan", "bound cap log_series edges log_edges")
 
 
 def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -59,9 +58,9 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
-    # t is an array and few is 0, so no point needs a scalar evaluator; the
-    # series would give NaN at +inf; no t < 0 is left for the first edge
-    plan = _LindleyPlan(_finite_below(theta), 0.0, 0, None, partial(_lindley_series, theta, n),
+    # t is an array, so no point needs a scalar evaluator; the series would
+    # give NaN at +inf; no t < 0 is left for the first edge
+    plan = _LindleyPlan(_finite_below(theta), 0.0, partial(_lindley_series, theta, n),
                         (math.nan, 1.0, 0.0), (math.nan, 0.0, -math.inf))
     return _pointwise(t, plan)
 

@@ -1,12 +1,15 @@
-"""One SHA-256 over several million pointwise values of the package, to compare
-two checkouts bit for bit.
+"""SHA-256 hashes over several million pointwise values of the package, to
+compare two checkouts bit for bit.
 
     PYTHONPATH=src python tests/pointwise_battery.py
 
-prints the number of values hashed and the hash.  Run it on each checkout,
-with the same Python and numpy on the same machine, and compare the two
-lines: a refactor of the pointwise routes that keeps every value keeps the
-hash.  It hashes pdf, log_pdf, survival and cdf of every member's n-fold sum,
+prints, for each kind of input (Python scalars, 0-d arrays, arrays under
+5000 points, 5000-point arrays) and then for all of them, a line
+"kind: count hash" of the number of values hashed and their hash.  Run it on
+each checkout, with the same Python and numpy on the same machine, and
+compare the lines: a refactor of the pointwise routes that keeps every value
+keeps every hash, and one that changes the values on some kinds of input
+alone keeps the others' hashes.  It hashes pdf, log_pdf, survival and cdf of every member's n-fold sum,
 theta from 1e-200 to 1e200 and n from 1 to 500, the member's own pdf,
 survival and cdf, lindley_reliability, ExponentialStandby.reliability and
 mixtures whose shapes skip lattice points; each on arrays holding the edges
@@ -55,22 +58,35 @@ def inputs(scale: float, signed: bool = True) -> list:
     return arrays + [np.asarray(v) for v in scalars] + scalars
 
 
+KINDS = ("Python scalars", "0-d arrays", "arrays under 5000 points", "5000-point arrays", "all")
+
+
+def kind(x) -> str:
+    """Which of KINDS, but all, the input x is."""
+    if not isinstance(x, np.ndarray):
+        return KINDS[0]
+    return KINDS[1] if x.ndim == 0 else KINDS[2] if x.size < 5000 else KINDS[3]
+
+
 class Battery:
     def __init__(self) -> None:
-        self.hash = hashlib.sha256()
-        self.count = 0
+        self.hashes = {name: hashlib.sha256() for name in KINDS}
+        self.counts = dict.fromkeys(KINDS, 0)
 
     def add(self, route, points: list) -> None:
         for x in points:
             out = route(x)
-            self.hash.update(type(out).__name__.encode())
+            data = type(out).__name__.encode()
             if isinstance(out, float):
-                self.hash.update(struct.pack("<d", out))
-                self.count += 1
+                data += struct.pack("<d", out)
+                count = 1
             else:
                 values = np.ascontiguousarray(out, dtype="<f8")
-                self.hash.update(repr(values.shape).encode() + values.tobytes())
-                self.count += values.size
+                data += repr(values.shape).encode() + values.tobytes()
+                count = values.size
+            for name in (kind(x), "all"):
+                self.hashes[name].update(data)
+                self.counts[name] += count
 
 
 def main() -> None:
@@ -96,7 +112,8 @@ def main() -> None:
         points = inputs(mixture.mean())
         for route in (mixture.pdf, mixture.log_pdf, mixture.survival, mixture.cdf):
             battery.add(route, points)
-    print(battery.count, battery.hash.hexdigest())
+    for name in KINDS:
+        print(f"{name}: {battery.counts[name]} {battery.hashes[name].hexdigest()}")
 
 
 if __name__ == "__main__":

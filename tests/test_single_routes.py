@@ -40,8 +40,9 @@ def test_exponential_routes_agree_at_nonnegative_times(theta, n):
     system = ExponentialStandby(theta, n)
     times = np.array([0.0, 0.1, 1.0, 4.0, 30.0, math.inf])
     on_grid = system.reliability(times)
-    for t, value in zip(times, on_grid):
-        assert exponential_reliability(theta, n, t) == value == system.reliability(float(t))
+    for t, value in zip(times.tolist(), on_grid):
+        assert exponential_reliability(theta, n, t) == system.reliability(t)
+        np.testing.assert_allclose(system.reliability(t), value, rtol=1e-14, atol=0.0)
 
 
 def test_exponential_routes_differ_only_below_zero():

@@ -33,7 +33,6 @@ from lindsum.family import (
     AlphaKind,
     DistSpec,
 )
-from lindsum import numerics
 from lindsum.numerics import _BLOCK, _finite_below, integrate
 from lindsum.reliability import ExponentialStandby, exponential_reliability
 from lindsum.sums import ErlangMixture, SumSpec
@@ -175,21 +174,20 @@ class TestDensityAgainstHandExpansion:
 
 class TestScalarDensityPath:
     """Python int/float and np.float64 arguments in (0, inf) take a math-module
-    path; it must agree with the array evaluator, which takes every array of
-    many (term, point) pairs.  At the edges such a scalar gets _pointwise's
-    edge value without numpy, which must equal the array path's."""
+    path; it must agree with the array evaluator, which takes every array.  At
+    the edges such a scalar gets _pointwise's edge value without numpy, which
+    must equal the array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
             for theta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 for n in (1, 2, 3, 5, 10, 50):
                     spec = SumSpec(DistSpec(member, theta), n)
-                    for x in np.linspace(0.0, 6.0 * spec.mean(), 60)[1:].tolist():
-                        scalar = spec.pdf(x)
-                        assert type(scalar) is float
-                        np.testing.assert_allclose(
-                            scalar, _blocked(spec.pdf, [x])[0], rtol=1e-12, atol=0.0
-                        ), (member.name, theta, n, x)
+                    xs = np.linspace(0.0, 6.0 * spec.mean(), 60)[1:]
+                    scalars = [spec.pdf(x) for x in xs.tolist()]
+                    assert all(type(scalar) is float for scalar in scalars)
+                    np.testing.assert_allclose(scalars, spec.pdf(xs), rtol=1e-12, atol=0.0,
+                                               err_msg=f"{member.name} {theta} {n}")
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
@@ -212,21 +210,19 @@ class TestScalarDensityPath:
 class TestScalarSurvivalPath:
     """Python int/float and np.float64 arguments in (0, inf) sum the survival
     series on Python floats; it must agree with the array evaluator, which
-    takes every array of many (term, point) pairs.  At the edges such a
-    scalar gets _pointwise's edge value without numpy, which must equal the
-    array path's."""
+    takes every array.  At the edges such a scalar gets _pointwise's edge
+    value without numpy, which must equal the array path's."""
 
     def test_matches_array_path(self):
         for member in MEMBERS:
             for theta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 for n in (1, 2, 5, 10, 50, 200):
                     spec = SumSpec(DistSpec(member, theta), n)
-                    for t in np.linspace(0.0, 4.0 * spec.mean(), 7)[1:].tolist():
-                        scalar = spec.survival(t)
-                        assert type(scalar) is float
-                        np.testing.assert_allclose(
-                            scalar, _blocked(spec.survival, [t])[0], rtol=1e-12, atol=0.0
-                        ), (member.name, theta, n, t)
+                    ts = np.linspace(0.0, 4.0 * spec.mean(), 7)[1:]
+                    scalars = [spec.survival(t) for t in ts.tolist()]
+                    assert all(type(scalar) is float for scalar in scalars)
+                    np.testing.assert_allclose(scalars, spec.survival(ts), rtol=1e-12, atol=0.0,
+                                               err_msg=f"{member.name} {theta} {n}")
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
@@ -255,13 +251,11 @@ class TestScalarSurvivalPath:
 class TestOneBlockScalarPath:
     """At these theta every plan of n <= 5 has one block, so the scalar
     evaluator returns that block's offset plus the log of its sum without the
-    cross-block log-sum-exp.  It must agree with the array series (a
-    3000-point array: past every such plan's few, so no point falls back to
-    the scalar evaluator) to 1e-14, on both sides of y = rate x = 1 and where
-    y is subnormal, which takes the ln u = ln rate + ln x - ln r branch."""
+    cross-block log-sum-exp.  It must agree with the array series to 1e-14,
+    on both sides of y = rate x = 1 and where y is subnormal, which takes the
+    ln u = ln rate + ln x - ln r branch."""
 
     YS = (1e-310, 1e-3, 0.5, 1.0, 1.7, 6.0, 30.0)
-    POINTS = 3000
 
     @pytest.mark.parametrize("theta", [1e-200, 1.0, 1e200])
     @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
@@ -272,14 +266,12 @@ class TestOneBlockScalarPath:
             xs = [y / rate for y in self.YS if y / rate > 0.0] + [5e-324]
             # at theta = 1e200 no positive float gives a subnormal y
             assert theta > 1.0 or any(rate * x < sys.float_info.min for x in xs)
-            array = np.resize(xs, self.POINTS)
             for plan, routes in ((mixture._density_plan, (mixture.pdf, mixture.log_pdf)),
                                  (mixture._survival_plan, (mixture.survival,))):
                 assert len(plan._sides[0]) == len(plan._sides[1]) == 1
-                assert plan.few < self.POINTS
                 for route in routes:
                     scalars = [route(x) for x in xs]
-                    np.testing.assert_allclose(scalars, route(array)[:len(xs)], rtol=1e-14,
+                    np.testing.assert_allclose(scalars, route(np.array(xs)), rtol=1e-14,
                                                atol=0.0, err_msg=f"{member.name} {theta} {n}")
 
 
@@ -618,6 +610,19 @@ class TestOverflowingArgument:
                 np.testing.assert_array_equal(route(np.array([t])), [edge])
                 np.testing.assert_array_equal(route(np.array([t, 1.0])), [edge, route(1.0)])
 
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_past_double_range(self, theta, sign):
+        # a Python int no float can hold takes the edge of the infinity of its
+        # sign: at theta = 0.5 the series range has no finite bound
+        spec = SumSpec(DistSpec(LINDLEY, theta), 2)
+        routes = (spec.pdf, spec.survival, spec.cdf, spec.mixture().log_pdf,
+                  ExponentialStandby(theta, 3).reliability)
+        for route in routes:
+            got = route(sign * 10**400)
+            assert type(got) is float
+            assert got.hex() == route(sign * math.inf).hex(), route
+
     @pytest.mark.parametrize("member, theta, x", [
         (LINDLEY, 2.0, 1e308),  # theta * x overflows
         (RAM_AWADH, 1.0, 1e100),  # x^5 overflows
@@ -649,7 +654,7 @@ class TestSweepAccuracy:
                 dist = DistSpec(member, theta)
                 spec = SumSpec(dist, n)
                 ts = [m * spec.mean() for m in multiples]
-                array = _blocked(spec.survival, ts)
+                array = spec.survival(np.array(ts))
                 oracle = _oracle(dist, n)
                 for t, from_array in zip(ts, array):
                     truth = oracle.survival(t)
@@ -670,7 +675,7 @@ class TestSweepAccuracy:
         t = t or oracle.mean()
         truth = oracle.survival(t)
         assert truth > 1e-15
-        for got in (spec.survival(t), _blocked(spec.survival, [t])[0]):
+        for got in (spec.survival(t), spec.survival(np.array([t]))[0]):
             assert abs(got - truth) <= 2e-15 * t * truth, (got, truth)
 
     def test_plan_skips_zero_weights(self):
@@ -702,7 +707,7 @@ class TestSweepAccuracy:
             np.testing.assert_allclose(coefficients[::-1], expected, rtol=2e-15)
         # below rate * t = 700 the tail is near 1: nearly all weight sits on shapes past 1000
         truth = _oracle(dist, 200).survival(690.0)
-        for got in (spec.survival(690.0), _blocked(spec.survival, [690.0])[0]):
+        for got in (spec.survival(690.0), spec.survival(np.array([690.0]))[0]):
             assert abs(got - truth) <= 1e-13 * truth, (got, truth)
         padded = ErlangMixture(1.5, (0.0, 1.0), (2, 5))._survival_plan
         plain = ErlangMixture(1.5, (1.0,), (5,))._survival_plan
@@ -748,7 +753,7 @@ class TestSweepBlocks:
         assert len(mixture._survival_plan._sides[0]) == math.ceil(top / _BLOCK)
         xs = [1e-3, 0.3, 1.0, 4.0, 12.0, 25.0, 40.0, 60.0, 100.0]
         ts = [x / self.RATE for x in xs]
-        array = _blocked(mixture.survival, ts)
+        array = mixture.survival(np.array(ts))
         for t, from_array in zip(ts, array):
             truth = self._truth(mixture, self.RATE * t)[0]
             if truth < 1e-300:
@@ -769,7 +774,7 @@ class TestSweepBlocks:
         far = math.nextafter(_finite_below(self.RATE), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tails, cdfs = _blocked(mixture.survival, ts), _blocked(mixture.cdf, ts)
+            tails, cdfs = mixture.survival(np.array(ts)), mixture.cdf(np.array(ts))
             for t, from_array, cdf_from_array in zip(ts, tails, cdfs):
                 y = self.RATE * t
                 bound = max(1e-12, 2e-15 * y)
@@ -780,7 +785,7 @@ class TestSweepBlocks:
                 for got in (mixture.cdf(t), cdf_from_array):
                     assert abs(got - cdf) <= bound * cdf, (y, got, cdf)
             assert mixture.survival(far) == 0.0 and mixture.cdf(far) == 1.0
-            np.testing.assert_array_equal(_blocked(mixture.survival, [far, far]), 0.0)
+            np.testing.assert_array_equal(mixture.survival(np.array([far, far])), 0.0)
             # a point where the tail is positive beside it leaves it 0 and 1
             np.testing.assert_array_equal(
                 mixture.cdf(np.array([far, 1.0])), [1.0, mixture.cdf(1.0)]
@@ -790,9 +795,8 @@ class TestSweepBlocks:
 class TestGappedLattice:
     """Mixtures whose positive-weight shapes skip points of their lattice, so
     that density blocks hold zero coefficients between their terms: pdf,
-    log_pdf and survival on the scalar path, on a short array (the scalar path
-    at each point, bit for bit) and through the array evaluator, against
-    40-digit sums of Erlang terms.  The worst relative error seen is 3.2e-14,
+    log_pdf and survival on the scalar path and through the array evaluator,
+    against 40-digit sums of Erlang terms.  The worst relative error seen is 3.2e-14,
     the density of the mixture on shapes (1, 4, 40) at y = rate x = 1.17, where
     its one block of the powers 0 to 39 is anchored at 39."""
 
@@ -826,21 +830,10 @@ class TestGappedLattice:
         truths = list(zip(*(self._truth(mixture, x) for x in self.XS)))
         routes = (mixture.pdf, mixture.log_pdf, mixture.survival)
         for route, truth, log in zip(routes, truths, (False, True, False)):
-            scalars = [route(x) for x in self.XS]
-            assert route(np.array(self.XS)).tolist() == scalars
-            for got in (scalars, _blocked(route, self.XS)):
+            for got in ([route(x) for x in self.XS], route(np.array(self.XS))):
                 error = np.abs(np.subtract(got, truth))
                 scale = np.maximum(1.0, np.abs(truth)) if log else np.abs(truth)
                 assert np.all(error <= 1e-13 * scale), (route.__name__, got, truth)
-
-
-def _blocked(route, values) -> np.ndarray:
-    """route (a mixture's pdf or log_pdf) at the array values through the
-    array evaluator, which otherwise takes only arrays of many (term, point)
-    pairs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_FEW_TERMS", 0)
-        return route(np.asarray(values, dtype=float))
 
 
 def _mp_log_pdf(oracle: SumOracle, x: float) -> float:
@@ -856,8 +849,8 @@ def _mp_log_pdf(oracle: SumOracle, x: float) -> float:
 
 class TestDensityInY:
     """The n-fold density against SumOracle at 0.5, 1 and 2 times the mean, for
-    theta from 1e-300 to 1e300, on the scalar path, on a short array (the
-    scalar path at each point) and through the array evaluator.  Each term's
+    theta from 1e-300 to 1e300, on the scalar path and through the array
+    evaluator.  Each term's
     log is taken in y = theta x, so nothing cancels: adding s ln theta and
     (s-1) ln x apart lost up to 2e-11 here."""
 
@@ -875,13 +868,13 @@ class TestDensityInY:
             dist = DistSpec(member, theta)
             spec, oracle = SumSpec(dist, n), _oracle(dist, n)
             xs = [f * oracle.mean() for f in (0.5, 1.0, 2.0)]
-            few, many = spec.pdf(np.array(xs)), _blocked(spec.pdf, xs)
+            array = spec.pdf(np.array(xs))
             for i, x in enumerate(xs):
                 truth = oracle.pdf(x)
                 if truth < sys.float_info.min:
                     continue
                 checked += 1
-                for got in (spec.pdf(x), few[i], many[i]):
+                for got in (spec.pdf(x), array[i]):
                     assert abs(got - truth) <= 1e-12 * truth, (theta, x, got, truth)
         assert checked == self.CHECKED[member.name, n]
 
@@ -938,7 +931,7 @@ class TestDensityHardCases:
     @staticmethod
     def _check(dist: DistSpec, n: int, xs: list[float]) -> int:
         spec, oracle = SumSpec(dist, n), _oracle(dist, n)
-        routes = (spec.pdf(np.array(xs)), _blocked(spec.pdf, xs), [spec.pdf(x) for x in xs])
+        routes = (spec.pdf(np.array(xs)), [spec.pdf(x) for x in xs])
         checked = 0
         for route in routes:
             assert np.all(np.isfinite(route)) and np.all(np.asarray(route) >= 0.0)
@@ -975,7 +968,7 @@ class TestDensityHardCases:
         # each term takes a block of its own
         mixture = ErlangMixture(1.3, weights, shapes)
         xs = [20.0, 300.0, 340.0, 1500.0]
-        for x, from_array in zip(xs, _blocked(mixture.pdf, xs)):
+        for x, from_array in zip(xs, mixture.pdf(np.array(xs))):
             with mpmath.workdps(50):
                 y = 1.3 * mpmath.mpf(x)
                 truth = float(mpmath.fsum(
@@ -1008,16 +1001,16 @@ class TestDensityHardCases:
         xs = [math.nextafter(bound, 0.0), 0.5 * bound, 1e-3 * bound]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for got in (mixture.log_pdf(np.array(xs)), _blocked(mixture.log_pdf, xs)):
-                for x, value in zip(xs, got):
-                    truth = _mp_log_pdf(oracle, x)
-                    assert abs(value - truth) <= 1e-12 * abs(truth), (x, value, truth)
+            for x, value in zip(xs, mixture.log_pdf(np.array(xs))):
+                truth = _mp_log_pdf(oracle, x)
+                assert abs(value - truth) <= 1e-12 * abs(truth), (x, value, truth)
 
 
 class TestDensityDomain:
     """Across theta in double range and theta x from 1e-320 to the largest
-    double, pdf is finite and log_pdf finite, and pdf is 0 only where log_pdf
-    is below the smallest normal double's log: no NaN, no inf, no spurious 0."""
+    double, on an array and at Python floats, pdf is finite and log_pdf
+    finite, and pdf is 0 only where log_pdf is below the smallest normal
+    double's log: no NaN, no inf, no spurious 0."""
 
     @pytest.mark.parametrize("member", [LINDLEY, AKASH, RAM_AWADH], ids=lambda m: m.name)
     def test_no_spurious_values(self, member):
@@ -1031,7 +1024,8 @@ class TestDensityDomain:
                     warnings.simplefilter("error")
                     for density, log_density in (
                         (mixture.pdf(xs), mixture.log_pdf(xs)),
-                        (_blocked(mixture.pdf, xs), _blocked(mixture.log_pdf, xs)),
+                        (np.array([mixture.pdf(x) for x in xs.tolist()]),
+                         np.array([mixture.log_pdf(x) for x in xs.tolist()])),
                     ):
                         assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
                         assert np.all(np.isfinite(log_density))
