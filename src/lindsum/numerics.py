@@ -603,7 +603,14 @@ class ErlangMixture(_Record):
         return _moment_from_log(logsumexp(terms) - m * math.log(self.rate), m)
 
     def mean(self) -> float:
-        return self.moment(1)
+        """c / rate with c = sum_r w_r s_r, so one component's mean is exactly
+        s / rate; raises as moment(1) does outside double range."""
+        centre = math.fsum(w * s for w, s in self.components)
+        log_mean = math.log(centre) - math.log(self.rate)
+        if centre / self.rate == math.inf:  # the quotient can round past the log's edge
+            log_mean = max(log_mean, math.nextafter(_LN_DOUBLE_MAX, math.inf))
+        _moment_from_log(log_mean, 1)
+        return centre / self.rate
 
     def variance(self) -> float:
         """Law of total variance, sum_r w_r (s_r + (s_r - c)^2) / rate^2 with

@@ -93,7 +93,7 @@ class SumSpec(_Record):
 
     def mean(self) -> float:
         """E[S_n] = n * E[X]."""
-        return self.moment(1)
+        return self._mixture.mean()
 
     def variance(self) -> float:
         """Var[S_n] = n * Var[X]."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath_oracle import SumOracle
 
 from lindsum.family import LINDLEY, MEMBERS, SHANKER, DistSpec
-from lindsum.numerics import integrate
+from lindsum.numerics import ErlangMixture, integrate
 from lindsum.reliability import (
     ExponentialStandby,
     MttfRow,
@@ -334,11 +334,13 @@ class TestMttfOverTheDomain:
     """Every MTTF route against the 50-digit mean of the n-fold sum, for any
     member, theta log-uniform on [1e-200, 1e200] and n up to 1000."""
 
-    @given(
+    domain = given(
         member=st.sampled_from(MEMBERS),
         theta=st.floats(-200.0, 200.0).map(lambda e: 10.0**e),
         n=st.integers(1, 1000),
     )
+
+    @domain
     @settings(max_examples=40, deadline=None)
     def test_routes_match_mpmath(self, member, theta, n):
         dist = DistSpec(member, theta)
@@ -347,6 +349,16 @@ class TestMttfOverTheDomain:
         if member is LINDLEY:
             routes.append(lindley_mttf(theta, n))
         np.testing.assert_allclose(routes, expected, rtol=1e-12, atol=0.0)
+
+    @domain
+    @settings(max_examples=40, deadline=None)
+    def test_mixture_mean_is_exact(self, member, theta, n):
+        # the mean is the fsum of w_r s_r over the rate, not e^(its log): within
+        # an ulp of the 50-digit mean, and exactly n / theta for Erlang(n)
+        dist = DistSpec(member, theta)
+        expected = SumOracle(theta, dist.alpha, member.degree, n).mean()
+        np.testing.assert_allclose(SumSpec(dist, n).mean(), expected, rtol=1e-15, atol=0.0)
+        assert ErlangMixture(theta, (1.0,), (n,)).mean() == exponential_mttf(theta, n)
 
 
 class TestReliabilityCurve:
