@@ -19,7 +19,6 @@ __all__ = [
     "DEFAULT_SEEDS",
     "DistSpec",
     "ErlangMixture",
-    "ExponentialStandby",
     "FamilyMember",
     "ISHITA",
     "KS_99_COEFFICIENT",

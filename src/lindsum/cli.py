@@ -186,13 +186,13 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .reliability import ExponentialStandby, StandbyModel
+    from .reliability import StandbyModel
 
     grid = _grid(args, parser, args.t, 0.0, args.t_max)
-    routes = [StandbyModel(DistSpec(args.dist, args.theta), args.n).reliability]
+    routes = [StandbyModel.of(DistSpec(args.dist, args.theta), args.n).reliability]
     columns = ["t", f"R_{args.dist.name.lower()}"]
     if args.compare_exponential:
-        routes.append(ExponentialStandby(args.theta, args.n).reliability)
+        routes.append(StandbyModel.exponential(args.theta, args.n).reliability)
         columns.append("R_exponential")
     rows = [[t, *(route(t) for route in routes)] for t in grid]
     _emit_table(columns, rows, args.format)
@@ -207,7 +207,7 @@ def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
     columns += [f"mttf_{m.name.lower()}" for m in extra]
     rows = [
-        [*row, *(StandbyModel(DistSpec(m, row.theta), args.n).mttf() for m in extra)]
+        [*row, *(StandbyModel.of(DistSpec(m, row.theta), args.n).mttf() for m in extra)]
         for row in mttf_table(args.theta, args.n)
     ]
     _emit_table(columns, rows, args.format, decimals=args.decimals)

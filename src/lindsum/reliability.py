@@ -12,14 +12,16 @@ double series
 
 with MTTF = n(2+theta)/(theta(1+theta)); both are implemented as written so
 they can be checked against the independent sum-distribution route.
-Exponential components give the Erlang tail and MTTF = n/theta.
+StandbyModel holds a system's one-rate Erlang mixture: StandbyModel.of builds
+it for family components, StandbyModel.exponential for exponential ones, whose
+Erlang(n) tail and MTTF = n/theta are the comparison baseline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 from .family import DistSpec, check_count, check_n, check_positive, check_theta
 from .numerics import (
@@ -27,7 +29,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "ExponentialStandby",
     "MttfRow",
     "ReliabilityCurve",
     "StandbyModel",
@@ -55,6 +56,11 @@ def lindley_reliability(theta: float, n: int, t: float | np.ndarray) -> float | 
     t = 0, 0 at +inf and where theta * t overflows, NaN at NaN.
     """
     theta, n = check_theta(theta), check_n(n)
+    if isinstance(t, int):
+        try:
+            t = float(t)
+        except OverflowError:  # an int past double range, as the frame takes it
+            t = math.inf if t > 0 else -math.inf
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {float(t[t < 0][0])}")
@@ -102,9 +108,8 @@ def lindley_mttf(theta: float, n: int) -> float:
 
 def exponential_reliability(theta: float, n: int, t: float) -> float:
     """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail
-    of ExponentialStandby; requires t >= 0."""
-    system = ExponentialStandby(theta, n)
-    t = float(t)
+    of StandbyModel.exponential; requires t >= 0."""
+    system = StandbyModel.exponential(theta, n)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return system.reliability(t)
@@ -123,57 +128,32 @@ def _finite_mttf(mttf: float, theta: float, n: int) -> float:
 
 
 class StandbyModel(_Record):
-    """Cold standby system of n units with a family failure distribution."""
+    """Cold standby system of n units: its life is the n-fold sum of the unit
+    lives, the one-rate Erlang mixture it holds.  Built by of() for family
+    units and by exponential() for Exp(theta) ones."""
 
-    failure_dist: DistSpec
-    n: int
+    label: str
+    mixture: ErlangMixture
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_n(self.n))
+    @classmethod
+    def of(cls, dist: DistSpec, n: int) -> StandbyModel:
+        """n units with lifetimes from a family distribution."""
+        n = check_n(n)
+        return cls(f"{dist.member.name.lower()} theta={dist.theta:g} n={n}", dist.sum_mixture(n))
 
-    @cached_property
-    def _mixture(self) -> ErlangMixture:
-        return self.failure_dist.sum_mixture(self.n)
-
-    @property
-    def label(self) -> str:
-        d = self.failure_dist
-        return f"{d.member.name.lower()} theta={d.theta:g} n={self.n}"
+    @classmethod
+    def exponential(cls, theta: float, n: int) -> StandbyModel:
+        """n units with Exp(theta) lifetimes, for comparison: the Erlang(n, theta)."""
+        theta, n = check_theta(theta), check_n(n)
+        return cls(f"exponential theta={theta:g} n={n}", ErlangMixture(theta, (1.0,), (n,)))
 
     def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
-        """System reliability R(t): survival of the n-fold lifetime sum."""
-        return self._mixture.survival(t)
+        """System reliability R(t): survival of the n-fold lifetime sum, 1 for t < 0."""
+        return self.mixture.survival(t)
 
     def mttf(self) -> float:
         """Mean time to failure: the mean of the n-fold lifetime sum."""
-        return self._mixture.mean()
-
-
-class ExponentialStandby(_Record):
-    """Cold standby system of n units with Exp(theta) lifetimes, for comparison."""
-
-    theta: float
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", check_theta(self.theta))
-        object.__setattr__(self, "n", check_n(self.n))
-
-    @cached_property
-    def _mixture(self) -> ErlangMixture:
-        return ErlangMixture(self.theta, (1.0,), (self.n,))
-
-    @property
-    def label(self) -> str:
-        return f"exponential theta={self.theta:g} n={self.n}"
-
-    def reliability(self, t: float | np.ndarray) -> float | np.ndarray:
-        """System reliability R(t): the Erlang(n, theta) tail, 1 for t < 0.
-        The package's one route to that tail; exponential_reliability calls it."""
-        return self._mixture.survival(t)
-
-    def mttf(self) -> float:
-        return exponential_mttf(self.theta, self.n)
+        return self.mixture.mean()
 
 
 class MttfRow(namedtuple("MttfRow", "theta lindley exponential")):

@@ -27,13 +27,7 @@ from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
 )
 from .numerics import _LN_DOUBLE_MAX, QuadratureError, _Record, integrate, logsumexp, np
-from .reliability import (
-    ExponentialStandby,
-    StandbyModel,
-    exponential_mttf,
-    lindley_mttf,
-    lindley_reliability,
-)
+from .reliability import StandbyModel, exponential_mttf, lindley_mttf, lindley_reliability
 from .sums import SumSpec, _draw_sums, sample_sum
 
 __all__ = [
@@ -340,9 +334,9 @@ def _standby_curves() -> np.ndarray:
     _STANDBY_N cold-standby units on the shared grid, each a row per theta."""
     grid = np.linspace(0.0, _T_MAX, _GRID_POINTS)
     return np.array([
-        (ExponentialStandby(theta, _STANDBY_N).reliability(grid),
+        (StandbyModel.exponential(theta, _STANDBY_N).reliability(grid),
          lindley_reliability(theta, _STANDBY_N, grid),
-         StandbyModel(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid))
+         StandbyModel.of(DistSpec(LINDLEY, theta), _STANDBY_N).reliability(grid))
         for theta in _STANDBY_THETAS
     ]).swapaxes(0, 1)
 

@@ -11,7 +11,7 @@ compare the lines: a refactor of the pointwise routes that keeps every value
 keeps every hash, and one that changes the values on some kinds of input
 alone keeps the others' hashes.  It hashes pdf, log_pdf, survival and cdf of every member's n-fold sum,
 theta from 1e-200 to 1e200 and n from 1 to 500, the member's own pdf,
-survival and cdf, lindley_reliability, ExponentialStandby.reliability and
+survival and cdf, lindley_reliability, StandbyModel.exponential's reliability and
 mixtures whose shapes skip lattice points; each on arrays holding the edges
 and NaN, on 37- and 5000-point grids, on a 2-d array, on 0-d arrays and on
 Python scalars (floats, ints up to 10**20, a bool and an np.float64).  Each
@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from lindsum import MEMBERS, DistSpec, ErlangMixture, ExponentialStandby, lindley_reliability
+from lindsum import MEMBERS, DistSpec, ErlangMixture, StandbyModel, lindley_reliability
 
 THETAS = (1e-200, 1e-5, 0.3, 1.0, 2.7, 1e5, 1e200)
 NS = (1, 2, 5, 50, 500)
@@ -105,7 +105,7 @@ def main() -> None:
     for theta in THETAS:
         for n in NS:
             points = inputs(n / theta, signed=False)
-            battery.add(ExponentialStandby(theta, n).reliability, points)
+            battery.add(StandbyModel.exponential(theta, n).reliability, points)
             battery.add(lambda t, theta=theta, n=n: lindley_reliability(theta, n, t), points)
     for weights, shapes in GAPPED:
         mixture = ErlangMixture(1.3, weights, shapes)

@@ -24,7 +24,7 @@ from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
 from lindsum.numerics import QuadratureError, QuadratureResult
-from lindsum.reliability import ExponentialStandby, StandbyModel, lindley_mttf
+from lindsum.reliability import StandbyModel, lindley_mttf
 from lindsum.sums import SumSpec
 
 
@@ -283,7 +283,7 @@ class TestReliabilityCommand:
 
         real_mixture = lindsum.reliability.ErlangMixture
         monkeypatch.setattr(lindsum.numerics, "_Series", CountedSeries)
-        # only ExponentialStandby builds a mixture in reliability itself
+        # only StandbyModel.exponential builds a mixture in reliability itself
         monkeypatch.setattr(lindsum.reliability, "ErlangMixture", counted_mixture)
         code, out, _ = run_cli(capsys, ["reliability", "--theta", "0.7", "--compare-exponential"])
         assert code == 0 and len(out.splitlines()) == 102
@@ -338,7 +338,7 @@ class TestTableRows:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reliability_rows_are_the_scalar_calls(self, capsys, fmt):
-        model, system = StandbyModel(DistSpec(LINDLEY, 0.7), 5), ExponentialStandby(0.7, 5)
+        model, system = StandbyModel.of(DistSpec(LINDLEY, 0.7), 5), StandbyModel.exponential(0.7, 5)
         argv = ["reliability", "--theta", "0.7", "--compare-exponential", "--format", fmt]
         _, out, _ = run_cli(capsys, argv)
         grid = np.linspace(0.0, 100.0, 101).tolist()
@@ -715,14 +715,14 @@ class TestImportCost:
             _cli(MTTF_ARGV),
             _cli(["moments", "--dist", "ramawadh", "--theta", "1", "--n", "5", "--central"]),
             "from lindsum import LINDLEY, DistSpec, StandbyModel\n"
-            "assert abs(StandbyModel(DistSpec(LINDLEY, 1.0), 5).mttf() - 7.5) < 1e-12\n",
+            "assert abs(StandbyModel.of(DistSpec(LINDLEY, 1.0), 5).mttf() - 7.5) < 1e-12\n",
             "import math\n"
             "from lindsum import LINDLEY, RAM_AWADH, DistSpec, StandbyModel, SumSpec\n"
             "spec = SumSpec(DistSpec(RAM_AWADH, 1.3), 50)\n"
             "assert spec.pdf(0.0) == 0.0 < spec.pdf(40.0) and spec.cdf(-1.0) == 0.0\n"
             "assert 0.0 < spec.survival(200.0) < 1.0\n"
             "assert spec.mixture().log_pdf(40.0) > spec.mixture().log_pdf(0.0) == -math.inf\n"
-            "assert 0.0 < StandbyModel(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
+            "assert 0.0 < StandbyModel.of(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
             "member = DistSpec(LINDLEY, 1.2)\n"
             "assert member.pdf(0.0) > member.pdf(1.0) > 0.0\n",
             _cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-5"]),

@@ -1,5 +1,5 @@
 """Tests for the log-space primitives, the Erlang(n) tail (through its one
-route, ExponentialStandby, and exponential_reliability, which calls it), the
+route, StandbyModel.exponential, and exponential_reliability, which calls it), the
 Erlang-mixture moments, and the adaptive Gauss-Kronrod quadrature."""
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from lindsum.numerics import (
     ln_factorial,
     logsumexp,
 )
-from lindsum.reliability import ExponentialStandby, exponential_reliability
+from lindsum.reliability import StandbyModel, exponential_reliability
 
 
 class TestLnFactorial:
@@ -117,7 +117,7 @@ class TestErlangTail:
 
     def test_vectorized_matches_scalar(self):
         ts = np.array([0.0, 0.5, 2.0, 40.0])
-        vec = ExponentialStandby(0.7, 4).reliability(ts)
+        vec = StandbyModel.exponential(0.7, 4).reliability(ts)
         assert isinstance(vec, np.ndarray)
         scalars = [exponential_reliability(0.7, 4, t) for t in ts.tolist()]
         np.testing.assert_allclose(vec, scalars, rtol=1e-14, atol=0.0)

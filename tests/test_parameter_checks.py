@@ -19,7 +19,6 @@ from lindsum.family import (
     check_theta,
 )
 from lindsum.reliability import (
-    ExponentialStandby,
     StandbyModel,
     exponential_mttf,
     exponential_reliability,
@@ -33,10 +32,12 @@ from lindsum.validation import VerifyConfig, sample_sum
 
 DIST = DistSpec(RANI, 1.5)
 
-# each entry point called with theta (default 1.0) and n (default 3)
+# each entry point called with theta (default 1.0) and n (default 3); the
+# standby systems under the ids StandbyModel (StandbyModel.of) and
+# ExponentialStandby (StandbyModel.exponential)
 THETA_ROUTES = {
     "DistSpec": lambda theta: DistSpec(LINDLEY, theta),
-    "ExponentialStandby": lambda theta: ExponentialStandby(theta, 3),
+    "ExponentialStandby": lambda theta: StandbyModel.exponential(theta, 3),
     "lindley_reliability": lambda theta: lindley_reliability(theta, 3, 1.0),
     "lindley_mttf": lambda theta: lindley_mttf(theta, 3),
     "exponential_reliability": lambda theta: exponential_reliability(theta, 3, 1.0),
@@ -46,8 +47,8 @@ THETA_ROUTES = {
 N_ROUTES = {
     "SumSpec": lambda n: SumSpec(DIST, n),
     "sum_mixture": lambda n: DIST.sum_mixture(n),
-    "StandbyModel": lambda n: StandbyModel(DIST, n),
-    "ExponentialStandby": lambda n: ExponentialStandby(1.0, n),
+    "StandbyModel": lambda n: StandbyModel.of(DIST, n),
+    "ExponentialStandby": lambda n: StandbyModel.exponential(1.0, n),
     "lindley_reliability": lambda n: lindley_reliability(1.0, n, 1.0),
     "lindley_mttf": lambda n: lindley_mttf(1.0, n),
     "exponential_reliability": lambda n: exponential_reliability(1.0, n, 1.0),
@@ -92,9 +93,10 @@ def test_numpy_integer_n_accepted(route, n):
 def test_stored_parameters_are_python_numbers():
     assert type(DistSpec(LINDLEY, np.int64(2)).theta) is float
     assert type(SumSpec(DIST, np.int64(3)).n) is int
-    assert type(StandbyModel(DIST, np.int64(3)).n) is int
-    standby = ExponentialStandby(np.float32(0.5), np.int64(3))
-    assert type(standby.theta) is float and type(standby.n) is int
+    model = StandbyModel.of(DIST, np.int64(3))
+    assert model.label == "rani theta=1.5 n=3" and type(model.mixture.shapes[0]) is int
+    standby = StandbyModel.exponential(np.float32(0.5), np.int64(3))
+    assert type(standby.mixture.rate) is float and type(standby.mixture.shapes[0]) is int
     assert standby.label == "exponential theta=0.5 n=3"
 
 
@@ -148,4 +150,4 @@ def test_empty_size_tuple_is_a_value_error():
 @pytest.mark.parametrize("t_max", [True, False, 0.0, -1.0, math.nan, math.inf, "1"])
 def test_curve_span_is_a_positive_finite_real(t_max):
     with pytest.raises(ValueError, match="t_max must be a positive finite number"):
-        reliability_curve([ExponentialStandby(1.0, 2)], t_max, 3)
+        reliability_curve([StandbyModel.exponential(1.0, 2)], t_max, 3)

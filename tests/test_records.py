@@ -1,4 +1,4 @@
-"""The package's twelve frozen value classes share one record semantics
+"""The package's eleven frozen value classes share one record semantics
 (numerics._Record): the dataclass repr, equality and hash on the fields within
 one class, immutability, copies and pickles that compare equal and still
 evaluate, defaults, and TypeError for a missing or unknown field."""
@@ -11,15 +11,16 @@ import pickle
 import pytest
 
 from lindsum import (
-    LINDLEY, RAM_AWADH, SHANKER, CheckResult, DistSpec, ErlangMixture, ExponentialStandby,
-    FamilyMember, KsReport, MttfRow, QuadratureResult, ReliabilityCurve, StandbyModel, SumSpec,
+    LINDLEY, RAM_AWADH, SHANKER, CheckResult, DistSpec, ErlangMixture, FamilyMember, KsReport,
+    MttfRow, QuadratureResult, ReliabilityCurve, StandbyModel, SumSpec,
     VerificationReport, VerifyConfig, mttf_table,
 )
 from lindsum.family import AlphaKind
 from lindsum.numerics import _Record
 
 # each class: a factory of fresh, equal instances, and the repr of the frozen
-# dataclass the class used to be
+# dataclass the class used to be; StandbyModel twice, once from each of its
+# constructors, the exponential one under the id ExponentialStandby
 RECORDS = {
     "ErlangMixture": (
         lambda: ErlangMixture(2.0, (0.25, 0.75), (1, 3)),
@@ -44,13 +45,14 @@ RECORDS = {
         "alpha_kind=<AlphaKind.THETA: 'theta'>), theta=0.5), n=3)",
     ),
     "StandbyModel": (
-        lambda: StandbyModel(DistSpec(SHANKER, 1), 5),
-        "StandbyModel(failure_dist=DistSpec(member=FamilyMember(name='Shanker', degree=1, "
-        "alpha_kind=<AlphaKind.THETA: 'theta'>), theta=1.0), n=5)",
+        lambda: StandbyModel.of(DistSpec(SHANKER, 1), 2),
+        "StandbyModel(label='shanker theta=1 n=2', mixture=ErlangMixture(rate=1.0, "
+        "weights=(0.25, 0.5, 0.25), shapes=(2, 3, 4)))",
     ),
     "ExponentialStandby": (
-        lambda: ExponentialStandby(0.5, 4),
-        "ExponentialStandby(theta=0.5, n=4)",
+        lambda: StandbyModel.exponential(0.5, 4),
+        "StandbyModel(label='exponential theta=0.5 n=4', mixture=ErlangMixture(rate=0.5, "
+        "weights=(1.0,), shapes=(4,)))",
     ),
     "ReliabilityCurve": (
         lambda: ReliabilityCurve("x", (0.0, 1.0), (1.0, 0.5)),
@@ -93,7 +95,7 @@ def _fields(record):
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 12
+    assert len({type(make()) for make, _ in RECORDS.values()}) == 11
     assert all(isinstance(make(), _Record) for make, _ in RECORDS.values())
 
 

@@ -13,7 +13,6 @@ from mpmath_oracle import SumOracle
 from lindsum.family import LINDLEY, MEMBERS, SHANKER, DistSpec
 from lindsum.numerics import ErlangMixture, integrate
 from lindsum.reliability import (
-    ExponentialStandby,
     MttfRow,
     ReliabilityCurve,
     StandbyModel,
@@ -142,7 +141,7 @@ class TestLindleyReliability:
     [
         lambda t: lindley_reliability(1.0, 3, t),
         lambda t: exponential_reliability(1.0, 3, t),
-        lambda t: StandbyModel(DistSpec(LINDLEY, 1.0), 3).reliability(t),
+        lambda t: StandbyModel.of(DistSpec(LINDLEY, 1.0), 3).reliability(t),
     ],
     ids=["lindley_reliability", "exponential_reliability", "StandbyModel"],
 )
@@ -215,7 +214,7 @@ class TestLindleyClosedFormsAcrossTheta:
         theta = 1e-300
         routes = (
             lindley_mttf(theta, 5),
-            StandbyModel(DistSpec(LINDLEY, theta), 5).mttf(),
+            StandbyModel.of(DistSpec(LINDLEY, theta), 5).mttf(),
             2.0 * exponential_mttf(theta, 5),
         )
         assert all(math.isfinite(mttf) for mttf in routes)
@@ -226,7 +225,7 @@ class TestLindleyClosedFormsAcrossTheta:
         [
             lambda theta: lindley_mttf(theta, 5),
             lambda theta: exponential_mttf(theta, 5),
-            lambda theta: StandbyModel(DistSpec(LINDLEY, theta), 5).mttf(),
+            lambda theta: StandbyModel.of(DistSpec(LINDLEY, theta), 5).mttf(),
         ],
         ids=["lindley_mttf", "exponential_mttf", "StandbyModel"],
     )
@@ -293,41 +292,42 @@ class TestMttfTable:
 
 class TestStandbyModels:
     def test_label(self):
-        model = StandbyModel(DistSpec(LINDLEY, 1.0), 5)
+        model = StandbyModel.of(DistSpec(LINDLEY, 1.0), 5)
         assert model.label == "lindley theta=1 n=5"
-        assert ExponentialStandby(0.5, 3).label == "exponential theta=0.5 n=3"
+        assert StandbyModel.exponential(0.5, 3).label == "exponential theta=0.5 n=3"
 
     def test_reliability_delegates_to_sum_survival(self):
         dist = DistSpec(SHANKER, 0.7)
-        model = StandbyModel(dist, 4)
+        model = StandbyModel.of(dist, 4)
         spec = SumSpec(dist, 4)
         ts = np.linspace(0.0, 40.0, 50)
         np.testing.assert_array_equal(model.reliability(ts), spec.survival(ts))
         np.testing.assert_allclose(model.mttf(), spec.mean(), rtol=0)
 
     def test_exponential_model_values(self):
-        model = ExponentialStandby(1.0, 5)
+        model = StandbyModel.exponential(1.0, 5)
         np.testing.assert_allclose(
             model.reliability(5.0), exponential_reliability(1.0, 5, 5.0), rtol=1e-14
         )
         assert model.reliability(-1.0) == 1.0
         assert model.mttf() == 5.0
 
-    def test_exponential_mixture_built_once_on_first_use(self):
-        # like StandbyModel, ExponentialStandby keeps its mixture in a cached property
-        system = ExponentialStandby(0.7, 5)
-        assert "_mixture" not in vars(system)
+    def test_exponential_mixture_is_the_one_field(self):
+        # the constructor builds the mixture once; repeated calls read that field
+        system = StandbyModel.exponential(0.7, 5)
+        mixture = system.mixture
+        assert mixture == ErlangMixture(0.7, (1.0,), (5,))
         first = system.reliability(3.0)
-        mixture = system._mixture
-        assert system.reliability(3.0) == first
-        assert system._mixture is mixture
-        assert system == ExponentialStandby(0.7, 5)
+        assert system.reliability(3.0) == first and system.mttf() == system.mttf()
+        assert system.mixture is mixture
+        assert vars(system).keys() == {"label", "mixture"}
+        assert system == StandbyModel.exponential(0.7, 5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StandbyModel(DistSpec(LINDLEY, 1.0), 0)
+            StandbyModel.of(DistSpec(LINDLEY, 1.0), 0)
         with pytest.raises(ValueError):
-            ExponentialStandby(-1.0, 2)
+            StandbyModel.exponential(-1.0, 2)
 
 
 class TestMttfOverTheDomain:
@@ -345,7 +345,7 @@ class TestMttfOverTheDomain:
     def test_routes_match_mpmath(self, member, theta, n):
         dist = DistSpec(member, theta)
         expected = SumOracle(theta, dist.alpha, member.degree, n).mean()
-        routes = [StandbyModel(dist, n).mttf(), SumSpec(dist, n).mean()]
+        routes = [StandbyModel.of(dist, n).mttf(), SumSpec(dist, n).mean()]
         if member is LINDLEY:
             routes.append(lindley_mttf(theta, n))
         np.testing.assert_allclose(routes, expected, rtol=1e-12, atol=0.0)
@@ -354,16 +354,16 @@ class TestMttfOverTheDomain:
     @settings(max_examples=40, deadline=None)
     def test_mixture_mean_is_exact(self, member, theta, n):
         # the mean is the fsum of w_r s_r over the rate, not e^(its log): within
-        # an ulp of the 50-digit mean, and exactly n / theta for Erlang(n)
+        # an ulp of the 50-digit mean, and exactly n / theta for exponential units
         dist = DistSpec(member, theta)
         expected = SumOracle(theta, dist.alpha, member.degree, n).mean()
         np.testing.assert_allclose(SumSpec(dist, n).mean(), expected, rtol=1e-15, atol=0.0)
-        assert ErlangMixture(theta, (1.0,), (n,)).mean() == exponential_mttf(theta, n)
+        assert StandbyModel.exponential(theta, n).mttf() == exponential_mttf(theta, n)
 
 
 class TestReliabilityCurve:
     def test_grid_and_endpoints(self):
-        models = [StandbyModel(DistSpec(LINDLEY, 0.5), 5), ExponentialStandby(0.5, 5)]
+        models = [StandbyModel.of(DistSpec(LINDLEY, 0.5), 5), StandbyModel.exponential(0.5, 5)]
         curves = reliability_curve(models, 100.0, 101)
         assert [c.label for c in curves] == [m.label for m in models]
         for curve in curves:
@@ -372,7 +372,7 @@ class TestReliabilityCurve:
             assert curve.values[0] == 1.0
 
     def test_fields_hold_python_floats(self):
-        models = [StandbyModel(DistSpec(LINDLEY, 0.5), 5), ExponentialStandby(0.5, 5)]
+        models = [StandbyModel.of(DistSpec(LINDLEY, 0.5), 5), StandbyModel.exponential(0.5, 5)]
         for curve in reliability_curve(models, 100.0, 11):
             assert {type(v) for v in curve.times + curve.values} == {float}
             assert "np.float64" not in repr(curve)
@@ -380,7 +380,7 @@ class TestReliabilityCurve:
     def test_lindley_curve_dominates_exponential(self):
         for theta in THETAS:
             pair = reliability_curve(
-                [StandbyModel(DistSpec(LINDLEY, theta), 5), ExponentialStandby(theta, 5)],
+                [StandbyModel.of(DistSpec(LINDLEY, theta), 5), StandbyModel.exponential(theta, 5)],
                 100.0,
                 101,
             )

@@ -1,5 +1,5 @@
 """Each quantity has one code path: the cdf is the mixture's complement of its
-survival, the Erlang(n) tail is ExponentialStandby's, and one frame,
+survival, the Erlang(n) tail is StandbyModel.exponential's, and one frame,
 numerics._pointwise, decides where every density and tail is evaluated.  It
 sums the series only at 0 < x < _finite_below(rate), gives x < 0, x == 0 and
 x at or past that bound (+inf included) their edge values and NaN a NaN, and
@@ -16,7 +16,7 @@ import pytest
 
 from lindsum.family import LINDLEY, RAM_AWADH, DistSpec
 from lindsum.numerics import _finite_below
-from lindsum.reliability import ExponentialStandby, exponential_reliability, lindley_reliability
+from lindsum.reliability import StandbyModel, exponential_reliability, lindley_reliability
 from lindsum.sums import SumSpec
 
 ROUTES = {
@@ -37,7 +37,7 @@ def test_cdf_is_one_minus_survival_bit_for_bit(route, points):
 
 @pytest.mark.parametrize("theta,n", [(0.5, 1), (1.0, 5), (3.0, 12)])
 def test_exponential_routes_agree_at_nonnegative_times(theta, n):
-    system = ExponentialStandby(theta, n)
+    system = StandbyModel.exponential(theta, n)
     times = np.array([0.0, 0.1, 1.0, 4.0, 30.0, math.inf])
     on_grid = system.reliability(times)
     for t, value in zip(times.tolist(), on_grid):
@@ -46,7 +46,7 @@ def test_exponential_routes_agree_at_nonnegative_times(theta, n):
 
 
 def test_exponential_routes_differ_only_below_zero():
-    system = ExponentialStandby(2.0, 3)
+    system = StandbyModel.exponential(2.0, 3)
     assert system.reliability(-1.0) == 1.0
     assert np.array_equal(system.reliability(np.array([-5.0, -0.1])), [1.0, 1.0])
     with pytest.raises(ValueError, match="t must be nonnegative"):

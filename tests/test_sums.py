@@ -12,6 +12,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +35,7 @@ from lindsum.family import (
     DistSpec,
 )
 from lindsum.numerics import _BLOCK, _finite_below, integrate
-from lindsum.reliability import ExponentialStandby, exponential_reliability
+from lindsum.reliability import StandbyModel, exponential_reliability, lindley_reliability
 from lindsum.sums import ErlangMixture, SumSpec
 
 # Hand-expanded convolution brackets: pdf = c^n * exp(-theta x) * bracket(theta, x).
@@ -584,7 +585,7 @@ class TestNonFiniteArguments:
                 assert dist.pdf(arg) == 0.0
                 assert dist.survival(arg) == 0.0
                 assert exponential_reliability(1.0, 3, arg) == 0.0
-                assert ExponentialStandby(1.0, 3).reliability(arg) == 0.0
+                assert StandbyModel.exponential(1.0, 3).reliability(arg) == 0.0
             for route in (spec.pdf, spec.survival, spec.cdf, dist.pdf, dist.survival):
                 assert math.isnan(route(math.nan))
             values = spec.survival(np.array([-math.inf, 0.0, 1.0, math.inf, math.nan]))
@@ -617,11 +618,22 @@ class TestOverflowingArgument:
         # sign: at theta = 0.5 the series range has no finite bound
         spec = SumSpec(DistSpec(LINDLEY, theta), 2)
         routes = (spec.pdf, spec.survival, spec.cdf, spec.mixture().log_pdf,
-                  ExponentialStandby(theta, 3).reliability)
+                  StandbyModel.exponential(theta, 3).reliability)
         for route in routes:
             got = route(sign * 10**400)
             assert type(got) is float
             assert got.hex() == route(sign * math.inf).hex(), route
+        # the functions that require t >= 0 take it as they take +inf, and
+        # reject it below 0 as they reject -inf
+        for function in (exponential_reliability, lindley_reliability):
+            route = partial(function, theta, 3)
+            if sign > 0:
+                got = route(10**400)
+                assert type(got) is float and got.hex() == route(math.inf).hex() == "0x0.0p+0"
+            else:
+                for t in (-(10**400), -math.inf):
+                    with pytest.raises(ValueError, match="t must be nonnegative"):
+                        route(t)
 
     @pytest.mark.parametrize("member, theta, x", [
         (LINDLEY, 2.0, 1e308),  # theta * x overflows
