@@ -15,6 +15,7 @@ from scipy.special import gammaincc
 
 from lindsum.family import AKASH, LINDLEY, DistSpec
 from lindsum.numerics import (
+    ErlangMixture,
     QuadratureError,
     _GK21_TABLES,
     integrate,
@@ -379,6 +380,17 @@ def test_mixture_moment_below_double_range_names_the_order():
     assert mixture.moment(2) > 0.0
     with pytest.raises(ArithmeticError, match="m=3.*below double range"):
         mixture.moment(3)
+
+
+def test_mixture_mean_at_the_edges_of_double_range():
+    # 2 / rate rounds to inf here while ln 2 - ln rate stays below ln(max):
+    # the exact mean raises as moment(1) does, and never returns inf
+    edge = ErlangMixture(1.1125369292536007e-308, (1.0,), (2,))
+    assert math.log(2.0) - math.log(edge.rate) <= math.log(sys.float_info.max)
+    with pytest.raises(OverflowError, match="m=1.*beyond double range"):
+        edge.mean()
+    with pytest.raises(ArithmeticError, match="m=1.*below double range"):
+        ErlangMixture(1e308, (1.0,), (1,)).mean()
 
 
 def test_mixture_tables_are_cached_on_the_instance():

@@ -12,8 +12,8 @@ import math
 import sys
 import tracemalloc
 import warnings
-from functools import partial
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
