@@ -39,7 +39,6 @@ __all__ = [
     "VerifyConfig",
     "convolution_oracle_pdf",
     "exponential_mttf",
-    "exponential_reliability",
     "integrate",
     "ks_statistic",
     "lindley_mttf",

@@ -33,7 +33,6 @@ __all__ = [
     "ReliabilityCurve",
     "StandbyModel",
     "exponential_mttf",
-    "exponential_reliability",
     "lindley_mttf",
     "lindley_reliability",
     "mttf_table",
@@ -104,15 +103,6 @@ def lindley_mttf(theta: float, n: int) -> float:
     theta, n = check_theta(theta), check_n(n)
     # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154
     return _finite_mttf(n * (2.0 + theta) / theta / (1.0 + theta), theta, n)
-
-
-def exponential_reliability(theta: float, n: int, t: float) -> float:
-    """Cold-standby reliability with Exp(theta) components: the Erlang(n) tail
-    of StandbyModel.exponential; requires t >= 0."""
-    system = StandbyModel.exponential(theta, n)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return system.reliability(t)
 
 
 def exponential_mttf(theta: float, n: int) -> float:

@@ -4,8 +4,9 @@ Each check pits a closed-form quantity against a route that shares no code
 with it: the convolution integral f_n = f_{n-1} * f, folded by nested
 quadrature one summand per level, for sum densities; adaptive quadrature for
 moments (the normalization is the zeroth) and MTTFs; and sums drawn by the
-core's sampler sums.sample_sum (re-exported here), with a Kolmogorov-Smirnov
-distance, for whole distributions.  The two routes are never collapsed; a
+core sampler's body, sums._draw_sums, into one pooled buffer, unshuffled,
+with a Kolmogorov-Smirnov distance, for whole distributions (sample_sum is
+re-exported here).  The two routes are never collapsed; a
 disagreement fails the check rather than being patched over.
 
 verify_all() runs the registry, the one list of checks: rows of (check id,

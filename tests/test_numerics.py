@@ -1,6 +1,6 @@
 """Tests for the log-space primitives, the Erlang(n) tail (through its one
-route, StandbyModel.exponential, and exponential_reliability, which calls it), the
-Erlang-mixture moments, and the adaptive Gauss-Kronrod quadrature."""
+route, StandbyModel.exponential), the Erlang-mixture moments, and the adaptive
+Gauss-Kronrod quadrature."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from lindsum.numerics import (
     ln_factorial,
     logsumexp,
 )
-from lindsum.reliability import StandbyModel, exponential_reliability
+from lindsum.reliability import StandbyModel
 
 
 class TestLnFactorial:
@@ -74,16 +74,18 @@ class TestLnBinomial:
 
 class TestErlangTail:
     def test_at_zero(self):
-        assert exponential_reliability(2.0, 1, 0.0) == 1.0
-        assert exponential_reliability(0.3, 7, 0.0) == 1.0
+        assert StandbyModel.exponential(2.0, 1).reliability(0.0) == 1.0
+        assert StandbyModel.exponential(0.3, 7).reliability(0.0) == 1.0
 
     def test_single_stage_is_exponential(self):
-        np.testing.assert_allclose(exponential_reliability(2.0, 1, 1.0), math.exp(-2.0), rtol=1e-14)
+        np.testing.assert_allclose(
+            StandbyModel.exponential(2.0, 1).reliability(1.0), math.exp(-2.0), rtol=1e-14
+        )
 
     def test_truncated_series_value(self):
         # direct evaluation of e^{-2} * (1 + 2 + 2^2/2)
         np.testing.assert_allclose(
-            exponential_reliability(1.0, 3, 2.0), math.exp(-2.0) * 5.0, rtol=1e-14
+            StandbyModel.exponential(1.0, 3).reliability(2.0), math.exp(-2.0) * 5.0, rtol=1e-14
         )
 
     def test_matches_incomplete_gamma(self):
@@ -91,7 +93,7 @@ class TestErlangTail:
             for rate in (0.3, 1.0, 4.0):
                 for t in (0.1, 1.0, 10.0, 100.0):
                     np.testing.assert_allclose(
-                        exponential_reliability(rate, shape, t),
+                        StandbyModel.exponential(rate, shape).reliability(t),
                         gammaincc(shape, rate * t),
                         rtol=1e-12,
                         atol=1e-300,
@@ -113,28 +115,27 @@ class TestErlangTail:
             for t in (0.5, 3.0, 20.0):
                 mass = integrate(density, 0.0, t, 1e-12).value
                 np.testing.assert_allclose(
-                    exponential_reliability(rate, shape, t), 1.0 - mass, atol=1e-10
+                    StandbyModel.exponential(rate, shape).reliability(t), 1.0 - mass, atol=1e-10
                 )
 
     def test_vectorized_matches_scalar(self):
         ts = np.array([0.0, 0.5, 2.0, 40.0])
-        vec = StandbyModel.exponential(0.7, 4).reliability(ts)
+        system = StandbyModel.exponential(0.7, 4)
+        vec = system.reliability(ts)
         assert isinstance(vec, np.ndarray)
-        scalars = [exponential_reliability(0.7, 4, t) for t in ts.tolist()]
+        scalars = [system.reliability(t) for t in ts.tolist()]
         np.testing.assert_allclose(vec, scalars, rtol=1e-14, atol=0.0)
 
     def test_bounded_for_extreme_arguments(self):
-        value = exponential_reliability(1.0, 300, 500.0)
+        value = StandbyModel.exponential(1.0, 300).reliability(500.0)
         assert 0.0 <= value <= 1.0
-        assert exponential_reliability(1.0, 2, 1e6) == 0.0
+        assert StandbyModel.exponential(1.0, 2).reliability(1e6) == 0.0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            exponential_reliability(1.0, 0, 1.0)
+            StandbyModel.exponential(1.0, 0)
         with pytest.raises(ValueError):
-            exponential_reliability(0.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            exponential_reliability(1.0, 2, -0.5)
+            StandbyModel.exponential(0.0, 2)
 
     @given(
         shape=st.integers(min_value=1, max_value=40),
@@ -143,10 +144,10 @@ class TestErlangTail:
         dt=st.floats(min_value=0.0, max_value=50.0),
     )
     def test_monotone_in_time_and_shape(self, shape, rate, t, dt):
-        here = exponential_reliability(rate, shape, t)
+        here = StandbyModel.exponential(rate, shape).reliability(t)
         assert 0.0 <= here <= 1.0
-        assert exponential_reliability(rate, shape, t + dt) <= here + 1e-12
-        assert exponential_reliability(rate, shape + 1, t) >= here - 1e-12
+        assert StandbyModel.exponential(rate, shape).reliability(t + dt) <= here + 1e-12
+        assert StandbyModel.exponential(rate, shape + 1).reliability(t) >= here - 1e-12
 
 
 class TestLogSumTerms:

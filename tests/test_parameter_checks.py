@@ -21,7 +21,6 @@ from lindsum.family import (
 from lindsum.reliability import (
     StandbyModel,
     exponential_mttf,
-    exponential_reliability,
     lindley_mttf,
     lindley_reliability,
     mttf_table,
@@ -34,13 +33,14 @@ DIST = DistSpec(RANI, 1.5)
 
 # each entry point called with theta (default 1.0) and n (default 3); the
 # standby systems under the ids StandbyModel (StandbyModel.of) and
-# ExponentialStandby (StandbyModel.exponential)
+# ExponentialStandby (StandbyModel.exponential), and the exponential system's
+# reliability at t = 1 under the id exponential_reliability
 THETA_ROUTES = {
     "DistSpec": lambda theta: DistSpec(LINDLEY, theta),
     "ExponentialStandby": lambda theta: StandbyModel.exponential(theta, 3),
     "lindley_reliability": lambda theta: lindley_reliability(theta, 3, 1.0),
     "lindley_mttf": lambda theta: lindley_mttf(theta, 3),
-    "exponential_reliability": lambda theta: exponential_reliability(theta, 3, 1.0),
+    "exponential_reliability": lambda theta: StandbyModel.exponential(theta, 3).reliability(1.0),
     "exponential_mttf": lambda theta: exponential_mttf(theta, 3),
     "mttf_table": lambda theta: mttf_table([theta], 3),
 }
@@ -51,7 +51,7 @@ N_ROUTES = {
     "ExponentialStandby": lambda n: StandbyModel.exponential(1.0, n),
     "lindley_reliability": lambda n: lindley_reliability(1.0, n, 1.0),
     "lindley_mttf": lambda n: lindley_mttf(1.0, n),
-    "exponential_reliability": lambda n: exponential_reliability(1.0, n, 1.0),
+    "exponential_reliability": lambda n: StandbyModel.exponential(1.0, n).reliability(1.0),
     "exponential_mttf": lambda n: exponential_mttf(1.0, n),
     "mttf_table": lambda n: mttf_table([1.0], n),
 }

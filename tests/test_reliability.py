@@ -18,7 +18,6 @@ from lindsum.reliability import (
     StandbyModel,
     _lindley_log_coefficients,
     exponential_mttf,
-    exponential_reliability,
     lindley_mttf,
     lindley_reliability,
     mttf_table,
@@ -140,7 +139,7 @@ class TestLindleyReliability:
     "reliability",
     [
         lambda t: lindley_reliability(1.0, 3, t),
-        lambda t: exponential_reliability(1.0, 3, t),
+        lambda t: StandbyModel.exponential(1.0, 3).reliability(t),
         lambda t: StandbyModel.of(DistSpec(LINDLEY, 1.0), 3).reliability(t),
     ],
     ids=["lindley_reliability", "exponential_reliability", "StandbyModel"],
@@ -237,17 +236,15 @@ class TestLindleyClosedFormsAcrossTheta:
 class TestExponentialStandbyFunctions:
     def test_single_unit_is_pure_exponential(self):
         np.testing.assert_allclose(
-            exponential_reliability(1.0, 1, 2.0), math.exp(-2.0), rtol=1e-14
+            StandbyModel.exponential(1.0, 1).reliability(2.0), math.exp(-2.0), rtol=1e-14
         )
 
     def test_erlang_tail_value(self):
         # n=5, theta=1, t=5: e^{-5} * sum_{i<5} 5^i/i!
         expected = math.exp(-5.0) * (1.0 + 5.0 + 12.5 + 125.0 / 6.0 + 625.0 / 24.0)
-        np.testing.assert_allclose(exponential_reliability(1.0, 5, 5.0), expected, rtol=1e-13)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            exponential_reliability(1.0, 1, -1.0)
+        np.testing.assert_allclose(
+            StandbyModel.exponential(1.0, 5).reliability(5.0), expected, rtol=1e-13
+        )
 
     def test_mttf_formula(self):
         assert exponential_mttf(0.1, 5) == 50.0
@@ -257,7 +254,7 @@ class TestExponentialStandbyFunctions:
     def test_mttf_equals_integral_of_reliability(self):
         for theta, n in [(0.5, 3), (2.0, 5)]:
             numeric = integrate(
-                np.vectorize(lambda t: exponential_reliability(theta, n, t)),
+                np.vectorize(StandbyModel.exponential(theta, n).reliability),
                 0.0,
                 math.inf,
                 1e-8,
@@ -306,9 +303,9 @@ class TestStandbyModels:
 
     def test_exponential_model_values(self):
         model = StandbyModel.exponential(1.0, 5)
-        np.testing.assert_allclose(
-            model.reliability(5.0), exponential_reliability(1.0, 5, 5.0), rtol=1e-14
-        )
+        # e^{-5} * sum_{i<5} 5^i/i!
+        expected = math.exp(-5.0) * (1.0 + 5.0 + 12.5 + 125.0 / 6.0 + 625.0 / 24.0)
+        np.testing.assert_allclose(model.reliability(5.0), expected, rtol=1e-13)
         assert model.reliability(-1.0) == 1.0
         assert model.mttf() == 5.0
 

@@ -16,7 +16,7 @@ import pytest
 
 from lindsum.family import LINDLEY, RAM_AWADH, DistSpec
 from lindsum.numerics import _finite_below
-from lindsum.reliability import StandbyModel, exponential_reliability, lindley_reliability
+from lindsum.reliability import StandbyModel, lindley_reliability
 from lindsum.sums import SumSpec
 
 ROUTES = {
@@ -41,7 +41,6 @@ def test_exponential_routes_agree_at_nonnegative_times(theta, n):
     times = np.array([0.0, 0.1, 1.0, 4.0, 30.0, math.inf])
     on_grid = system.reliability(times)
     for t, value in zip(times.tolist(), on_grid):
-        assert exponential_reliability(theta, n, t) == system.reliability(t)
         np.testing.assert_allclose(system.reliability(t), value, rtol=1e-14, atol=0.0)
 
 
@@ -49,8 +48,6 @@ def test_exponential_routes_differ_only_below_zero():
     system = StandbyModel.exponential(2.0, 3)
     assert system.reliability(-1.0) == 1.0
     assert np.array_equal(system.reliability(np.array([-5.0, -0.1])), [1.0, 1.0])
-    with pytest.raises(ValueError, match="t must be nonnegative"):
-        exponential_reliability(2.0, 3, -1.0)
 
 
 MIXTURE = SumSpec(DistSpec(RAM_AWADH, 0.7), 4).mixture()  # shapes 4, 9, ..., 24

@@ -35,7 +35,7 @@ from lindsum.family import (
     DistSpec,
 )
 from lindsum.numerics import _BLOCK, _finite_below, integrate
-from lindsum.reliability import StandbyModel, exponential_reliability, lindley_reliability
+from lindsum.reliability import StandbyModel, lindley_reliability
 from lindsum.sums import ErlangMixture, SumSpec
 
 # Hand-expanded convolution brackets: pdf = c^n * exp(-theta x) * bracket(theta, x).
@@ -584,7 +584,6 @@ class TestNonFiniteArguments:
                 assert spec.cdf(arg) == 1.0
                 assert dist.pdf(arg) == 0.0
                 assert dist.survival(arg) == 0.0
-                assert exponential_reliability(1.0, 3, arg) == 0.0
                 assert StandbyModel.exponential(1.0, 3).reliability(arg) == 0.0
             for route in (spec.pdf, spec.survival, spec.cdf, dist.pdf, dist.survival):
                 assert math.isnan(route(math.nan))
@@ -623,17 +622,16 @@ class TestOverflowingArgument:
             got = route(sign * 10**400)
             assert type(got) is float
             assert got.hex() == route(sign * math.inf).hex(), route
-        # the functions that require t >= 0 take it as they take +inf, and
-        # reject it below 0 as they reject -inf
-        for function in (exponential_reliability, lindley_reliability):
-            route = partial(function, theta, 3)
-            if sign > 0:
-                got = route(10**400)
-                assert type(got) is float and got.hex() == route(math.inf).hex() == "0x0.0p+0"
-            else:
-                for t in (-(10**400), -math.inf):
-                    with pytest.raises(ValueError, match="t must be nonnegative"):
-                        route(t)
+        # lindley_reliability, which requires t >= 0, takes it as it takes
+        # +inf, and rejects it below 0 as it rejects -inf
+        route = partial(lindley_reliability, theta, 3)
+        if sign > 0:
+            got = route(10**400)
+            assert type(got) is float and got.hex() == route(math.inf).hex() == "0x0.0p+0"
+        else:
+            for t in (-(10**400), -math.inf):
+                with pytest.raises(ValueError, match="t must be nonnegative"):
+                    route(t)
 
     @pytest.mark.parametrize("member, theta, x", [
         (LINDLEY, 2.0, 1e308),  # theta * x overflows
