@@ -125,6 +125,11 @@ class StandbyModel(_Record):
     label: str
     mixture: ErlangMixture
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.label, str) and isinstance(self.mixture, ErlangMixture)):
+            raise TypeError("StandbyModel takes a str label and an ErlangMixture: build it with "
+                            "StandbyModel.of(dist, n) or StandbyModel.exponential(theta, n)")
+
     @classmethod
     def of(cls, dist: DistSpec, n: int) -> StandbyModel:
         """n units with lifetimes from a family distribution."""

@@ -277,18 +277,18 @@ class TestReliabilityCommand:
                 super().__init__(*args, **kwargs)
                 plans.append(self)
 
-        def counted_mixture(*args):
-            mixtures.append(real_mixture(*args))
-            return mixtures[-1]
+        def counted_mixture(self):
+            real_check(self)
+            mixtures.append(self)
 
-        real_mixture = lindsum.reliability.ErlangMixture
+        real_check = lindsum.numerics.ErlangMixture.__post_init__
         monkeypatch.setattr(lindsum.numerics, "_Series", CountedSeries)
-        # only StandbyModel.exponential builds a mixture in reliability itself
-        monkeypatch.setattr(lindsum.reliability, "ErlangMixture", counted_mixture)
+        monkeypatch.setattr(lindsum.numerics.ErlangMixture, "__post_init__", counted_mixture)
         code, out, _ = run_cli(capsys, ["reliability", "--theta", "0.7", "--compare-exponential"])
         assert code == 0 and len(out.splitlines()) == 102
-        assert len(mixtures) == 1
-        assert len(plans) == 2  # one survival plan each for Lindley and exponential
+        # one mixture and one survival plan each for Lindley and exponential
+        assert len(mixtures) == 2
+        assert len(plans) == 2
 
 
 RAMAWADH_PDF_ARGV = ["pdf", "--dist", "ramawadh", "--n", "50", "--points", "101"]

@@ -309,6 +309,16 @@ class TestStandbyModels:
         assert model.reliability(-1.0) == 1.0
         assert model.mttf() == 5.0
 
+    def test_fields_checked_at_construction(self):
+        # the removed StandbyModel(dist, n) form fails at once, naming the constructors
+        for label, mixture in [(DistSpec(LINDLEY, 1.0), 5), ("x", 5),
+                               (5, ErlangMixture(1.0, (1.0,), (3,)))]:
+            with pytest.raises(TypeError, match=r"StandbyModel\.of\(dist, n\) or "
+                                                r"StandbyModel\.exponential\(theta, n\)"):
+                StandbyModel(label, mixture)
+        system = StandbyModel("three units", ErlangMixture(1.0, (1.0,), (3,)))
+        assert system.mttf() == 3.0
+
     def test_exponential_mixture_is_the_one_field(self):
         # the constructor builds the mixture once; repeated calls read that field
         system = StandbyModel.exponential(0.7, 5)
