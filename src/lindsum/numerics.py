@@ -593,8 +593,11 @@ class ErlangMixture(_Record):
 
     def moment(self, m: int) -> float:
         """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m), each ratio's log
-        the fsum of the m logs ln(s_r + i), not a difference of two lgammas."""
+        the fsum of the m logs ln(s_r + i), not a difference of two lgammas;
+        the first is mean(), exactly."""
         m = check_count(m, "m", 0)
+        if m == 1:
+            return self.mean()
         terms = [
             math.log(w) + math.fsum(map(math.log, range(s, s + m)))
             for w, s in self.components

@@ -367,6 +367,15 @@ class TestMttfOverTheDomain:
         np.testing.assert_allclose(SumSpec(dist, n).mean(), expected, rtol=1e-15, atol=0.0)
         assert StandbyModel.exponential(theta, n).mttf() == exponential_mttf(theta, n)
 
+    @domain
+    @settings(max_examples=40, deadline=None)
+    def test_first_moment_is_the_mean(self, member, theta, n):
+        # moment(1) is the exact mean bit for bit, not e^(its log)
+        spec = SumSpec(DistSpec(member, theta), n)
+        assert spec.moment(1) == spec.mean()
+        for mixture in (spec.mixture(), StandbyModel.exponential(theta, n).mixture):
+            assert mixture.moment(1) == mixture.mean()
+
 
 class TestReliabilityCurve:
     def test_grid_and_endpoints(self):
