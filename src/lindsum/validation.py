@@ -6,8 +6,8 @@ quadrature one summand per level, for sum densities; adaptive quadrature for
 moments (the normalization is the zeroth) and MTTFs; and sums drawn by the
 core sampler's body, sums._draw_sums, into one pooled buffer, unshuffled,
 with a Kolmogorov-Smirnov distance, for whole distributions (sample_sum is
-re-exported here).  The two routes are never collapsed; a
-disagreement fails the check rather than being patched over.
+re-exported here).  The two routes are never collapsed; a disagreement fails
+the check rather than being patched over.
 
 verify_all() runs the registry, the one list of checks: rows of (check id,
 measure, bound), where each measure returns only the value it measured and

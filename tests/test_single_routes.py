@@ -44,7 +44,7 @@ def test_exponential_routes_agree_at_nonnegative_times(theta, n):
         np.testing.assert_allclose(system.reliability(t), value, rtol=1e-14, atol=0.0)
 
 
-def test_exponential_routes_differ_only_below_zero():
+def test_exponential_tail_is_one_below_zero():
     system = StandbyModel.exponential(2.0, 3)
     assert system.reliability(-1.0) == 1.0
     assert np.array_equal(system.reliability(np.array([-5.0, -0.1])), [1.0, 1.0])
