@@ -171,17 +171,18 @@ def _pointwise(x: float | np.ndarray, plan, log: bool = False) -> float | np.nda
     series, at most plan.cap, inside 0 < x < plan.bound, and plan.edges
     (plan.log_edges where log) = (value at x < 0, at x == 0, at and past the
     bound and +inf) elsewhere; NaN at NaN.  A Python int or float (np.float64
-    included; an exact float is tested first) takes plan.at inside, as a
-    float and without numpy, and its edge at once (an int past double range,
-    the far edge); any other input, 0-d arrays included, is taken flat, its
-    points inside by _inside_values.  A Python float for a scalar or 0-d
-    input, an array of x's shape otherwise."""
+    included; an exact float is tested first, and passed on as it is) takes
+    plan.at inside, as a float and without numpy, and its edge at once (an int
+    past double range, the far edge); any other input, 0-d arrays included,
+    is taken flat, its points inside by _inside_values.  A Python float for a
+    scalar or 0-d input, an array of x's shape otherwise."""
     if x.__class__ is float or isinstance(x, (int, float)):
         if 0.0 < x < plan.bound:
-            try:
-                x = float(x)
-            except OverflowError:  # an int past double range
-                return plan.log_edges[2] if log else plan.edges[2]
+            if x.__class__ is not float:
+                try:
+                    x = float(x)
+                except OverflowError:  # an int past double range
+                    return plan.log_edges[2] if log else plan.edges[2]
             value = plan.at(x)
             if value > plan.cap:  # faster than min()
                 value = plan.cap
@@ -259,9 +260,8 @@ class _Series:
     evaluators differ in a block's sum (Horner's rule in at, powers of v in
     log_series) and in libm against numpy: on 5000-point grids of every
     member's sums they differ by up to 256 ulp of the log, 2.3e-13 in it
-    (at theta = 1e5; 1.8e-12 where it passes 1e3).  On a side of one block
-    (every sum of n <= 5 at moderate theta) at returns that block's log at
-    once, bit for bit its log-sum-exp loop.
+    (at theta = 1e5; 1.8e-12 where it passes 1e3).  Each side is one loop
+    over its blocks, one block for every sum of n <= 5 at moderate theta.
     """
 
     def __init__(self, weights: Sequence[float], powers: Sequence[int], g: int,
@@ -305,16 +305,14 @@ class _Series:
 
     def at(self, x: float) -> float:
         """The series at one float x > 0 in Python floats: Horner's rule per
-        block, then a running log-sum-exp across the blocks.  A side of one
-        block returns its offset plus the log of its sum at once: the offset
-        is finite, so that is bit for bit what the loop gives."""
+        block, then one running log-sum-exp across the blocks, which the
+        first block starts at its offset and sum (a side of one block
+        returns that offset plus the log of its sum)."""
         y = self.rate * x
         high = y > 1.0
         v = y ** (-self.g if high else self.g)
-        blocks = self._sides[high]
-        single, log, exp = len(blocks) == 1, math.log, math.exp
-        top, total = -math.inf, 0.0
-        for r, inverse, constant, coefficients in blocks:
+        log, top = math.log, None
+        for r, inverse, constant, coefficients in self._sides[high]:
             acc = 0.0
             for c in coefficients:
                 acc = acc * v + c
@@ -326,13 +324,13 @@ class _Series:
             else:  # y subnormal or 0: ln u = ln rate + ln x - ln r
                 ln_u = log(self.rate) + log(x) - log(r)
                 offset = constant - r * (y * inverse - 1.0 - ln_u)
-            if single:
-                return offset + log(acc)
-            if offset > top:  # rescale the blocks so far (0 before the first)
-                total = total * exp(top - offset) + acc
+            if top is None:
+                top, total = offset, acc
+            elif offset > top:  # rescale the blocks so far
+                total = total * math.exp(top - offset) + acc
                 top = offset
             else:
-                total += acc * exp(offset - top)
+                total += acc * math.exp(offset - top)
         return top + log(total)
 
     @cached_property

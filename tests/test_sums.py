@@ -249,11 +249,65 @@ class TestScalarSurvivalPath:
             assert spec.cdf(t) == 1.0 - spec.survival(t)
 
 
+def _reference_at(plan, x: float) -> float:
+    """_Series.at written apart: a side of one block returns its offset plus
+    the log of its sum, and the log-sum-exp of more blocks starts from
+    (-inf, 0).  The offsets are finite, so its arithmetic is at's."""
+    y = plan.rate * x
+    high = y > 1.0
+    v = y ** (-plan.g if high else plan.g)
+    blocks = plan._sides[high]
+    single, log, exp = len(blocks) == 1, math.log, math.exp
+    top, total = -math.inf, 0.0
+    for r, inverse, constant, coefficients in blocks:
+        acc = 0.0
+        for c in coefficients:
+            acc = acc * v + c
+        if not r:
+            offset = constant - y
+        elif y >= sys.float_info.min:
+            u = y * inverse
+            offset = constant - r * (u - 1.0 - log(u))
+        else:  # y subnormal or 0: ln u = ln rate + ln x - ln r
+            ln_u = log(plan.rate) + log(x) - log(r)
+            offset = constant - r * (y * inverse - 1.0 - ln_u)
+        if single:
+            return offset + log(acc)
+        if offset > top:  # rescale the blocks so far (0 before the first)
+            total = total * exp(top - offset) + acc
+            top = offset
+        else:
+            total += acc * exp(offset - top)
+    return top + log(total)
+
+
+class TestScalarEvaluatorReference:
+    """plan.at equals _reference_at bit for bit: on every member's density
+    and survival plans, at sums of one block and of many, on both sides of
+    y = rate x = 1 and where y is subnormal."""
+
+    YS = (1e-310, 1e-3, 0.5, 1.0, 1.7, 6.0, 30.0, 300.0, 3e3, 3e4)
+
+    @pytest.mark.parametrize("theta", [1e-200, 1.0, 1e5, 1e200])
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_equals_reference(self, member, theta):
+        blocks = set()
+        for n in (1, 5, 50, 300):
+            mixture = SumSpec(DistSpec(member, theta), n).mixture()
+            xs = [y / mixture.rate for y in self.YS] + [5e-324]
+            for plan in (mixture._density_plan, mixture._survival_plan):
+                blocks.update(map(len, plan._sides))
+                for x in xs:
+                    if 0.0 < x < plan.bound:
+                        assert plan.at(x) == _reference_at(plan, x), (member.name, theta, n, x)
+        assert 1 in blocks and max(blocks) > 1
+
+
 class TestOneBlockScalarPath:
-    """At these theta every plan of n <= 5 has one block, so the scalar
-    evaluator returns that block's offset plus the log of its sum without the
-    cross-block log-sum-exp.  It must agree with the array series to 1e-14,
-    on both sides of y = rate x = 1 and where y is subnormal, which takes the
+    """At these theta every plan of n <= 5 has one block, which the scalar
+    evaluator's one loop takes as the whole log-sum-exp: its offset plus the
+    log of its sum.  It must agree with the array series to 1e-14, on both
+    sides of y = rate x = 1 and where y is subnormal, which takes the
     ln u = ln rate + ln x - ln r branch."""
 
     YS = (1e-310, 1e-3, 0.5, 1.0, 1.7, 6.0, 30.0)
