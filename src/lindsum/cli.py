@@ -140,7 +140,8 @@ def cmd_pdf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = _sum_spec(args)
     hi = 5.0 * spec.mean() if args.x is None and args.x_max is None else args.x_max
     grid = _grid(args, parser, args.x, args.x_min, hi)
-    rows = [[x, spec.pdf(x), spec.cdf(x), spec.survival(x)] for x in grid]
+    # one survival call per row: cdf is 1 - survival, as ErlangMixture.cdf takes it
+    rows = [[x, spec.pdf(x), 1.0 - (s := spec.survival(x)), s] for x in grid]
     _emit_table(["x", "pdf", "cdf", "survival"], rows, args.format)
     return 0
 

@@ -342,13 +342,13 @@ def _standby_curves() -> np.ndarray:
     ]).swapaxes(0, 1)
 
 
-def _check_dominance() -> float:
-    exponential, *lindley = _standby_curves()  # worst R_exponential - R_lindley
+def _check_dominance(curves: Callable[[], np.ndarray]) -> float:
+    exponential, *lindley = curves()  # worst R_exponential - R_lindley
     return float(np.max(exponential - lindley))
 
 
-def _check_dual_tail() -> float:
-    _, series, model = _standby_curves()
+def _check_dual_tail(curves: Callable[[], np.ndarray]) -> float:
+    _, series, model = curves()
     return float(np.max(np.abs(series - model)))
 
 
@@ -479,16 +479,16 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], float], f
         ("moments", _SUM_NS, _moment_error, MOMENT_BOUND),
         ("moment-forms", range(1, 6), _moment_form_error, 1e-10),
     )
-    # one (member, n) draw per seed serves its ks/* and mc-moments/* checks; the
-    # cache holds only their two statistics, and only for this registry
-    monte_carlo = cache(_monte_carlo)
+    # one (member, n) draw per seed serves its ks/* and mc-moments/* checks, one set of
+    # standby curves dominance and lindley-dual/tail; each cache lives with this registry
+    monte_carlo, curves = cache(_monte_carlo), cache(_standby_curves)
     ks_band = _ks_band(len(DEFAULT_SEEDS) * cfg.sample_count, _KS_FAMILY_COEFFICIENT)
     registry: list[tuple[str, Callable[[], float], float]] = [
         (f"mttf-reference/{model}", partial(_check_mttf_reference, model), 0.005)
         for model in _MTTF_REFERENCE
     ]
-    registry.append(("dominance", _check_dominance, 0.0))
-    registry.append(("lindley-dual/tail", _check_dual_tail, 1e-10))
+    registry.append(("dominance", partial(_check_dominance, curves), 0.0))
+    registry.append(("lindley-dual/tail", partial(_check_dual_tail, curves), 1e-10))
     registry.append(("lindley-dual/mttf", _check_dual_mttf, 1e-6))
     for member in members:
         lower = member.name.lower()

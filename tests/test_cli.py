@@ -336,6 +336,19 @@ class TestTableRows:
         expected = [[x, spec.pdf(x), spec.cdf(x), spec.survival(x)] for x in grid]
         assert _table(out, fmt) == expected
 
+    def test_pdf_row_makes_two_series_calls(self, capsys, monkeypatch):
+        # cdf is printed as 1 - survival, so a row evaluates pdf and survival once each
+        calls = []
+        real = lindsum.numerics._pointwise
+
+        def counting(x, plan, log=False):
+            calls.append(type(x))
+            return real(x, plan, log)
+
+        monkeypatch.setattr(lindsum.numerics, "_pointwise", counting)
+        run_cli(capsys, RAMAWADH_PDF_ARGV + ["--theta", "1.3"])
+        assert calls == [float] * (2 * 101)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reliability_rows_are_the_scalar_calls(self, capsys, fmt):
         model, system = StandbyModel.of(DistSpec(LINDLEY, 0.7), 5), StandbyModel.exponential(0.7, 5)
@@ -801,7 +814,7 @@ class TestImportCost:
             "import sys\n"
             "from lindsum import validation\n"
             "seen = []\n"
-            "def stub():\n"
+            "def stub(curves):\n"
             "    seen.append('numpy._core' in sys.modules)\n"
             "    return 0.0\n"
             "validation._check_dominance = stub\n"

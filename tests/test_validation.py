@@ -495,6 +495,25 @@ class TestVerifyAll:
         assert result.check_id == only
         assert result.status == "pass" and 0.0 < result.value <= result.bound
 
+    def test_standby_curves_built_once_per_call(self, monkeypatch):
+        calls = []
+        real = lindsum.validation._standby_curves
+
+        def counting():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(lindsum.validation, "_standby_curves", counting)
+        both = verify_all(VerifyConfig(only=("dominance", "lindley-dual/tail")))
+        assert len(calls) == 1 and both.all_passed
+        # each check still runs alone, on curves of its own, to the same value
+        alone = [verify_all(VerifyConfig(only=(only,))).results[0]
+                 for only in ("dominance", "lindley-dual")]
+        assert len(calls) == 3
+        assert [(r.check_id, r.value) for r in alone] == [
+            (r.check_id, r.value) for r in both.results
+        ]
+
     def test_default_seeds_are_fixed(self):
         assert DEFAULT_SEEDS == (7, 19, 37)
 
