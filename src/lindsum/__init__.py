@@ -25,7 +25,6 @@ __all__ = [
     "KsReport",
     "LINDLEY",
     "MEMBERS",
-    "MttfRow",
     "PRANAV",
     "QuadratureError",
     "QuadratureResult",
@@ -47,7 +46,6 @@ __all__ = [
     "ln_factorial",
     "logsumexp",
     "member_by_name",
-    "mttf_table",
     "reliability_curve",
     "sample_sum",
     "verify_all",

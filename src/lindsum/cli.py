@@ -201,15 +201,19 @@ def cmd_reliability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_mttf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .reliability import StandbyModel, mttf_table
+    from .reliability import StandbyModel
 
     # each member once; Lindley is always a column
     extra = [m for m in dict.fromkeys(args.dist) if m is not LINDLEY]
     columns = ["theta", "mttf_lindley", "mttf_exponential"]
     columns += [f"mttf_{m.name.lower()}" for m in extra]
     rows = [
-        [*row, *(StandbyModel.of(DistSpec(m, row.theta), args.n).mttf() for m in extra)]
-        for row in mttf_table(args.theta, args.n)
+        [theta, *(model.mttf() for model in (
+            StandbyModel.of(DistSpec(LINDLEY, theta), args.n),
+            StandbyModel.exponential(theta, args.n),
+            *(StandbyModel.of(DistSpec(m, theta), args.n) for m in extra),
+        ))]
+        for theta in args.theta
     ]
     _emit_table(columns, rows, args.format, decimals=args.decimals)
     return 0

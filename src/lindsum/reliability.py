@@ -29,13 +29,11 @@ from .numerics import (
 )
 
 __all__ = [
-    "MttfRow",
     "ReliabilityCurve",
     "StandbyModel",
     "exponential_mttf",
     "lindley_mttf",
     "lindley_reliability",
-    "mttf_table",
     "reliability_curve",
 ]
 
@@ -149,20 +147,6 @@ class StandbyModel(_Record):
     def mttf(self) -> float:
         """Mean time to failure: the mean of the n-fold lifetime sum."""
         return self.mixture.mean()
-
-
-class MttfRow(namedtuple("MttfRow", "theta lindley exponential")):
-    """MTTF of Lindley and exponential cold-standby systems at one rate."""
-
-    __slots__ = ()
-
-
-def mttf_table(theta_values, n: int) -> list[MttfRow]:
-    """Lindley-vs-exponential MTTF comparison rows, one per rate value."""
-    return [
-        MttfRow(check_theta(th), lindley_mttf(th, n), exponential_mttf(th, n))
-        for th in theta_values
-    ]
 
 
 class ReliabilityCurve(_Record):

@@ -24,7 +24,7 @@ from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
 from lindsum.numerics import QuadratureError, QuadratureResult
-from lindsum.reliability import StandbyModel, lindley_mttf
+from lindsum.reliability import StandbyModel, exponential_mttf, lindley_mttf
 from lindsum.sums import SumSpec
 
 
@@ -305,7 +305,7 @@ class TestTableRows:
     """pdf and reliability build their rows from Python floats: the grid is
     np.linspace bit for bit, and every cell is the library's scalar call; the
     pdf tails are within 1e-14 of the array calls that built their columns
-    before."""
+    before.  Every mttf cell is a StandbyModel mean."""
 
     @pytest.mark.parametrize(
         "lo, hi, points, zero_step",
@@ -357,6 +357,29 @@ class TestTableRows:
         grid = np.linspace(0.0, 100.0, 101).tolist()
         expected = [[t, model.reliability(t), system.reliability(t)] for t in grid]
         assert _table(out, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mttf_rows_are_the_standby_means(self, capsys, fmt):
+        thetas = [0.1, 0.5, 1.0, 3.0]
+        argv = ["mttf", "--theta", "0.1,0.5,1,3", "--dist", "akash,rani", "--format", fmt]
+        _, out, _ = run_cli(capsys, argv)
+        expected = [
+            [theta, *(model.mttf() for model in (
+                StandbyModel.of(DistSpec(LINDLEY, theta), 5),
+                StandbyModel.exponential(theta, 5),
+                StandbyModel.of(DistSpec(AKASH, theta), 5),
+                StandbyModel.of(DistSpec(RANI, theta), 5),
+            ))]
+            for theta in thetas
+        ]
+        rows = _table(out, fmt)
+        assert rows == expected
+        # the paper's closed forms, within 1e-15 of the mixture means
+        np.testing.assert_allclose(
+            [row[1:3] for row in rows],
+            [[lindley_mttf(theta, 5), exponential_mttf(theta, 5)] for theta in thetas],
+            rtol=1e-15, atol=0.0,
+        )
 
     @pytest.mark.parametrize("theta", [0.5, 1.157, 2.0])
     def test_rows_agree_with_the_array_calls(self, capsys, theta):
@@ -433,13 +456,14 @@ class TestMttfCommand:
         )
         assert out.splitlines()[0] == "theta,mttf_lindley,mttf_exponential,mttf_akash"
 
-    def test_json_keeps_the_closed_form_lindley_column(self, capsys):
+    def test_json_lindley_column_is_the_standby_mean(self, capsys):
         _, out, _ = run_cli(
             capsys, ["mttf", "--theta", "0.3", "--dist", "lindley,akash", "--format", "json"]
         )
         (record,) = json.loads(out)
         assert list(record) == ["theta", "mttf_lindley", "mttf_exponential", "mttf_akash"]
-        assert record["mttf_lindley"] == lindley_mttf(0.3, 5)
+        # one ulp below the closed form lindley_mttf(0.3, 5)
+        assert record["mttf_lindley"] == StandbyModel.of(DistSpec(LINDLEY, 0.3), 5).mttf()
 
     def test_theta_required(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["mttf", "--n", "5"])
@@ -629,6 +653,7 @@ class TestTopLevel:
         "argv,message",
         [
             (["mttf", "--theta", "1e-308", "--dist", "lindley"], "beyond double range"),
+            (["mttf", "--theta", "1e308", "--n", "1"], "below double range"),
             (["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "200"],
              "m=169 .* beyond double range"),
             (["moments", "--dist", "lindley", "--theta", "1e200", "--n", "3", "--verify"],
@@ -636,7 +661,8 @@ class TestTopLevel:
             (["sample", "--dist", "lindley", "--theta", "1e-308", "--n", "5", "--count", "2"],
              "theta=1e-308, n=5 .* beyond double range"),
         ],
-        ids=["mttf-overflow", "moment-overflow", "moment-underflow", "sample-overflow"],
+        ids=["mttf-overflow", "mttf-underflow", "moment-overflow", "moment-underflow",
+             "sample-overflow"],
     )
     def test_result_outside_double_range_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)

@@ -23,7 +23,6 @@ from lindsum.reliability import (
     exponential_mttf,
     lindley_mttf,
     lindley_reliability,
-    mttf_table,
     reliability_curve,
 )
 from lindsum.sums import SumSpec
@@ -42,7 +41,6 @@ THETA_ROUTES = {
     "lindley_mttf": lambda theta: lindley_mttf(theta, 3),
     "exponential_reliability": lambda theta: StandbyModel.exponential(theta, 3).reliability(1.0),
     "exponential_mttf": lambda theta: exponential_mttf(theta, 3),
-    "mttf_table": lambda theta: mttf_table([theta], 3),
 }
 N_ROUTES = {
     "SumSpec": lambda n: SumSpec(DIST, n),
@@ -53,7 +51,6 @@ N_ROUTES = {
     "lindley_mttf": lambda n: lindley_mttf(1.0, n),
     "exponential_reliability": lambda n: StandbyModel.exponential(1.0, n).reliability(1.0),
     "exponential_mttf": lambda n: exponential_mttf(1.0, n),
-    "mttf_table": lambda n: mttf_table([1.0], n),
 }
 
 

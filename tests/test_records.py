@@ -12,8 +12,8 @@ import pytest
 
 from lindsum import (
     LINDLEY, RAM_AWADH, SHANKER, CheckResult, DistSpec, ErlangMixture, FamilyMember, KsReport,
-    MttfRow, QuadratureResult, ReliabilityCurve, StandbyModel, SumSpec,
-    VerificationReport, VerifyConfig, mttf_table,
+    QuadratureResult, ReliabilityCurve, StandbyModel, SumSpec, VerificationReport,
+    VerifyConfig,
 )
 from lindsum.family import AlphaKind
 from lindsum.numerics import _Record
@@ -186,14 +186,3 @@ def test_missing_unknown_repeated_or_surplus_arguments_raise_type_error(name):
         with pytest.raises(TypeError):
             cls(**{f: v for f, v in zip(cls._fields[1:], values[1:])})
 
-
-def test_mttf_row_is_still_a_named_tuple():
-    row = mttf_table([1.0], 2)[0]
-    assert type(row) is MttfRow and isinstance(row, tuple)
-    assert MttfRow._fields == ("theta", "lindley", "exponential")
-    assert repr(row) == "MttfRow(theta=1.0, lindley=3.0, exponential=2.0)"
-    assert row == (1.0, 3.0, 2.0) and tuple(row) == (row.theta, row.lindley, row.exponential)
-    assert row._replace(theta=2.0).theta == 2.0 and row._asdict()["lindley"] == 3.0
-    assert pickle.loads(pickle.dumps(row)) == row
-    with pytest.raises(AttributeError):
-        row.theta = 2.0

@@ -13,14 +13,12 @@ from mpmath_oracle import SumOracle
 from lindsum.family import LINDLEY, MEMBERS, SHANKER, DistSpec
 from lindsum.numerics import ErlangMixture, integrate
 from lindsum.reliability import (
-    MttfRow,
     ReliabilityCurve,
     StandbyModel,
     _lindley_log_coefficients,
     exponential_mttf,
     lindley_mttf,
     lindley_reliability,
-    mttf_table,
     reliability_curve,
 )
 from lindsum.sums import SumSpec
@@ -264,27 +262,23 @@ class TestExponentialStandbyFunctions:
 
 
 class TestMttfTable:
+    """The paper's MTTF table, from the closed forms."""
+
     def test_reference_rows(self):
-        rows = mttf_table(THETAS, 5)
-        assert [r.theta for r in rows] == list(THETAS)
         np.testing.assert_allclose(
-            [r.lindley for r in rows],
+            [lindley_mttf(theta, 5) for theta in THETAS],
             [10.5 / 0.11, 12.5 / 0.75, 7.5, 25.0 / 12.0],
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            [r.exponential for r in rows], [50.0, 10.0, 5.0, 5.0 / 3.0], rtol=1e-14
+            [exponential_mttf(theta, 5) for theta in THETAS], [50.0, 10.0, 5.0, 5.0 / 3.0],
+            rtol=1e-14,
         )
 
     def test_lindley_always_ahead(self):
         # ratio (2+theta)/(1+theta) > 1 for every positive rate
-        for row in mttf_table((0.01, 0.1, 1.0, 10.0, 100.0), 4):
-            assert row.lindley > row.exponential
-
-    def test_single_and_empty(self):
-        only = mttf_table([1.0], 1)
-        assert only == [MttfRow(1.0, 1.5, 1.0)]
-        assert mttf_table([], 3) == []
+        for theta in (0.01, 0.1, 1.0, 10.0, 100.0):
+            assert lindley_mttf(theta, 4) > exponential_mttf(theta, 4)
 
 
 class TestStandbyModels:
