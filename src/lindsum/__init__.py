@@ -21,8 +21,6 @@ __all__ = [
     "ErlangMixture",
     "FamilyMember",
     "ISHITA",
-    "KS_99_COEFFICIENT",
-    "KsReport",
     "LINDLEY",
     "MEMBERS",
     "PRANAV",
@@ -30,23 +28,19 @@ __all__ = [
     "QuadratureResult",
     "RAM_AWADH",
     "RANI",
-    "ReliabilityCurve",
     "SHANKER",
     "StandbyModel",
     "SumSpec",
     "VerificationReport",
     "VerifyConfig",
     "convolution_oracle_pdf",
-    "exponential_mttf",
     "integrate",
-    "ks_statistic",
     "lindley_mttf",
     "lindley_reliability",
     "ln_binomial",
     "ln_factorial",
     "logsumexp",
     "member_by_name",
-    "reliability_curve",
     "sample_sum",
     "verify_all",
     "__version__",

@@ -119,6 +119,8 @@ _GK21_TABLES = tuple(zip(*[(-x, kronrod, difference) for x, kronrod, difference 
 # Narrower pieces, relative to their position, are not bisected: the outer
 # nodes of their halves would round onto the ends (u = 1 maps to x = +inf).
 _NARROWEST = 1e3 * math.ulp(1.0)
+# The most intervals an integration may bisect its range into.
+_MAX_INTERVALS = 2000
 
 # ErlangMixture's series (_Series): blocks of at most _BLOCK lattice steps whose
 # coefficients span at most a factor _SPREAD_RATIO, arrays in chunks of points whose
@@ -605,13 +607,15 @@ class ErlangMixture(_Record):
 
     def mean(self) -> float:
         """c / rate with c = sum_r w_r s_r, so one component's mean is exactly
-        s / rate; raises as moment(1) does outside double range."""
+        s / rate; never 0 (c >= 1 - 1e-10, rate finite), so a subnormal mean is
+        returned, and OverflowError raised where it is past the largest double."""
         centre = math.fsum(w * s for w, s in self.components)
-        log_mean = math.log(centre) - math.log(self.rate)
-        if centre / self.rate == math.inf:  # the quotient can round past the log's edge
-            log_mean = max(log_mean, math.nextafter(_LN_DOUBLE_MAX, math.inf))
-        _moment_from_log(log_mean, 1)
-        return centre / self.rate
+        mean = centre / self.rate
+        if mean == math.inf:
+            log_mean = math.log(centre) - math.log(self.rate)
+            raise OverflowError(f"moment of order m=1 is about e^{log_mean:.6g}, "
+                                "beyond double range")
+        return mean
 
     def variance(self) -> float:
         """Law of total variance, sum_r w_r (s_r + (s_r - c)^2) / rate^2 with
@@ -650,14 +654,13 @@ def integrate(
     tol: float = 1e-10,
     *,
     scale: float = 1.0,
-    limit: int = 2000,
 ) -> QuadratureResult:
     """Adaptive quadrature of f over [lower, upper], upper may be +inf.
 
     Global adaptive 21-point Gauss-Kronrod quadrature (QUADPACK's qk21 rule
     and error estimate, without qags' extrapolation): the interval with the
     largest error estimate is bisected until the summed estimate is at most
-    max(tol, 50 eps) * |integral|, with at most `limit` intervals.  Infinite
+    max(tol, 50 eps) * |integral|, with at most _MAX_INTERVALS intervals.  Infinite
     upper limits are mapped to [0, 1) through x = lower + scale*u/(1-u);
     pass `scale` near the width of the integrand's support so the initial
     rule sees the mass.  Raises QuadratureError carrying the best estimate
@@ -676,7 +679,6 @@ def integrate(
         raise ValueError("lower bound must be finite")
     if not upper >= lower:
         raise ValueError(f"upper bound {upper} is NaN or below lower bound {lower}")
-    limit = check_count(limit, "limit", 1)
     if upper == lower:
         return QuadratureResult(0.0, 0.0, 0)
 
@@ -707,7 +709,7 @@ def integrate(
     value, error = _gk21(target, a, b)
     pieces = [(-error, a, b, value)]
     narrow = False
-    while error > epsrel * abs(value) and len(pieces) < limit:
+    while error > epsrel * abs(value) and len(pieces) < _MAX_INTERVALS:
         worst, left, right, piece = pieces[0]
         narrow = right - left < _NARROWEST * max(abs(left), abs(right))
         if narrow:
@@ -732,7 +734,7 @@ def integrate(
     if scaled_err > tol:
         raise QuadratureError(
             f"quadrature did not converge: error estimate {scaled_err:.3g} exceeds "
-            f"tolerance {tol:.3g} with {len(pieces)} of at most {limit} intervals"
+            f"tolerance {tol:.3g} with {len(pieces)} of at most {_MAX_INTERVALS} intervals"
             + ("; the worst interval is too narrow to bisect" if narrow else ""),
             result,
         )

@@ -14,7 +14,10 @@ with MTTF = n(2+theta)/(theta(1+theta)); both are implemented as written so
 they can be checked against the independent sum-distribution route.
 StandbyModel holds a system's one-rate Erlang mixture: StandbyModel.of builds
 it for family components, StandbyModel.exponential for exponential ones, whose
-Erlang(n) tail and MTTF = n/theta are the comparison baseline.
+Erlang(n) tail and MTTF = n/theta are the comparison baseline.  The commands
+read every reliability and MTTF from StandbyModel; verify holds it to the
+double series (lindley-dual/tail) and to the paper's MTTF table
+(mttf-reference/*).
 """
 
 from __future__ import annotations
@@ -23,21 +26,16 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .family import DistSpec, check_count, check_n, check_positive, check_theta
+from .family import DistSpec, check_n, check_theta
 from .numerics import (
     ErlangMixture, _Record, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
 )
 
 __all__ = [
-    "ReliabilityCurve",
     "StandbyModel",
-    "exponential_mttf",
     "lindley_mttf",
     "lindley_reliability",
-    "reliability_curve",
 ]
-
-_CURVE_SLACK = 1e-12
 
 
 # the fields numerics._pointwise reads of a plan for arrays (see numerics._Series)
@@ -99,17 +97,11 @@ def _lindley_log_coefficients(theta: float, n: int) -> np.ndarray:
 def lindley_mttf(theta: float, n: int) -> float:
     """Closed-form MTTF n(2+theta)/(theta(1+theta)) for Lindley components."""
     theta, n = check_theta(theta), check_n(n)
-    # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154
-    return _finite_mttf(n * (2.0 + theta) / theta / (1.0 + theta), theta, n)
-
-
-def exponential_mttf(theta: float, n: int) -> float:
-    """MTTF n/theta for exponential components."""
-    theta, n = check_theta(theta), check_n(n)
-    return _finite_mttf(n / theta, theta, n)
-
-
-def _finite_mttf(mttf: float, theta: float, n: int) -> float:
+    # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154;
+    # where n (2 + theta) overflows too, (2 + theta) / theta is taken first
+    mttf = n * (2.0 + theta) / theta / (1.0 + theta)
+    if mttf == math.inf:
+        mttf = n * ((2.0 + theta) / theta) / (1.0 + theta)
     if mttf == math.inf:
         raise OverflowError(f"MTTF at theta={theta!r}, n={n} is beyond double range")
     return mttf
@@ -147,36 +139,3 @@ class StandbyModel(_Record):
     def mttf(self) -> float:
         """Mean time to failure: the mean of the n-fold lifetime sum."""
         return self.mixture.mean()
-
-
-class ReliabilityCurve(_Record):
-    """A labelled reliability curve sampled on a strictly increasing time grid.
-
-    Values lie in [0, 1] and are non-increasing along the grid (up to a 1e-12
-    floating-point slack).
-    """
-
-    label: str
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.values) or not self.times:
-            raise ValueError("times and values must be nonempty and of equal length")
-        # written so that NaN, which compares false, fails each check
-        if math.isnan(self.times[0]) or not all(a < b for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-        if not all(0.0 <= v <= 1.0 for v in self.values):
-            raise ValueError("reliability values must lie in [0, 1]")
-        if any(b > a + _CURVE_SLACK for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("reliability values must be non-increasing")
-
-
-def reliability_curve(models, t_max: float, points: int) -> list[ReliabilityCurve]:
-    """Evaluate each model's reliability on a uniform grid over [0, t_max]."""
-    grid = np.linspace(0.0, check_positive(t_max, "t_max"), check_count(points, "points", 2))
-    times, curves = tuple(grid.tolist()), []
-    for model in models:
-        values = np.asarray(model.reliability(grid), dtype=float).tolist()
-        curves.append(ReliabilityCurve(model.label, times, tuple(values)))
-    return curves

@@ -5,9 +5,11 @@ with it: the convolution integral f_n = f_{n-1} * f, folded by nested
 quadrature one summand per level, for sum densities; adaptive quadrature for
 moments (the normalization is the zeroth) and MTTFs; and sums drawn by the
 core sampler's body, sums._draw_sums, into one pooled buffer, unshuffled,
-with a Kolmogorov-Smirnov distance, for whole distributions (sample_sum is
-re-exported here).  The two routes are never collapsed; a disagreement fails
-the check rather than being patched over.
+then sorted in place and measured by the exact Kolmogorov-Smirnov distance
+_ks_distance, for whole distributions.  The two routes are never collapsed;
+a disagreement fails the check rather than being patched over.  The
+mttf-reference/* rows hold the paper's MTTF table to the StandbyModel
+systems that `lindsum mttf` prints.
 
 verify_all() runs the registry, the one list of checks: rows of (check id,
 measure, bound), where each measure returns only the value it measured and
@@ -28,26 +30,19 @@ from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
 )
 from .numerics import _LN_DOUBLE_MAX, QuadratureError, _Record, integrate, logsumexp, np
-from .reliability import StandbyModel, exponential_mttf, lindley_mttf, lindley_reliability
-from .sums import SumSpec, _draw_sums, sample_sum
+from .reliability import StandbyModel, lindley_mttf, lindley_reliability
+from .sums import SumSpec, _draw_sums
 
 __all__ = [
     "CheckResult",
     "DEFAULT_SEEDS",
-    "KS_99_COEFFICIENT",
-    "KsReport",
     "MOMENT_BOUND",
     "VerificationReport",
     "VerifyConfig",
     "convolution_oracle_pdf",
-    "ks_statistic",
     "quadrature_moment",
-    "sample_sum",
     "verify_all",
 ]
-
-# Coefficient of the asymptotic two-sided Kolmogorov band at the 99% level.
-KS_99_COEFFICIENT = 1.63
 
 # Documented fixed seeds for the reproducible Monte Carlo checks.
 DEFAULT_SEEDS = (7, 19, 37)
@@ -66,7 +61,7 @@ _KS_FAMILY_COEFFICIENT = math.sqrt(math.log(2 * _KS_CASES / _KS_FAMILY_LEVEL) / 
 # the moments/* checks and in `lindsum moments --verify`.
 MOMENT_BOUND = 1e-6
 
-# Sorted points per run in ks_statistic's pruning, and the slack that covers
+# Sorted points per run in _ks_distance's pruning, and the slack that covers
 # the cdf's rounding when a run is bounded by its endpoints.
 _KS_RUN = 128
 _KS_SLACK = 1e-12
@@ -90,47 +85,17 @@ _STANDBY_N = 5
 _GRID_POINTS = 101
 _T_MAX = 100.0
 
-# Closed-form MTTF and its two-decimal reference values at theta = 0.1, 0.5,
-# 1, 3 with n = 5 units.
+# The system of n units that `lindsum mttf` prints and the paper's two-decimal
+# MTTF table at theta = 0.1, 0.5, 1, 3 with n = 5 units.
 _MTTF_REFERENCE = {
-    "lindley": (lindley_mttf, (95.45, 16.67, 7.5, 2.08)),
-    "exponential": (exponential_mttf, (50.0, 10.0, 5.0, 1.67)),
+    "lindley": (lambda theta, n: StandbyModel.of(DistSpec(LINDLEY, theta), n),
+                (95.45, 16.67, 7.5, 2.08)),
+    "exponential": (StandbyModel.exponential, (50.0, 10.0, 5.0, 1.67)),
 }
 
 
-class KsReport(_Record):
-    """Result of a Kolmogorov-Smirnov comparison of samples against a cdf."""
-
-    sample_count: int
-    ks_distance: float
-    threshold: float
-    passed: bool
-
-
-def ks_statistic(
-    samples: Sequence[float] | np.ndarray,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    threshold: float | None = None,
-) -> KsReport:
-    """Two-sided KS distance of a sample against a cdf, with a pass threshold.
-
-    The distance is max over order statistics x_(i) of
-    max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N), exactly; the default threshold
-    is the 99% Kolmogorov band _ks_band(N) = 1.63/sqrt(N).  samples of any
-    shape are taken flattened, into a sorted copy: the input is never
-    changed.  _ks_distance, on that copy, says how the distance is found.
-    """
-    x = np.sort(np.asarray(samples, dtype=float), axis=None)
-    if x.size == 0:
-        raise ValueError("samples must be nonempty")
-    distance = _ks_distance(x, cdf)
-    if threshold is None:
-        threshold = _ks_band(x.size)
-    return KsReport(x.size, distance, float(threshold), distance <= threshold)
-
-
-def _ks_band(count: int, coefficient: float = KS_99_COEFFICIENT) -> float:
-    """The Kolmogorov band coefficient/sqrt(count), by default the 99% band."""
+def _ks_band(count: int, coefficient: float) -> float:
+    """The Kolmogorov band coefficient/sqrt(count)."""
     return coefficient / math.sqrt(count)
 
 
@@ -326,8 +291,9 @@ def _relative_error(value: float, reference: float) -> float:
 
 
 def _check_mttf_reference(model: str) -> float:
-    mttf, expected = _MTTF_REFERENCE[model]
-    return max(abs(mttf(theta, _STANDBY_N) - e) for theta, e in zip(_STANDBY_THETAS, expected))
+    system, expected = _MTTF_REFERENCE[model]
+    pairs = zip(_STANDBY_THETAS, expected)
+    return max(abs(system(theta, _STANDBY_N).mttf() - e) for theta, e in pairs)
 
 
 def _standby_curves() -> np.ndarray:

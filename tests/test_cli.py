@@ -24,7 +24,7 @@ from lindsum import cli
 from lindsum.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from lindsum.family import AKASH, LINDLEY, RAM_AWADH, RANI, SHANKER, DistSpec
 from lindsum.numerics import QuadratureError, QuadratureResult
-from lindsum.reliability import StandbyModel, exponential_mttf, lindley_mttf
+from lindsum.reliability import StandbyModel, lindley_mttf
 from lindsum.sums import SumSpec
 
 
@@ -377,7 +377,7 @@ class TestTableRows:
         # the paper's closed forms, within 1e-15 of the mixture means
         np.testing.assert_allclose(
             [row[1:3] for row in rows],
-            [[lindley_mttf(theta, 5), exponential_mttf(theta, 5)] for theta in thetas],
+            [[lindley_mttf(theta, 5), 5 / theta] for theta in thetas],
             rtol=1e-15, atol=0.0,
         )
 
@@ -464,6 +464,12 @@ class TestMttfCommand:
         assert list(record) == ["theta", "mttf_lindley", "mttf_exponential", "mttf_akash"]
         # one ulp below the closed form lindley_mttf(0.3, 5)
         assert record["mttf_lindley"] == StandbyModel.of(DistSpec(LINDLEY, 0.3), 5).mttf()
+
+    def test_subnormal_mean_is_printed(self, capsys):
+        # the mean 1/theta is below the smallest normal double, but not 0
+        code, out, err = run_cli(capsys, ["mttf", "--theta", "1e308", "--n", "1"])
+        assert code == 0 and err == ""
+        assert [float(v) for v in out.splitlines()[1].split(",")] == [1e308, 1e-308, 1e-308]
 
     def test_theta_required(self, capsys):
         err = run_cli_expecting_usage_error(capsys, ["mttf", "--n", "5"])
@@ -653,7 +659,6 @@ class TestTopLevel:
         "argv,message",
         [
             (["mttf", "--theta", "1e-308", "--dist", "lindley"], "beyond double range"),
-            (["mttf", "--theta", "1e308", "--n", "1"], "below double range"),
             (["moments", "--dist", "lindley", "--theta", "1", "--n", "2", "--m-max", "200"],
              "m=169 .* beyond double range"),
             (["moments", "--dist", "lindley", "--theta", "1e200", "--n", "3", "--verify"],
@@ -661,7 +666,7 @@ class TestTopLevel:
             (["sample", "--dist", "lindley", "--theta", "1e-308", "--n", "5", "--count", "2"],
              "theta=1e-308, n=5 .* beyond double range"),
         ],
-        ids=["mttf-overflow", "mttf-underflow", "moment-overflow", "moment-underflow",
+        ids=["mttf-overflow", "moment-overflow", "moment-underflow",
              "sample-overflow"],
     )
     def test_result_outside_double_range_exits_2(self, capsys, argv, message):

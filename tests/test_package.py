@@ -4,6 +4,7 @@ first access."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,10 @@ import lindsum
 
 SUBMODULES = ("numerics", "family", "sums", "reliability", "validation", "cli")
 LAZY = ("reliability", "validation", "cli")
+# second routes deleted with no alias: the ks/* rows' _ks_distance, the systems'
+# StandbyModel.reliability and StandbyModel.exponential(theta, n).mttf() stay
+REMOVED = ("KS_99_COEFFICIENT", "KsReport", "ReliabilityCurve", "exponential_mttf",
+           "ks_statistic", "reliability_curve")
 
 
 def _run(code: str) -> str:
@@ -87,3 +92,13 @@ def test_submodule_and_unknown_attributes():
         "else:\n"
         "    raise AssertionError('no AttributeError')\n"
     )
+
+
+def test_removed_names_are_gone():
+    modules = [importlib.import_module(f"lindsum.{m}") for m in SUBMODULES]
+    for name in REMOVED:
+        assert name not in lindsum.__all__ and not hasattr(lindsum, name), name
+        assert not [m.__name__ for m in modules if hasattr(m, name)], name
+    # sample_sum has one home, lindsum.sums
+    assert "sample_sum" not in lindsum.validation.__all__
+    assert not hasattr(lindsum.validation, "sample_sum")

@@ -1,7 +1,7 @@
 """Every public constructor and function that takes theta or n checks it the
 same way: theta is a positive finite real, n an integer >= 1 (numpy integers
-included), and a bool is neither.  Sizes, point counts, moment orders and time
-spans share the same two checks (check_count, check_positive)."""
+included), and a bool is neither.  Sizes, moment orders and sample counts share
+the one check_count."""
 
 from __future__ import annotations
 
@@ -18,29 +18,24 @@ from lindsum.family import (
     check_n,
     check_theta,
 )
-from lindsum.reliability import (
-    StandbyModel,
-    exponential_mttf,
-    lindley_mttf,
-    lindley_reliability,
-    reliability_curve,
-)
-from lindsum.sums import SumSpec
-from lindsum.validation import VerifyConfig, sample_sum
+from lindsum.reliability import StandbyModel, lindley_mttf, lindley_reliability
+from lindsum.sums import SumSpec, sample_sum
+from lindsum.validation import VerifyConfig
 
 DIST = DistSpec(RANI, 1.5)
 
 # each entry point called with theta (default 1.0) and n (default 3); the
 # standby systems under the ids StandbyModel (StandbyModel.of) and
 # ExponentialStandby (StandbyModel.exponential), and the exponential system's
-# reliability at t = 1 under the id exponential_reliability
+# reliability at t = 1 and MTTF under the ids exponential_reliability and
+# exponential_mttf
 THETA_ROUTES = {
     "DistSpec": lambda theta: DistSpec(LINDLEY, theta),
     "ExponentialStandby": lambda theta: StandbyModel.exponential(theta, 3),
     "lindley_reliability": lambda theta: lindley_reliability(theta, 3, 1.0),
     "lindley_mttf": lambda theta: lindley_mttf(theta, 3),
     "exponential_reliability": lambda theta: StandbyModel.exponential(theta, 3).reliability(1.0),
-    "exponential_mttf": lambda theta: exponential_mttf(theta, 3),
+    "exponential_mttf": lambda theta: StandbyModel.exponential(theta, 3).mttf(),
 }
 N_ROUTES = {
     "SumSpec": lambda n: SumSpec(DIST, n),
@@ -50,7 +45,7 @@ N_ROUTES = {
     "lindley_reliability": lambda n: lindley_reliability(1.0, n, 1.0),
     "lindley_mttf": lambda n: lindley_mttf(1.0, n),
     "exponential_reliability": lambda n: StandbyModel.exponential(1.0, n).reliability(1.0),
-    "exponential_mttf": lambda n: exponential_mttf(1.0, n),
+    "exponential_mttf": lambda n: StandbyModel.exponential(1.0, n).mttf(),
 }
 
 
@@ -102,12 +97,11 @@ def test_checks_return_the_coerced_value():
     assert check_n(np.int64(4)) == 4 and type(check_n(np.int64(4))) is int
 
 
-# the shared checks behind the size, point-count, moment-order and time-span arguments
+# the shared check behind the size, moment-order and sample-count arguments
 COUNT_ROUTES = {
     "sample_sum size": (lambda v: sample_sum(SumSpec(DIST, 2), np.random.default_rng(1), v), 1),
     "DistSpec.sample size": (lambda v: DIST.sample(np.random.default_rng(1), v), 1),
     "DistSpec.sample size entry": (lambda v: DIST.sample(np.random.default_rng(1), (2, v)), 1),
-    "reliability_curve points": (lambda v: reliability_curve([], 10.0, v), 2),
     "check_count": (lambda v: check_count(v, "decimals", 0), 0),
     "ErlangMixture.moment order": (lambda v: DIST.sum_mixture(2).moment(v), 0),
     "SumSpec.moment_series order": (lambda v: SumSpec(DIST, 2).moment_series(v), 0),
@@ -142,9 +136,3 @@ def test_verify_config_bare_str_is_a_type_error(field):
 def test_empty_size_tuple_is_a_value_error():
     with pytest.raises(ValueError, match="nonempty tuple"):
         DIST.sample(np.random.default_rng(1), ())
-
-
-@pytest.mark.parametrize("t_max", [True, False, 0.0, -1.0, math.nan, math.inf, "1"])
-def test_curve_span_is_a_positive_finite_real(t_max):
-    with pytest.raises(ValueError, match="t_max must be a positive finite number"):
-        reliability_curve([StandbyModel.exponential(1.0, 2)], t_max, 3)

@@ -1,4 +1,4 @@
-"""The package's eleven frozen value classes share one record semantics
+"""The package's nine frozen value classes share one record semantics
 (numerics._Record): the dataclass repr, equality and hash on the fields within
 one class, immutability, copies and pickles that compare equal and still
 evaluate, defaults, and TypeError for a missing or unknown field."""
@@ -11,9 +11,8 @@ import pickle
 import pytest
 
 from lindsum import (
-    LINDLEY, RAM_AWADH, SHANKER, CheckResult, DistSpec, ErlangMixture, FamilyMember, KsReport,
-    QuadratureResult, ReliabilityCurve, StandbyModel, SumSpec, VerificationReport,
-    VerifyConfig,
+    LINDLEY, RAM_AWADH, SHANKER, CheckResult, DistSpec, ErlangMixture, FamilyMember,
+    QuadratureResult, StandbyModel, SumSpec, VerificationReport, VerifyConfig,
 )
 from lindsum.family import AlphaKind
 from lindsum.numerics import _Record
@@ -54,14 +53,6 @@ RECORDS = {
         "StandbyModel(label='exponential theta=0.5 n=4', mixture=ErlangMixture(rate=0.5, "
         "weights=(1.0,), shapes=(4,)))",
     ),
-    "ReliabilityCurve": (
-        lambda: ReliabilityCurve("x", (0.0, 1.0), (1.0, 0.5)),
-        "ReliabilityCurve(label='x', times=(0.0, 1.0), values=(1.0, 0.5))",
-    ),
-    "KsReport": (
-        lambda: KsReport(1000, 0.01, 0.05, True),
-        "KsReport(sample_count=1000, ks_distance=0.01, threshold=0.05, passed=True)",
-    ),
     "VerifyConfig": (
         lambda: VerifyConfig(members=("Lindley",), only=("ks",), sample_count=10),
         "VerifyConfig(members=('Lindley',), only=('ks',), sample_count=10)",
@@ -95,7 +86,7 @@ def _fields(record):
 
 
 def test_every_value_class_is_a_record():
-    assert len({type(make()) for make, _ in RECORDS.values()}) == 11
+    assert len({type(make()) for make, _ in RECORDS.values()}) == 9
     assert all(isinstance(make(), _Record) for make, _ in RECORDS.values())
 
 

@@ -1,9 +1,10 @@
 """Tests for cold-standby reliability: the Lindley double series, exponential
-baselines, MTTF closed forms, and curve containers."""
+baselines, the Lindley MTTF closed form, and the systems' reliability curves."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,10 @@ from mpmath_oracle import SumOracle
 from lindsum.family import LINDLEY, MEMBERS, SHANKER, DistSpec
 from lindsum.numerics import ErlangMixture, integrate
 from lindsum.reliability import (
-    ReliabilityCurve,
     StandbyModel,
     _lindley_log_coefficients,
-    exponential_mttf,
     lindley_mttf,
     lindley_reliability,
-    reliability_curve,
 )
 from lindsum.sums import SumSpec
 
@@ -178,6 +176,13 @@ class TestLindleyMttf:
                     rtol=1e-12,
                 )
 
+    @pytest.mark.parametrize("theta,n", [(1e308, 5), (4e307, 5), (1e300, 10**9)])
+    def test_numerator_past_double_range(self, theta, n):
+        # n (2 + theta) overflows, but the MTTF is a normal double: the
+        # correctly rounded exact rational
+        exact = Fraction(n) * (2 + Fraction(theta)) / (Fraction(theta) * (1 + Fraction(theta)))
+        assert lindley_mttf(theta, n) == float(exact)
+
 
 # theta from 1e-200 to 1e300, across the 1.3e154 where theta^2 overflows
 EXTREME_THETAS = (1e-200, 1.0, 1e154, 1e200, 1e300)
@@ -212,7 +217,7 @@ class TestLindleyClosedFormsAcrossTheta:
         routes = (
             lindley_mttf(theta, 5),
             StandbyModel.of(DistSpec(LINDLEY, theta), 5).mttf(),
-            2.0 * exponential_mttf(theta, 5),
+            2.0 * StandbyModel.exponential(theta, 5).mttf(),
         )
         assert all(math.isfinite(mttf) for mttf in routes)
         np.testing.assert_allclose(routes[1:], routes[0], rtol=1e-13)
@@ -221,9 +226,10 @@ class TestLindleyClosedFormsAcrossTheta:
         "mttf",
         [
             lambda theta: lindley_mttf(theta, 5),
-            lambda theta: exponential_mttf(theta, 5),
+            lambda theta: StandbyModel.exponential(theta, 5).mttf(),
             lambda theta: StandbyModel.of(DistSpec(LINDLEY, theta), 5).mttf(),
         ],
+        # the exponential system under the id of the closed form n/theta it replaced
         ids=["lindley_mttf", "exponential_mttf", "StandbyModel"],
     )
     def test_mttf_beyond_double_range_raises(self, mttf):
@@ -245,9 +251,9 @@ class TestExponentialStandbyFunctions:
         )
 
     def test_mttf_formula(self):
-        assert exponential_mttf(0.1, 5) == 50.0
-        assert exponential_mttf(1.0, 1) == 1.0
-        np.testing.assert_allclose(exponential_mttf(3.0, 5), 5.0 / 3.0, rtol=1e-15)
+        assert StandbyModel.exponential(0.1, 5).mttf() == 50.0
+        assert StandbyModel.exponential(1.0, 1).mttf() == 1.0
+        np.testing.assert_allclose(StandbyModel.exponential(3.0, 5).mttf(), 5.0 / 3.0, rtol=1e-15)
 
     def test_mttf_equals_integral_of_reliability(self):
         for theta, n in [(0.5, 3), (2.0, 5)]:
@@ -262,7 +268,7 @@ class TestExponentialStandbyFunctions:
 
 
 class TestMttfTable:
-    """The paper's MTTF table, from the closed forms."""
+    """The paper's MTTF table, from the Lindley closed form and the exponential system."""
 
     def test_reference_rows(self):
         np.testing.assert_allclose(
@@ -271,14 +277,15 @@ class TestMttfTable:
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            [exponential_mttf(theta, 5) for theta in THETAS], [50.0, 10.0, 5.0, 5.0 / 3.0],
+            [StandbyModel.exponential(theta, 5).mttf() for theta in THETAS],
+            [50.0, 10.0, 5.0, 5.0 / 3.0],
             rtol=1e-14,
         )
 
     def test_lindley_always_ahead(self):
         # ratio (2+theta)/(1+theta) > 1 for every positive rate
         for theta in (0.01, 0.1, 1.0, 10.0, 100.0):
-            assert lindley_mttf(theta, 4) > exponential_mttf(theta, 4)
+            assert lindley_mttf(theta, 4) > StandbyModel.exponential(theta, 4).mttf()
 
 
 class TestStandbyModels:
@@ -359,7 +366,7 @@ class TestMttfOverTheDomain:
         dist = DistSpec(member, theta)
         expected = SumOracle(theta, dist.alpha, member.degree, n).mean()
         np.testing.assert_allclose(SumSpec(dist, n).mean(), expected, rtol=1e-15, atol=0.0)
-        assert StandbyModel.exponential(theta, n).mttf() == exponential_mttf(theta, n)
+        assert StandbyModel.exponential(theta, n).mttf() == n / theta
 
     @domain
     @settings(max_examples=40, deadline=None)
@@ -372,53 +379,19 @@ class TestMttfOverTheDomain:
 
 
 class TestReliabilityCurve:
-    def test_grid_and_endpoints(self):
-        models = [StandbyModel.of(DistSpec(LINDLEY, 0.5), 5), StandbyModel.exponential(0.5, 5)]
-        curves = reliability_curve(models, 100.0, 101)
-        assert [c.label for c in curves] == [m.label for m in models]
-        for curve in curves:
-            assert len(curve.times) == 101
-            assert curve.times[0] == 0.0 and curve.times[-1] == 100.0
-            assert curve.values[0] == 1.0
+    """The systems' reliability on the grid `lindsum reliability` uses by default."""
 
-    def test_fields_hold_python_floats(self):
-        models = [StandbyModel.of(DistSpec(LINDLEY, 0.5), 5), StandbyModel.exponential(0.5, 5)]
-        for curve in reliability_curve(models, 100.0, 11):
-            assert {type(v) for v in curve.times + curve.values} == {float}
-            assert "np.float64" not in repr(curve)
+    grid = np.linspace(0.0, 100.0, 101)
+
+    def test_grid_and_endpoints(self):
+        for model in (StandbyModel.of(DistSpec(LINDLEY, 0.5), 5), StandbyModel.exponential(0.5, 5)):
+            values = model.reliability(self.grid)
+            assert values.shape == (101,) and values[0] == 1.0
+            assert np.all((values >= 0.0) & (values <= 1.0))
+            assert np.all(np.diff(values) <= 1e-12)
 
     def test_lindley_curve_dominates_exponential(self):
         for theta in THETAS:
-            pair = reliability_curve(
-                [StandbyModel.of(DistSpec(LINDLEY, theta), 5), StandbyModel.exponential(theta, 5)],
-                100.0,
-                101,
-            )
-            lindley_vals = np.array(pair[0].values)
-            exponential_vals = np.array(pair[1].values)
+            lindley_vals = StandbyModel.of(DistSpec(LINDLEY, theta), 5).reliability(self.grid)
+            exponential_vals = StandbyModel.exponential(theta, 5).reliability(self.grid)
             assert np.all(lindley_vals >= exponential_vals - 1e-12), theta
-
-    def test_container_validation(self):
-        with pytest.raises(ValueError):
-            ReliabilityCurve("x", (0.0, 1.0), (1.0,))
-        with pytest.raises(ValueError):
-            ReliabilityCurve("x", (1.0, 0.5), (1.0, 0.9))
-        with pytest.raises(ValueError):
-            ReliabilityCurve("x", (0.0, 1.0), (1.0, 1.2))
-        with pytest.raises(ValueError):
-            ReliabilityCurve("x", (0.0, 1.0), (0.5, 0.9))
-
-    @pytest.mark.parametrize(
-        "times,values",
-        [((0.0, 1.0), (1.0, math.nan)), ((math.nan, 1.0), (1.0, 0.5)),
-         ((0.0, math.nan), (1.0, 0.5)), ((math.nan,), (1.0,))],
-    )
-    def test_nan_rejected(self, times, values):
-        with pytest.raises(ValueError):
-            ReliabilityCurve("x", times, values)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            reliability_curve([], 0.0, 101)
-        with pytest.raises(ValueError):
-            reliability_curve([], 10.0, 1)

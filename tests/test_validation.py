@@ -1,4 +1,4 @@
-"""Tests for the verification layer: the KS statistic, the numerical
+"""Tests for the verification layer: the KS distance, the numerical
 convolution oracle, the Monte Carlo sampler, and the verify_all runner."""
 
 from __future__ import annotations
@@ -16,19 +16,21 @@ from test_acceptance import BOUNDS, CHECK_IDS
 import lindsum.validation
 from lindsum.cli import main
 from lindsum.family import LINDLEY, MEMBERS, RAM_AWADH, SHANKER, DistSpec
-from lindsum.sums import SumSpec
+from lindsum.reliability import StandbyModel
+from lindsum.sums import SumSpec, sample_sum
 from lindsum.validation import (
     DEFAULT_SEEDS,
-    KS_99_COEFFICIENT,
     VerifyConfig,
+    _ks_band,
+    _ks_distance,
     convolution_oracle_pdf,
-    ks_statistic,
-    sample_sum,
     verify_all,
 )
 
 
 _KS_RUN = lindsum.validation._KS_RUN
+# the asymptotic two-sided Kolmogorov band at the 99% level is 1.63/sqrt(N)
+_KS_99 = 1.63
 
 # every registry row whose measure runs adaptive quadrature
 QUADRATURE_IDS = [
@@ -60,6 +62,11 @@ def _grouped_reference(spec, rng, size):
     ]) / d.theta)
 
 
+def _sorted_distance(samples, cdf):
+    # the ks/* route: _ks_distance on the sorted sample (here a sorted copy)
+    return _ks_distance(np.sort(np.asarray(samples, dtype=float)), cdf)
+
+
 def _uniform_cdf(x):
     return np.clip(x, 0.0, 1.0)
 
@@ -71,42 +78,19 @@ def _grid_sample(count=10 * _KS_RUN):
 
 
 class TestKsStatistic:
-    def test_thresholds_and_fields(self):
-        rng = np.random.default_rng(5)
-        samples = rng.random(400)
-        report = ks_statistic(samples, lambda x: np.clip(x, 0.0, 1.0))
-        assert report.sample_count == 400
-        np.testing.assert_allclose(report.threshold, KS_99_COEFFICIENT / 20.0, rtol=1e-15)
-        assert report.passed == (report.ks_distance <= report.threshold)
-
     def test_uniform_sample_passes(self):
         rng = np.random.default_rng(11)
-        report = ks_statistic(rng.random(100_000), lambda x: np.clip(x, 0.0, 1.0))
-        assert report.passed
+        assert _sorted_distance(rng.random(100_000), _uniform_cdf) <= _ks_band(100_000, _KS_99)
 
     def test_degenerate_sample_fails(self):
         # all draws at zero against a continuous cdf: distance is exactly 1
-        report = ks_statistic(np.zeros(50), lambda x: 1.0 - np.exp(-x))
-        assert report.ks_distance == 1.0
-        assert not report.passed
+        distance = _sorted_distance(np.zeros(50), lambda x: 1.0 - np.exp(-x))
+        assert distance == 1.0
+        assert distance > _ks_band(50, _KS_99)
 
     def test_single_point_at_median(self):
-        report = ks_statistic([math.log(2.0)], lambda x: 1.0 - np.exp(-x))
-        np.testing.assert_allclose(report.ks_distance, 0.5, rtol=1e-12)
-
-    def test_explicit_threshold(self):
-        report = ks_statistic([0.5], lambda x: np.clip(x, 0.0, 1.0), threshold=0.6)
-        assert report.threshold == 0.6 and report.passed
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ks_statistic([], lambda x: x)
-
-    def test_unsorted_input_allowed(self):
-        cdf = lambda x: 1.0 - np.exp(-x)
-        a = ks_statistic([3.0, 0.1, 1.0], cdf)
-        b = ks_statistic([0.1, 1.0, 3.0], cdf)
-        assert a == b
+        distance = _sorted_distance([math.log(2.0)], lambda x: 1.0 - np.exp(-x))
+        np.testing.assert_allclose(distance, 0.5, rtol=1e-12)
 
     @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "sorted"])
     # B = 16384 = 2**14: sizes around a power of two and three times it
@@ -119,28 +103,22 @@ class TestKsStatistic:
         spec = SumSpec(DistSpec(RAM_AWADH, 2.0), 5)
         samples = sample_sum(spec, np.random.default_rng(count), count)
         if presorted:
-            samples = np.sort(samples)
+            samples.sort()  # in place, as the ks/* pool is
         sizes = []
 
         def cdf(x):
             sizes.append(x.size)
             return spec.cdf(x)
 
-        report = ks_statistic(samples, cdf)
-        assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
+        assert _sorted_distance(samples, cdf) == _one_pass_ks_distance(samples, spec.cdf)
         assert len(sizes) <= 2
         assert sum(sizes) <= count
-
-    def test_sample_of_any_shape_is_flattened(self):
-        dist = DistSpec(LINDLEY, 2.0)
-        samples = dist.sample(np.random.default_rng(4), (2, 3))
-        assert ks_statistic(samples, dist.cdf) == ks_statistic(samples.ravel(), dist.cdf)
 
     def test_each_point_evaluated_at_most_once(self):
         spec = SumSpec(DistSpec(LINDLEY, 2.0), 2)
         samples = sample_sum(spec, np.random.default_rng(3), 49159)
         seen = []
-        ks_statistic(samples, lambda x: seen.append(x.copy()) or spec.cdf(x))
+        _sorted_distance(samples, lambda x: seen.append(x.copy()) or spec.cdf(x))
         seen = np.concatenate(seen)
         assert np.unique(seen).size == seen.size
 
@@ -151,8 +129,8 @@ class TestKsStatistic:
         ids=["zeros", "ones", "three-values", "tenths"],
     )
     def test_ties_match_one_pass(self, samples):
-        report = ks_statistic(samples, _uniform_cdf)
-        assert report.ks_distance == _one_pass_ks_distance(samples, _uniform_cdf)
+        distance = _sorted_distance(samples, _uniform_cdf)
+        assert distance == _one_pass_ks_distance(samples, _uniform_cdf)
 
     @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
     def test_verify_sample_needs_few_cdf_points(self, seed):
@@ -166,20 +144,19 @@ class TestKsStatistic:
             sizes.append(x.size)
             return spec.cdf(x)
 
-        report = ks_statistic(samples, cdf)
-        assert report.ks_distance == _one_pass_ks_distance(samples, spec.cdf)
+        assert _sorted_distance(samples, cdf) == _one_pass_ks_distance(samples, spec.cdf)
         assert len(sizes) <= 2
         assert sum(sizes) < 0.15 * samples.size
 
     def test_decreasing_cdf_raises(self):
         # run ends are evaluated first: 0, then 127
         with pytest.raises(ArithmeticError, match="decreases .* sorted point 127 "):
-            ks_statistic(_grid_sample(), lambda x: 1.0 - x)
+            _ks_distance(_grid_sample(), lambda x: 1.0 - x)
 
     def test_decrease_inside_a_run_raises(self):
         x = _grid_sample()
         with pytest.raises(ArithmeticError, match="decreases .* sorted point 200 "):
-            ks_statistic(x, lambda t: np.where(t == x[200], t - 0.01, t))
+            _ks_distance(x, lambda t: np.where(t == x[200], t - 0.01, t))
 
     def test_rounding_size_decrease_allowed(self):
         x = _grid_sample()
@@ -187,17 +164,18 @@ class TestKsStatistic:
         def cdf(t):
             return np.where(t == x[200], x[199] - 1e-13, t)
 
-        assert ks_statistic(x, cdf).ks_distance == _one_pass_ks_distance(x, cdf)
+        assert _ks_distance(x, cdf) == _one_pass_ks_distance(x, cdf)
 
     @pytest.mark.parametrize("where", [0, 200, 10 * _KS_RUN - 1])
     def test_nan_cdf_raises(self, where):
         x = _grid_sample()
         with pytest.raises(ArithmeticError, match=f"NaN at sorted point {where} "):
-            ks_statistic(x, lambda t: np.where(t == x[where], math.nan, t))
+            _ks_distance(x, lambda t: np.where(t == x[where], math.nan, t))
 
     def test_nan_sample_raises(self):
+        # a NaN sorts last
         with pytest.raises(ArithmeticError, match="NaN at sorted point 1 "):
-            ks_statistic([math.nan, 0.5], _uniform_cdf)
+            _sorted_distance([math.nan, 0.5], _uniform_cdf)
 
 
 class TestConvolutionOracle:
@@ -355,6 +333,21 @@ class TestVerifyAll:
         assert report.all_passed
         for r in report.results:
             assert r.status == "pass" and r.value <= r.bound
+
+    @pytest.mark.parametrize("model", ["lindley", "exponential"])
+    def test_mttf_reference_measures_the_printed_systems(self, model):
+        # the paper's two-decimal table against the StandbyModel means that
+        # `lindsum mttf` prints, not against the closed forms
+        table = {"lindley": (95.45, 16.67, 7.5, 2.08), "exponential": (50.0, 10.0, 5.0, 1.67)}
+        systems = {
+            "lindley": lambda theta: StandbyModel.of(DistSpec(LINDLEY, theta), 5),
+            "exponential": lambda theta: StandbyModel.exponential(theta, 5),
+        }
+        (result,) = verify_all(VerifyConfig(only=(f"mttf-reference/{model}",))).results
+        assert result.value == max(
+            abs(systems[model](theta).mttf() - e)
+            for theta, e in zip((0.1, 0.5, 1.0, 3.0), table[model])
+        )
 
     def test_member_filter_limits_ids(self):
         report = verify_all(
