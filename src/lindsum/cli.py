@@ -153,7 +153,7 @@ def cmd_moments(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         # cumulants add over the n IID summands, kappa_j(S_n) = n kappa_j(X), so
         # the shape rows come from one summand's moments; the sum's own raw
         # moments would cancel in all but a few digits once n is large
-        x1, x2, x3, x4 = (spec.dist.moment(m) for m in range(1, 5))
+        x1, x2, x3, x4 = map(SumSpec(spec.dist, 1).moment, range(1, 5))
         k2 = x2 - x1**2
         k3 = x3 - 3.0 * x1 * x2 + 2.0 * x1**3
         k4 = x4 - 4.0 * x1 * x3 + 6.0 * x1**2 * x2 - 3.0 * x1**4 - 3.0 * k2**2

@@ -121,7 +121,7 @@ def _divide_draws(draws: np.ndarray, theta: float, n: int) -> np.ndarray:
 
 
 class DistSpec(_Record):
-    """A family member frozen at a particular rate theta > 0."""
+    """A family member frozen at a rate theta > 0; its distribution is SumSpec(dist, 1)."""
 
     member: FamilyMember
     theta: float
@@ -133,15 +133,6 @@ class DistSpec(_Record):
     def alpha(self) -> float:
         """Constant term of the density polynomial (1 or theta)."""
         return 1.0 if self.member.alpha_kind is AlphaKind.UNIT else self.theta
-
-    @property
-    def norm_const(self) -> float:
-        """Normalizing constant theta^{k+1} / (alpha*theta^k + k!), finite at every
-        finite theta; it underflows with theta^{k+1}, so no density route reads it."""
-        k, theta = self.member.degree, self.theta
-        if theta <= 1.0:
-            return theta ** (k + 1) / (self.alpha * theta**k + math.factorial(k))
-        return theta / (self.alpha + math.factorial(k) * theta**-k)
 
     @cached_property
     def ln_weights(self) -> tuple[float, float]:
@@ -183,27 +174,6 @@ class DistSpec(_Record):
         return ErlangMixture(
             self.theta, tuple(w / total for w in weights), tuple(n + k * r for r in range(n + 1))
         )
-
-    @cached_property
-    def _mixture(self) -> ErlangMixture:
-        return self.sum_mixture(1)
-
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Density at x, through the exponential/Erlang mixture: c * alpha at 0,
-        zero for x < 0, at +inf and where theta*x overflows, NaN at NaN."""
-        return self._mixture.pdf(x)
-
-    def survival(self, x: float | np.ndarray) -> float | np.ndarray:
-        """P(X > x), evaluated through the exponential/Erlang mixture."""
-        return self._mixture.survival(x)
-
-    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """P(X <= x), the exact complement of survival."""
-        return self._mixture.cdf(x)
-
-    def moment(self, m: int) -> float:
-        """Raw moment E[X^m] = p * m!/theta^m + (1-p) * (m+k)!/(k! theta^m)."""
-        return self._mixture.moment(m)
 
     def sample(
         self,

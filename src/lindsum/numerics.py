@@ -7,8 +7,8 @@ does.  The helpers here keep those combinations finite.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
-shared rate, and takes its density, tails, and moments here (DistSpec.pdf
-too; the member's closed-form density is kept apart, as validation's
+shared rate, and takes its density, tails, and moments here (a member's too,
+as SumSpec(dist, 1); its closed-form density is kept apart, as validation's
 convolution oracle at n = 1).  Its density and its survival are one kind of
 series in y = rate x, sum_i w_i y^{p_i} e^{-y} / p_i!: the weights on the
 powers s-1 (times rate), and the tail weights W_j, the weight on shapes above
@@ -432,6 +432,15 @@ def _moment_from_log(log_moment: float, m: int) -> float:
     return math.exp(log_moment)
 
 
+def _rounded(top: int, bottom: int, what: str) -> float:
+    """top / bottom rounded once: OverflowError, naming what, past double range."""
+    try:
+        return top / bottom
+    except OverflowError:
+        log_value = math.log(top) - math.log(bottom)
+        raise OverflowError(f"{what} is about e^{log_value:.6g}, beyond double range") from None
+
+
 def logsumexp(log_terms: Sequence[float]) -> float:
     """Log of a sum of positive terms given by their logs, via max-shifting.
 
@@ -608,22 +617,35 @@ class ErlangMixture(_Record):
     def mean(self) -> float:
         """c / rate with c = sum_r w_r s_r, so one component's mean is exactly
         s / rate; never 0 (c >= 1 - 1e-10, rate finite), so a subnormal mean is
-        returned, and OverflowError raised where it is past the largest double."""
-        centre = math.fsum(w * s for w, s in self.components)
-        mean = centre / self.rate
-        if mean == math.inf:
-            log_mean = math.log(centre) - math.log(self.rate)
-            raise OverflowError(f"moment of order m=1 is about e^{log_mean:.6g}, "
-                                "beyond double range")
-        return mean
+        returned; a shape, or c / rate, past double range goes to _exact(1)."""
+        try:
+            mean = math.fsum(w * s for w, s in self.components) / self.rate
+        except OverflowError:  # a shape past double range
+            mean = math.inf
+        return mean if mean < math.inf else self._exact(1)
 
     def variance(self) -> float:
         """Law of total variance, sum_r w_r (s_r + (s_r - c)^2) / rate^2 with
         c = sum_r w_r s_r, which does not cancel as moment(2) - mean^2 does at
         large shapes; raises as moment(2) does outside double range."""
-        centre = math.fsum(w * s for w, s in self.components)
-        spread = math.fsum(w * (s + (s - centre) ** 2) for w, s in self.components)
+        try:
+            centre = math.fsum(w * s for w, s in self.components)
+            spread = math.fsum(w * (s + (s - centre) ** 2) for w, s in self.components)
+        except OverflowError:  # a shape or a square past double range
+            return self._exact(2)
         return _moment_from_log(math.log(spread) - 2.0 * math.log(self.rate), 2)
+
+    def _exact(self, m: int) -> float:
+        """mean() (m = 1) or variance() (m = 2) in rationals, rounded once."""
+        from fractions import Fraction
+
+        parts = [(Fraction(w), s) for w, s in self.components]
+        centre = sum(w * s for w, s in parts)
+        exact = centre if m == 1 else sum(w * (s + (s - centre) ** 2) for w, s in parts)
+        exact /= Fraction(self.rate) ** m
+        if m == 2 and exact < _DOUBLE_MIN:  # raises as moment(2) does below double range
+            return _moment_from_log(math.log(exact.numerator) - math.log(exact.denominator), 2)
+        return _rounded(*exact.as_integer_ratio(), f"moment of order m={m}")
 
 
 class QuadratureResult(_Record):

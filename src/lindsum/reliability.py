@@ -28,7 +28,8 @@ from functools import lru_cache, partial
 
 from .family import DistSpec, check_n, check_theta
 from .numerics import (
-    ErlangMixture, _Record, _finite_below, _pointwise, ln_binomial, ln_factorial, logsumexp, np,
+    ErlangMixture, _Record, _finite_below, _pointwise, _rounded, ln_binomial, ln_factorial,
+    logsumexp, np,
 )
 
 __all__ = [
@@ -99,7 +100,11 @@ def lindley_mttf(theta: float, n: int) -> float:
     theta, n = check_theta(theta), check_n(n)
     # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154;
     # where n (2 + theta) overflows too, (2 + theta) / theta is taken first
-    mttf = n * (2.0 + theta) / theta / (1.0 + theta)
+    try:
+        mttf = n * (2.0 + theta) / theta / (1.0 + theta)
+    except OverflowError:  # an int n past double range: exactly at theta = a/b, rounded once
+        a, b = theta.as_integer_ratio()
+        return _rounded(n * (2 * b + a) * b, a * (a + b), f"MTTF at theta={theta!r}, n={n}")
     if mttf == math.inf:
         mttf = n * ((2.0 + theta) / theta) / (1.0 + theta)
     if mttf == math.inf:

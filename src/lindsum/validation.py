@@ -178,7 +178,7 @@ def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
     else in the package; at n = 2 and 3 the convolution f_n = f_{n-1} * f,
     folded by the adaptive rule one summand per level, each inner level at a
     tenth of the tolerance around it (n <= 3 bounds the nested cost).  It
-    shares no code with the mixture behind DistSpec.pdf and SumSpec.pdf, nor
+    shares no code with the mixture behind SumSpec.pdf (n = 1 included), nor
     with the member's weights or constants, so the two are independent routes
     to the same number.  The integral runs over v = u/x on [0, 1], with each
     factor a + u^k divided by s = a + x^k, and its log is added to

@@ -4,7 +4,8 @@ high-precision oracle of the test suites.
 It is built from theta, alpha and k alone.  The member weight
 p = alpha theta^k / (alpha theta^k + k!), its complement and the sum's
 weights C(n,r) p^(n-r) (1-p)^r on Erlang(n + k r, theta) are taken in
-mpmath, not from the package's ln_weights, norm_const or ErlangMixture.
+mpmath, not from the package's ln_weights or ErlangMixture (at n = 1, the
+member's own distribution, which the package reads as SumSpec(dist, 1)).
 Each Erlang term integrates in closed form: its mean is s / theta, and its
 tail beyond x is the regularized upper incomplete gamma function
 Q(s, y) = e^{-y} sum_{j<s} y^j/j!, y = theta x, for the integer shape s.  So

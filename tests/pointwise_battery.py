@@ -11,8 +11,8 @@ compare the lines: a refactor of the pointwise routes that keeps every value
 keeps every hash, and one that changes the values on some kinds of input
 alone keeps the others' hashes.  It hashes pdf, log_pdf, survival and cdf of every member's n-fold sum,
 theta from 1e-200 to 1e200 and n from 1 to 500, the member's own pdf,
-survival and cdf, lindley_reliability, StandbyModel.exponential's reliability and
-mixtures whose shapes skip lattice points; each on arrays holding the edges
+survival and cdf (those of SumSpec(dist, 1)), lindley_reliability,
+StandbyModel.exponential's reliability and mixtures whose shapes skip lattice points; each on arrays holding the edges
 and NaN, on 37- and 5000-point grids, on a 2-d array, on 0-d arrays and on
 Python scalars (floats, ints up to 10**20, a bool and an np.float64).  Each
 value is hashed as its 8 bytes, and a scalar call's result type is hashed
@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from lindsum import MEMBERS, DistSpec, ErlangMixture, StandbyModel, lindley_reliability
+from lindsum import MEMBERS, DistSpec, ErlangMixture, StandbyModel, SumSpec, lindley_reliability
 
 THETAS = (1e-200, 1e-5, 0.3, 1.0, 2.7, 1e5, 1e200)
 NS = (1, 2, 5, 50, 500)
@@ -94,8 +94,9 @@ def main() -> None:
     for member in MEMBERS:
         for theta in THETAS:
             dist = DistSpec(member, theta)
-            points = inputs(dist.moment(1))
-            for route in (dist.pdf, dist.survival, dist.cdf):
+            single = SumSpec(dist, 1)
+            points = inputs(single.mean())
+            for route in (single.pdf, single.survival, single.cdf):
                 battery.add(route, points)
             for n in NS:
                 mixture = dist.sum_mixture(n)

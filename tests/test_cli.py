@@ -121,10 +121,10 @@ class TestMomentsCommand:
         )
         rows = dict(line.split(",") for line in out.splitlines()[1:])
         assert {"moment[1]", "mean", "variance", "skewness", "kurtosis"} <= set(rows)
-        dist = DistSpec(SHANKER, 1.0)
-        np.testing.assert_allclose(float(rows["mean"]), dist.moment(1), rtol=1e-12)
+        single = SumSpec(DistSpec(SHANKER, 1.0), 1)
+        np.testing.assert_allclose(float(rows["mean"]), single.moment(1), rtol=1e-12)
         np.testing.assert_allclose(
-            float(rows["variance"]), dist.moment(2) - dist.moment(1) ** 2, rtol=1e-12
+            float(rows["variance"]), single.moment(2) - single.moment(1) ** 2, rtol=1e-12
         )
 
     @pytest.mark.parametrize("n", [10, 1000, 10_000])
@@ -446,8 +446,9 @@ class TestMttfCommand:
         lines = out.splitlines()
         assert lines[0] == "theta,mttf_lindley,mttf_exponential,mttf_akash,mttf_rani"
         row = [float(v) for v in lines[1].split(",")]
-        np.testing.assert_allclose(row[3], 2 * DistSpec(AKASH, 1.0).moment(1), rtol=1e-12)
-        np.testing.assert_allclose(row[4], 2 * DistSpec(RANI, 1.0).moment(1), rtol=1e-12)
+        for value, member in ((row[3], AKASH), (row[4], RANI)):
+            single = SumSpec(DistSpec(member, 1.0), 1)
+            np.testing.assert_allclose(value, 2 * single.moment(1), rtol=1e-12)
 
     def test_repeated_members_give_one_column_each(self, capsys):
         # Lindley is always a column, so naming it adds none; a repeat adds none
@@ -767,7 +768,7 @@ class TestImportCost:
             "assert 0.0 < spec.survival(200.0) < 1.0\n"
             "assert spec.mixture().log_pdf(40.0) > spec.mixture().log_pdf(0.0) == -math.inf\n"
             "assert 0.0 < StandbyModel.of(DistSpec(LINDLEY, 1.0), 5).reliability(2.0) < 1.0\n"
-            "member = DistSpec(LINDLEY, 1.2)\n"
+            "member = SumSpec(DistSpec(LINDLEY, 1.2), 1)\n"
             "assert member.pdf(0.0) > member.pdf(1.0) > 0.0\n",
             _cli(RAMAWADH_PDF_ARGV + ["--theta", "1.3", "--x-min", "-5"]),
             _cli(["pdf", "--dist", "lindley", "--theta", "1", "--n", "2", "--x", "0"]),

@@ -1,5 +1,6 @@
 """Tests for the seven lifetime distributions: densities, mixture structure,
-moments, tails, and the exact sampler."""
+moments, tails, and the exact sampler.  A member's density, tails and moments
+are those of SumSpec(dist, 1), the sum of one draw."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from lindsum.family import (
     member_by_name,
 )
 from lindsum.numerics import integrate
+from lindsum.sums import SumSpec
 from lindsum.validation import _ks_band, _ks_distance
 
 # Independent density formulas, one per member, written out longhand.
@@ -38,6 +40,11 @@ DENSITY_FORMULAS = {
 }
 
 THETAS = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+
+def single(member, theta: float) -> SumSpec:
+    """The member at theta as the sum of one draw: its distribution."""
+    return SumSpec(DistSpec(member, theta), 1)
 
 
 class TestMemberLookup:
@@ -70,24 +77,24 @@ class TestDensity:
         for member in MEMBERS:
             formula = DENSITY_FORMULAS[member.name]
             for theta in THETAS:
-                spec = DistSpec(member, theta)
+                spec = single(member, theta)
                 for x in np.linspace(0.0, 12.0 / theta, 17):
                     np.testing.assert_allclose(
                         spec.pdf(float(x)), formula(theta, float(x)), rtol=1e-13
                     )
 
     def test_known_point_values(self):
-        np.testing.assert_allclose(DistSpec(SHANKER, 1.0).pdf(0.0), 0.5, rtol=1e-15)
+        np.testing.assert_allclose(single(SHANKER, 1.0).pdf(0.0), 0.5, rtol=1e-15)
         np.testing.assert_allclose(
-            DistSpec(AKASH, 1.0).pdf(1.0), (1.0 / 3.0) * 2.0 * math.exp(-1.0), rtol=1e-14
+            single(AKASH, 1.0).pdf(1.0), (1.0 / 3.0) * 2.0 * math.exp(-1.0), rtol=1e-14
         )
 
     def test_zero_for_negative_arguments(self):
         for member in MEMBERS:
-            assert DistSpec(member, 1.0).pdf(-0.5) == 0.0
+            assert single(member, 1.0).pdf(-0.5) == 0.0
 
     def test_array_input(self):
-        spec = DistSpec(PRANAV, 1.0)
+        spec = single(PRANAV, 1.0)
         xs = np.array([-1.0, 0.0, 1.0, 2.0])
         values = spec.pdf(xs)
         assert values.shape == xs.shape
@@ -97,7 +104,7 @@ class TestDensity:
     def test_normalization(self):
         for member in MEMBERS:
             for theta in THETAS:
-                spec = DistSpec(member, theta)
+                spec = single(member, theta)
                 mass = integrate(
                     spec.pdf, 0.0, math.inf, 1e-10,
                     scale=spec.moment(1),
@@ -112,9 +119,17 @@ class TestNormConstAndAlpha:
         assert DistSpec(LINDLEY, 0.5).alpha == 1.0
 
     def test_known_constants(self):
-        np.testing.assert_allclose(DistSpec(SHANKER, 1.0).norm_const, 0.5, rtol=1e-15)
-        np.testing.assert_allclose(DistSpec(RAM_AWADH, 1.0).norm_const, 1.0 / 121.0, rtol=1e-15)
-        np.testing.assert_allclose(DistSpec(AKASH, 2.0).norm_const, 8.0 / 6.0, rtol=1e-15)
+        # c = theta^{k+1} / (alpha theta^k + k!), read as the density at 0 over alpha
+        for member, theta, c in ((SHANKER, 1.0, 0.5), (RAM_AWADH, 1.0, 1.0 / 121.0),
+                                 (AKASH, 2.0, 8.0 / 6.0)):
+            at_zero = single(member, theta).pdf(0.0)
+            np.testing.assert_allclose(at_zero / DistSpec(member, theta).alpha, c, rtol=1e-15)
+
+    def test_retired_attributes_are_gone(self):
+        # the member's distribution is SumSpec(dist, 1); no second route remains
+        dist = DistSpec(LINDLEY, 1.0)
+        for name in ("pdf", "survival", "cdf", "moment", "_mixture", "norm_const"):
+            assert not hasattr(dist, name), name
 
 
 class TestMixtureDecomposition:
@@ -128,8 +143,8 @@ class TestMixtureDecomposition:
         # p * Exp(theta) + (1-p) * Erlang(k+1, theta), written out independently
         for member in MEMBERS:
             for theta in (0.5, 1.0, 2.0):
-                spec = DistSpec(member, theta)
-                p = spec.mixture_weight
+                p = DistSpec(member, theta).mixture_weight
+                spec = single(member, theta)
                 k1 = member.degree + 1
                 for x in np.linspace(0.01, 15.0 / theta, 23):
                     exp_part = theta * math.exp(-theta * x)
@@ -146,14 +161,14 @@ class TestMixtureDecomposition:
 class TestTails:
     def test_at_zero_and_negative(self):
         for member in MEMBERS:
-            spec = DistSpec(member, 1.0)
+            spec = single(member, 1.0)
             assert spec.survival(0.0) == 1.0
             assert spec.cdf(0.0) == 0.0
             assert spec.survival(-2.0) == 1.0
             assert spec.cdf(-2.0) == 0.0
 
     def test_complementarity(self):
-        spec = DistSpec(RANI, 0.7)
+        spec = single(RANI, 0.7)
         for x in (0.0, 0.5, 3.0, 20.0):
             assert spec.survival(x) + spec.cdf(x) == 1.0
 
@@ -163,12 +178,12 @@ class TestTails:
             (PRANAV, 1.0, 5.0),
             (RAM_AWADH, 0.5, 10.0),
         ]:
-            spec = DistSpec(member, theta)
+            spec = single(member, theta)
             mass = integrate(spec.pdf, 0.0, x, 1e-12).value
             np.testing.assert_allclose(spec.survival(x), 1.0 - mass, atol=1e-10)
 
     def test_array_monotone(self):
-        spec = DistSpec(AKASH, 1.0)
+        spec = single(AKASH, 1.0)
         xs = np.linspace(0.0, 30.0, 200)
         tail = spec.survival(xs)
         assert np.all(np.diff(tail) <= 1e-12)
@@ -182,7 +197,7 @@ class TestTails:
     )
     @settings(max_examples=60)
     def test_survival_bounded_and_decreasing(self, index, theta, x, dx):
-        spec = DistSpec(MEMBERS[index], theta)
+        spec = single(MEMBERS[index], theta)
         here = spec.survival(x)
         assert 0.0 <= here <= 1.0
         assert spec.survival(x + dx) <= here + 1e-12
@@ -191,29 +206,29 @@ class TestTails:
 class TestMoments:
     def test_zeroth_is_one(self):
         for member in MEMBERS:
-            np.testing.assert_allclose(DistSpec(member, 0.7).moment(0), 1.0, rtol=1e-14)
+            np.testing.assert_allclose(single(member, 0.7).moment(0), 1.0, rtol=1e-14)
 
     def test_known_means(self):
-        np.testing.assert_allclose(DistSpec(LINDLEY, 1.0).moment(1), 1.5, rtol=1e-14)
-        np.testing.assert_allclose(DistSpec(SHANKER, 1.0).moment(1), 1.5, rtol=1e-14)
+        np.testing.assert_allclose(single(LINDLEY, 1.0).moment(1), 1.5, rtol=1e-14)
+        np.testing.assert_allclose(single(SHANKER, 1.0).moment(1), 1.5, rtol=1e-14)
 
     def test_mean_rationals(self):
         # Lindley mean (theta+2)/(theta(theta+1)); Shanker mean (theta^2+2)/(theta(theta^2+1))
         for theta in (0.5, 1.0, 2.0):
             np.testing.assert_allclose(
-                DistSpec(LINDLEY, theta).moment(1),
+                single(LINDLEY, theta).moment(1),
                 (theta + 2.0) / (theta * (theta + 1.0)),
                 rtol=1e-14,
             )
             np.testing.assert_allclose(
-                DistSpec(SHANKER, theta).moment(1),
+                single(SHANKER, theta).moment(1),
                 (theta**2 + 2.0) / (theta * (theta**2 + 1.0)),
                 rtol=1e-14,
             )
 
     def test_against_quadrature(self):
         for member in MEMBERS:
-            spec = DistSpec(member, 1.0)
+            spec = single(member, 1.0)
             for m in range(1, 7):
                 numeric = integrate(
                     lambda x: np.asarray(x) ** m * spec.pdf(x),
@@ -226,7 +241,7 @@ class TestMoments:
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            DistSpec(LINDLEY, 1.0).moment(-1)
+            single(LINDLEY, 1.0).moment(-1)
 
 
 class TestSampler:
@@ -243,8 +258,8 @@ class TestSampler:
     def test_mean_within_four_standard_errors(self):
         count = 1_000_000
         for member in (LINDLEY, RANI):
-            spec = DistSpec(member, 1.0)
-            draws = spec.sample(np.random.default_rng(19), count)
+            draws = DistSpec(member, 1.0).sample(np.random.default_rng(19), count)
+            spec = single(member, 1.0)
             se = math.sqrt((spec.moment(2) - spec.moment(1) ** 2) / count)
             assert abs(float(draws.mean()) - spec.moment(1)) <= 4.0 * se
 
@@ -261,10 +276,9 @@ class TestSampler:
         count = 1_000_000
         band = _ks_band(count, 1.63)
         for member in MEMBERS:
-            spec = DistSpec(member, 1.0)
-            draws = spec.sample(np.random.default_rng(7), count)
+            draws = DistSpec(member, 1.0).sample(np.random.default_rng(7), count)
             draws.sort()
-            distance = _ks_distance(draws, spec.cdf)
+            distance = _ks_distance(draws, single(member, 1.0).cdf)
             assert distance <= band, (member.name, distance, band)
 
 
@@ -279,8 +293,8 @@ def _mp_reference(dist: DistSpec) -> float:
 
 
 class TestExtremeTheta:
-    """The weights come from log-odds and norm_const from an overflow-free
-    ratio, so both stay finite and right where alpha*theta^k overflows."""
+    """The weights come from log-odds, so they stay finite and right where
+    alpha*theta^k overflows, and so do the sum of one draw's tail and mean."""
 
     @pytest.mark.parametrize(
         "member,theta",
@@ -291,15 +305,13 @@ class TestExtremeTheta:
         oracle = SumOracle(theta, dist.alpha, member.degree, 1)
         ref = {
             "p": _mp_reference(dist),
-            "c": oracle.pdf(0.0) / dist.alpha,  # the density at 0 is c * alpha
             "survival": oracle.survival(1.0 / theta),
             "mean": oracle.mean(),
         }
         got = {
             "p": dist.mixture_weight,
-            "c": dist.norm_const,
-            "survival": dist.survival(1.0 / theta),
-            "mean": dist.moment(1),
+            "survival": SumSpec(dist, 1).survival(1.0 / theta),
+            "mean": SumSpec(dist, 1).mean(),
         }
         for name, value in got.items():
             assert math.isfinite(value), name
@@ -308,11 +320,12 @@ class TestExtremeTheta:
 
 
 class TestDensityAcrossTheta:
-    """DistSpec.pdf against the mpmath mixture at n = 1, for theta from 1e-300
-    to 1e300 and theta * x from 0 to 790, wherever the density is at least
-    1e-300.  It once read 0 or lost digits where norm_const underflowed (small
-    theta) and where e^{-theta x} underflowed but the density did not (large
-    theta times theta * x >= 745)."""
+    """The member's density, SumSpec(dist, 1).pdf, against the mpmath mixture
+    at n = 1, for theta from 1e-300 to 1e300 and theta * x from 0 to 790,
+    wherever the density is at least 1e-300.  It once read 0 or lost digits
+    where the normalizing constant underflowed (small theta) and where
+    e^{-theta x} underflowed but the density did not (large theta times
+    theta * x >= 745)."""
 
     THETAS = tuple(10.0**e for e in range(-300, 301, 10))
     SCALED_X = (0.0, 0.01, 1.0, 5.0, 50.0, 300.0, 700.0, 750.0, 790.0)
@@ -324,13 +337,14 @@ class TestDensityAcrossTheta:
         checked = 0
         for theta in self.THETAS:
             dist = DistSpec(member, theta)
+            spec = SumSpec(dist, 1)
             oracle = SumOracle(theta, dist.alpha, member.degree, 1)
             xs = [y / theta for y in self.SCALED_X]
-            for x, from_array in zip(xs, dist.pdf(np.array(xs))):
+            for x, from_array in zip(xs, spec.pdf(np.array(xs))):
                 truth = oracle.pdf(x)
                 if truth < 1e-300:
                     continue
-                for got in (dist.pdf(x), from_array):
+                for got in (spec.pdf(x), from_array):
                     assert abs(got - truth) <= 1e-12 * truth, (theta, x, got, truth)
                 checked += 1
         # about 410 of the 549 points per member; at theta = 1e-300 none

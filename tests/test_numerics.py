@@ -25,6 +25,7 @@ from lindsum.numerics import (
     logsumexp,
 )
 from lindsum.reliability import StandbyModel
+from lindsum.sums import SumSpec
 
 
 class TestLnFactorial:
@@ -356,7 +357,7 @@ class TestIntegrateAgainstMpmath:
     def test_two_fold_convolution(self):
         # f * f at x for the Akash density theta^3 / (theta^2 + 2) (1 + u^2) e^{-theta u}
         theta, x = 0.7, 6.5
-        dist = DistSpec(AKASH, theta)
+        single = SumSpec(DistSpec(AKASH, theta), 1)
 
         def akash(u):
             return theta**3 / (theta**2 + 2) * (1 + u * u) * mpmath.exp(-theta * u)
@@ -364,7 +365,7 @@ class TestIntegrateAgainstMpmath:
         with mpmath.workdps(30):
             reference = mpmath.quad(lambda u: akash(u) * akash(x - u), [0, x])
         result = integrate(
-            lambda u: dist.pdf(np.asarray(u)) * dist.pdf(x - np.asarray(u)), 0.0, x, 1e-13
+            lambda u: single.pdf(np.asarray(u)) * single.pdf(x - np.asarray(u)), 0.0, x, 1e-13
         )
         np.testing.assert_allclose(result.value, float(reference), rtol=1e-12)
 
@@ -423,7 +424,7 @@ _LINDLEY_2 = DistSpec(LINDLEY, 2.0)
         _LINDLEY_2.sum_mixture(3).log_pdf,
         _LINDLEY_2.sum_mixture(3).survival,
         _LINDLEY_2.sum_mixture(3).cdf,
-        _LINDLEY_2.pdf,
+        SumSpec(_LINDLEY_2, 1).pdf,  # the member's density, under its former DistSpec id
     ],
     ids=["pdf-n1", "pdf-n3", "log_pdf-n1", "log_pdf-n3", "survival", "cdf", "DistSpec.pdf"],
 )

@@ -70,9 +70,9 @@ RECORDS = {
 }
 
 # the classes with a density and a tail, and the calls that must still evaluate
+# (a member's are those of SumSpec(dist, 1))
 EVALUATORS = {
     "ErlangMixture": ("pdf", "survival"),
-    "DistSpec": ("pdf", "survival"),
     "SumSpec": ("pdf", "survival"),
     "StandbyModel": ("reliability",),
     "ExponentialStandby": ("reliability",),

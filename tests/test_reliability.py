@@ -237,6 +237,71 @@ class TestLindleyClosedFormsAcrossTheta:
             mttf(1e-308)
 
 
+# ints no double holds (float(n) overflows): 2^1024, 10^400 and an odd one
+HUGE_NS = (2**1024, 10**400, 3**700 + 1)
+
+
+def _ulps(got: float, exact: Fraction) -> Fraction:
+    """|got - exact| in ulps of got."""
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(got))
+
+
+class TestIntegerNPastDoubleRange:
+    """An int n past double range: each MTTF, mean and variance is its exact
+    rational rounded once, and OverflowError, naming the parameter, is raised
+    only where that value passes the largest double."""
+
+    @pytest.mark.parametrize("theta", [1e250, 1e300, 1.5e308])
+    @pytest.mark.parametrize("n", HUGE_NS, ids=["2^1024", "10^400", "3^700+1"])
+    def test_mttf_within_an_ulp(self, theta, n):
+        t = Fraction(theta)
+        assert _ulps(lindley_mttf(theta, n), n * (2 + t) / (t * (1 + t))) <= 1
+        assert _ulps(StandbyModel.exponential(theta, n).mttf(), n / t) <= 1
+
+    def test_mttf_near_1e100(self):
+        t = Fraction(1e300)
+        mttf = lindley_mttf(1e300, 10**400)
+        assert 0.99e100 < mttf < 1.01e100
+        assert _ulps(mttf, 10**400 * (2 + t) / (t * (1 + t))) <= 1
+
+    def test_one_component_mean_and_variance(self):
+        n, rate = 10**400, Fraction(1e300)
+        mixture = ErlangMixture(1e300, (1.0,), (n,))
+        assert _ulps(mixture.mean(), n / rate) <= 1
+        assert abs(Fraction(mixture.variance()) / (n / rate**2) - 1) <= Fraction(1e-15)
+        # moment(2) = n (n + 1) / rate^2 takes the log route, as it did before
+        np.testing.assert_allclose(mixture.moment(2), float(n * (n + 1) / rate**2), rtol=1e-12)
+
+    @pytest.mark.parametrize("weights, shapes", [
+        ((0.25, 0.75), (3, 10**400)),  # a shape past double range
+        ((0.5, 0.5), (1, 10**160)),  # a shape that fits, its square past double range
+    ])
+    def test_mixture_mean_and_variance(self, weights, shapes):
+        rate = Fraction(1e300)
+        parts = [(Fraction(w), s) for w, s in zip(weights, shapes)]
+        centre = sum(w * s for w, s in parts)
+        variance = sum(w * (s + (s - centre) ** 2) for w, s in parts) / rate**2
+        mixture = ErlangMixture(1e300, weights, shapes)
+        assert _ulps(mixture.mean(), centre / rate) <= 1
+        assert abs(Fraction(mixture.variance()) / variance - 1) <= Fraction(1e-15)
+
+    def test_overflow_names_the_parameter(self):
+        with pytest.raises(OverflowError, match=r"theta=10000000000\.0, n=10{400} .*beyond double"):
+            lindley_mttf(1e10, 10**400)
+        mixture = ErlangMixture(1e10, (1.0,), (10**400,))
+        for route, m in ((mixture.mean, 1), (StandbyModel.exponential(1e10, 10**400).mttf, 1),
+                         (mixture.variance, 2)):
+            with pytest.raises(OverflowError, match=f"m={m} .*beyond double range"):
+                route()
+
+    def test_variance_below_double_range(self):
+        # (s - c)^2 passes double range, yet the variance, about e^-1335.5,
+        # is below it: ArithmeticError, as moment(2) raises, and never 0.0
+        mixture = ErlangMixture(1e300, (1.0, 1e-300), (1, 10**160))
+        with pytest.raises(ArithmeticError, match="m=2 .*below double range"):
+            mixture.variance()
+
+
 class TestExponentialStandbyFunctions:
     def test_single_unit_is_pure_exponential(self):
         np.testing.assert_allclose(

@@ -19,9 +19,11 @@ from lindsum.numerics import _finite_below
 from lindsum.reliability import StandbyModel, lindley_reliability
 from lindsum.sums import SumSpec
 
+# a member's distribution is the sum of one draw, SumSpec(dist, 1); its routes
+# keep the ids of the DistSpec methods they replaced
 ROUTES = {
     "SumSpec": SumSpec(DistSpec(RAM_AWADH, 0.7), 4),
-    "DistSpec": DistSpec(LINDLEY, 1.3),
+    "DistSpec": SumSpec(DistSpec(LINDLEY, 1.3), 1),
 }
 
 
@@ -51,7 +53,8 @@ def test_exponential_tail_is_one_below_zero():
 
 
 MIXTURE = SumSpec(DistSpec(RAM_AWADH, 0.7), 4).mixture()  # shapes 4, 9, ..., 24
-SINGLE = DistSpec(LINDLEY, 1.3)
+MEMBER = DistSpec(LINDLEY, 1.3)
+SINGLE = SumSpec(MEMBER, 1)
 WRAPPED = {
     "ErlangMixture.pdf": MIXTURE.pdf,
     "ErlangMixture.log_pdf": MIXTURE.log_pdf,
@@ -82,7 +85,7 @@ def test_array_input_keeps_its_shape(route, shape):
 
 # route: (rate, value at x < 0, at x == 0, at or past _finite_below(rate)); NaN
 # gives NaN.  A ValueError entry means the route raises it there.
-W0 = SINGLE.sum_mixture(1).weights[0]  # weight on shape 1, rate 1.3
+W0 = MEMBER.sum_mixture(1).weights[0]  # weight on shape 1, rate 1.3
 EDGES = {
     "ErlangMixture.pdf": (0.7, 0.0, 0.0, 0.0),
     "ErlangMixture.log_pdf": (0.7, -math.inf, -math.inf, -math.inf),
@@ -100,8 +103,8 @@ EDGES = {
 FRAMED = {
     **WRAPPED,
     "lindley_reliability": partial(lindley_reliability, 1.3, 3),
-    "ErlangMixture.pdf, shape 1": SINGLE.sum_mixture(1).pdf,
-    "ErlangMixture.log_pdf, shape 1": SINGLE.sum_mixture(1).log_pdf,
+    "ErlangMixture.pdf, shape 1": MEMBER.sum_mixture(1).pdf,
+    "ErlangMixture.log_pdf, shape 1": MEMBER.sum_mixture(1).log_pdf,
     "DistSpec.survival": SINGLE.survival,
 }
 assert sorted(EDGES) == sorted(FRAMED)

@@ -110,8 +110,8 @@ class TestSumSpecValidation:
 
 
 class TestSingleTermReduction:
-    """A sum of one draw and the member itself against references that share
-    no code with the mixture both go through: mpmath and exact Fractions."""
+    """A sum of one draw, the member's distribution, against references that
+    share no code with its mixture: mpmath and exact Fractions."""
 
     def test_density_matches_base_distribution(self):
         xs = np.linspace(0.0, 25.0, 101)
@@ -120,16 +120,18 @@ class TestSingleTermReduction:
                 dist = DistSpec(member, theta)
                 oracle = SumOracle(theta, dist.alpha, member.degree, 1)
                 truth = [oracle.pdf(x) for x in xs.tolist()]
-                for got in (SumSpec(dist, 1).pdf(xs), dist.pdf(xs)):
-                    np.testing.assert_allclose(got, truth, rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(
+                    SumSpec(dist, 1).pdf(xs), truth, rtol=1e-12, atol=1e-300
+                )
 
     def test_tail_matches_base_distribution(self):
         for member in MEMBERS:
             dist = DistSpec(member, 1.0)
             oracle = SumOracle(1.0, dist.alpha, member.degree, 1)
             for x in (0.0, 0.3, 2.0, 9.0):
-                for got in (SumSpec(dist, 1).survival(x), dist.survival(x)):
-                    np.testing.assert_allclose(got, oracle.survival(x), rtol=1e-12)
+                np.testing.assert_allclose(
+                    SumSpec(dist, 1).survival(x), oracle.survival(x), rtol=1e-12
+                )
 
     def test_moments_match_base_distribution(self):
         theta = Fraction(1.3)  # the double 1.3, exactly
@@ -137,8 +139,7 @@ class TestSingleTermReduction:
             dist = DistSpec(member, 1.3)
             exact = raw_moments(member.degree, 1, theta, Fraction(dist.alpha))
             for m in range(5):
-                for got in (SumSpec(dist, 1).moment(m), dist.moment(m)):
-                    np.testing.assert_allclose(got, float(exact[m]), rtol=1e-12)
+                np.testing.assert_allclose(SumSpec(dist, 1).moment(m), float(exact[m]), rtol=1e-12)
 
 
 class TestDensityAgainstHandExpansion:
@@ -149,7 +150,8 @@ class TestDensityAgainstHandExpansion:
                 for theta in (0.5, 1.0, 2.0):
                     dist = DistSpec(member, theta)
                     spec = SumSpec(dist, n)
-                    c = dist.norm_const
+                    k = member.degree
+                    c = theta ** (k + 1) / (dist.alpha * theta**k + math.factorial(k))
                     for x in np.linspace(0.1, 8.0 / theta, 13):
                         expected = c**n * math.exp(-theta * x) * bracket(theta, float(x))
                         np.testing.assert_allclose(spec.pdf(float(x)), expected, rtol=1e-11)
@@ -169,8 +171,9 @@ class TestDensityAgainstHandExpansion:
         spec = SumSpec(DistSpec(AKASH, 1.0), 3)
         assert spec.pdf(-1.0) == 0.0
         assert spec.pdf(0.0) == 0.0
+        # at n = 1 the density at 0 is c * alpha = theta^2 / (theta + 1)
         single = SumSpec(DistSpec(LINDLEY, 2.0), 1)
-        np.testing.assert_allclose(single.pdf(0.0), DistSpec(LINDLEY, 2.0).pdf(0.0), rtol=1e-15)
+        np.testing.assert_allclose(single.pdf(0.0), 4.0 / 3.0, rtol=1e-15)
 
 
 class TestScalarDensityPath:
@@ -447,7 +450,7 @@ class TestMoments:
                 dist = DistSpec(member, theta)
                 for n in (1, 2, 5, 10):
                     np.testing.assert_allclose(
-                        SumSpec(dist, n).mean(), n * dist.moment(1), rtol=1e-12
+                        SumSpec(dist, n).mean(), n * SumSpec(dist, 1).moment(1), rtol=1e-12
                     )
 
     def test_frozen_mean_lindley_five(self):
@@ -456,7 +459,8 @@ class TestMoments:
     def test_variance_is_n_times_base_variance(self):
         for member in (SHANKER, RANI):
             dist = DistSpec(member, 1.0)
-            base_var = dist.moment(2) - dist.moment(1) ** 2
+            base = SumSpec(dist, 1)
+            base_var = base.moment(2) - base.moment(1) ** 2
             for n in (2, 7):
                 np.testing.assert_allclose(
                     SumSpec(dist, n).variance(), n * base_var, rtol=1e-10
@@ -580,8 +584,10 @@ class TestZeroWeightComponents:
     def test_member_and_single_sum_share_weights(self, theta):
         for member in MEMBERS:
             dist = DistSpec(member, theta)
-            # _mixture is the mixture that DistSpec.survival and moment read
-            assert dist._mixture.weights == SumSpec(dist, 1).mixture().weights
+            # the sum of one draw reads the member's own two-component mixture
+            mixture = SumSpec(dist, 1).mixture()
+            assert mixture == dist.sum_mixture(1)
+            assert mixture.shapes == (1, member.degree + 1)
 
     def test_lindley_keeps_its_small_erlang_branch(self):
         # at theta = 1e17 the Erlang weight 1 - p = 1/(theta + 1) is about 1e-17,
@@ -590,11 +596,12 @@ class TestZeroWeightComponents:
         dist = DistSpec(LINDLEY, theta)
         q = 1.0 / (theta + 1.0)
         p = theta * q
-        np.testing.assert_allclose(SumSpec(dist, 1).mixture().weights[1], q, rtol=1e-14)
+        spec = SumSpec(dist, 1)
+        np.testing.assert_allclose(spec.mixture().weights[1], q, rtol=1e-14)
         for x in (1e-18, 1e-17, 3e-17, 2e-16):
             expected = (p + q * (1.0 + theta * x)) * math.exp(-theta * x)
-            np.testing.assert_allclose(dist.survival(x), expected, rtol=1e-15)
-        np.testing.assert_allclose(dist.moment(1), (p + 2.0 * q) / theta, rtol=1e-13)
+            np.testing.assert_allclose(spec.survival(x), expected, rtol=1e-15)
+        np.testing.assert_allclose(spec.moment(1), (p + 2.0 * q) / theta, rtol=1e-13)
 
 
 def _oracle(dist: DistSpec, n: int) -> SumOracle:
@@ -629,17 +636,17 @@ class TestNonFiniteArguments:
 
     def test_infinity_and_nan(self):
         dist = DistSpec(RANI, 1.5)
-        spec = SumSpec(dist, 2)
+        spec, single = SumSpec(dist, 2), SumSpec(dist, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for arg in (math.inf, np.float64(math.inf), np.array(math.inf)):
                 assert spec.pdf(arg) == 0.0
                 assert spec.survival(arg) == 0.0
                 assert spec.cdf(arg) == 1.0
-                assert dist.pdf(arg) == 0.0
-                assert dist.survival(arg) == 0.0
+                assert single.pdf(arg) == 0.0
+                assert single.survival(arg) == 0.0
                 assert StandbyModel.exponential(1.0, 3).reliability(arg) == 0.0
-            for route in (spec.pdf, spec.survival, spec.cdf, dist.pdf, dist.survival):
+            for route in (spec.pdf, spec.survival, spec.cdf, single.pdf, single.survival):
                 assert math.isnan(route(math.nan))
             values = spec.survival(np.array([-math.inf, 0.0, 1.0, math.inf, math.nan]))
         assert values[0] == 1.0 and values[1] == 1.0 and values[3] == 0.0
@@ -690,16 +697,17 @@ class TestOverflowingArgument:
     @pytest.mark.parametrize("member, theta, x", [
         (LINDLEY, 2.0, 1e308),  # theta * x overflows
         (RAM_AWADH, 1.0, 1e100),  # x^5 overflows
-        (AKASH, 1e3, 6e153),  # norm_const * x^2 overflows
+        (AKASH, 1e3, 6e153),  # c * x^2 overflows
         (RAM_AWADH, 3e-54, 2.2e61),  # x^5 is finite, theta * x = 6.6e7
     ])
     def test_member_density(self, member, theta, x):
         dist = DistSpec(member, theta)
         assert _oracle(dist, 1).pdf(x) == 0.0
+        spec = SumSpec(dist, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dist.pdf(x) == 0.0
-            np.testing.assert_array_equal(dist.pdf(np.array([x, 1.0])), [0.0, dist.pdf(1.0)])
+            assert spec.pdf(x) == 0.0
+            np.testing.assert_array_equal(spec.pdf(np.array([x, 1.0])), [0.0, spec.pdf(1.0)])
 
 
 class TestSweepAccuracy:

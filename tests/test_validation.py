@@ -293,7 +293,8 @@ class TestSampleSum:
         # R's pmf is kept only near its mean, so n = 1e9 costs O(sqrt(n)); the
         # mean and the spread of the sums, n E[X] and n Var[X], stay exact
         dist = DistSpec(LINDLEY, 1.0)
-        mean, variance = dist.moment(1), dist.moment(2) - dist.moment(1) ** 2
+        single = SumSpec(dist, 1)
+        mean, variance = single.moment(1), single.moment(2) - single.moment(1) ** 2
         draws = sample_sum(SumSpec(dist, n), np.random.default_rng(n), 2000)
         assert abs(draws.mean() - n * mean) <= 4.0 * math.sqrt(n * variance / 2000)
         assert 0.9 < draws.std() / math.sqrt(n * variance) < 1.1
