@@ -8,8 +8,8 @@ does.  The helpers here keep those combinations finite.
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
 shared rate, and takes its density, tails, and moments here (a member's too,
-as SumSpec(dist, 1); its closed-form density is kept apart, as validation's
-convolution oracle at n = 1).  Its density and its survival are one kind of
+as SumSpec(dist, 1); its closed-form density is kept apart, in validation's
+convolution oracle).  Its density and its survival are one kind of
 series in y = rate x, sum_i w_i y^{p_i} e^{-y} / p_i!: the weights on the
 powers s-1 (times rate), and the tail weights W_j, the weight on shapes above
 j, on the powers j.  One plan, _Series, built with the mixture's rate, serves
@@ -432,6 +432,12 @@ def _moment_from_log(log_moment: float, m: int) -> float:
     return math.exp(log_moment)
 
 
+def _check_shape(top: int) -> None:
+    """OverflowError, naming top, where the largest shape passes double range."""
+    if top > sys.float_info.max:
+        raise OverflowError(f"largest shape is about 10^{math.log10(top):.6g}, beyond double range")
+
+
 def _rounded(top: int, bottom: int, what: str) -> float:
     """top / bottom rounded once: OverflowError, naming what, past double range."""
     try:
@@ -549,6 +555,7 @@ class ErlangMixture(_Record):
         # a component's density is rate w y^(s-1) e^{-y} / (s-1)!, y = rate x:
         # the series of the pairs (w, s-1) for w > 0 on the lattice of their
         # gaps' gcd, with no cap (at 0 only shape 1 has density, exactly w * rate)
+        _check_shape(self.shapes[-1])
         ln_rate = math.log(self.rate)
         weights, powers = zip(*((w, s - 1) for w, s in self.components if w > 0.0))
         g = math.gcd(*(p - powers[0] for p in powers)) or 1
@@ -561,6 +568,7 @@ class ErlangMixture(_Record):
     def _survival_plan(self) -> _Series:
         # survival is e^{-y} sum_{j<J} W_j y^j / j!, y = rate t, with W_j the
         # weight on shapes > j and J the largest shape of positive weight
+        _check_shape(self.shapes[-1])
         tail: list[float] = []  # W_{J-1}, ..., W_0 from one descending pass
         above = 0.0
         top = 0

@@ -1,15 +1,14 @@
 """Independent cross-checks of every closed form in the package.
 
 Each check pits a closed-form quantity against a route that shares no code
-with it: the convolution integral f_n = f_{n-1} * f, folded by nested
-quadrature one summand per level, for sum densities; adaptive quadrature for
-moments (the normalization is the zeroth) and MTTFs; and sums drawn by the
-core sampler's body, sums._draw_sums, into one pooled buffer, unshuffled,
-then sorted in place and measured by the exact Kolmogorov-Smirnov distance
-_ks_distance, for whole distributions.  The two routes are never collapsed;
-a disagreement fails the check rather than being patched over.  The
-mttf-reference/* rows hold the paper's MTTF table to the StandbyModel
-systems that `lindsum mttf` prints.
+with it: the paper's convolution f_n = f_{n-1} * f, in exact rationals, for
+sum densities; adaptive quadrature for moments (the normalization is the
+zeroth) and MTTFs; and sums drawn by the core sampler's body,
+sums._draw_sums, into one pooled buffer, unshuffled, then sorted in place
+and measured by the exact Kolmogorov-Smirnov distance _ks_distance, for
+whole distributions.  The two routes are never collapsed; a disagreement
+fails the check rather than being patched over.  The mttf-reference/* rows
+hold the paper's MTTF table to the StandbyModel systems `lindsum mttf` prints.
 
 verify_all() runs the registry, the one list of checks: rows of (check id,
 measure, bound), where each measure returns only the value it measured and
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Sequence
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from .family import (
     LINDLEY, MEMBERS, RAM_AWADH, AlphaKind, DistSpec, FamilyMember, check_count, member_by_name,
@@ -66,10 +65,6 @@ MOMENT_BOUND = 1e-6
 _KS_RUN = 128
 _KS_SLACK = 1e-12
 
-# Tolerance of the convolution oracle's outer quadrature; each inner level of
-# the fold runs at a tenth of the tolerance around it.
-_CONVOLUTION_TOL = 1e-9
-
 # Relative tolerance of the tails/* quadratures, and so their bound: the
 # closed form's own error, about 1e-15, is far below it.
 _TAIL_TOL = 1e-10
@@ -79,7 +74,6 @@ _UPPER_TAILS = {"ramawadh": (RAM_AWADH, 200, None), "lindley": (LINDLEY, 500, 10
 
 _THETAS = (0.5, 1.0, 2.0)
 _SUM_NS = (1, 2, 3, 5, 10)
-_ORACLE_NS = (2, 3)
 _STANDBY_THETAS = (0.1, 0.5, 1.0, 3.0)
 _STANDBY_N = 5
 _GRID_POINTS = 101
@@ -172,46 +166,46 @@ def _ks_deviation(index: np.ndarray, f: np.ndarray, count: int) -> float:
 
 
 def convolution_oracle_pdf(spec: SumSpec, x: float) -> float:
-    """Density of a member (n = 1) or of a 2- or 3-fold sum, with no Erlang mixture.
+    """Density of a member's n-fold sum, any n: e^{-y} sum_j b_j y^j, y = theta x,
+    by a log-sum-exp (ln y = ln theta + ln x where y underflows).  b_0 at x = 0;
+    0 for x < 0, at +inf and where theta x overflows; NaN at NaN."""
+    theta, x = spec.dist.theta, float(x)
+    b, terms = _convolution_series(spec.dist.member, theta, spec.n)
+    y = theta * x
+    if not (0.0 < x and y < math.inf):
+        return float(dict(b).get(0, 0)) if x == 0.0 else x if math.isnan(x) else 0.0
+    ln_y = math.log(y) if y >= 2.0**-1022 else math.log(theta) + math.log(x)
+    return math.exp(logsumexp([ln_b + j * ln_y for j, ln_b in terms]) - y)
 
-    At n = 1 the member's closed form c (a + x^k) e^{-theta x}, written nowhere
-    else in the package; at n = 2 and 3 the convolution f_n = f_{n-1} * f,
-    folded by the adaptive rule one summand per level, each inner level at a
-    tenth of the tolerance around it (n <= 3 bounds the nested cost).  It
-    shares no code with the mixture behind SumSpec.pdf (n = 1 included), nor
-    with the member's weights or constants, so the two are independent routes
-    to the same number.  The integral runs over v = u/x on [0, 1], with each
-    factor a + u^k divided by s = a + x^k, and its log is added to
-    n ln c - theta x + n ln s + (n-1) ln x: the density holds where c^n,
-    e^{-theta x} or x^k alone would leave double range.  c a at x = 0 for
-    n = 1, else 0 for x <= 0 and at +inf; NaN at NaN.
-    """
-    if spec.n not in (1, 2, 3):
-        raise ValueError(f"the convolution oracle supports n in {{1, 2, 3}}, got {spec.n}")
-    member, theta, n = spec.dist.member, spec.dist.theta, spec.n
-    k, ln_theta = member.degree, math.log(theta)
-    ln_a = ln_theta if member.alpha_kind is AlphaKind.THETA else 0.0
-    # ln c, c = theta^{k+1} / (a theta^k + k!), by a max shift
-    ln_c = (k + 1) * ln_theta - logsumexp((ln_a + k * ln_theta, math.log(math.factorial(k))))
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        if x == 0.0 and n == 1:
-            return math.exp(ln_c + ln_a)
-        return x if math.isnan(x) else 0.0
-    ln_x = math.log(x)
-    ln_s = logsumexp((ln_a, k * ln_x))
-    low, high = math.exp(ln_a - ln_s), math.exp(k * ln_x - ln_s)  # a/s and x^k/s
 
-    def factor(v: float) -> float:
-        return low + high * v**k
+@lru_cache(maxsize=256)
+def _convolution_series(member: FamilyMember, theta: float, n: int) -> tuple[tuple, tuple]:
+    """The (j, b_j) for the b_j > 0 of f_n(x) = e^{-y} sum_j b_j y^j, y = theta x, and
+    the (j, ln b_j): the paper's derivation in rationals, sharing no code with
+    the mixture.  The density is c (a + x^k) e^{-theta x}, a = 1 or theta,
+    c = theta^{k+1} / (a theta^k + k!), so f_n = f_{n-1} * f is c^n e^{-theta x}
+    P_n(x), P_n(x) = int_0^x P_{n-1}(u) P_1(x - u) du, b_j = c^n [x^j]P_n / theta^j.
+    In y each pair of monomials of the cached n - 1 and of n = 1 folds by the Beta
+    integral int_0^y v^i (y - v)^j dv = i! j!/(i + j + 1)! y^{i+j+1}, over theta."""
+    from fractions import Fraction
 
-    def fold(m: int, width: float, tol: float) -> float:  # m-fold convolution at width
-        rest = factor if m == 2 else lambda w: fold(m - 1, w, tol * 0.1)
-        return integrate(lambda vs: [factor(v) * rest(width - v) for v in vs],
-                         0.0, width, tol).value
-
-    folded = 1.0 if n == 1 else fold(n, 1.0, _CONVOLUTION_TOL)
-    return math.exp(n * (ln_c + ln_s) - theta * x + (n - 1) * ln_x + math.log(folded))
+    k, t = member.degree, Fraction(theta)
+    a = t if member.alpha_kind is AlphaKind.THETA else Fraction(1)
+    c = t ** (k + 1) / (a * t**k + math.factorial(k))
+    b = {0: c * a, k: c / t**k}  # n = 1
+    if n > 1:
+        if n > 128:  # cache n - 128 first, so that the recursion below stops there
+            _convolution_series(member, theta, n - 128)
+        one, b = b, {}
+        for i, value in _convolution_series(member, theta, n - 1)[0]:
+            for j, other in one.items():
+                beta = Fraction(math.factorial(i) * math.factorial(j), math.factorial(i + j + 1))
+                b[i + j + 1] = b.get(i + j + 1, 0) + value * other * beta / t
+    terms = []
+    for j, value in b.items():  # ln b_j: the log of b_j / 2^e in [1/2, 2), plus e ln 2
+        e = value.numerator.bit_length() - value.denominator.bit_length()
+        terms.append((j, math.log(value / Fraction(2) ** e) + e * math.log(2.0)))
+    return tuple(b.items()), tuple(terms)
 
 
 def quadrature_moment(spec: SumSpec, m: int) -> float:
@@ -345,10 +339,8 @@ def _worst_over_specs(
 
 
 def _convolution_error(spec: SumSpec) -> float:
-    grid = np.linspace(0.0, 5.0 * spec.mean(), 12)[1:-1]
-    return max(
-        _relative_error(spec.pdf(float(x)), convolution_oracle_pdf(spec, float(x))) for x in grid
-    )
+    grid = np.linspace(0.0, 5.0 * spec.mean(), 12)[1:-1].tolist()
+    return max(_relative_error(spec.pdf(x), convolution_oracle_pdf(spec, x)) for x in grid)
 
 
 def _mass_error(spec: SumSpec) -> float:
@@ -366,8 +358,7 @@ def _moment_form_error(spec: SumSpec) -> float:
 
 
 def _single_term_error(spec: SumSpec) -> float:
-    """n = 1 against the member's closed form, the convolution oracle at n = 1:
-    scalar calls on [0, 10/theta], then one vector call on [0, 20/theta]."""
+    """n = 1 against the convolution oracle: scalars on [0, 10/theta], a vector on [0, 20/theta]."""
     theta = spec.dist.theta
     points = np.linspace(0.0, 10.0 / theta, 21).tolist()
     grid = np.linspace(0.0, 20.0 / theta, 101)
@@ -440,7 +431,7 @@ def _build_registry(cfg: VerifyConfig) -> list[tuple[str, Callable[[], float], f
 
     # (id prefix, n values, worst error of one sum, bound) of each per-member check
     per_member = (
-        ("convolution", _ORACLE_NS, _convolution_error, 1e-6),
+        ("convolution", _SUM_NS, _convolution_error, 1e-6),
         ("normalization", _SUM_NS, _mass_error, 1e-8),
         ("moments", _SUM_NS, _moment_error, MOMENT_BOUND),
         ("moment-forms", range(1, 6), _moment_form_error, 1e-10),

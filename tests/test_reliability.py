@@ -294,6 +294,17 @@ class TestIntegerNPastDoubleRange:
             with pytest.raises(OverflowError, match=f"m={m} .*beyond double range"):
                 route()
 
+    @pytest.mark.parametrize("n", HUGE_NS, ids=["2^1024", "10^400", "3^700+1"])
+    def test_pointwise_routes_name_the_largest_shape(self, n):
+        # the density and survival plans take shapes as floats, so past double
+        # range they raise, naming the shape, while the mean keeps its value
+        system = StandbyModel.exponential(1e300, n)
+        size = f"{math.log10(n):.6g}".replace(".", r"\.")
+        for route in (system.reliability, system.mixture.pdf, system.mixture.log_pdf):
+            with pytest.raises(OverflowError, match=rf"largest shape is about 10\^{size}, beyond double"):
+                route(1e100)
+        assert _ulps(system.mttf(), n / Fraction(1e300)) <= 1
+
     def test_variance_below_double_range(self):
         # (s - c)^2 passes double range, yet the variance, about e^-1335.5,
         # is below it: ArithmeticError, as moment(2) raises, and never 0.0

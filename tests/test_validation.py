@@ -1,11 +1,14 @@
-"""Tests for the verification layer: the KS distance, the numerical
+"""Tests for the verification layer: the KS distance, the exact
 convolution oracle, the Monte Carlo sampler, and the verify_all runner."""
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from fractions import Fraction
 
+import exact_moments
 import numpy as np
 import pytest
 import test_family
@@ -29,13 +32,14 @@ from lindsum.validation import (
 
 
 _KS_RUN = lindsum.validation._KS_RUN
+_SMALLEST_NORMAL = Fraction(sys.float_info.min)
 # the asymptotic two-sided Kolmogorov band at the 99% level is 1.63/sqrt(N)
 _KS_99 = 1.63
 
 # every registry row whose measure runs adaptive quadrature
 QUADRATURE_IDS = [
     check_id for check_id in CHECK_IDS
-    if check_id.startswith(("convolution/", "normalization/", "moments/", "tails/upper/",
+    if check_id.startswith(("normalization/", "moments/", "tails/upper/",
                             "lindley-dual/mttf", "stability"))
 ]
 
@@ -218,6 +222,10 @@ class TestConvolutionOracle:
         assert convolution_oracle_pdf(spec, -2.0) == 0.0
         assert convolution_oracle_pdf(spec, math.inf) == 0.0
         assert math.isnan(convolution_oracle_pdf(spec, math.nan))
+        # theta x underflows at the least subnormal and overflows near the largest double
+        for member in MEMBERS:
+            assert math.isfinite(convolution_oracle_pdf(SumSpec(DistSpec(member, 0.5), n), 5e-324))
+            assert convolution_oracle_pdf(SumSpec(DistSpec(member, 2.0), n), 1e308) == 0.0
 
     @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
     def test_single_term_against_mpmath(self, member):
@@ -236,9 +244,65 @@ class TestConvolutionOracle:
                 checked += 1
         assert checked == grid.CHECKED[member.name]
 
-    def test_four_terms_rejected(self):
-        with pytest.raises(ValueError, match="n in {1, 2, 3}, got 4"):
-            convolution_oracle_pdf(SumSpec(DistSpec(LINDLEY, 1.0), 4), 1.0)
+    @pytest.mark.parametrize("n", [4, 10, 20])
+    def test_many_terms_against_mpmath(self, n):
+        for member in MEMBERS:
+            for theta in (0.3, 2.0):
+                dist = DistSpec(member, theta)
+                spec, oracle = SumSpec(dist, n), SumOracle(theta, dist.alpha, member.degree, n)
+                for x in (0.25 * spec.mean(), spec.mean(), 3.0 * spec.mean()):
+                    got = convolution_oracle_pdf(spec, x)
+                    np.testing.assert_allclose(got, oracle.pdf(x), rtol=1e-12)
+
+
+class TestExactConvolution:
+    """The oracle's exact series b_j of f_n(x) = e^{-y} sum_j b_j y^j, y = theta x,
+    against the package: its Erlang weight on shape j + 1 is b_j j!/theta, and
+    its raw moment m is sum_j b_j (j + m)!/theta^(m+1)."""
+
+    THETAS = (2.0**-10, 0.3, 1.0, 7 / 3, 2.0**10)
+    NS = range(1, 21)
+
+    @staticmethod
+    def _series(member, theta, n):
+        return dict(lindsum.validation._convolution_series(member, theta, n)[0])
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_mass_is_exactly_one(self, member):
+        for theta in self.THETAS:
+            for n in self.NS:
+                b = self._series(member, theta, n)
+                assert sum(v * math.factorial(j) for j, v in b.items()) / Fraction(theta) == 1
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_sum_mixture_weights(self, member):
+        # to 1e-14 relative where the exact weight is a normal double; below
+        # that, a subnormal or 0 stands in for it
+        for theta in self.THETAS:
+            for n in self.NS:
+                b = self._series(member, theta, n)
+                mixture = DistSpec(member, theta).sum_mixture(n)
+                assert set(b) == {s - 1 for s in mixture.shapes}
+                for w, s in mixture.components:
+                    exact = b[s - 1] * math.factorial(s - 1) / Fraction(theta)
+                    error = abs(Fraction(w) - exact)
+                    if exact >= _SMALLEST_NORMAL:
+                        assert error <= Fraction(1e-14) * exact, (theta, n, s, w, float(exact))
+                    else:
+                        assert error < _SMALLEST_NORMAL, (theta, n, s, w)
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_raw_moments_at_dyadic_theta(self, member):
+        for theta in (2.0**-10, 1.0, 2.0**10):
+            t = Fraction(theta)
+            alpha = Fraction(DistSpec(member, theta).alpha)
+            for n in self.NS:
+                b = self._series(member, theta, n)
+                moments = tuple(
+                    sum(v * math.factorial(j + m) for j, v in b.items()) / t ** (m + 1)
+                    for m in range(5)
+                )
+                assert moments == exact_moments.raw_moments(member.degree, n, t, alpha)
 
 
 class TestSampleSum:
@@ -437,6 +501,13 @@ class TestVerifyAll:
         (bound,) = [b for prefix, b in BOUNDS.items() if check_id.startswith(prefix)]
         assert result.bound == bound
         assert result.detail.startswith("quadrature did not converge")
+
+    @pytest.mark.parametrize("check_id", [i for i in CHECK_IDS if i.startswith("convolution/")])
+    def test_convolution_checks_run_no_quadrature(self, unconverged_quadrature, check_id):
+        # the exact oracle takes no integral, so quadrature that cannot converge
+        # leaves its checks passing
+        (result,) = verify_all(VerifyConfig(only=(check_id,))).results
+        assert result.status == "pass"
 
     def test_monte_carlo_sample_drawn_once_per_call(self, monkeypatch):
         calls = []
