@@ -1,9 +1,10 @@
 """Numerically stable primitives shared by the distribution, sum, and reliability code.
 
-Everything factorial-heavy is assembled in log space: densities and survival
-series in this package multiply binomial coefficients, factorials, and powers
-that individually overflow double precision long before their combination
-does.  The helpers here keep those combinations finite.
+The densities and survival series in this package multiply binomial
+coefficients, factorials, and powers that individually overflow double
+precision long before their combination does, so they are assembled in log
+space.  The moments are exact integer sums instead (the weights over their
+power-of-two denominator, the rate as c/d), rounded once.
 
 ErlangMixture is the one evaluator of the Erlang series: every family member,
 n-fold sum, and exponential standby system is a finite Erlang mixture with one
@@ -418,20 +419,6 @@ class _Series:
         return np.add(top, np.log(total, out=total), out=out)
 
 
-def _moment_from_log(log_moment: float, m: int) -> float:
-    """e^log_moment, a moment of order m: OverflowError past the largest double,
-    ArithmeticError below the smallest normal one."""
-    if log_moment > _LN_DOUBLE_MAX:
-        raise OverflowError(
-            f"moment of order m={m} is about e^{log_moment:.6g}, beyond double range"
-        )
-    if log_moment < _LN_DOUBLE_MIN:
-        raise ArithmeticError(
-            f"moment of order m={m} is about e^{log_moment:.6g}, below double range"
-        )
-    return math.exp(log_moment)
-
-
 def _check_shape(top: int) -> None:
     """OverflowError, naming top, where the largest shape passes double range."""
     if top > sys.float_info.max:
@@ -608,52 +595,56 @@ class ErlangMixture(_Record):
         """P(mixture <= t), the exact complement of survival."""
         return 1.0 - self.survival(t)
 
+    @cached_property
+    def _numerators(self) -> tuple[int, list[tuple[int, int]]]:
+        # each positive weight as a / unit over the weights' common power-of-two
+        # denominator, paired with its shape
+        ratios = [float(w).as_integer_ratio() for w in self.weights]
+        unit = max(d for _, d in ratios)
+        return unit, [(a * (unit // d), s) for (a, d), s in zip(ratios, self.shapes) if a]
+
     def moment(self, m: int) -> float:
-        """Raw moment: sum_r w_r * (s_r+m-1)! / ((s_r-1)! * rate^m), each ratio's log
-        the fsum of the m logs ln(s_r + i), not a difference of two lgammas;
-        the first is mean(), exactly."""
+        """Raw moment sum_r w_r (s_r+m-1)! / ((s_r-1)! rate^m), summed exactly in
+        integers and rounded once; the first is mean().  It raises at once where
+        m ln max(s, (m+1)/e) <= ln perm(s+m-1, m) <= m ln(s+m) put it e or more
+        past double range (a mean's bound, above ln 2 - ln max, never does)."""
         m = check_count(m, "m", 0)
-        if m == 1:
-            return self.mean()
-        terms = [
-            math.log(w) + math.fsum(map(math.log, range(s, s + m)))
-            for w, s in self.components
-            if w > 0.0
-        ]
-        return _moment_from_log(logsumexp(terms) - m * math.log(self.rate), m)
+        what = f"moment of order m={m}"
+        ln_rate = math.log(self.rate)
+        low = m * (max(math.log(self.shapes[0]), math.log(m + 1) - 1.0) - ln_rate)
+        high = m * (math.log(self.shapes[-1] + m) - ln_rate)
+        if low > _LN_DOUBLE_MAX + 1.0:
+            raise OverflowError(f"{what} is at least e^{low:.6g}, beyond double range")
+        if high < _LN_DOUBLE_MIN - 1.0:
+            raise ArithmeticError(f"{what} is at most e^{high:.6g}, below double range")
+        unit, pairs = self._numerators
+        return self._round_moment(sum(a * math.perm(s + m - 1, m) for a, s in pairs), unit, m)
 
     def mean(self) -> float:
-        """c / rate with c = sum_r w_r s_r, so one component's mean is exactly
-        s / rate; never 0 (c >= 1 - 1e-10, rate finite), so a subnormal mean is
-        returned; a shape, or c / rate, past double range goes to _exact(1)."""
-        try:
-            mean = math.fsum(w * s for w, s in self.components) / self.rate
-        except OverflowError:  # a shape past double range
-            mean = math.inf
-        return mean if mean < math.inf else self._exact(1)
+        """moment(1): exactly s / rate for one component, and subnormal rather
+        than 0 where it is that small (c >= 1 - 1e-10, rate finite)."""
+        return self.moment(1)
 
     def variance(self) -> float:
         """Law of total variance, sum_r w_r (s_r + (s_r - c)^2) / rate^2 with
-        c = sum_r w_r s_r, which does not cancel as moment(2) - mean^2 does at
-        large shapes; raises as moment(2) does outside double range."""
-        try:
-            centre = math.fsum(w * s for w, s in self.components)
-            spread = math.fsum(w * (s + (s - centre) ** 2) for w, s in self.components)
-        except OverflowError:  # a shape or a square past double range
-            return self._exact(2)
-        return _moment_from_log(math.log(spread) - 2.0 * math.log(self.rate), 2)
+        c = sum_r w_r s_r, which does not cancel as moment(2) - mean^2 does: with
+        w_r = a_r / unit and N_j = sum_r a_r s_r^j, the exact ratio
+        [unit^2 (N1 + N2) - 2 unit N1^2 + N0 N1^2] / unit^3, rounded as moment(2)."""
+        unit, pairs = self._numerators
+        n0, n1, n2 = (sum(a * s**j for a, s in pairs) for j in range(3))
+        return self._round_moment(unit**2 * (n1 + n2) - 2 * unit * n1**2 + n0 * n1**2, unit**3, 2)
 
-    def _exact(self, m: int) -> float:
-        """mean() (m = 1) or variance() (m = 2) in rationals, rounded once."""
-        from fractions import Fraction
-
-        parts = [(Fraction(w), s) for w, s in self.components]
-        centre = sum(w * s for w, s in parts)
-        exact = centre if m == 1 else sum(w * (s + (s - centre) ** 2) for w, s in parts)
-        exact /= Fraction(self.rate) ** m
-        if m == 2 and exact < _DOUBLE_MIN:  # raises as moment(2) does below double range
-            return _moment_from_log(math.log(exact.numerator) - math.log(exact.denominator), 2)
-        return _rounded(*exact.as_integer_ratio(), f"moment of order m={m}")
+    def _round_moment(self, top: int, bottom: int, m: int) -> float:
+        """top / (bottom rate^m), a moment of order m, rounded once: OverflowError
+        past double range, ArithmeticError below its smallest normal double unless m = 1."""
+        c, d = self.rate.as_integer_ratio()
+        top, bottom = top * d**m, bottom * c**m
+        what = f"moment of order m={m}"
+        value = _rounded(top, bottom, what)
+        if value < _DOUBLE_MIN and m != 1:
+            log_value = math.log(top) - math.log(bottom)
+            raise ArithmeticError(f"{what} is about e^{log_value:.6g}, below double range")
+        return value
 
 
 class QuadratureResult(_Record):

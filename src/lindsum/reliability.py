@@ -10,8 +10,9 @@ double series
            + theta/(1+theta) * sum_{i=0}^{n-1} sum_{j=0}^{i}
                (theta^2/(1+theta))^i C(i,j) t^{i+j+1}/(i+j+1)! ]
 
-with MTTF = n(2+theta)/(theta(1+theta)); both are implemented as written so
-they can be checked against the independent sum-distribution route.
+with MTTF = n(2+theta)/(theta(1+theta)), taken exactly at theta = a/b and
+rounded once; both are implemented as written so they can be checked against
+the independent sum-distribution route.
 StandbyModel holds a system's one-rate Erlang mixture: StandbyModel.of builds
 it for family components, StandbyModel.exponential for exponential ones, whose
 Erlang(n) tail and MTTF = n/theta are the comparison baseline.  The commands
@@ -98,18 +99,8 @@ def _lindley_log_coefficients(theta: float, n: int) -> np.ndarray:
 def lindley_mttf(theta: float, n: int) -> float:
     """Closed-form MTTF n(2+theta)/(theta(1+theta)) for Lindley components."""
     theta, n = check_theta(theta), check_n(n)
-    # divided in turn, as theta * (1 + theta) overflows past theta ~ 1.3e154;
-    # where n (2 + theta) overflows too, (2 + theta) / theta is taken first
-    try:
-        mttf = n * (2.0 + theta) / theta / (1.0 + theta)
-    except OverflowError:  # an int n past double range: exactly at theta = a/b, rounded once
-        a, b = theta.as_integer_ratio()
-        return _rounded(n * (2 * b + a) * b, a * (a + b), f"MTTF at theta={theta!r}, n={n}")
-    if mttf == math.inf:
-        mttf = n * ((2.0 + theta) / theta) / (1.0 + theta)
-    if mttf == math.inf:
-        raise OverflowError(f"MTTF at theta={theta!r}, n={n} is beyond double range")
-    return mttf
+    a, b = theta.as_integer_ratio()  # exactly, at theta = a/b, rounded once
+    return _rounded(n * (2 * b + a) * b, a * (a + b), f"MTTF at theta={theta!r}, n={n}")
 
 
 class StandbyModel(_Record):

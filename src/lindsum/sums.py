@@ -25,7 +25,8 @@ from functools import cached_property
 
 from .family import DistSpec, _divide_draws, check_n
 from .numerics import (
-    ErlangMixture, _moment_from_log, _Record, check_count, ln_binomial, ln_factorial, logsumexp, np,
+    _LN_DOUBLE_MAX, _LN_DOUBLE_MIN, ErlangMixture, _Record, check_count, ln_binomial, ln_factorial,
+    logsumexp, np,
 )
 
 __all__ = ["ErlangMixture", "SumSpec", "sample_sum"]
@@ -89,14 +90,18 @@ class SumSpec(_Record):
             for r in range(n + 1)
         ]
         log_moment = ln_factorial(m) - m * math.log(d.theta) + n * ln_p + logsumexp(terms)
-        return _moment_from_log(log_moment, m)
+        if not _LN_DOUBLE_MIN <= log_moment <= _LN_DOUBLE_MAX:
+            side = "beyond" if log_moment > 0.0 else "below"
+            error = OverflowError if log_moment > 0.0 else ArithmeticError
+            raise error(f"moment of order m={m} is about e^{log_moment:.6g}, {side} double range")
+        return math.exp(log_moment)
 
     def mean(self) -> float:
-        """E[S_n] = n * E[X]."""
+        """E[S_n], the mixture's exact mean rounded once."""
         return self._mixture.mean()
 
     def variance(self) -> float:
-        """Var[S_n] = n * Var[X]."""
+        """Var[S_n], the mixture's exact variance rounded once."""
         return self._mixture.variance()
 
 

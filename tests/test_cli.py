@@ -114,6 +114,14 @@ class TestMomentsCommand:
         assert label == "moment[1]"
         np.testing.assert_allclose(float(value), 7.5, rtol=1e-12)
 
+    def test_two_fold_lindley_moments_are_exact(self, capsys):
+        # E[S^m] for two Lindley(1) units is 3, 25/2, 66 and 420, all doubles
+        code, out, _ = run_cli(capsys, ["moments", "--dist", "lindley", "--theta", "1", "--n", "2"])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "moment[1],3", "moment[2],12.5", "moment[3],66", "moment[4],420",
+        ]
+
     def test_central_summaries(self, capsys):
         _, out, _ = run_cli(
             capsys,

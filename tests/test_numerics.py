@@ -383,6 +383,10 @@ def test_mixture_moment_below_double_range_names_the_order():
     assert mixture.moment(2) > 0.0
     with pytest.raises(ArithmeticError, match="m=3.*below double range"):
         mixture.moment(3)
+    # 2e-308, subnormal, is rounded from the exact ratio before it raises
+    near = ErlangMixture(1e154, (1.0,), (1,))
+    with pytest.raises(ArithmeticError, match="m=2 is about e.*below double range"):
+        near.moment(2)
 
 
 def test_mixture_mean_at_the_edges_of_double_range():

@@ -269,8 +269,8 @@ class TestIntegerNPastDoubleRange:
         mixture = ErlangMixture(1e300, (1.0,), (n,))
         assert _ulps(mixture.mean(), n / rate) <= 1
         assert abs(Fraction(mixture.variance()) / (n / rate**2) - 1) <= Fraction(1e-15)
-        # moment(2) = n (n + 1) / rate^2 takes the log route, as it did before
-        np.testing.assert_allclose(mixture.moment(2), float(n * (n + 1) / rate**2), rtol=1e-12)
+        # moment(2) = n (n + 1) / rate^2, correctly rounded
+        assert mixture.moment(2) == float(n * (n + 1) / rate**2)
 
     @pytest.mark.parametrize("weights, shapes", [
         ((0.25, 0.75), (3, 10**400)),  # a shape past double range
@@ -437,7 +437,7 @@ class TestMttfOverTheDomain:
     @domain
     @settings(max_examples=40, deadline=None)
     def test_mixture_mean_is_exact(self, member, theta, n):
-        # the mean is the fsum of w_r s_r over the rate, not e^(its log): within
+        # the mean is the exact sum of w_r s_r over the rate, rounded once: within
         # an ulp of the 50-digit mean, and exactly n / theta for exponential units
         dist = DistSpec(member, theta)
         expected = SumOracle(theta, dist.alpha, member.degree, n).mean()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 from exact_moments import central_summaries, raw_moments
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath_oracle import SumOracle
 
 from lindsum.family import (
@@ -37,6 +38,10 @@ from lindsum.family import (
 from lindsum.numerics import _BLOCK, _finite_below, integrate
 from lindsum.reliability import StandbyModel, lindley_reliability
 from lindsum.sums import ErlangMixture, SumSpec
+
+# The largest double and the smallest normal one, exactly.
+_LARGEST = Fraction(sys.float_info.max)
+_SMALLEST_NORMAL = Fraction(sys.float_info.min)
 
 # Hand-expanded convolution brackets: pdf = c^n * exp(-theta x) * bracket(theta, x).
 BRACKETS = {
@@ -518,6 +523,53 @@ class TestExactMoments:
         assert math.isfinite(spec.mean())
         with pytest.raises(OverflowError, match="m=2.*beyond double range"):
             spec.variance()
+
+
+class TestMomentsOverTheDomain:
+    """moment(0..4), mean() and variance() within 1e-15 of the exact rational
+    moments, for every member, theta log-uniform on [1e-200, 1e200] and n up to
+    50 (the oracle's cost grows fast with n at extreme theta); where the exact
+    value is outside double range, the error naming its order."""
+
+    @given(
+        member=st.sampled_from(MEMBERS),
+        theta=st.floats(-200.0, 200.0).map(lambda e: 10.0**e),
+        n=st.integers(1, 50),
+    )
+    @example(member=LINDLEY, theta=1e-200, n=50)  # moment(2..4) and variance beyond range
+    @example(member=RAM_AWADH, theta=1e200, n=50)  # moment(3..4) below it
+    @settings(max_examples=40, deadline=None)
+    def test_against_exact_rationals(self, member, theta, n):
+        dist = DistSpec(member, theta)
+        exact = raw_moments(member.degree, n, Fraction(theta), Fraction(dist.alpha))
+        spec = SumSpec(dist, n)
+        routes = [(m, partial(spec.moment, m), exact[m]) for m in range(5)]
+        routes += [(1, spec.mean, exact[1]), (2, spec.variance, exact[2] - exact[1] ** 2)]
+        for m, route, value in routes:
+            if value > _LARGEST:
+                with pytest.raises(OverflowError, match=f"m={m} .*beyond double range"):
+                    route()
+            elif value < _SMALLEST_NORMAL:  # never a mean in this domain
+                with pytest.raises(ArithmeticError, match=f"m={m} .*below double range"):
+                    route()
+            else:
+                assert abs(Fraction(route()) - value) <= Fraction(1e-15) * value, (m, route)
+
+
+class TestMomentOrderFarPastDoubleRange:
+    def test_raises_before_the_integer_sums(self):
+        # the exact sums would take seconds here: perm(s + m - 1, m) for 1001 shapes
+        mixture = DistSpec(LINDLEY, 1.0).sum_mixture(1000)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="m=100000 .*beyond double range"):
+            mixture.moment(10**5)
+        assert time.perf_counter() - start < 0.1
+
+    def test_high_order_in_range_is_correctly_rounded(self):
+        # the exact ratio perm(s + m - 1, m) / 10^(5m), correctly rounded
+        s, m = 10**5, 10**4
+        value = ErlangMixture(1e5, (1.0,), (s,)).moment(m)
+        assert value == math.perm(s + m - 1, m) / 10**50000 == 1.697665006503822e210
 
 
 class TestMomentSeriesSmallP:
